@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 2 for model problems (missing file, parse or
 compile diagnostics), 3 for numerical-guard failures (term budget, power
-cap, dimension cap, quadrature refinement budget). The monomial budget
-of the builders can be overridden with the ``EFFHAM_MAX_TERMS``
-environment variable.
+cap, dimension cap, quadrature refinement budget). ``EFFHAM_MAX_TERMS``
+overrides the term budget (series keys, and key pairs per product); a
+value that is not an integer >= 1 exits 3 as well.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .errors import (
     TermBudgetError,
 )
 from .diagnostics import ZOO_NAMES, run_report
+from .model import DEFAULT_GAP_MIN
+from .tones import TOL_ZERO
 
 _GUARD_ERRORS = (TermBudgetError, PowerCapError, DimensionCapError, QuadratureError)
 
@@ -60,9 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of grid points (default 64)")
     rep.add_argument("--sweep", type=_parse_floats, default=None,
                      help="comma-separated coupling scale factors")
-    rep.add_argument("--tol-zero", type=float, default=1e-9,
+    rep.add_argument("--tol-zero", type=float, default=TOL_ZERO,
                      help="threshold for exactly-zero frequency sums")
-    rep.add_argument("--gap-min", type=float, default=1e-3,
+    rep.add_argument("--gap-min", type=float, default=DEFAULT_GAP_MIN,
                      help="threshold for safely-nonzero frequency sums")
     rep.add_argument("--out", default=None, help="write the JSON report here")
     rep.add_argument("--csv", default=None, help="write the CSV time series here")

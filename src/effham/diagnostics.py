@@ -29,7 +29,6 @@ from .errors import OperatorValueError
 from .metrics import hermiticity_defect, unitarity_defect
 from .model import (
     DEFAULT_GAP_MIN,
-    DEFAULT_TOL_ZERO,
     FrequencyReport,
     MultiToneHamiltonian,
     ToneTerm,
@@ -38,6 +37,7 @@ from .model import (
 from .operators import annihilate, projector, sigma_plus, sigma_z, tensor_product
 from .oracle import quad_oracle
 from .series import OperatorSeries
+from .tones import TOL_ZERO
 
 SCHEMA_VERSION = 1
 
@@ -259,7 +259,7 @@ def run_report(
     tmax: float | None = None,
     grid: int = 64,
     sweep: tuple[float, ...] | None = None,
-    tol_zero: float = DEFAULT_TOL_ZERO,
+    tol_zero: float = TOL_ZERO,
     gap_min: float = DEFAULT_GAP_MIN,
     quad_tol: float = 1e-9,
     out: str | None = None,

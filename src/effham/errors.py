@@ -24,10 +24,12 @@ class PowerCapError(EffhamError):
 
 
 class TermBudgetError(EffhamError):
-    """A series operation would exceed the monomial budget.
+    """A series operation would exceed the term budget.
 
-    The budget defaults to 2_000_000 monomials and can be overridden with
-    the ``EFFHAM_MAX_TERMS`` environment variable.
+    The budget bounds the ``(frequency, power)`` keys a series stores and
+    the key pairs one product forms (checked before it allocates). It
+    defaults to 2_000_000; ``EFFHAM_MAX_TERMS`` overrides it, and a value
+    that is not an integer >= 1 raises this error too.
     """
 
 

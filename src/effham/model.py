@@ -26,13 +26,10 @@ import numpy as np
 from .errors import DimensionMismatchError, OperatorValueError
 from .operators import as_operator
 from .series import OperatorSeries
-from .tones import TonePoly
+from .tones import TOL_ZERO, TonePoly
 
 #: Reduced Planck constant in the fixed unit convention.
 HBAR = 1.0
-
-#: Default threshold under which a frequency sum counts as exactly zero.
-DEFAULT_TOL_ZERO = 1e-9
 
 #: Default threshold above which a frequency sum counts as safely nonzero.
 DEFAULT_GAP_MIN = 1e-3
@@ -171,7 +168,7 @@ class FrequencyReport:
         return self.pairwise_distinct and self.ambiguous_count == 0
 
 
-def frequency_report(H: MultiToneHamiltonian, tol_zero: float = DEFAULT_TOL_ZERO,
+def frequency_report(H: MultiToneHamiltonian, tol_zero: float = TOL_ZERO,
                      gap_min: float = DEFAULT_GAP_MIN) -> FrequencyReport:
     """Classify carrier distinctness and all signed three-frequency sums.
 

@@ -98,9 +98,7 @@ def propagate_series(S, t: float, steps: int | None = None) -> PropagationResult
     No unitarity is implied: a non-Hermitian S yields a non-unitary U,
     by design.
     """
-    max_freq = max(
-        (abs(m.freq) for _, p in S.entries for m in p.terms), default=0.0
-    )
+    max_freq = float(np.abs(S.freqs).max(initial=0.0))
     return _propagate(
         S.evaluate_grid, S.dim, t, steps, default_step_count(max(1.0, max_freq), t)
     )

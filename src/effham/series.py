@@ -1,108 +1,126 @@
-"""Operator-valued tone series: finite sums ``sum_e A_e * p_e(t)``.
+"""Operator-valued tone series ``sum_k C_k t**p_k e^{i w_k t}``, keyed by ``(w, p)``.
 
-An :class:`OperatorSeries` pairs constant matrices with
-:class:`~effham.tones.TonePoly` scalar envelopes. Products, integrals and
-derivatives stay inside the class, which is what lets the nested-integral
-builders produce closed forms instead of numerical approximations.
-
-Entries are merged on construction: each matrix is normalized to unit
-Frobenius norm and a canonical phase (the largest-magnitude entry made
-real positive), the scale and phase being absorbed into the envelope, and
-matrices equal to within 1e-12 share one slot. The total monomial count
-across envelopes is guarded by a budget (default 2_000_000, overridable
-via the ``EFFHAM_MAX_TERMS`` environment variable).
+An :class:`OperatorSeries` holds three arrays, ``freqs[K]``, ``powers[K]``
+and ``coeffs[K, d, d]``, sorted by (frequency, power). Such envelopes are
+closed under products, derivatives and integrals from 0, which is what
+lets the nested-integral builders produce closed forms. The scalar rules
+(zero snapping, frequency clustering, the power cap, the by-parts
+integral) live in :class:`~effham.tones.TonePoly` alone: each operation
+takes the keys of its result from ``TonePoly`` and only sums matrices.
+Keys whose matrix cancels below ``DROP_TOL`` of the largest are dropped.
+Stored keys and the key pairs of one product are guarded by a budget
+(default 2_000_000, overridable via ``EFFHAM_MAX_TERMS``).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from collections.abc import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, TermBudgetError
-from .tones import TOL_ZERO, TonePoly
+from .tones import DROP_TOL, TOL_ZERO, ToneMono, TonePoly
 
-#: Default monomial budget for series construction.
+#: Default budget for stored keys and for the key pairs of one product.
 MAX_TERMS = 2_000_000
-
-#: Relative Frobenius distance below which two normalized matrices are
-#: considered the same slot.
-MERGE_TOL = 1e-12
 
 
 def term_budget() -> int:
-    """Active monomial budget (environment override or default)."""
+    """Active budget: ``EFFHAM_MAX_TERMS`` if set, else :data:`MAX_TERMS`.
+
+    Raises :class:`TermBudgetError` if the variable is not an integer >= 1.
+    """
     raw = os.environ.get("EFFHAM_MAX_TERMS")
     if raw is None:
         return MAX_TERMS
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        return MAX_TERMS
+        budget = 0
+    if budget < 1:
+        raise TermBudgetError(f"EFFHAM_MAX_TERMS must be an integer >= 1, got {raw!r}")
+    return budget
 
 
-def _normalize_slot(A: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Return (unit-norm canonical-phase matrix, absorbed scalar)."""
-    s = np.linalg.norm(A)
-    flat = A.ravel() / s
-    idx = int(np.argmax(np.abs(flat)))
-    ph = flat[idx] / abs(flat[idx])
-    return (flat / ph).reshape(A.shape), s * ph
+def _check_budget(count: int, what: str) -> None:
+    budget = term_budget()
+    if count > budget:
+        raise TermBudgetError(
+            f"{what} ({count}) exceeds the budget ({budget}); "
+            "raise EFFHAM_MAX_TERMS to override"
+        )
+
+
+def _key_poly(freqs, powers) -> TonePoly:
+    """Unit-coefficient polynomial whose terms are the canonical keys of
+    the monomials at ``freqs``/``powers``."""
+    return TonePoly(ToneMono(1.0, int(k), float(f)) for f, k in zip(freqs, powers))
+
+
+def _gather(dim: int, freqs, powers, mats, keys: TonePoly | None = None):
+    """``(freqs, powers, coeffs)`` of the sum of the monomials
+    ``mats[i] t**powers[i] e^{i freqs[i] t}``, whose keys are the terms of
+    ``keys`` (default: their key polynomial)."""
+    if keys is None:
+        keys = _key_poly(freqs, powers)
+    _check_budget(len(keys), "series keys")
+    coeffs = np.zeros((len(keys), dim * dim), dtype=complex)
+    np.add.at(coeffs, keys.term_index(freqs, powers), np.reshape(mats, (-1, dim * dim)))
+    norms = np.linalg.norm(coeffs, axis=1)
+    keep = norms > DROP_TOL * norms.max(initial=0.0)
+    return (np.array([m.freq for m in keys.terms], dtype=float)[keep],
+            np.array([m.power for m in keys.terms], dtype=int)[keep],
+            coeffs[keep].reshape(-1, dim, dim))
+
+
+class _KeyView(Sequence):
+    """Read-only ``(coefficient matrix, unit monomial)`` pair per key."""
+
+    def __init__(self, series: "OperatorSeries"):
+        self._series = series
+
+    def __len__(self) -> int:
+        return self._series.term_count
+
+    def __getitem__(self, k: int):
+        S = self._series
+        return S.coeffs[k], TonePoly.exponential(S.freqs[k], 1.0, S.powers[k])
 
 
 class OperatorSeries:
     """Immutable operator-valued function of time."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "freqs", "powers", "coeffs")
 
     def __init__(self, dim: int, entries: Iterable[tuple[np.ndarray, TonePoly]] = ()):
-        slots: list[np.ndarray] = []
-        polys: list[TonePoly] = []
-        # Representative rows live in a geometrically grown buffer so the
-        # per-entry nearest-slot scan stays a single vectorized pass.
-        rep_buf = np.empty((16, dim * dim), dtype=complex)
-        n_rep = 0
-        budget = term_budget()
-        count = 0
+        dim = int(dim)
+        freqs, powers, mats = [], [], []
         for A, p in entries:
             A = np.asarray(A, dtype=complex)
             if A.shape != (dim, dim):
                 raise DimensionMismatchError(
                     f"series entry has shape {A.shape}, expected ({dim}, {dim})"
                 )
-            if p.is_zero or not np.any(A):
-                continue
-            K, scale = _normalize_slot(A)
-            poly = p * scale
-            row = K.ravel()
-            match = None
-            if n_rep:
-                dists = np.linalg.norm(rep_buf[:n_rep] - row[None, :], axis=1)
-                hits = np.flatnonzero(dists <= MERGE_TOL)
-                if hits.size:
-                    match = int(hits[0])
-            if match is None:
-                slots.append(K)
-                polys.append(poly)
-                if n_rep == rep_buf.shape[0]:
-                    rep_buf = np.concatenate([rep_buf, np.empty_like(rep_buf)])
-                rep_buf[n_rep] = row
-                n_rep += 1
-            else:
-                polys[match] = polys[match] + poly
-            count += len(poly)
-            if count > budget:
-                raise TermBudgetError(
-                    f"series would exceed the monomial budget ({budget}); "
-                    "raise EFFHAM_MAX_TERMS to override"
-                )
+            for m in p.terms:
+                freqs.append(m.freq)
+                powers.append(m.power)
+                mats.append(m.coeff * A)
+        self._set(dim, *_gather(dim, freqs, powers, mats))
 
-        kept = [(K, p) for K, p in zip(slots, polys) if not p.is_zero]
-        for K, _ in kept:
-            K.setflags(write=False)
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "entries", tuple(kept))
+    def _set(self, dim: int, freqs: np.ndarray, powers: np.ndarray, coeffs: np.ndarray) -> None:
+        for name, value in (("freqs", freqs), ("powers", powers), ("coeffs", coeffs)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "dim", dim)
+
+    @classmethod
+    def _of(cls, dim: int, freqs: np.ndarray, powers: np.ndarray, coeffs: np.ndarray) -> "OperatorSeries":
+        """Series of already canonical key arrays."""
+        out = object.__new__(cls)
+        out._set(dim, freqs, powers, coeffs)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorSeries is immutable")
@@ -118,16 +136,21 @@ class OperatorSeries:
         return cls(M.shape[0], ((M, TonePoly.constant(1.0)),))
 
     @property
+    def entries(self) -> Sequence[tuple[np.ndarray, TonePoly]]:
+        """Per-key ``(coefficient matrix, unit monomial)`` view."""
+        return _KeyView(self)
+
+    @property
     def term_count(self) -> int:
-        return sum(len(p) for _, p in self.entries)
+        """Number of stored ``(frequency, power)`` keys."""
+        return len(self.freqs)
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not len(self.freqs)
 
     def __repr__(self) -> str:
-        return (f"OperatorSeries(dim={self.dim}, slots={len(self.entries)}, "
-                f"monomials={self.term_count})")
+        return f"OperatorSeries(dim={self.dim}, keys={self.term_count})"
 
     # ------------------------------------------------------------------
     # algebra
@@ -138,10 +161,17 @@ class OperatorSeries:
             raise DimensionMismatchError(
                 f"cannot add series of dims {self.dim} and {other.dim}"
             )
-        return OperatorSeries(self.dim, self.entries + other.entries)
+        return OperatorSeries._of(self.dim, *_gather(
+            self.dim,
+            np.concatenate([self.freqs, other.freqs]),
+            np.concatenate([self.powers, other.powers]),
+            np.concatenate([self.coeffs, other.coeffs]),
+        ))
 
     def scale(self, z: complex) -> "OperatorSeries":
-        return OperatorSeries(self.dim, tuple((A, p * z) for A, p in self.entries))
+        if z == 0:
+            return OperatorSeries.zero(self.dim)
+        return OperatorSeries._of(self.dim, self.freqs, self.powers, self.coeffs * z)
 
     def __mul__(self, other: "OperatorSeries") -> "OperatorSeries":
         """Pointwise-in-time operator product (left factor first)."""
@@ -151,113 +181,71 @@ class OperatorSeries:
             raise DimensionMismatchError(
                 f"cannot multiply series of dims {self.dim} and {other.dim}"
             )
-        projected = sum(
-            len(p) * len(q) for _, p in self.entries for _, q in other.entries
-        )
-        if projected > term_budget():
-            raise TermBudgetError(
-                f"series product would create ~{projected} monomials, over the "
-                f"budget ({term_budget()}); raise EFFHAM_MAX_TERMS to override"
-            )
-        raw = [
-            (A @ B, p * q)
-            for A, p in self.entries
-            for B, q in other.entries
-        ]
-        return OperatorSeries(self.dim, raw)
+        _check_budget(self.term_count * other.term_count, "series product key pairs")
+        keys = _key_poly(self.freqs, self.powers) * _key_poly(other.freqs, other.powers)
+        return OperatorSeries._of(self.dim, *_gather(
+            self.dim,
+            np.add.outer(self.freqs, other.freqs).ravel(),
+            np.add.outer(self.powers, other.powers).ravel(),
+            np.einsum("iab,jbc->ijac", self.coeffs, other.coeffs),
+            keys,
+        ))
 
     # ------------------------------------------------------------------
     # calculus
+    def _termwise(self, op) -> "OperatorSeries":
+        """Apply the scalar map ``op`` to each key's unit monomial."""
+        freqs, powers, mats = [], [], []
+        for f, k, C in zip(self.freqs, self.powers, self.coeffs):
+            for m in op(TonePoly.exponential(f, 1.0, k)).terms:
+                freqs.append(m.freq)
+                powers.append(m.power)
+                mats.append(m.coeff * C)
+        return OperatorSeries._of(self.dim, *_gather(self.dim, freqs, powers, mats))
+
     def integrate_from_zero(self) -> "OperatorSeries":
-        return OperatorSeries(
-            self.dim, tuple((A, p.integrate_from_zero()) for A, p in self.entries)
-        )
+        return self._termwise(TonePoly.integrate_from_zero)
 
     def derivative(self) -> "OperatorSeries":
-        return OperatorSeries(
-            self.dim, tuple((A, p.derivative()) for A, p in self.entries)
-        )
+        return self._termwise(TonePoly.derivative)
 
     # ------------------------------------------------------------------
     # evaluation and extraction
     def evaluate(self, t: float) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for A, p in self.entries:
-            out += p(t) * A
-        return out
+        return self.evaluate_grid([t])[0]
 
     def evaluate_grid(self, ts: Sequence[float]) -> np.ndarray:
         """Vectorized evaluation; returns an array of shape (len(ts), dim, dim)."""
         ts = np.asarray(ts, dtype=float)
-        out = np.zeros((ts.size, self.dim, self.dim), dtype=complex)
-        for A, p in self.entries:
-            out += np.multiply.outer(p(ts), A)
-        return out
+        envelopes = np.exp(1j * np.outer(ts, self.freqs)) * ts[:, None] ** self.powers
+        return np.tensordot(envelopes, self.coeffs, axes=1)
 
     def secular_series(self, tol_zero: float = TOL_ZERO) -> "OperatorSeries":
         """Sub-series with zero-frequency envelopes only."""
-        return OperatorSeries(
-            self.dim, tuple((A, p.secular_part(tol_zero)) for A, p in self.entries)
-        )
+        keep = np.abs(self.freqs) <= tol_zero
+        return OperatorSeries._of(self.dim, self.freqs[keep], self.powers[keep], self.coeffs[keep])
 
     def constant_part(self, tol_zero: float = TOL_ZERO) -> np.ndarray:
         """Time-independent (zero-frequency, power-0) content as a matrix."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for A, p in self.entries:
-            c = p.constant_coefficient(tol_zero)
-            if c != 0:
-                out += c * A
-        return out
+        return self.coeffs[(np.abs(self.freqs) <= tol_zero) & (self.powers == 0)].sum(axis=0)
 
     def has_secular_growth(self, tol_zero: float = TOL_ZERO) -> bool:
-        return any(p.has_secular_growth(tol_zero) for _, p in self.entries)
+        return bool(np.any((np.abs(self.freqs) <= tol_zero) & (self.powers >= 1)))
 
-    def monomial_table(self, tol_zero: float = TOL_ZERO) -> dict[tuple[float, int], np.ndarray]:
-        """Total matrix coefficient of each monomial ``t**k e^{i w t}``.
-
-        Frequencies from different entries are clustered within
-        ``tol_zero``; the representative is the smallest cluster member.
-        This is the canonical form used to compare two series.
-        """
-        monos: list[tuple[float, int, complex, int]] = []
-        for e, (A, p) in enumerate(self.entries):
-            for m in p.terms:
-                monos.append((m.freq, m.power, m.coeff, e))
-        if not monos:
-            return {}
-        monos.sort(key=lambda x: (x[0], x[1]))
-        table: dict[tuple[float, int], np.ndarray] = {}
-        cluster_freq = monos[0][0]
-        for freq, power, coeff, e in monos:
-            if freq - cluster_freq > tol_zero:
-                cluster_freq = freq
-            key = (cluster_freq, power)
-            if key not in table:
-                table[key] = np.zeros((self.dim, self.dim), dtype=complex)
-            table[key] += coeff * self.entries[e][0]
-        return table
+    def monomial_table(self) -> dict[tuple[float, int], np.ndarray]:
+        """Coefficient matrix of each monomial ``t**k e^{i w t}``, keyed ``(w, k)``."""
+        return {(float(f), int(k)): C for f, k, C in zip(self.freqs, self.powers, self.coeffs)}
 
 
-def series_residual(left: OperatorSeries, right: OperatorSeries,
-                    tol_zero: float = TOL_ZERO) -> tuple[float, float]:
-    """Monomial-level distance between two series.
+def series_residual(left: OperatorSeries, right: OperatorSeries) -> tuple[float, float]:
+    """Key-level distance between two series.
 
     Returns ``(residual, scale)`` where ``residual`` is the largest
-    Frobenius norm over the monomial table of ``left - right`` and
-    ``scale`` the largest norm over the tables of the operands. Two series
-    agree to relative tolerance r iff ``residual <= r * scale``.
+    Frobenius norm over the keys of ``left - right`` and ``scale`` the
+    largest over the keys of either operand. Two series agree to relative
+    tolerance r iff ``residual <= r * scale``.
     """
-    diff = left + right.scale(-1.0)
-    residual = max(
-        (float(np.linalg.norm(M)) for M in diff.monomial_table(tol_zero).values()),
-        default=0.0,
-    )
-    scale = max(
-        (
-            float(np.linalg.norm(M))
-            for S in (left, right)
-            for M in S.monomial_table(tol_zero).values()
-        ),
-        default=0.0,
-    )
-    return residual, scale
+    def largest(S: OperatorSeries) -> float:
+        return float(np.linalg.norm(S.coeffs, axis=(1, 2)).max(initial=0.0))
+
+    return largest(left + right.scale(-1.0)), max(largest(left), largest(right))

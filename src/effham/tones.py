@@ -142,6 +142,17 @@ class TonePoly:
     def max_abs_coeff(self) -> float:
         return max((abs(m.coeff) for m in self.terms), default=0.0)
 
+    def term_index(self, freqs, powers) -> np.ndarray:
+        """Positions in :attr:`terms` that the monomials at ``freqs``/``powers``
+        (those this polynomial was built from, default tolerances) merged into:
+        a snapped frequency joins the largest cluster representative not above it."""
+        rep = np.array([m.freq for m in self.terms])
+        cluster = np.concatenate(([0], np.cumsum(np.diff(rep) != 0)))
+        codes = cluster * (POWER_CAP + 1) + np.array([m.power for m in self.terms])
+        f = np.asarray(freqs, dtype=float)
+        last = np.searchsorted(rep, np.where(np.abs(f) <= TOL_ZERO, 0.0, f), side="right") - 1
+        return np.searchsorted(codes, cluster[last] * (POWER_CAP + 1) + np.asarray(powers))
+
     # ------------------------------------------------------------------
     # algebra
     def __add__(self, other: "TonePoly") -> "TonePoly":
@@ -224,13 +235,6 @@ class TonePoly:
     def secular_part(self, tol_zero: float = TOL_ZERO) -> "TonePoly":
         """Sub-polynomial with |freq| <= tol_zero (the non-oscillating content)."""
         return TonePoly(tuple(m for m in self.terms if abs(m.freq) <= tol_zero))
-
-    def constant_coefficient(self, tol_zero: float = TOL_ZERO) -> complex:
-        """Coefficient of the (freq 0, power 0) monomial."""
-        return sum(
-            (m.coeff for m in self.terms if abs(m.freq) <= tol_zero and m.power == 0),
-            0j,
-        )
 
     def has_secular_growth(self, tol_zero: float = TOL_ZERO) -> bool:
         """True iff a zero-frequency monomial with power >= 1 is present."""

@@ -193,6 +193,14 @@ def test_secular_growth_appears_at_fourth_order():
     assert heff_secular(jc, 4).secular_growth_flag
 
 
+def test_no_secular_growth_from_rounding_residue():
+    # growing terms of a commuting model cancel exactly; their rounding
+    # residue must be dropped, not flagged
+    diag = make_model("commuting_diag")
+    for n in (4, 5, 6):
+        assert not heff_secular(diag, n).secular_growth_flag
+
+
 def test_secular_third_order_hermitian_for_hermitian_tones(rng):
     # every tone operator Hermitian: integration constants cancel pairwise
     for _ in range(10):
@@ -262,9 +270,18 @@ def test_dyson_recursion_identity(rng):
             assert np.linalg.norm(a - b) <= 1e-11 * max(1.0, np.linalg.norm(a))
 
 
+def generic_qutrit_three_tone():
+    rng = np.random.default_rng(31)
+    tones = []
+    for omega in (1.3, 2.9, 4.7):
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        tones.append((0.3 * h / np.linalg.norm(h), omega))
+    return MultiToneHamiltonian(tones)
+
+
 def test_derivative_identity_with_effective_orders():
     # order-n effective series equals i * d/dt of the order-n propagator term
-    for H in (SCALAR, NONCOMM, make_model("raman_lambda")):
+    for H in (SCALAR, NONCOMM, make_model("raman_lambda"), generic_qutrit_three_tone()):
         for n in (2, 3, 4, 5):
             a = heff_n_timedep(H, n)
             b = dyson_term(H, n).derivative().scale(1j)

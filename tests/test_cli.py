@@ -53,6 +53,14 @@ def test_guard_error_exits_3(monkeypatch, capsys):
     assert "numerical guard" in capsys.readouterr().err
 
 
+def test_bad_term_budget_exits_3(monkeypatch, capsys):
+    monkeypatch.setenv("EFFHAM_MAX_TERMS", "abc")
+    assert main(["report", "builtin:scalar_single_tone", "--grid", "8"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical guard" in err and "'abc'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_sweep_option(tmp_path):
     out = tmp_path / "s.json"
     code = main([

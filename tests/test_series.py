@@ -4,6 +4,7 @@ import pytest
 from effham import (
     DimensionMismatchError,
     OperatorSeries,
+    TOL_ZERO,
     TermBudgetError,
     ToneMono,
     TonePoly,
@@ -39,16 +40,54 @@ def test_evaluate_grid_matches_pointwise():
         assert np.allclose(grid[i], S.evaluate(float(t)))
 
 
-def test_merging_collapses_scaled_copies():
-    S = OperatorSeries(
-        2,
-        [
-            (sigma_x(), TonePoly.exponential(1.0)),
-            (2.0 * sigma_x(), TonePoly.exponential(3.0)),
-            (1j * sigma_x(), TonePoly.constant(1.0)),
-        ],
-    )
-    assert len(S.entries) == 1
+def test_keys_keep_scaled_copies_apart():
+    # one key per (frequency, power), whatever the matrices have in common
+    entries = [
+        (sigma_x(), TonePoly.exponential(1.0)),
+        (2.0 * sigma_x(), TonePoly.exponential(3.0)),
+        (1j * sigma_x(), TonePoly.constant(1.0)),
+    ]
+    S = OperatorSeries(2, entries)
+    assert S.term_count == len(S.entries) == 3
+    for t in (0.0, 0.4, 2.3):
+        expected = sum(p(t) * A for A, p in entries)
+        assert np.allclose(S.evaluate(t), expected, atol=1e-14)
+
+
+def random_series(rng, dim, keys):
+    # frequencies from a small lattice plus sub-tolerance jitter, so that
+    # sums land on shared and near-shared keys
+    entries = []
+    for _ in range(keys):
+        A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        freq = float(rng.integers(-3, 4)) * 0.5 + float(rng.uniform(-0.3, 0.3)) * TOL_ZERO
+        entries.append((A, TonePoly.exponential(freq, power=int(rng.integers(0, 3)))))
+    return OperatorSeries(dim, entries)
+
+
+def assert_canonical(S):
+    assert S.freqs.shape == S.powers.shape == (S.term_count,)
+    assert S.coeffs.shape == (S.term_count, S.dim, S.dim)
+    keys = list(zip(S.freqs.tolist(), S.powers.tolist()))
+    assert keys == sorted(set(keys))
+    for k in set(S.powers.tolist()):
+        f = S.freqs[S.powers == k]
+        assert np.all(np.diff(f) > TOL_ZERO)
+    assert np.all(np.linalg.norm(S.coeffs, axis=(1, 2)) > 0)
+
+
+def test_operations_keep_canonical_form(rng):
+    for _ in range(10):
+        dim = int(rng.integers(1, 4))
+        A = random_series(rng, dim, int(rng.integers(1, 6)))
+        B = random_series(rng, dim, int(rng.integers(1, 6)))
+        for S in (A, B, A + B, A * B, A.integrate_from_zero(), A.derivative(),
+                  (A * B).integrate_from_zero().derivative(), A + A.scale(-1.0)):
+            assert_canonical(S)
+        # clustering moves a frequency by at most TOL_ZERO
+        for t in (0.3, 1.7):
+            assert np.allclose((A + B).evaluate(t), A.evaluate(t) + B.evaluate(t), atol=1e-7)
+            assert np.allclose((A * B).evaluate(t), A.evaluate(t) @ B.evaluate(t), atol=1e-7)
 
 
 def test_zero_entries_dropped():
@@ -130,3 +169,10 @@ def test_term_budget_guard_on_product(monkeypatch):
     monkeypatch.setenv("EFFHAM_MAX_TERMS", "3")
     with pytest.raises(TermBudgetError):
         _ = A * A
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_term_budget_rejects_bad_value(monkeypatch, raw):
+    monkeypatch.setenv("EFFHAM_MAX_TERMS", raw)
+    with pytest.raises(TermBudgetError, match=repr(raw)):
+        two_entry_series()
