@@ -1,7 +1,10 @@
 """Command-line entry point: ``effham report MODEL [options]``.
 
-Exit codes: 0 on success, 2 for model problems (missing file, parse or
-compile diagnostics), 3 for numerical-guard failures (term budget, power
+Exit codes: 0 on success, 2 for usage errors (an option that does not
+parse or is out of range, such as a ``--tmax`` that is not finite and
+> 0 or a ``--grid`` below 2; argparse prints the usage and a one-line
+message) and for model problems (missing file, parse or compile
+diagnostics), 3 for numerical-guard failures (term budget, power
 cap, dimension cap, quadrature refinement budget). ``EFFHAM_MAX_TERMS``
 overrides the term budget (series keys, and key pairs per product); a
 value that is not an integer >= 1 exits 3 as well.
@@ -10,6 +13,7 @@ value that is not an integer >= 1 exits 3 as well.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import (
@@ -40,6 +44,26 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}; expected e.g. 0.4,0.2")
 
 
+def _parse_tmax(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"bad end time {text!r}; expected a finite number > 0")
+    return value
+
+
+def _parse_grid(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"bad grid size {text!r}; expected an integer >= 2")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effham",
@@ -56,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("model", help=".ham file or builtin:NAME")
     rep.add_argument("--orders", type=_parse_orders, default=(2, 3),
                      help="comma-separated expansion orders (default 2,3)")
-    rep.add_argument("--tmax", type=float, default=None,
+    rep.add_argument("--tmax", type=_parse_tmax, default=None,
                      help="end of the time grid (default 10 / min carrier)")
-    rep.add_argument("--grid", type=int, default=64,
+    rep.add_argument("--grid", type=_parse_grid, default=64,
                      help="number of grid points (default 64)")
     rep.add_argument("--sweep", type=_parse_floats, default=None,
                      help="comma-separated coupling scale factors")

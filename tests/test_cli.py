@@ -75,3 +75,20 @@ def test_sweep_option(tmp_path):
 def test_bad_orders_argument():
     with pytest.raises(SystemExit):
         main(["report", "builtin:scalar_single_tone", "--orders", "x"])
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--tmax", "inf"), ("--tmax", "nan"), ("--tmax", "-1"), ("--tmax", "0"), ("--tmax", "x"),
+    ("--grid", "0"), ("--grid", "1"), ("--grid", "-3"), ("--grid", "2.5"),
+])
+def test_bad_grid_options_exit_2(option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "builtin:scalar_single_tone", option, value])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert option in last and repr(value) in last
+
+
+def test_smallest_grid_options_accepted(capsys):
+    assert main(["report", "builtin:scalar_single_tone", "--grid", "2", "--tmax", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["time_grid"] == [0.0, 1e-3]

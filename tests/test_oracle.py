@@ -1,3 +1,4 @@
+import math
 import pathlib
 import re
 
@@ -23,6 +24,10 @@ from effham import (
     sigma_z,
     unitarity_defect,
 )
+from effham import oracle
+from effham.diagnostics import jc_detuned
+
+from conftest import random_generic
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +86,101 @@ def test_propagate_exact_validates_arguments():
         propagate_exact(H, 1.0, steps=4)
     with pytest.raises(OperatorValueError):
         propagate_exact(H, -1.0, steps=64)
+
+
+# Per-step RK4 loop the batched oracle replaced, kept verbatim as the
+# reference; its block size only sets how H is sampled, not the result.
+_RK4_BLOCK = 8192
+
+
+def _rk4_reference(grid_eval, dim: int, t: float, steps: int) -> np.ndarray:
+    # Classical RK4 on dU/dt = -i H(t) U. H samples for each block of
+    # steps are precomputed on the half-step grid in one vectorized call.
+    h = t / steps
+    U = np.eye(dim, dtype=complex)
+    for s0 in range(0, steps, _RK4_BLOCK):
+        s1 = min(steps, s0 + _RK4_BLOCK)
+        times = h * (s0 + 0.5 * np.arange(2 * (s1 - s0) + 1))
+        A = -1j * np.asarray(grid_eval(times))
+        for k in range(s1 - s0):
+            A0, Am, A1 = A[2 * k], A[2 * k + 1], A[2 * k + 2]
+            k1 = A0 @ U
+            k2 = Am @ (U + (h / 2) * k1)
+            k3 = Am @ (U + (h / 2) * k2)
+            k4 = A1 @ (U + h * k3)
+            U = U + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return U
+
+
+def _assert_matches_reference(res, op, t, steps):
+    coarse = _rk4_reference(op.evaluate_grid, op.dim, t, steps)
+    fine = _rk4_reference(op.evaluate_grid, op.dim, t, 2 * steps)
+    est_ref = float(np.linalg.norm(coarse - fine))
+    assert res.steps == steps
+    assert np.linalg.norm(res.U - fine) <= 1e-12 * max(1.0, np.linalg.norm(fine))
+    assert abs(res.est_error - est_ref) <= 1e-3 * est_ref + 1e-14
+
+
+class _CountingOperator:
+    """Forwards to a model or series and counts the points it is sampled at."""
+
+    def __init__(self, op):
+        self.op = op
+        self.points = 0
+
+    def __getattr__(self, name):
+        return getattr(self.op, name)
+
+    def evaluate_grid(self, ts):
+        self.points += len(ts)
+        return self.op.evaluate_grid(ts)
+
+
+def test_propagate_exact_matches_reference_loop_generic_tail_block(rng):
+    # 1000 coarse steps is not a multiple of the block, so a short tail runs
+    H = MultiToneHamiltonian(
+        [(random_generic(rng, 6, 0.4), w) for w in (1.3, 2.1, 3.7)]
+    )
+    assert 1000 % oracle._RK4_BLOCK != 0
+    _assert_matches_reference(propagate_exact(H, 1.5, steps=1000), H, 1.5, 1000)
+
+
+def test_propagate_exact_matches_reference_loop_jc():
+    H = jc_detuned(g=0.05)
+    _assert_matches_reference(propagate_exact(H, 50.0, steps=4096), H, 50.0, 4096)
+
+
+def test_propagate_series_matches_reference_loop_nonhermitian(rng):
+    S = OperatorSeries.constant(random_generic(rng, 4, 2.0))
+    _assert_matches_reference(propagate_series(S, 1.3, steps=300), S, 1.3, 300)
+
+
+@pytest.mark.parametrize("steps", [16, 300, 1000])
+def test_propagate_exact_samples_h_once_for_both_runs(steps):
+    # the coarse run reads every other sample of the fine run's grid
+    H = _CountingOperator(jc_detuned(g=0.05))
+    propagate_exact(H, 3.0, steps=steps)
+    assert H.points <= 4 * steps + math.ceil(steps / oracle._RK4_BLOCK)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("steps", [None, 64])
+def test_propagators_reject_non_finite_time_before_sampling(t, steps):
+    H = _CountingOperator(make_model("noncommuting_two_tone"))
+    with pytest.raises(OperatorValueError, match="finite"):
+        propagate_exact(H, t, steps=steps)
+    S = _CountingOperator(heff3_timedep(H.op))
+    with pytest.raises(OperatorValueError, match="finite"):
+        propagate_series(S, t, steps=steps)
+    assert H.points == 0 and S.points == 0
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_quad_oracle_rejects_non_finite_time_before_sampling(t):
+    H = _CountingOperator(make_model("noncommuting_two_tone"))
+    with pytest.raises(OperatorValueError, match="finite"):
+        quad_oracle(H, 2, t, 1e-9)
+    assert H.points == 0
 
 
 # ----------------------------------------------------------------------
