@@ -186,8 +186,7 @@ def heff_secular(H: MultiToneHamiltonian, n: int,
     averaged = averaged.scale(_inv_i_power(n - 1))
     if time_grid is None:
         time_grid = default_time_grid(H)
-    values = series.evaluate_grid(time_grid)
-    worst = max((hermiticity_defect(M) for M in values), default=0.0)
+    worst = float(hermiticity_defect(series.evaluate_grid(time_grid)).max(initial=0.0))
     return EffectiveOrderResult(
         order=n,
         series=series,

@@ -1,13 +1,16 @@
 """Command-line entry point: ``effham report MODEL [options]``.
 
-Exit codes: 0 on success, 2 for usage errors (an option that does not
-parse or is out of range, such as a ``--tmax`` that is not finite and
-> 0 or a ``--grid`` below 2; argparse prints the usage and a one-line
-message) and for model problems (missing file, parse or compile
-diagnostics), 3 for numerical-guard failures (term budget, power
-cap, dimension cap, quadrature refinement budget). ``EFFHAM_MAX_TERMS``
-overrides the term budget (series keys, and key pairs per product); a
-value that is not an integer >= 1 exits 3 as well.
+Exit codes: 0 on success, 2 for usage errors and for model problems
+(missing file, parse or compile diagnostics), 3 for numerical-guard
+failures (term budget, power cap, dimension cap, quadrature refinement
+budget). A usage error is an option that does not parse or is out of
+range: ``--orders`` outside ``[2, MAX_ORDER]``, a ``--tmax`` that is not
+finite and > 0, a ``--grid`` below 2, a ``--sweep`` factor that is not
+finite, a ``--tol-zero`` or ``--gap-min`` that is negative or not
+finite, or ``--tol-zero >= --gap-min``; argparse prints the usage and a
+one-line message before anything is computed.
+``EFFHAM_MAX_TERMS`` overrides the term budget (series keys, and key
+pairs per product); a value that is not an integer >= 1 exits 3 as well.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import (
     QuadratureError,
     TermBudgetError,
 )
+from .builder import MAX_ORDER
 from .diagnostics import ZOO_NAMES, run_report
 from .model import DEFAULT_GAP_MIN
 from .tones import TOL_ZERO
@@ -32,16 +36,34 @@ _GUARD_ERRORS = (TermBudgetError, PowerCapError, DimensionCapError, QuadratureEr
 
 def _parse_orders(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        orders = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad order list {text!r}; expected e.g. 2,3")
+    if not all(2 <= n <= MAX_ORDER for n in orders):
+        raise argparse.ArgumentTypeError(
+            f"bad order list {text!r}; orders must lie in [2, {MAX_ORDER}]")
+    return orders
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_sweep(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(","))
+        factors = tuple(float(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}; expected e.g. 0.4,0.2")
+        factors = (math.nan,)
+    if not all(math.isfinite(x) for x in factors):
+        raise argparse.ArgumentTypeError(
+            f"bad sweep {text!r}; expected finite numbers, e.g. 0.4,0.2")
+    return factors
+
+
+def _parse_threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"bad threshold {text!r}; expected a finite number >= 0")
+    return value
 
 
 def _parse_tmax(text: str) -> float:
@@ -84,11 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="end of the time grid (default 10 / min carrier)")
     rep.add_argument("--grid", type=_parse_grid, default=64,
                      help="number of grid points (default 64)")
-    rep.add_argument("--sweep", type=_parse_floats, default=None,
+    rep.add_argument("--sweep", type=_parse_sweep, default=None,
                      help="comma-separated coupling scale factors")
-    rep.add_argument("--tol-zero", type=float, default=TOL_ZERO,
+    rep.add_argument("--tol-zero", type=_parse_threshold, default=TOL_ZERO,
                      help="threshold for exactly-zero frequency sums")
-    rep.add_argument("--gap-min", type=float, default=DEFAULT_GAP_MIN,
+    rep.add_argument("--gap-min", type=_parse_threshold, default=DEFAULT_GAP_MIN,
                      help="threshold for safely-nonzero frequency sums")
     rep.add_argument("--out", default=None, help="write the JSON report here")
     rep.add_argument("--csv", default=None, help="write the CSV time series here")
@@ -96,7 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.tol_zero < args.gap_min:
+        parser.error(f"--tol-zero ({args.tol_zero}) must be smaller than --gap-min ({args.gap_min})")
     try:
         report = run_report(
             args.model,

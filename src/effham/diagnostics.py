@@ -240,16 +240,18 @@ class Report:
         return rows
 
 
-def _dyson_partial_grids(H: MultiToneHamiltonian, orders: tuple[int, ...],
-                         ts: np.ndarray) -> dict[int, np.ndarray]:
-    """Unitarity defect of I + U_1 + ... + U_N on the grid, for each N in orders."""
-    top = max(orders)
-    partial = np.broadcast_to(np.eye(H.dim, dtype=complex), (ts.size, H.dim, H.dim)).copy()
+def _unitarity_of_partial_sums(terms, orders: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """Unitarity defect of ``I + terms[0] + ... + terms[N-1]`` for each N in orders.
+
+    ``terms`` holds the values of U_1, U_2, ... at any common leading shape
+    (a time grid or one time).
+    """
+    partial = np.eye(terms[0].shape[-1], dtype=complex)
     out: dict[int, np.ndarray] = {}
-    for n in range(1, top + 1):
-        partial = partial + builder.dyson_term(H, n).evaluate_grid(ts)
+    for n, U in enumerate(terms, start=1):
+        partial = partial + U
         if n in orders:
-            out[n] = np.array([unitarity_defect(U) for U in partial])
+            out[n] = unitarity_defect(partial)
     return out
 
 
@@ -269,8 +271,29 @@ def run_report(
 
     ``model_path_or_name`` is a ``.ham`` file path, a bare zoo name, or
     ``builtin:NAME``. Writes JSON/CSV when paths are given and returns the
-    :class:`Report` either way.
+    :class:`Report` either way. An empty order list, orders outside
+    ``[2, MAX_ORDER]`` and non-finite sweep factors raise
+    :class:`OperatorValueError` before any computation; ``tol_zero``
+    reaches both the frequency report and the secular extraction.
+
+    Each closed-form piece is built once per report: every order through
+    :func:`~effham.builder.heff_secular`, and ``U_1 .. U_N`` (N the highest
+    order) through :func:`~effham.builder.dyson_term`. The sweep is derived
+    from them by homogeneity, ``Heff_n(lam H) = lam^n Heff_n(H)`` and
+    ``U_k(lam H) = lam^k U_k(H)``: row ``lam`` holds, per order n, the
+    largest Hermiticity defect of ``lam^n Heff_n`` on the grid and the
+    unitarity defect of ``I + sum_{k<=n} lam^k U_k(1)``. The quadrature
+    residuals of all orders up to 4 share one :func:`quad_oracle`
+    refinement per residual time.
     """
+    orders = tuple(sorted(set(int(n) for n in orders)))
+    if not orders or not 2 <= orders[0] <= orders[-1] <= builder.MAX_ORDER:
+        raise OperatorValueError(f"orders must be given and lie in [2, {builder.MAX_ORDER}]")
+    lambdas = [float(x) for x in sweep] if sweep else []
+    for lam in lambdas:
+        if not math.isfinite(lam):
+            raise OperatorValueError(f"sweep factors must be finite, got {lam}")
+
     source = model_path_or_name
     if source.startswith("builtin:"):
         H = make_model(source[len("builtin:"):])
@@ -281,32 +304,29 @@ def run_report(
 
         H = load_model(source)
 
-    orders = tuple(sorted(set(int(n) for n in orders)))
-    for n in orders:
-        if not 2 <= n <= builder.MAX_ORDER:
-            raise OperatorValueError(f"orders must lie in [2, {builder.MAX_ORDER}]")
-
     if tmax is None:
         tmax = 10.0 / H.min_omega
     ts = np.linspace(0.0, float(tmax), int(grid))
 
     freq = frequency_report(H, tol_zero=tol_zero, gap_min=gap_min)
-    dyson_grids = _dyson_partial_grids(H, orders, ts)
+    dyson = [builder.dyson_term(H, k) for k in range(1, max(orders) + 1)]
+    dyson_grids = _unitarity_of_partial_sums([U.evaluate_grid(ts) for U in dyson], orders)
 
     records = []
     series_by_order = {}
+    sweep_herm = {}
     for n in orders:
-        result = builder.heff_secular(H, n, time_grid=ts)
+        result = builder.heff_secular(H, n, tol_zero=tol_zero, time_grid=ts)
         series_by_order[n] = result.series
-        herm = np.array(
-            [hermiticity_defect(M) for M in result.series.evaluate_grid(ts)]
-        )
+        values = result.series.evaluate_grid(ts)
+        sweep_herm[n] = [float(hermiticity_defect(lam ** n * values).max(initial=0.0))
+                         for lam in lambdas]
         records.append(
             OrderRecord(
                 order=n,
                 secular=result.secular,
                 secular_growth_flag=result.secular_growth_flag,
-                hermiticity_defect_grid=herm,
+                hermiticity_defect_grid=hermiticity_defect(values),
                 dyson_unitarity_grid=dyson_grids[n],
                 secular_hermiticity_defect=hermiticity_defect(result.secular),
             )
@@ -314,43 +334,37 @@ def run_report(
 
     eq6 = eq6_gap_grid(H, ts)
 
-    residual_ts = np.linspace(tmax / 8.0, tmax, 8)
-    residuals = []
-    for n in orders:
-        if n > 4:
-            continue  # quadrature oracle covers orders 2..4
-        series = series_by_order[n]
-        for t in residual_ts:
-            ref = quad_oracle(H, n, float(t), quad_tol)
-            residuals.append(
-                {
-                    "order": n,
-                    "t": float(t),
-                    "residual": float(np.linalg.norm(series.evaluate(float(t)) - ref)),
-                }
-            )
+    quad_orders = tuple(n for n in orders if n <= 4)  # the oracle covers orders 2..4
+    residual_ts = [float(t) for t in np.linspace(tmax / 8.0, tmax, 8)]
+    refs = [quad_oracle(H, quad_orders, t, quad_tol) for t in residual_ts] if quad_orders else []
+    residuals = tuple(
+        {
+            "order": n,
+            "t": t,
+            "residual": float(np.linalg.norm(series_by_order[n].evaluate(t) - ref[n])),
+        }
+        for n in quad_orders
+        for t, ref in zip(residual_ts, refs)
+    )
 
     sweep_block = None
-    if sweep:
-        lambdas = [float(x) for x in sweep]
+    if lambdas:
+        at_one = [U.evaluate(1.0) for U in dyson]
         rows = []
-        for lam in lambdas:
-            scaled = H.scaled(lam)
-            per_order = []
-            scaled_dyson = _dyson_partial_grids(scaled, orders, np.array([1.0]))
-            for n in orders:
-                series = builder.heff_n_timedep(scaled, n)
-                worst = max(
-                    hermiticity_defect(M) for M in series.evaluate_grid(ts)
-                )
-                per_order.append(
+        for i, lam in enumerate(lambdas):
+            unitarity = _unitarity_of_partial_sums(
+                [lam ** k * U for k, U in enumerate(at_one, start=1)], orders)
+            rows.append({
+                "lambda": lam,
+                "orders": [
                     {
                         "order": n,
-                        "hermiticity_defect_max": float(worst),
-                        "dyson_unitarity_defect_t1": float(scaled_dyson[n][0]),
+                        "hermiticity_defect_max": sweep_herm[n][i],
+                        "dyson_unitarity_defect_t1": unitarity[n],
                     }
-                )
-            rows.append({"lambda": lam, "orders": per_order})
+                    for n in orders
+                ],
+            })
         sweep_block = {"lambdas": lambdas, "rows": rows}
 
     report = Report(
@@ -362,7 +376,7 @@ def run_report(
         time_grid=ts,
         orders=tuple(records),
         eq6=eq6,
-        oracle_residuals=tuple(residuals),
+        oracle_residuals=residuals,
         sweep=sweep_block,
         options={
             "orders": list(orders),

@@ -17,8 +17,9 @@ products and only the chain ``U + D_k U`` runs one step at a time.
 
 The quadrature path (:func:`quad_oracle`) evaluates the interaction
 Hamiltonian directly on refined uniform grids and builds the nested
-integrals with a fourth-order cumulative Simpson rule; it must not touch
-the closed-form machinery, since its whole value is independence from it.
+integrals with a fourth-order cumulative Simpson rule, one refinement
+for any set of orders 2..4; it must not touch the closed-form machinery,
+since its whole value is independence from it.
 """
 
 from __future__ import annotations
@@ -153,45 +154,67 @@ def _cumulative_simpson(F: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _nested_order_value(H, n: int, t: float, points: int) -> np.ndarray:
+def _nested_values(H, orders: list[int], t: float, points: int) -> dict[int, np.ndarray]:
+    # Order-k values for each k in ``orders`` from one sampling of H: the
+    # chain of order k is the first k - 1 steps of the highest order's chain.
     ts = np.linspace(0.0, t, points + 1)
     h = t / points
     Hs = H.evaluate_grid(ts)
     A = Hs
-    for _ in range(n - 1):
-        A = np.matmul(Hs, _cumulative_simpson(A, h))
     factor = 1 + 0j
-    for _ in range(n - 1):
+    out = {}
+    for k in range(2, max(orders) + 1):
+        A = np.matmul(Hs, _cumulative_simpson(A, h))
         factor *= -1j
-    return factor * A[-1]
+        if k in orders:
+            out[k] = factor * A[-1]
+    return out
 
 
-def quad_oracle(H, n: int, t: float, tol: float,
-                max_points: int = MAX_QUAD_POINTS) -> np.ndarray:
+def quad_oracle(H, n, t: float, tol: float,
+                max_points: int = MAX_QUAD_POINTS):
     """Order-n effective term by nested grid quadrature, no closed forms.
 
     Grids are refined by doubling until two successive refinements agree
-    to ``tol`` in Frobenius norm. Raises :class:`QuadratureError` (with
-    the best estimate attached) if the refinement cap is reached first.
+    to ``tol`` in Frobenius norm. ``n`` is one order, which gives its
+    matrix, or a tuple of orders, which gives ``{order: matrix}``. All
+    orders share one refinement: each level samples H once and runs one
+    nested chain up to the highest order not yet converged, and each order
+    is frozen at the level where its own successive values agree, so its
+    value is the same as that of a call for that order alone. Raises
+    :class:`QuadratureError` if the refinement cap is reached first; its
+    ``best`` holds the best estimate, or for a tuple the best estimate of
+    every order.
     """
-    n = int(n)
-    if not 2 <= n <= 4:
-        raise OperatorValueError(f"quad_oracle supports orders 2..4, got {n}")
+    single = not isinstance(n, (tuple, list))
+    orders = sorted({int(k) for k in ((n,) if single else n)})
+    if not orders:
+        raise OperatorValueError("quad_oracle needs at least one order")
+    for k in orders:
+        if not 2 <= k <= 4:
+            raise OperatorValueError(f"quad_oracle supports orders 2..4, got {k}")
     if tol < 1e-12:
         raise OperatorValueError(f"tolerance must be >= 1e-12, got {tol}")
     if not math.isfinite(t):
         raise OperatorValueError(f"quadrature time must be finite, got {t}")
     if t == 0.0:
-        return np.zeros((H.dim, H.dim), dtype=complex)
-    prev = None
+        zero = {k: np.zeros((H.dim, H.dim), dtype=complex) for k in orders}
+        return zero[orders[0]] if single else zero
+    done: dict[int, np.ndarray] = {}
+    prev: dict[int, np.ndarray] = {}
     points = 256
     while points <= max_points:
-        val = _nested_order_value(H, n, t, points)
-        if prev is not None and float(np.linalg.norm(val - prev)) < tol:
-            return val
-        prev = val
+        vals = _nested_values(H, [k for k in orders if k not in done], t, points)
+        for k, val in vals.items():
+            if k in prev and float(np.linalg.norm(val - prev[k])) < tol:
+                done[k] = val
+        if len(done) == len(orders):
+            return done[orders[0]] if single else done
+        prev = vals
         points *= 2
+    best = {k: done.get(k, prev.get(k)) for k in orders}
+    missing = ", ".join(str(k) for k in orders if k not in done)
     raise QuadratureError(
-        f"quadrature did not reach tol={tol} within {max_points} points",
-        best=prev,
+        f"quadrature of order {missing} did not reach tol={tol} within {max_points} points",
+        best=best[orders[0]] if single else best,
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import effham.cli
 from effham.cli import main
 
 
@@ -92,3 +93,44 @@ def test_bad_grid_options_exit_2(option, value, capsys):
 def test_smallest_grid_options_accepted(capsys):
     assert main(["report", "builtin:scalar_single_tone", "--grid", "2", "--tmax", "1e-3"]) == 0
     assert json.loads(capsys.readouterr().out)["time_grid"] == [0.0, 1e-3]
+
+
+@pytest.fixture
+def no_report(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("run_report called despite a bad option")
+
+    monkeypatch.setattr(effham.cli, "run_report", fail)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--sweep", "nan"), ("--sweep", "0.4,inf"), ("--sweep", "0.2,-inf"), ("--sweep", "0.4,x"),
+    ("--orders", "7"), ("--orders", "1"), ("--orders", "2,3,7"), ("--orders", "0"),
+    ("--tol-zero", "-1"), ("--tol-zero", "nan"), ("--tol-zero", "inf"), ("--tol-zero", "x"),
+    ("--gap-min", "nan"), ("--gap-min", "-0.001"),
+])
+def test_bad_report_options_exit_2(option, value, capsys, no_report):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "builtin:scalar_single_tone", option, value])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert option in last and repr(value) in last
+
+
+@pytest.mark.parametrize("tol_zero, gap_min", [("1e-2", "1e-3"), ("1e-3", "1e-3"), ("0", "0")])
+def test_tol_zero_not_below_gap_min_exits_2(tol_zero, gap_min, capsys, no_report):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "builtin:scalar_single_tone", "--tol-zero", tol_zero, "--gap-min", gap_min])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "--tol-zero" in last and "--gap-min" in last
+
+
+def test_edge_report_options_accepted(capsys):
+    argv = ["report", "builtin:scalar_single_tone", "--grid", "2", "--orders", "2,6",
+            "--sweep", "0,-0.5", "--tol-zero", "0", "--gap-min", "1e-12"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["options"]["orders"] == [2, 6]
+    assert data["sweep"]["lambdas"] == [0.0, -0.5]
+    assert data["frequency_report"]["tol_zero"] == 0.0

@@ -1,4 +1,6 @@
 import json
+import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,10 +11,14 @@ from effham import (
     ZOO_NAMES,
     commutation_probe,
     default_time_grid,
+    dyson_truncated,
     eq6_gap,
     eq6_gap_grid,
     frequency_report,
+    heff_n_timedep,
+    heff_secular,
     hermiticity_defect,
+    load_model,
     make_model,
     model_digest,
     run_report,
@@ -55,6 +61,29 @@ def test_hermiticity_defect_unitary_conjugation_invariant(rng):
 def test_unitarity_defect_values():
     assert unitarity_defect(np.eye(3)) == 0.0
     assert unitarity_defect(2 * np.eye(2)) == pytest.approx(3 * np.sqrt(2))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_defects_on_a_stack_match_per_matrix_values(rng, dim):
+    stack = rng.normal(size=(2, 4, dim, dim)) + 1j * rng.normal(size=(2, 4, dim, dim))
+    stack[0, 0] = 0.0
+    stack[0, 1] = np.eye(dim)
+    stack[1, 0] *= 1e-3
+    for metric in (hermiticity_defect, unitarity_defect):
+        values = metric(stack)
+        assert values.shape == (2, 4)
+        for idx in np.ndindex(2, 4):
+            single = metric(stack[idx])
+            assert type(single) is float
+            assert abs(values[idx] - single) <= 1e-15 * max(1.0, single)
+    assert hermiticity_defect(stack)[0, 0] == 0.0
+    assert unitarity_defect(stack)[0, 1] == 0.0
+
+
+def test_defects_on_an_empty_stack():
+    for metric in (hermiticity_defect, unitarity_defect):
+        values = metric(np.zeros((0, 3, 3), dtype=complex))
+        assert values.shape == (0,)
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +174,8 @@ def test_default_time_grid_span():
 # ----------------------------------------------------------------------
 # report runner
 
+DEMO_MODELS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "models"
+
 
 def test_report_scalar_identity_gap_column():
     rep = run_report("scalar_single_tone", grid=16)
@@ -220,3 +251,57 @@ def test_report_from_model_file(tmp_path):
     rep = run_report(str(path), grid=8)
     assert rep.dim == 2
     assert rep.omegas == (4.0,)
+
+
+@pytest.mark.parametrize("source", [f"builtin:{name}" for name in sorted(ZOO_NAMES)]
+                         + ["driven_qutrit.ham", "two_mode_exchange.ham"])
+def test_report_sweep_rows_equal_an_explicit_rebuild(source):
+    # the report derives the sweep from one build by homogeneity; rebuild
+    # every row here from the scaled model instead
+    if source.startswith("builtin:"):
+        H = make_model(source[len("builtin:"):])
+    else:
+        source = str(DEMO_MODELS / source)
+        H = load_model(source)
+    lambdas = (0.4, 0.2, 0.1, -0.3, 0.0)
+    orders = (2, 3, 4, 5, 6)
+    rep = run_report(source, orders=orders, grid=24, sweep=lambdas)
+    assert rep.sweep["lambdas"] == list(lambdas)
+    for lam, row in zip(lambdas, rep.sweep["rows"]):
+        assert row["lambda"] == lam
+        scaled = H.scaled(lam)
+        assert [cell["order"] for cell in row["orders"]] == list(orders)
+        for cell in row["orders"]:
+            n = cell["order"]
+            values = heff_n_timedep(scaled, n).evaluate_grid(rep.time_grid)
+            herm = max(hermiticity_defect(M) for M in values)
+            unit = unitarity_defect(dyson_truncated(scaled, n, 1.0))
+            assert abs(cell["hermiticity_defect_max"] - herm) <= 1e-14
+            assert abs(cell["dyson_unitarity_defect_t1"] - unit) <= 1e-14
+
+
+def test_report_tol_zero_reaches_the_secular_extraction(tmp_path):
+    # carriers 5e-6 apart: their difference counts as zero at tol_zero=1e-5
+    # only, which adds the cross terms to the secular part
+    path = tmp_path / "near.ham"
+    path.write_text("space q 2\ntone 0.3 * sp(q) omega = 1.0\n"
+                    "tone 0.2 * sz(q) omega = 1.000005\n")
+    H = load_model(str(path))
+    rep = run_report(str(path), orders=(2, 3, 4), grid=8, tol_zero=1e-5)
+    assert rep.options["tol_zero"] == 1e-5
+    changed = False
+    for rec in rep.orders:
+        ref = heff_secular(H, rec.order, tol_zero=1e-5)
+        assert np.array_equal(rec.secular, ref.secular)
+        assert rec.secular_growth_flag == ref.secular_growth_flag
+        changed |= not np.allclose(rec.secular, heff_secular(H, rec.order).secular)
+    assert changed
+
+
+@pytest.mark.parametrize("options", [
+    {"sweep": (0.4, math.nan)}, {"sweep": (math.inf,)}, {"sweep": (-math.inf, 0.2)},
+    {"orders": (1, 2)}, {"orders": (2, 7)}, {"orders": ()},
+])
+def test_report_rejects_bad_options_before_loading(options):
+    with pytest.raises(OperatorValueError):
+        run_report("no_such_file.ham", **options)

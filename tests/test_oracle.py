@@ -127,12 +127,14 @@ class _CountingOperator:
     def __init__(self, op):
         self.op = op
         self.points = 0
+        self.grids = []
 
     def __getattr__(self, name):
         return getattr(self.op, name)
 
     def evaluate_grid(self, ts):
         self.points += len(ts)
+        self.grids.append(len(ts))
         return self.op.evaluate_grid(ts)
 
 
@@ -265,6 +267,71 @@ def test_quad_oracle_shares_no_code_with_tone_calculus():
         assert "tones" not in line
         assert "series" not in line
         assert "builder" not in line
+
+
+@pytest.mark.parametrize("name", ["commuting_diag", "scalar_single_tone", "noncommuting_two_tone"])
+def test_quad_oracle_tuple_equals_single_order_calls(name):
+    H = make_model(name)
+    t = 10.0 / H.min_omega
+    finest = {}
+    singles = {}
+    for n in (2, 3, 4):
+        probe = _CountingOperator(H)
+        singles[n] = quad_oracle(probe, n, t, 1e-9)
+        finest[n] = probe.grids[-1] - 1
+    # the orders converge at different levels (2048/4096/4096 points on
+    # commuting_diag, 2048/2048/4096 on scalar_single_tone, 1024/1024/512
+    # on noncommuting_two_tone), so some are frozen while others refine
+    assert len(set(finest.values())) > 1
+    probe = _CountingOperator(H)
+    both = quad_oracle(probe, (4, 2, 3, 2), t, 1e-9)
+    assert sorted(both) == [2, 3, 4]
+    for n in (2, 3, 4):
+        assert np.array_equal(both[n], singles[n])
+    # one sampling of H per level, up to the finest level any order needs
+    assert probe.grids == [256 * 2**k + 1 for k in range(len(probe.grids))]
+    assert probe.grids[-1] - 1 == max(finest.values())
+
+
+def test_quad_oracle_tuple_generic_model(rng):
+    H = MultiToneHamiltonian([(random_generic(rng, 3, 0.4), w) for w in (1.3, 2.1, 3.7)])
+    vals = quad_oracle(H, (2, 4), 1.3, 1e-9)
+    assert sorted(vals) == [2, 4]
+    for n in (2, 4):
+        assert np.array_equal(vals[n], quad_oracle(H, n, 1.3, 1e-9))
+
+
+def test_quad_oracle_tuple_zero_time():
+    H = _CountingOperator(make_model("noncommuting_two_tone"))
+    vals = quad_oracle(H, (2, 3), 0.0, 1e-9)
+    assert sorted(vals) == [2, 3]
+    for n in (2, 3):
+        assert np.array_equal(vals[n], np.zeros((2, 2)))
+    assert H.points == 0
+
+
+@pytest.mark.parametrize("orders", [(2, 5), (1, 3), (4, 2, 7), ()])
+def test_quad_oracle_tuple_rejects_bad_orders_before_sampling(orders):
+    H = _CountingOperator(make_model("noncommuting_two_tone"))
+    with pytest.raises(OperatorValueError):
+        quad_oracle(H, orders, 1.0, 1e-9)
+    assert H.points == 0
+
+
+def test_quad_oracle_tuple_budget_error_carries_best_estimates():
+    # commuting_diag at t = 10 needs 2048 points for order 2 and 4096 for
+    # orders 3 and 4, so a cap of 2048 stops orders 3 and 4 only
+    H = make_model("commuting_diag")
+    t = 10.0 / H.min_omega
+    with pytest.raises(QuadratureError, match="order 3, 4") as err:
+        quad_oracle(H, (2, 3, 4), t, 1e-9, max_points=2048)
+    best = err.value.best
+    assert sorted(best) == [2, 3, 4]
+    assert np.array_equal(best[2], quad_oracle(H, 2, t, 1e-9, max_points=2048))
+    for n in (3, 4):
+        with pytest.raises(QuadratureError) as single:
+            quad_oracle(H, n, t, 1e-9, max_points=2048)
+        assert np.array_equal(best[n], single.value.best)
 
 
 # ----------------------------------------------------------------------
