@@ -153,6 +153,10 @@ class EffectiveOrderResult:
     signed carrier sum of an inner stretch of the product to vanish as
     well as the full sum: the flag is never raised at order 3, and at
     order 5 only when some signed three-carrier sum vanishes.
+
+    ``grid_values`` holds ``series`` evaluated on the time grid, and
+    ``hermiticity_defect_grid`` its Hermiticity defect at each grid point,
+    so callers that need either do not evaluate the series again.
     """
 
     order: int
@@ -160,6 +164,8 @@ class EffectiveOrderResult:
     secular: np.ndarray
     secular_growth_flag: bool
     max_hermiticity_defect_on_grid: float
+    grid_values: np.ndarray
+    hermiticity_defect_grid: np.ndarray
 
 
 def default_time_grid(H: MultiToneHamiltonian, points: int = 64) -> np.ndarray:
@@ -178,7 +184,7 @@ def heff_secular(H: MultiToneHamiltonian, n: int,
     come only from three-carrier sums that the frequency report classes as
     "zero". The Hermiticity defect of the full time-dependent series is
     measured on ``time_grid`` (default: 64 points over [0, 10 / min
-    carrier]).
+    carrier]); the values and the per-point defects are kept on the result.
     """
     n = _check_order(n)
     series = heff_n_timedep(H, n)
@@ -186,13 +192,16 @@ def heff_secular(H: MultiToneHamiltonian, n: int,
     averaged = averaged.scale(_inv_i_power(n - 1))
     if time_grid is None:
         time_grid = default_time_grid(H)
-    worst = float(hermiticity_defect(series.evaluate_grid(time_grid)).max(initial=0.0))
+    values = series.evaluate_grid(time_grid)
+    defects = hermiticity_defect(values)
     return EffectiveOrderResult(
         order=n,
         series=series,
         secular=averaged.constant_part(tol_zero),
         secular_growth_flag=averaged.has_secular_growth(tol_zero),
-        max_hermiticity_defect_on_grid=worst,
+        max_hermiticity_defect_on_grid=float(defects.max(initial=0.0)),
+        grid_values=values,
+        hermiticity_defect_grid=defects,
     )
 
 

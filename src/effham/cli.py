@@ -8,7 +8,9 @@ range: ``--orders`` outside ``[2, MAX_ORDER]``, a ``--tmax`` that is not
 finite and > 0, a ``--grid`` below 2, a ``--sweep`` factor that is not
 finite, a ``--tol-zero`` or ``--gap-min`` that is negative or not
 finite, or ``--tol-zero >= --gap-min``; argparse prints the usage and a
-one-line message before anything is computed.
+one-line message before anything is computed. A sweep list may start
+with a negative factor in either form, ``--sweep -0.3,0.2`` or
+``--sweep=-0.3,0.2``.
 ``EFFHAM_MAX_TERMS`` overrides the term budget (series keys, and key
 pairs per product); a value that is not an integer >= 1 exits 3 as well.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from .errors import (
@@ -117,9 +120,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_sweep(argv: list[str]) -> list[str]:
+    """Rewrite ``--sweep -0.3,0.2`` as ``--sweep=-0.3,0.2``.
+
+    argparse takes a value that starts with ``-`` and is not a plain
+    negative number for an option, so a sweep list that starts with a
+    negative factor would otherwise end in "expected one argument".
+    """
+    args = list(argv)
+    for i in range(len(args) - 2, -1, -1):
+        if args[i] == "--sweep" and re.match(r"-[\d.]", args[i + 1]):
+            args[i:i + 2] = [f"--sweep={args[i + 1]}"]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_sweep(sys.argv[1:] if argv is None else argv))
     if not args.tol_zero < args.gap_min:
         parser.error(f"--tol-zero ({args.tol_zero}) must be smaller than --gap-min ({args.gap_min})")
     try:

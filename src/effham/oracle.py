@@ -18,8 +18,14 @@ products and only the chain ``U + D_k U`` runs one step at a time.
 The quadrature path (:func:`quad_oracle`) evaluates the interaction
 Hamiltonian directly on refined uniform grids and builds the nested
 integrals with a fourth-order cumulative Simpson rule, one refinement
-for any set of orders 2..4; it must not touch the closed-form machinery,
-since its whole value is independence from it.
+for any set of orders 2..4 and any list of times. The cumulative chain on
+``[0, T]``, ``T`` the largest time, holds every time that is an even node
+of the 256-interval level-0 grid (``t / T * 256`` an even integer, e.g.
+``j * T / 8``), and every later level keeps those nodes, so all such times
+are read off one chain. Values at a time below ``T`` then come from a grid
+on ``[0, T]`` rather than ``[0, t]`` and are not bit-identical to those of
+a call at that time alone. The quadrature must not touch the closed-form
+machinery, since its whole value is independence from it.
 """
 
 from __future__ import annotations
@@ -43,6 +49,12 @@ MAX_QUAD_POINTS = 1 << 21
 #: times ``2B * d^2 * 16`` more. On a dim-10 model, B from 64 to 512 ran
 #: equally fast; 8192 was 1.5x slower at 4x the peak memory.
 _RK4_BLOCK = 256
+
+#: Intervals of the coarsest quadrature grid; each refinement doubles them.
+_BASE_POINTS = 256
+
+#: How far, in level-0 intervals, a listed time may sit from its grid node.
+_NODE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,11 +166,13 @@ def _cumulative_simpson(F: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _nested_values(H, orders: list[int], t: float, points: int) -> dict[int, np.ndarray]:
-    # Order-k values for each k in ``orders`` from one sampling of H: the
-    # chain of order k is the first k - 1 steps of the highest order's chain.
-    ts = np.linspace(0.0, t, points + 1)
-    h = t / points
+def _nested_values(H, orders: list[int], T: float, points: int,
+                   nodes: np.ndarray) -> dict[int, np.ndarray]:
+    # Order-k values for each k in ``orders`` from one sampling of H on
+    # [0, T], read at the grid indices ``nodes``: the chain of order k is the
+    # first k - 1 steps of the highest order's chain.
+    ts = np.linspace(0.0, T, points + 1)
+    h = T / points
     Hs = H.evaluate_grid(ts)
     A = Hs
     factor = 1 + 0j
@@ -167,24 +181,72 @@ def _nested_values(H, orders: list[int], t: float, points: int) -> dict[int, np.
         A = np.matmul(Hs, _cumulative_simpson(A, h))
         factor *= -1j
         if k in orders:
-            out[k] = factor * A[-1]
+            out[k] = factor * A[nodes]
     return out
 
 
-def quad_oracle(H, n, t: float, tol: float,
+def _agree(val: np.ndarray, prev: np.ndarray, tol: float) -> bool:
+    # successive values agree to tol in Frobenius norm at every time
+    return all(float(np.linalg.norm(v - p)) < tol for v, p in zip(val, prev))
+
+
+def _check_times(t) -> tuple[np.ndarray, bool]:
+    """Times as a 1-D array, and whether ``t`` was one number.
+
+    A sequence must be non-empty, and its times finite, >= 0 and on even
+    nodes of the level-0 grid on ``[0, max(t)]``.
+    """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise OperatorValueError("quadrature times must be a number or a 1-D sequence")
+    scalar = times.ndim == 0
+    times = np.atleast_1d(times)
+    if times.size == 0:
+        raise OperatorValueError("quad_oracle needs at least one time")
+    for x in times:
+        if not math.isfinite(x):
+            raise OperatorValueError(f"quadrature time must be finite, got {x}")
+    if scalar:
+        return times, True
+    if times.min() < 0:
+        raise OperatorValueError(f"quadrature times must be >= 0, got {times.min()}")
+    T = times.max()
+    if T > 0:
+        ratio = times / T * _BASE_POINTS
+        off = np.abs(ratio - 2.0 * np.rint(ratio / 2.0)) > _NODE_TOL
+        if off.any():
+            raise OperatorValueError(
+                f"quadrature time {times[off][0]} is not an even node of the "
+                f"{_BASE_POINTS}-interval grid on [0, {T}]")
+    return times, False
+
+
+def quad_oracle(H, n, t, tol: float,
                 max_points: int = MAX_QUAD_POINTS):
     """Order-n effective term by nested grid quadrature, no closed forms.
 
     Grids are refined by doubling until two successive refinements agree
     to ``tol`` in Frobenius norm. ``n`` is one order, which gives its
-    matrix, or a tuple of orders, which gives ``{order: matrix}``. All
+    value, or a tuple of orders, which gives ``{order: value}``. All
     orders share one refinement: each level samples H once and runs one
     nested chain up to the highest order not yet converged, and each order
     is frozen at the level where its own successive values agree, so its
-    value is the same as that of a call for that order alone. Raises
-    :class:`QuadratureError` if the refinement cap is reached first; its
-    ``best`` holds the best estimate, or for a tuple the best estimate of
-    every order.
+    value is the same as that of a call for that order alone.
+
+    ``t`` is one time, which gives a ``(d, d)`` matrix per order, or a 1-D
+    sequence of times, which gives a ``(len(t), d, d)`` stack per order.
+    A sequence runs one refinement on ``[0, T]`` with ``T = max(t)`` and
+    reads every time off the same chain; an order is frozen at the level
+    where its values agree at every time. Each time must be >= 0 and lie on
+    an even node of the level-0 grid, i.e. ``t / T * 256`` must be an even
+    integer to within rounding (``j * T / 8`` qualifies), and a time of 0
+    gives a zero matrix. The grid then spans ``[0, T]`` and not
+    ``[0, t]``, so a value is not bit-identical to that of a call at its
+    time alone; a one-element sequence is, since there ``T = t``. Bad
+    orders, tolerances and times raise :class:`OperatorValueError` before
+    H is sampled. Raises :class:`QuadratureError` if the refinement cap is
+    reached first; its ``best`` holds the best estimate, or for a tuple of
+    orders the best estimate of every order, in the shape of the result.
     """
     single = not isinstance(n, (tuple, list))
     orders = sorted({int(k) for k in ((n,) if single else n)})
@@ -195,26 +257,35 @@ def quad_oracle(H, n, t: float, tol: float,
             raise OperatorValueError(f"quad_oracle supports orders 2..4, got {k}")
     if tol < 1e-12:
         raise OperatorValueError(f"tolerance must be >= 1e-12, got {tol}")
-    if not math.isfinite(t):
-        raise OperatorValueError(f"quadrature time must be finite, got {t}")
-    if t == 0.0:
-        zero = {k: np.zeros((H.dim, H.dim), dtype=complex) for k in orders}
-        return zero[orders[0]] if single else zero
+    times, scalar = _check_times(t)
+
+    def result(values: dict[int, np.ndarray]):
+        if scalar:
+            values = {k: None if v is None else v[0] for k, v in values.items()}
+        return values[orders[0]] if single else values
+
+    T = float(times.max())
+    if T == 0.0:
+        return result({k: np.zeros((times.size, H.dim, H.dim), dtype=complex)
+                       for k in orders})
+    # level-0 node of each time; a scalar time is the last node
+    nodes = np.rint(times / T * _BASE_POINTS).astype(int)
     done: dict[int, np.ndarray] = {}
     prev: dict[int, np.ndarray] = {}
-    points = 256
+    points = _BASE_POINTS
     while points <= max_points:
-        vals = _nested_values(H, [k for k in orders if k not in done], t, points)
+        vals = _nested_values(H, [k for k in orders if k not in done], T, points,
+                              nodes * (points // _BASE_POINTS))
         for k, val in vals.items():
-            if k in prev and float(np.linalg.norm(val - prev[k])) < tol:
+            if k in prev and _agree(val, prev[k], tol):
                 done[k] = val
         if len(done) == len(orders):
-            return done[orders[0]] if single else done
+            return result(done)
         prev = vals
         points *= 2
     best = {k: done.get(k, prev.get(k)) for k in orders}
     missing = ", ".join(str(k) for k in orders if k not in done)
     raise QuadratureError(
         f"quadrature of order {missing} did not reach tol={tol} within {max_points} points",
-        best=best[orders[0]] if single else best,
+        best=result(best),
     )

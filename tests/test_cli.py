@@ -134,3 +134,24 @@ def test_edge_report_options_accepted(capsys):
     assert data["options"]["orders"] == [2, 6]
     assert data["sweep"]["lambdas"] == [0.0, -0.5]
     assert data["frequency_report"]["tol_zero"] == 0.0
+
+
+@pytest.mark.parametrize("sweep", ["-0.3,0.2", "-.5", "-1"])
+def test_negative_sweep_plain_form_matches_equals_form(sweep, capsys):
+    base = ["report", "builtin:noncommuting_two_tone", "--grid", "8", "--orders", "2,3"]
+    outputs = []
+    for argv in (base + ["--sweep", sweep], base + [f"--sweep={sweep}"]):
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        data.pop("generated_at")
+        outputs.append(json.dumps(data, sort_keys=True))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["sweep"]["lambdas"] == [float(x) for x in sweep.split(",")]
+
+
+def test_negative_sweep_plain_form_still_checked(capsys, no_report):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "builtin:scalar_single_tone", "--sweep", "-0.3,x"])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "--sweep" in last and "'-0.3,x'" in last

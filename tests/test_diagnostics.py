@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import effham.diagnostics
 from effham import (
     MultiToneHamiltonian,
     OperatorValueError,
@@ -21,6 +22,7 @@ from effham import (
     load_model,
     make_model,
     model_digest,
+    quad_oracle,
     run_report,
     sigma_x,
     unitarity_defect,
@@ -296,6 +298,53 @@ def test_report_tol_zero_reaches_the_secular_extraction(tmp_path):
         assert rec.secular_growth_flag == ref.secular_growth_flag
         changed |= not np.allclose(rec.secular, heff_secular(H, rec.order).secular)
     assert changed
+
+
+REPORT_SOURCES = ([f"builtin:{name}" for name in sorted(ZOO_NAMES)]
+                  + [str(DEMO_MODELS / f) for f in ("driven_qutrit.ham", "two_mode_exchange.ham")])
+
+
+@pytest.mark.parametrize("source", REPORT_SOURCES)
+def test_report_reads_all_residual_times_off_one_quadrature(source, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quad_oracle(*args, **kwargs)
+
+    def per_time(H, orders, ts, tol):
+        # the residual references rebuilt with one quadrature per time
+        refs = [quad_oracle(H, orders, float(t), tol) for t in ts]
+        return {n: np.stack([ref[n] for ref in refs]) for n in orders}
+
+    options = {"orders": (2, 3, 4), "sweep": (0.4, 0.2, 0.1)}
+    monkeypatch.setattr(effham.diagnostics, "quad_oracle", counting)
+    rep = run_report(source, **options).as_dict()
+    assert len(calls) == 1
+    monkeypatch.setattr(effham.diagnostics, "quad_oracle", per_time)
+    ref = run_report(source, **options).as_dict()
+
+    rows, ref_rows = rep.pop("oracle_residuals"), ref.pop("oracle_residuals")
+    assert [(r["order"], r["t"]) for r in rows] == [(r["order"], r["t"]) for r in ref_rows]
+    assert len(rows) == 3 * 8
+    for row, ref_row in zip(rows, ref_rows):
+        assert row["residual"] <= 1e-8 and ref_row["residual"] <= 1e-8
+    for data in (rep, ref):
+        data.pop("generated_at")
+    assert json.dumps(rep, sort_keys=True) == json.dumps(ref, sort_keys=True)
+
+
+@pytest.mark.parametrize("source", REPORT_SOURCES)
+def test_report_defect_grids_equal_a_fresh_evaluation(source):
+    # the report takes the grid values heff_secular computed; evaluate again
+    if source.startswith("builtin:"):
+        H = make_model(source[len("builtin:"):])
+    else:
+        H = load_model(source)
+    rep = run_report(source, orders=(2, 3, 4), grid=16)
+    for rec in rep.orders:
+        values = heff_n_timedep(H, rec.order).evaluate_grid(rep.time_grid)
+        assert np.array_equal(rec.hermiticity_defect_grid, hermiticity_defect(values))
 
 
 @pytest.mark.parametrize("options", [

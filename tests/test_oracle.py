@@ -11,6 +11,7 @@ from effham import (
     OperatorSeries,
     OperatorValueError,
     QuadratureError,
+    ZOO_NAMES,
     commutation_probe,
     fidelity_distance,
     heff3_timedep,
@@ -332,6 +333,98 @@ def test_quad_oracle_tuple_budget_error_carries_best_estimates():
         with pytest.raises(QuadratureError) as single:
             quad_oracle(H, n, t, 1e-9, max_points=2048)
         assert np.array_equal(best[n], single.value.best)
+
+
+# times j * T / 8 are even nodes of the level-0 grid on [0, T]
+def _eighths(T):
+    return [j * T / 8 for j in range(1, 9)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, (2, 3, 4), (4, 2)])
+def test_quad_oracle_one_element_list_equals_scalar_call(n):
+    H = make_model("noncommuting_two_tone")
+    for t in (0.3, 2.0):
+        scalar = quad_oracle(H, n, t, 1e-9)
+        listed = quad_oracle(H, n, [t], 1e-9)
+        if isinstance(n, tuple):
+            assert sorted(listed) == sorted(scalar)
+            pairs = [(listed[k], scalar[k]) for k in scalar]
+        else:
+            pairs = [(listed, scalar)]
+        for stack, matrix in pairs:
+            assert stack.shape == (1, 2, 2)
+            assert np.array_equal(stack[0], matrix)
+
+
+@pytest.mark.parametrize("name", [n for n in ZOO_NAMES if make_model(n).dim <= 8])
+def test_quad_oracle_times_match_closed_forms(name):
+    H = make_model(name)
+    T = 10.0 / H.min_omega
+    ts = _eighths(T)
+    probe = _CountingOperator(H)
+    vals = quad_oracle(probe, (2, 3, 4), ts, 1e-9)
+    # one sampling of H per level, all times read off the same chain
+    assert probe.grids == [256 * 2**k + 1 for k in range(len(probe.grids))]
+    for n in (2, 3, 4):
+        assert vals[n].shape == (8, H.dim, H.dim)
+        closed = heff_n_timedep(H, n)
+        for t, val in zip(ts, vals[n]):
+            assert np.linalg.norm(val - closed.evaluate(t)) < 1e-8
+    single = quad_oracle(H, 3, ts, 1e-9)
+    assert single.shape == (8, H.dim, H.dim)
+
+
+@pytest.mark.parametrize("ts", [
+    [], [0.3, 1.0], [1.0 / 256, 1.0], [-0.5, 1.0], [-1.0], [0.5, math.nan], [[0.5, 1.0]],
+])
+def test_quad_oracle_rejects_bad_times_before_sampling(ts):
+    H = _CountingOperator(make_model("noncommuting_two_tone"))
+    with pytest.raises(OperatorValueError):
+        quad_oracle(H, 2, ts, 1e-9)
+    with pytest.raises(OperatorValueError):
+        quad_oracle(H, (2, 3), ts, 1e-9)
+    assert H.points == 0
+
+
+def test_quad_oracle_accepts_nodes_within_rounding():
+    # 0.1 * 3 is 0.30000000000000004, 2 * T / 8 only to rounding
+    H = make_model("noncommuting_two_tone")
+    T = 1.2
+    vals = quad_oracle(H, 2, [0.1 * 3, T], 1e-9)
+    assert vals.shape == (2, 2, 2)
+
+
+def test_quad_oracle_zero_in_list_gives_zero_matrix():
+    H = make_model("raman_lambda")
+    vals = quad_oracle(H, (2, 3, 4), [0.0, 1.0, 0.5, 0.0], 1e-9)
+    for n in (2, 3, 4):
+        assert np.array_equal(vals[n][0], np.zeros((3, 3)))
+        assert np.array_equal(vals[n][3], np.zeros((3, 3)))
+        assert np.linalg.norm(vals[n][1]) > 0
+
+
+def test_quad_oracle_all_zero_times():
+    H = _CountingOperator(make_model("raman_lambda"))
+    assert np.array_equal(quad_oracle(H, 2, [0.0, 0.0], 1e-9), np.zeros((2, 3, 3)))
+    vals = quad_oracle(H, (2, 4), [0.0], 1e-9)
+    assert sorted(vals) == [2, 4]
+    for n in (2, 4):
+        assert np.array_equal(vals[n], np.zeros((1, 3, 3)))
+    assert H.points == 0
+
+
+def test_quad_oracle_times_budget_error_carries_stacks():
+    H = make_model("commuting_diag")
+    ts = _eighths(10.0 / H.min_omega)
+    with pytest.raises(QuadratureError, match="order 3, 4") as err:
+        quad_oracle(H, (2, 3, 4), ts, 1e-9, max_points=2048)
+    best = err.value.best
+    assert sorted(best) == [2, 3, 4]
+    for n in (2, 3, 4):
+        assert best[n].shape == (8, 2, 2)
+    with pytest.raises(QuadratureError) as err:
+        quad_oracle(H, 3, ts, 1e-9, max_points=512)
+    assert err.value.best.shape == (8, 2, 2)
 
 
 # ----------------------------------------------------------------------
