@@ -11,9 +11,15 @@ over adaptive black boxes for reproducibility.
 Both RK4 runs (``steps`` and ``2 * steps``) proceed block by block. Each
 block samples H once on the fine run's half-step grid; the coarse run
 reads every other sample. Since the equation is linear, each step is
-``U <- U + D_k U`` with an increment matrix ``D_k`` that depends on the
-samples only, so the increments of a block are formed in batched numpy
-products and only the chain ``U + D_k U`` runs one step at a time.
+``U <- (I + D_k) U`` with an increment matrix ``D_k`` that depends on the
+samples only, so no Python loop runs per step: the increments of a block
+are formed in batched numpy products, and the step maps are multiplied as
+a pairwise tree in time order, one batched product per level. A node of
+the tree is a run of coarse steps and the fine steps that cover them; it
+carries its fine map minus the identity and the difference between its
+fine and coarse maps, so that the step-halving estimate is read off that
+difference rather than off a subtraction of two nearly equal products.
+Each block's node is folded into the running one by the same rule.
 
 The quadrature path (:func:`quad_oracle`) evaluates the interaction
 Hamiltonian directly on refined uniform grids and builds the nested
@@ -31,6 +37,7 @@ machinery, since its whole value is independence from it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +52,13 @@ MAX_QUAD_POINTS = 1 << 21
 
 #: Coarse RK4 steps per block. A block of B coarse steps samples H at
 #: ``4B + 1`` points of the fine half-step grid, about ``(4B+1) * d^2 * 16``
-#: bytes, and its batched increments and their temporaries take a few
-#: times ``2B * d^2 * 16`` more. On a dim-10 model, B from 64 to 512 ran
-#: equally fast; 8192 was 1.5x slower at 4x the peak memory.
+#: bytes, and its batched increments, tree levels and their temporaries
+#: take a few times ``2B * d^2 * 16`` more. Larger blocks run fewer Python
+#: calls per step but leave the cache: on jc_detuned(g=0.05), t = 400,
+#: 25,600 coarse steps, one BLAS thread, B = 32/64/128/256/512/1024/8192
+#: took 0.79/0.52/0.69/0.73/0.83/1.14/1.48 s (best of 5) at peak RSS
+#: 59/60/61/63/68/77/235 MB. B from 64 to 256 ran equally fast within the
+#: machine's noise.
 _RK4_BLOCK = 256
 
 #: Intervals of the coarsest quadrature grid; each refinement doubles them.
@@ -62,7 +73,10 @@ class PropagationResult:
     """Propagator estimate with a step-halving error bound.
 
     ``U`` is computed at ``2 * steps`` steps; ``est_error`` is the
-    Frobenius distance between the ``steps`` and ``2 * steps`` runs.
+    Frobenius distance between the ``steps`` and ``2 * steps`` runs. That
+    distance is carried through the product of the step maps as a
+    difference of its own, so it keeps its relative precision even when
+    it is many orders of magnitude below ``||U||``.
     """
 
     U: np.ndarray
@@ -84,27 +98,78 @@ def _increments(A: np.ndarray, h: float) -> np.ndarray:
     ``K3 = Am (I + h/2 K2)`` and ``K4 = A1 (I + h K3)``.
     """
     A0, Am, A1 = A[:-1:2], A[1::2], A[2::2]
-    K2 = Am + (h / 2) * (Am @ A0)
-    K3 = Am + (h / 2) * (Am @ K2)
-    K4 = A1 + h * (A1 @ K3)
-    return (h / 6) * (A0 + 2 * K2 + 2 * K3 + K4)
+    D = np.matmul(Am, A0)  # K2, then the increment
+    D *= h / 2
+    D += Am
+    K3 = np.matmul(Am, D)
+    K3 *= h / 2
+    K3 += Am
+    K4 = np.matmul(A1, K3)
+    K4 *= h
+    K4 += A1
+    D *= 2
+    D += A0
+    K3 *= 2
+    D += K3
+    D += K4
+    D *= h / 6
+    return D
+
+
+def _join(G1: np.ndarray, E1: np.ndarray, G2: np.ndarray,
+          E2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Segment 1 followed by segment 2, batched over a leading axis or not.
+    # A segment is ``G = F - I``, F its fine map, and ``E = F - C``, C its
+    # coarse map. Then F2 F1 = I + G1 + G2 + G2 G1 and
+    # F2 F1 - C2 C1 = F2 E1 + E2 C1 = E1 + E2 + G2 E1 + E2 (G1 - E1).
+    # Both are kept as differences: G rounds relative to its own size while
+    # it is small, and E keeps the cancellation that a subtraction of the
+    # coarse and fine products would lose.
+    E = np.matmul(G2, E1)
+    E += np.matmul(E2, G1 - E1)
+    E += E1
+    E += E2
+    G = np.matmul(G2, G1)
+    G += G1
+    G += G2
+    return G, E
+
+
+def _block_maps(A: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    # ``(G, E)`` of one block of b coarse steps from its 4b + 1 samples on
+    # the fine half-step grid. Coarse step j (size 2h) covers fine steps 2j
+    # and 2j + 1, so its fine pair map is (I + Df_{2j+1})(I + Df_{2j}) and
+    # its G and E come from the increments alone. The b pairs are then
+    # joined pairwise in time order, one batched product per tree level.
+    Df = _increments(A, h)
+    Df0, Df1 = Df[0::2], Df[1::2]
+    G = np.matmul(Df1, Df0)
+    G += Df1
+    G += Df0
+    E = _increments(A[::2], 2 * h)
+    np.subtract(G, E, out=E)
+    while len(G) > 1:
+        m = len(G) - len(G) % 2
+        Gj, Ej = _join(G[0:m:2], E[0:m:2], G[1:m:2], E[1:m:2])
+        if m < len(G):
+            Gj, Ej = np.concatenate((Gj, G[m:])), np.concatenate((Ej, E[m:]))
+        G, E = Gj, Ej
+    return G[0], E[0]
 
 
 def _rk4_pair(grid_eval, dim: int, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    # Coarse (``steps``) and fine (``2 * steps``) RK4 runs on dU/dt = -i H U,
-    # both fed from one sampling of H per block (see the module docstring).
+    # Fine (``2 * steps``) RK4 map of dU/dt = -i H U and its difference from
+    # the coarse (``steps``) map, both fed from one sampling of H per block
+    # (see the module docstring).
     h = t / (2 * steps)
-    coarse = np.eye(dim, dtype=complex)
-    fine = coarse
+    G = E = np.zeros((dim, dim), dtype=complex)
     for c0 in range(0, steps, _RK4_BLOCK):
         c1 = min(steps, c0 + _RK4_BLOCK)
         times = (h / 2) * (4 * c0 + np.arange(4 * (c1 - c0) + 1))
         A = -1j * np.asarray(grid_eval(times))
-        for D in _increments(A[::2], 2 * h):
-            coarse = coarse + D @ coarse
-        for D in _increments(A, h):
-            fine = fine + D @ fine
-    return coarse, fine
+        G, E = _join(G, E, *_block_maps(A, h))
+    G[np.diag_indices_from(G)] += 1
+    return G, E
 
 
 def _propagate(grid_eval, dim: int, t: float, steps: int | None,
@@ -115,17 +180,22 @@ def _propagate(grid_eval, dim: int, t: float, steps: int | None,
         raise OperatorValueError(f"propagation time must be >= 0, got {t}")
     if steps is None:
         steps = default_step_count(max_omega, t)
+    elif not isinstance(steps, numbers.Integral) or steps < 16:
+        raise OperatorValueError(f"steps must be an integer >= 16, got {steps!r}")
     steps = int(steps)
-    if steps < 16:
-        raise OperatorValueError(f"steps must be >= 16, got {steps}")
     if t == 0.0:
         return PropagationResult(np.eye(dim, dtype=complex), steps, 0.0)
-    coarse, fine = _rk4_pair(grid_eval, dim, t, steps)
-    return PropagationResult(fine, steps, float(np.linalg.norm(coarse - fine)))
+    fine, difference = _rk4_pair(grid_eval, dim, t, steps)
+    return PropagationResult(fine, steps, float(np.linalg.norm(difference)))
 
 
 def propagate_exact(H, t: float, steps: int | None = None) -> PropagationResult:
-    """Integrate ``dU/dt = -i H(t) U`` with U(0) = I under a multi-tone model."""
+    """Integrate ``dU/dt = -i H(t) U`` with U(0) = I under a multi-tone model.
+
+    ``t`` must be finite and >= 0, and ``steps``, the coarse step count,
+    an integer >= 16 (default :func:`default_step_count`); both are checked
+    before H is sampled, here and in :func:`propagate_series`.
+    """
     return _propagate(H.evaluate_grid, H.dim, t, steps, H.max_omega)
 
 
@@ -193,8 +263,8 @@ def _agree(val: np.ndarray, prev: np.ndarray, tol: float) -> bool:
 def _check_times(t) -> tuple[np.ndarray, bool]:
     """Times as a 1-D array, and whether ``t`` was one number.
 
-    A sequence must be non-empty, and its times finite, >= 0 and on even
-    nodes of the level-0 grid on ``[0, max(t)]``.
+    Every time must be finite and >= 0. A sequence must also be non-empty
+    and its times on even nodes of the level-0 grid on ``[0, max(t)]``.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
@@ -206,10 +276,10 @@ def _check_times(t) -> tuple[np.ndarray, bool]:
     for x in times:
         if not math.isfinite(x):
             raise OperatorValueError(f"quadrature time must be finite, got {x}")
-    if scalar:
-        return times, True
     if times.min() < 0:
         raise OperatorValueError(f"quadrature times must be >= 0, got {times.min()}")
+    if scalar:
+        return times, True
     T = times.max()
     if T > 0:
         ratio = times / T * _BASE_POINTS

@@ -158,6 +158,70 @@ def test_propagate_series_matches_reference_loop_nonhermitian(rng):
     _assert_matches_reference(propagate_series(S, 1.3, steps=300), S, 1.3, 300)
 
 
+def _generic_three_tone(rng):
+    # the model of the tail-block test above
+    return MultiToneHamiltonian(
+        [(random_generic(rng, 6, 0.4), w) for w in (1.3, 2.1, 3.7)]
+    )
+
+
+@pytest.mark.parametrize("steps", [16, 17, 257, 513])
+def test_propagate_exact_matches_reference_loop_odd_tree_and_short_tail(rng, steps):
+    # odd numbers of coarse steps per block, and tails of a single step
+    H = _generic_three_tone(rng)
+    _assert_matches_reference(propagate_exact(H, 1.5, steps=steps), H, 1.5, steps)
+
+
+def _rk4_extended(A, h, steps):
+    # the reference loop's RK4 step, in extended precision, on given samples
+    U = np.eye(A.shape[1], dtype=A.dtype)
+    h = np.longdouble(h)
+    for k in range(steps):
+        A0, Am, A1 = A[2 * k], A[2 * k + 1], A[2 * k + 2]
+        k1 = A0 @ U
+        k2 = Am @ (U + (h / 2) * k1)
+        k3 = Am @ (U + (h / 2) * k2)
+        k4 = A1 @ (U + h * k3)
+        U = U + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return U
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is plain double here")
+def test_propagate_exact_error_estimate_matches_extended_precision(rng):
+    # The step-halving distance of the same samples, both runs computed in
+    # extended precision: the double-precision estimate must hold its
+    # relative precision although it is about 1e-13 of ||U||.
+    H = _generic_three_tone(rng)
+    t, steps = 1.5, 1000
+    res = propagate_exact(H, t, steps=steps)
+    h = t / (2 * steps)
+    A = -1j * H.evaluate_grid((h / 2) * np.arange(4 * steps + 1)).astype(np.clongdouble)
+    coarse = _rk4_extended(A[::2], 2 * h, steps)
+    fine = _rk4_extended(A, h, 2 * steps)
+    est = float(np.sqrt(np.sum(np.abs(coarse - fine) ** 2)))
+    assert abs(res.est_error - est) <= 1e-4 * est
+    assert np.linalg.norm(res.U - fine.astype(complex)) <= 1e-14
+
+
+@pytest.mark.parametrize("steps", [math.nan, math.inf, 16.9, 64.0, 15, -64])
+def test_propagators_reject_bad_steps_before_sampling(steps):
+    H = _CountingOperator(make_model("noncommuting_two_tone"))
+    with pytest.raises(OperatorValueError, match="integer >= 16"):
+        propagate_exact(H, 1.0, steps=steps)
+    S = _CountingOperator(heff3_timedep(H.op))
+    with pytest.raises(OperatorValueError, match="integer >= 16"):
+        propagate_series(S, 1.0, steps=steps)
+    assert H.points == 0 and S.points == 0
+
+
+def test_propagators_accept_numpy_integer_steps():
+    H = make_model("noncommuting_two_tone")
+    res = propagate_exact(H, 1.0, steps=np.int64(16))
+    assert type(res.steps) is int and res.steps == 16
+    assert np.array_equal(res.U, propagate_exact(H, 1.0, steps=16).U)
+
+
 @pytest.mark.parametrize("steps", [16, 300, 1000])
 def test_propagate_exact_samples_h_once_for_both_runs(steps):
     # the coarse run reads every other sample of the fine run's grid
@@ -183,6 +247,16 @@ def test_quad_oracle_rejects_non_finite_time_before_sampling(t):
     H = _CountingOperator(make_model("noncommuting_two_tone"))
     with pytest.raises(OperatorValueError, match="finite"):
         quad_oracle(H, 2, t, 1e-9)
+    assert H.points == 0
+
+
+@pytest.mark.parametrize("t", [-1.0, -1e-12])
+def test_quad_oracle_rejects_negative_scalar_time_before_sampling(t):
+    H = _CountingOperator(make_model("noncommuting_two_tone"))
+    with pytest.raises(OperatorValueError, match=">= 0"):
+        quad_oracle(H, 2, t, 1e-9)
+    with pytest.raises(OperatorValueError, match=">= 0"):
+        quad_oracle(H, (2, 3), t, 1e-9)
     assert H.points == 0
 
 
