@@ -1,20 +1,20 @@
 """Closed-form effective Hamiltonians and time-ordered propagator terms.
 
-The second-order effective Hamiltonian is the product form
+Every closed form here comes from one Dyson recursion (:func:`_chain`):
 
-    Heff2(t) = (1/(i*hbar)) * H(t) * int_0^t H(t') dt',
+    U_0 = I,    U_k(t) = (1/(i*hbar)) * int_0^t H(t') U_{k-1}(t') dt',
 
-the third order nests one more integral,
+so that U_n(t) = (1/(i*hbar))**n * int_0^t H(t1) ... int_0^t(n-1) H(tn)
+dtn ... dt1 is the order-n time-ordered propagator term, and the order-n
+time-dependent effective Hamiltonian is
 
-    Heff3(t) = (1/(i*hbar))^2 * H(t) * int_0^t H(t1) int_0^t1 H(t2) dt2 dt1,
+    Heff_n(t) = H(t) * U_{n-1}(t),
 
-and order n continues the pattern with n-1 nested integrals. The order-n
-time-ordered propagator term
-
-    U_n(t) = (1/(i*hbar))^n * int_0^t H(t1) ... int_0^t(n-1) H(tn) dtn ... dt1
-
-obeys the exact identities U_n(0) = 0 and Heff_n(t) = i*hbar * dU_n/dt,
-which the closed forms reproduce coefficient by coefficient. All builders
+the n-fold nested product ``(1/(i*hbar))**(n-1) H int H int ... H``
+(Heff2 = (1/(i*hbar)) H(t) int_0^t H). This is the Reply's second point:
+the iterative method is equivalent to the Dyson series, Heff_n = H U_{n-1}
+and U_n = -i int Heff_n. The closed forms obey U_n(0) = 0 and
+Heff_n(t) = i*hbar * dU_n/dt coefficient by coefficient. All builders
 work symbolically on :class:`~effham.series.OperatorSeries`, so evaluation
 at any time is exact up to rounding.
 
@@ -22,7 +22,7 @@ When every carrier is distinct, dropping the oscillating content of
 Heff2 leaves the commutator form ``sum_m [h_m, h_m^dag] / (hbar*w_m)``
 (:func:`heff2_rwa`). For any order, :func:`heff_secular` extracts the
 secular part in the indefinite-integral, time-averaged frame (James &
-Jerke, Can. J. Phys. 85, 625 (2007)): the same nested product, with every
+Jerke, Can. J. Phys. 85, 625 (2007)): the same recursion, with every
 integral's lower-limit constants dropped. There a term's frequency is the
 signed sum of its carriers, so zero-frequency content at order n comes
 only from signed n-carrier sums that vanish; at order 3 these are the
@@ -54,13 +54,9 @@ from .tones import TOL_ZERO
 #: Largest supported expansion order.
 MAX_ORDER = 6
 
-
-def _inv_i_power(k: int) -> complex:
-    # (1/(i*hbar))**k via repeated exact multiplication by -i (hbar = 1).
-    out = 1 + 0j
-    for _ in range(k):
-        out *= -1j / HBAR
-    return out
+#: Factor ``1/(i*hbar)`` of one step of the Dyson recursion. Scaling by it
+#: only swaps and negates real and imaginary parts, so it is exact.
+_STEP = complex(0.0, -1.0 / HBAR)
 
 
 def _check_order(n: int, low: int = 2) -> int:
@@ -81,30 +77,34 @@ def _drop_lower_limit_constants(I: OperatorSeries) -> OperatorSeries:
     return OperatorSeries._of(I.dim, I.freqs[keep], I.powers[keep], I.coeffs[keep])
 
 
-def _nested_product(S: OperatorSeries, depth: int, indefinite: bool = False) -> OperatorSeries:
-    """W_depth = S * int(S * int(... S))  with ``depth`` factors of S.
+def _chain(S: OperatorSeries, N: int, indefinite: bool = False) -> list[OperatorSeries]:
+    """``[U_1, ..., U_N]`` with ``U_k = (1/(i*hbar)) int S * U_{k-1}`` and ``U_0 = I``.
 
-    The integrals run from 0, or are indefinite if ``indefinite``.
+    The integrals run from 0, or are indefinite if ``indefinite`` (each
+    drops its lower-limit constants). ``S * U_0`` is ``S`` itself, so the
+    chain makes N - 1 products and N integrals.
     """
-    acc = S
-    for _ in range(depth - 1):
-        integral = acc.integrate_from_zero()
+    terms: list[OperatorSeries] = []
+    for _ in range(N):
+        integral = (S * terms[-1] if terms else S).integrate_from_zero()
         if indefinite:
             integral = _drop_lower_limit_constants(integral)
-        acc = S * integral
-    return acc
+        terms.append(integral.scale(_STEP))
+    return terms
 
 
 def heff_n_timedep(H: MultiToneHamiltonian, n: int) -> OperatorSeries:
-    """Order-n time-dependent effective Hamiltonian, closed form.
+    """Order-n time-dependent effective Hamiltonian ``Heff_n = H * U_{n-1}``.
 
-    ``(1/(i*hbar))**(n-1)`` times the n-fold nested product of the
-    interaction Hamiltonian with its iterated integrals; evaluates to the
-    zero matrix at t = 0 because every lower-limit constant is kept.
+    ``H`` times the order-(n-1) propagator term, so that
+    ``U_n = (1/(i*hbar)) int Heff_n``: the Reply's point that the iterative
+    method is the Dyson series. It is the n-fold nested product
+    ``(1/(i*hbar))**(n-1) H int H ... int H`` and evaluates to the zero
+    matrix at t = 0 because every lower-limit constant of ``U_{n-1}`` is
+    kept.
     """
     n = _check_order(n)
-    S = H.to_operator_series()
-    return _nested_product(S, n).scale(_inv_i_power(n - 1))
+    return H.to_operator_series() * dyson_term(H, n - 1)
 
 
 def heff2_timedep(H: MultiToneHamiltonian) -> OperatorSeries:
@@ -178,8 +178,8 @@ def heff_secular(H: MultiToneHamiltonian, n: int,
                  time_grid: np.ndarray | None = None) -> EffectiveOrderResult:
     """Order-n series plus its secular (non-oscillating, non-growing) part.
 
-    ``secular`` and ``secular_growth_flag`` are read from the nested
-    product built with indefinite integrals (see
+    ``secular`` and ``secular_growth_flag`` are read from
+    ``H * U_{n-1}`` with the indefinite-integral chain (see
     :class:`EffectiveOrderResult`); at order 3 its zero-frequency terms
     come only from three-carrier sums that the frequency report classes as
     "zero". The Hermiticity defect of the full time-dependent series is
@@ -188,8 +188,8 @@ def heff_secular(H: MultiToneHamiltonian, n: int,
     """
     n = _check_order(n)
     series = heff_n_timedep(H, n)
-    averaged = _nested_product(H.to_operator_series(), n, indefinite=True)
-    averaged = averaged.scale(_inv_i_power(n - 1))
+    S = H.to_operator_series()
+    averaged = S * _chain(S, n - 1, indefinite=True)[-1]
     if time_grid is None:
         time_grid = default_time_grid(H)
     values = series.evaluate_grid(time_grid)
@@ -205,14 +205,16 @@ def heff_secular(H: MultiToneHamiltonian, n: int,
     )
 
 
+def dyson_terms(H: MultiToneHamiltonian, N: int) -> list[OperatorSeries]:
+    """Propagator terms ``[U_1(t), ..., U_N(t)]`` in closed form, from one pass
+    of the Dyson recursion ``U_k = (1/(i*hbar)) int_0^t H U_{k-1}``."""
+    N = _check_order(N, low=1)
+    return _chain(H.to_operator_series(), N)
+
+
 def dyson_term(H: MultiToneHamiltonian, n: int) -> OperatorSeries:
     """Order-n time-ordered propagator correction ``U_n(t)`` in closed form."""
-    n = _check_order(n, low=1)
-    S = H.to_operator_series()
-    acc = S.integrate_from_zero()
-    for _ in range(n - 1):
-        acc = (S * acc).integrate_from_zero()
-    return acc.scale(_inv_i_power(n))
+    return dyson_terms(H, n)[-1]
 
 
 def dyson_truncated(H: MultiToneHamiltonian, N: int, t: float) -> np.ndarray:
@@ -221,12 +223,7 @@ def dyson_truncated(H: MultiToneHamiltonian, N: int, t: float) -> np.ndarray:
     Generally non-unitary away from t = 0; the defect shrinks with the
     coupling strength as lambda**(N+1).
     """
-    N = _check_order(N, low=1)
     out = np.eye(H.dim, dtype=complex)
-    S = H.to_operator_series()
-    acc = S.integrate_from_zero()
-    out += acc.scale(_inv_i_power(1)).evaluate(t)
-    for k in range(2, N + 1):
-        acc = (S * acc).integrate_from_zero()
-        out += acc.scale(_inv_i_power(k)).evaluate(t)
+    for U in dyson_terms(H, N):
+        out += U.evaluate(t)
     return out

@@ -3,14 +3,15 @@
 Exit codes: 0 on success, 2 for usage errors and for model problems
 (missing file, parse or compile diagnostics), 3 for numerical-guard
 failures (term budget, power cap, dimension cap, quadrature refinement
-budget). A usage error is an option that does not parse or is out of
-range: ``--orders`` outside ``[2, MAX_ORDER]``, a ``--tmax`` that is not
-finite and > 0, a ``--grid`` below 2, a ``--sweep`` factor that is not
-finite, a ``--tol-zero`` or ``--gap-min`` that is negative or not
-finite, or ``--tol-zero >= --gap-min``; argparse prints the usage and a
-one-line message before anything is computed. A sweep list may start
-with a negative factor in either form, ``--sweep -0.3,0.2`` or
-``--sweep=-0.3,0.2``.
+budget, and an allocation that runs out of memory, such as the time grid
+of a huge ``--grid``); each prints a one-line message. A usage error is
+an option that does not parse or is out of range: ``--orders`` outside
+``[2, MAX_ORDER]``, a ``--tmax`` that is not finite and > 0, a ``--grid``
+below 2, a ``--sweep`` factor that is not finite, a ``--tol-zero`` or
+``--gap-min`` that is negative or not finite, or ``--tol-zero >=
+--gap-min``; argparse prints the usage and a one-line message before
+anything is computed. A sweep list may start with a negative factor in
+either form, ``--sweep -0.3,0.2`` or ``--sweep=-0.3,0.2``.
 ``EFFHAM_MAX_TERMS`` overrides the term budget (series keys, and key
 pairs per product); a value that is not an integer >= 1 exits 3 as well.
 """
@@ -34,59 +35,30 @@ from .diagnostics import ZOO_NAMES, run_report
 from .model import DEFAULT_GAP_MIN
 from .tones import TOL_ZERO
 
-_GUARD_ERRORS = (TermBudgetError, PowerCapError, DimensionCapError, QuadratureError)
+_GUARD_ERRORS = (TermBudgetError, PowerCapError, DimensionCapError, QuadratureError,
+                 MemoryError)
 
 
-def _parse_orders(text: str) -> tuple[int, ...]:
-    try:
-        orders = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad order list {text!r}; expected e.g. 2,3")
-    if not all(2 <= n <= MAX_ORDER for n in orders):
-        raise argparse.ArgumentTypeError(
-            f"bad order list {text!r}; orders must lie in [2, {MAX_ORDER}]")
-    return orders
+def _checked(convert, ok, what: str, expected: str):
+    """argparse ``type`` that converts the text, checks the value with ``ok``,
+    and otherwise fails with ``bad <what> <text!r>; expected <expected>``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            good = ok(value)
+        except ValueError:
+            good = False
+        if not good:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}; expected {expected}")
+        return value
+
+    return parse
 
 
-def _parse_sweep(text: str) -> tuple[float, ...]:
-    try:
-        factors = tuple(float(x) for x in text.split(","))
-    except ValueError:
-        factors = (math.nan,)
-    if not all(math.isfinite(x) for x in factors):
-        raise argparse.ArgumentTypeError(
-            f"bad sweep {text!r}; expected finite numbers, e.g. 0.4,0.2")
-    return factors
-
-
-def _parse_threshold(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"bad threshold {text!r}; expected a finite number >= 0")
-    return value
-
-
-def _parse_tmax(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"bad end time {text!r}; expected a finite number > 0")
-    return value
-
-
-def _parse_grid(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"bad grid size {text!r}; expected an integer >= 2")
-    return value
+def _numbers(convert):
+    """Convert a comma-separated list with ``convert``."""
+    return lambda text: tuple(convert(x) for x in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,18 +74,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="MODEL is a .ham file path, or builtin:NAME with NAME one of: "
                     + ", ".join(ZOO_NAMES),
     )
+    threshold = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                         "threshold", "a finite number >= 0")
     rep.add_argument("model", help=".ham file or builtin:NAME")
-    rep.add_argument("--orders", type=_parse_orders, default=(2, 3),
+    rep.add_argument("--orders", default=(2, 3),
+                     type=_checked(_numbers(int), lambda v: all(2 <= n <= MAX_ORDER for n in v),
+                                   "order list", f"integers in [2, {MAX_ORDER}], e.g. 2,3"),
                      help="comma-separated expansion orders (default 2,3)")
-    rep.add_argument("--tmax", type=_parse_tmax, default=None,
+    rep.add_argument("--tmax", default=None,
+                     type=_checked(float, lambda v: math.isfinite(v) and v > 0,
+                                   "end time", "a finite number > 0"),
                      help="end of the time grid (default 10 / min carrier)")
-    rep.add_argument("--grid", type=_parse_grid, default=64,
+    rep.add_argument("--grid", default=64,
+                     type=_checked(int, lambda v: v >= 2, "grid size", "an integer >= 2"),
                      help="number of grid points (default 64)")
-    rep.add_argument("--sweep", type=_parse_sweep, default=None,
+    rep.add_argument("--sweep", default=None,
+                     type=_checked(_numbers(float), lambda v: all(map(math.isfinite, v)),
+                                   "sweep", "finite numbers, e.g. 0.4,0.2"),
                      help="comma-separated coupling scale factors")
-    rep.add_argument("--tol-zero", type=_parse_threshold, default=TOL_ZERO,
+    rep.add_argument("--tol-zero", type=threshold, default=TOL_ZERO,
                      help="threshold for exactly-zero frequency sums")
-    rep.add_argument("--gap-min", type=_parse_threshold, default=DEFAULT_GAP_MIN,
+    rep.add_argument("--gap-min", type=threshold, default=DEFAULT_GAP_MIN,
                      help="threshold for safely-nonzero frequency sums")
     rep.add_argument("--out", default=None, help="write the JSON report here")
     rep.add_argument("--csv", default=None, help="write the CSV time series here")
@@ -155,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"effham: model error: {exc}", file=sys.stderr)
         return 2
     except _GUARD_ERRORS as exc:
-        print(f"effham: numerical guard: {exc}", file=sys.stderr)
+        print(f"effham: numerical guard: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     if not args.out:
         print(report.to_json())

@@ -29,6 +29,7 @@ from .errors import OperatorValueError
 from .metrics import hermiticity_defect, unitarity_defect
 from .model import (
     DEFAULT_GAP_MIN,
+    HBAR,
     FrequencyReport,
     MultiToneHamiltonian,
     ToneTerm,
@@ -47,10 +48,10 @@ SCHEMA_VERSION = 1
 
 
 def _identity_sides(H: MultiToneHamiltonian) -> tuple[OperatorSeries, OperatorSeries]:
+    # left: H * II[H H] = (i*hbar)**2 Heff_3; right: the reordered product
     S = H.to_operator_series()
-    inner = S.integrate_from_zero()
-    left = S * (S * inner).integrate_from_zero()
-    right = (inner * S).integrate_from_zero() * S
+    left = builder.heff_n_timedep(H, 3).scale(-HBAR ** 2)
+    right = (S.integrate_from_zero() * S).integrate_from_zero() * S
     return left, right
 
 
@@ -60,8 +61,7 @@ def eq6_gap(H: MultiToneHamiltonian, t: float) -> float:
     Zero for commuting families; strictly positive whenever moving H(t)
     from the left of the double integral to the right actually matters.
     """
-    left, right = _identity_sides(H)
-    return float(np.linalg.norm(left.evaluate(t) - right.evaluate(t)))
+    return float(eq6_gap_grid(H, [t])[0])
 
 
 def eq6_gap_grid(H: MultiToneHamiltonian, ts) -> np.ndarray:
@@ -276,13 +276,15 @@ def run_report(
     :class:`OperatorValueError` before any computation; ``tol_zero``
     reaches both the frequency report and the secular extraction.
 
-    Each closed-form piece is built once per report: every order through
-    :func:`~effham.builder.heff_secular`, and ``U_1 .. U_N`` (N the highest
-    order) through :func:`~effham.builder.dyson_term`. The sweep is derived
-    from them by homogeneity, ``Heff_n(lam H) = lam^n Heff_n(H)`` and
-    ``U_k(lam H) = lam^k U_k(H)``: row ``lam`` holds, per order n, the
-    largest Hermiticity defect of ``lam^n Heff_n`` on the grid and the
-    unitarity defect of ``I + sum_{k<=n} lam^k U_k(1)``. The quadrature
+    ``U_1 .. U_N`` (N the highest order) come from one pass of the Dyson
+    recursion, :func:`~effham.builder.dyson_terms`, and each order from one
+    :func:`~effham.builder.heff_secular` call, which still builds its own
+    chains (``Heff_n = H * U_{n-1}`` and the indefinite-integral chain for
+    ``secular``). The sweep is derived from them by homogeneity,
+    ``Heff_n(lam H) = lam^n Heff_n(H)`` and ``U_k(lam H) = lam^k U_k(H)``:
+    row ``lam`` holds, per order n, the largest Hermiticity defect of
+    ``lam^n Heff_n`` on the grid and the unitarity defect of
+    ``I + sum_{k<=n} lam^k U_k(1)``. The quadrature
     residuals of all orders up to 4, at the 8 times ``j * tmax / 8``, come
     from one :func:`quad_oracle` call: one refinement on ``[0, tmax]``
     whose chain holds every residual time as an even level-0 node
@@ -314,7 +316,7 @@ def run_report(
     ts = np.linspace(0.0, float(tmax), int(grid))
 
     freq = frequency_report(H, tol_zero=tol_zero, gap_min=gap_min)
-    dyson = [builder.dyson_term(H, k) for k in range(1, max(orders) + 1)]
+    dyson = builder.dyson_terms(H, max(orders))
     dyson_grids = _unitarity_of_partial_sums([U.evaluate_grid(ts) for U in dyson], orders)
 
     records = []

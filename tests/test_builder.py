@@ -1,15 +1,20 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from effham import (
+    MAX_ORDER,
     FrequencyConditionError,
     MultiToneHamiltonian,
+    OperatorSeries,
     OperatorValueError,
     TermBudgetError,
     annihilate,
     commutator,
     create,
     dyson_term,
+    dyson_terms,
     dyson_truncated,
     frequency_report,
     heff2_rwa,
@@ -18,6 +23,7 @@ from effham import (
     heff_n_timedep,
     heff_secular,
     hermiticity_defect,
+    load_model,
     make_model,
     quad_oracle,
     series_residual,
@@ -339,3 +345,79 @@ def test_dyson_truncated_nonunitary_at_generic_time():
 def test_dyson_truncated_small_coupling_nearly_unitary():
     H = make_model("scalar_single_tone", g=1e-3)
     assert unitarity_defect(dyson_truncated(H, 4, 1.0)) < 1e-11
+
+
+# ----------------------------------------------------------------------
+# the one Dyson recursion against the hand-written nested products it replaced
+
+DEMO_MODELS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "models"
+
+
+def _reference_nested_product(S, depth, indefinite=False):
+    # S * int(S * int(... S)) with `depth` factors, as the builder wrote it out
+    acc = S
+    for _ in range(depth - 1):
+        integral = acc.integrate_from_zero()
+        if indefinite:
+            keep = (integral.freqs != 0.0) | (integral.powers != 0)
+            integral = OperatorSeries._of(integral.dim, integral.freqs[keep],
+                                          integral.powers[keep], integral.coeffs[keep])
+        acc = S * integral
+    return acc
+
+
+def _reference_inv_i_power(k):
+    out = 1 + 0j
+    for _ in range(k):
+        out *= -1j
+    return out
+
+
+def _reference_dyson_term(S, n):
+    acc = S.integrate_from_zero()
+    for _ in range(n - 1):
+        acc = (S * acc).integrate_from_zero()
+    return acc.scale(_reference_inv_i_power(n))
+
+
+def _generic_three_tone(seed):
+    rng = np.random.default_rng(seed)
+    return MultiToneHamiltonian([(random_generic(rng, 3, 0.3), float(rng.uniform(0.5, 8.0)))
+                                 for _ in range(3)])
+
+
+RECURSION_MODELS = (
+    [pytest.param(lambda name=name: make_model(name), id=name)
+     for name in ("jc_detuned", "raman_lambda", "commuting_diag",
+                  "noncommuting_two_tone", "scalar_single_tone")]
+    + [pytest.param(lambda path=path: load_model(path), id=path.name)
+       for path in sorted(DEMO_MODELS.glob("*.ham"))]
+    + [pytest.param(lambda seed=seed: _generic_three_tone(seed), id=f"generic3-{seed}")
+       for seed in (3, 17, 29)]
+)
+
+
+def _assert_same_series(a, b):
+    assert np.array_equal(a.freqs, b.freqs)
+    assert np.array_equal(a.powers, b.powers)
+    assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("make", RECURSION_MODELS)
+def test_recursion_matches_nested_products(make):
+    H = make()
+    S = H.to_operator_series()
+    top = 5 if len(H.tones) >= 3 else MAX_ORDER
+    terms = dyson_terms(H, top)
+    assert len(terms) == top
+    for k, U in enumerate(terms, start=1):
+        _assert_same_series(U, _reference_dyson_term(S, k))
+        _assert_same_series(dyson_term(H, k), U)
+    for n in range(2, top + 1):
+        _assert_same_series(heff_n_timedep(H, n),
+                            _reference_nested_product(S, n).scale(_reference_inv_i_power(n - 1)))
+        averaged = _reference_nested_product(S, n, indefinite=True)
+        averaged = averaged.scale(_reference_inv_i_power(n - 1))
+        result = heff_secular(H, n, time_grid=np.linspace(0.0, 1.0, 3))
+        assert np.array_equal(result.secular, averaged.constant_part())
+        assert result.secular_growth_flag == averaged.has_secular_growth()

@@ -155,3 +155,23 @@ def test_negative_sweep_plain_form_still_checked(capsys, no_report):
     assert exc.value.code == 2
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert "--sweep" in last and "'-0.3,x'" in last
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (100000000, 2, 2)")
+
+    monkeypatch.setattr(effham.cli, "run_report", out_of_memory)
+    assert main(["report", "builtin:scalar_single_tone", "--grid", "100000000"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical guard" in err and "2.98 GiB" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_bare_memory_error_names_itself(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(effham.cli, "run_report", out_of_memory)
+    assert main(["report", "builtin:scalar_single_tone"]) == 3
+    assert capsys.readouterr().err.strip() == "effham: numerical guard: MemoryError"
