@@ -1,6 +1,7 @@
 """Closed-form effective Hamiltonians and time-ordered propagator terms.
 
-Every closed form here comes from one Dyson recursion (:func:`_chain`):
+Every closed form here comes from one Dyson recursion (:func:`_chain`,
+one :func:`dyson_step` per order):
 
     U_0 = I,    U_k(t) = (1/(i*hbar)) * int_0^t H(t') U_{k-1}(t') dt',
 
@@ -13,10 +14,12 @@ time-dependent effective Hamiltonian is
 the n-fold nested product ``(1/(i*hbar))**(n-1) H int H int ... H``
 (Heff2 = (1/(i*hbar)) H(t) int_0^t H). This is the Reply's second point:
 the iterative method is equivalent to the Dyson series, Heff_n = H U_{n-1}
-and U_n = -i int Heff_n. The closed forms obey U_n(0) = 0 and
-Heff_n(t) = i*hbar * dU_n/dt coefficient by coefficient. All builders
-work symbolically on :class:`~effham.series.OperatorSeries`, so evaluation
-at any time is exact up to rounding.
+and U_n = -i int Heff_n. The integrand of each step is Heff_n itself, so
+one pass of the recursion serves every order up to its last. The closed
+forms obey U_n(0) = 0 and Heff_n(t) = i*hbar * dU_n/dt coefficient by
+coefficient. All builders work symbolically on
+:class:`~effham.series.OperatorSeries`, so evaluation at any time is exact
+up to rounding.
 
 When every carrier is distinct, dropping the oscillating content of
 Heff2 leaves the commutator form ``sum_m [h_m, h_m^dag] / (hbar*w_m)``
@@ -36,6 +39,7 @@ silently folded into a "time-independent" Hamiltonian.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +64,22 @@ _STEP = complex(0.0, -1.0 / HBAR)
 
 
 def _check_order(n: int, low: int = 2) -> int:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise OperatorValueError(f"order must be an integer, got {n!r}")
     n = int(n)
     if not low <= n <= MAX_ORDER:
         raise OperatorValueError(f"order must be in [{low}, {MAX_ORDER}], got {n}")
     return n
+
+
+def check_orders(orders) -> tuple[int, ...]:
+    """The distinct orders of ``orders``, sorted, each an integer in
+    ``[2, MAX_ORDER]``; raises :class:`OperatorValueError` otherwise or when
+    ``orders`` is empty."""
+    checked = tuple(sorted({_check_order(n) for n in orders}))
+    if not checked:
+        raise OperatorValueError("at least one order must be given")
+    return checked
 
 
 def _drop_lower_limit_constants(I: OperatorSeries) -> OperatorSeries:
@@ -77,20 +93,32 @@ def _drop_lower_limit_constants(I: OperatorSeries) -> OperatorSeries:
     return OperatorSeries._of(I.dim, I.freqs[keep], I.powers[keep], I.coeffs[keep])
 
 
-def _chain(S: OperatorSeries, N: int, indefinite: bool = False) -> list[OperatorSeries]:
-    """``[U_1, ..., U_N]`` with ``U_k = (1/(i*hbar)) int S * U_{k-1}`` and ``U_0 = I``.
+def dyson_step(heff: OperatorSeries, indefinite: bool = False) -> OperatorSeries:
+    """One step of the Dyson recursion: ``U_n = (1/(i*hbar)) int_0^t Heff_n``.
 
-    The integrals run from 0, or are indefinite if ``indefinite`` (each
-    drops its lower-limit constants). ``S * U_0`` is ``S`` itself, so the
-    chain makes N - 1 products and N integrals.
+    ``heff`` is the order-n integrand ``Heff_n = H * U_{n-1}`` (``H`` itself
+    at n = 1). If ``indefinite``, the integral drops its lower-limit
+    constants.
     """
-    terms: list[OperatorSeries] = []
-    for _ in range(N):
-        integral = (S * terms[-1] if terms else S).integrate_from_zero()
-        if indefinite:
-            integral = _drop_lower_limit_constants(integral)
-        terms.append(integral.scale(_STEP))
-    return terms
+    integral = heff.integrate_from_zero()
+    if indefinite:
+        integral = _drop_lower_limit_constants(integral)
+    return integral.scale(_STEP)
+
+
+def _chain(S: OperatorSeries, N: int,
+           indefinite: bool = False) -> tuple[list[OperatorSeries], list[OperatorSeries]]:
+    """Integrands ``[Heff_1, ..., Heff_N]`` and terms ``[U_1, ..., U_(N-1)]``.
+
+    ``Heff_1 = S``, ``U_k = dyson_step(Heff_k)`` and ``Heff_k = S * U_(k-1)``,
+    with every integral from 0, or indefinite if ``indefinite``. The chain
+    makes N - 1 products and N - 1 integrals.
+    """
+    heffs, terms = [S], []
+    for _ in range(N - 1):
+        terms.append(dyson_step(heffs[-1], indefinite))
+        heffs.append(S * terms[-1])
+    return heffs, terms
 
 
 def heff_n_timedep(H: MultiToneHamiltonian, n: int) -> OperatorSeries:
@@ -173,43 +201,67 @@ def default_time_grid(H: MultiToneHamiltonian, points: int = 64) -> np.ndarray:
     return np.linspace(0.0, 10.0 / H.min_omega, points)
 
 
-def heff_secular(H: MultiToneHamiltonian, n: int,
+def _check_time_grid(time_grid) -> np.ndarray:
+    ts = np.asarray(time_grid, dtype=float)
+    if ts.ndim != 1:
+        raise OperatorValueError(f"time grid must be 1-D, got shape {ts.shape}")
+    if not np.isfinite(ts).all():
+        raise OperatorValueError("time grid must be finite")
+    return ts
+
+
+def heff_secular(H: MultiToneHamiltonian, n,
                  tol_zero: float = TOL_ZERO,
-                 time_grid: np.ndarray | None = None) -> EffectiveOrderResult:
+                 time_grid: np.ndarray | None = None,
+                 ) -> EffectiveOrderResult | dict[int, EffectiveOrderResult]:
     """Order-n series plus its secular (non-oscillating, non-growing) part.
 
-    ``secular`` and ``secular_growth_flag`` are read from
-    ``H * U_{n-1}`` with the indefinite-integral chain (see
+    ``n`` is one order, which gives its :class:`EffectiveOrderResult`, or a
+    tuple (or list) of orders, which gives ``{order: EffectiveOrderResult}``
+    for its distinct orders in ascending order. Every order is read off one
+    definite and one indefinite Dyson chain up to the highest order N
+    (``2 (N - 1)`` series products in all): the integrand ``Heff_n = H *
+    U_{n-1}`` of the definite chain is ``series``, equal key for key to
+    :func:`heff_n_timedep`, and ``secular`` and ``secular_growth_flag`` are
+    read from ``H * V_{n-1}`` of the indefinite chain (see
     :class:`EffectiveOrderResult`); at order 3 its zero-frequency terms
     come only from three-carrier sums that the frequency report classes as
-    "zero". The Hermiticity defect of the full time-dependent series is
-    measured on ``time_grid`` (default: 64 points over [0, 10 / min
-    carrier]); the values and the per-point defects are kept on the result.
+    "zero". A result does not depend on the other orders asked for.
+
+    The Hermiticity defect of the full time-dependent series is measured on
+    ``time_grid``, a finite 1-D sequence of times (default: 64 points over
+    [0, 10 / min carrier]); the values and the per-point defects are kept
+    on the result. Bad orders and grids raise :class:`OperatorValueError`
+    before any build.
     """
-    n = _check_order(n)
-    series = heff_n_timedep(H, n)
+    single = not isinstance(n, (tuple, list))
+    orders = check_orders((n,) if single else n)
+    ts = default_time_grid(H) if time_grid is None else _check_time_grid(time_grid)
     S = H.to_operator_series()
-    averaged = S * _chain(S, n - 1, indefinite=True)[-1]
-    if time_grid is None:
-        time_grid = default_time_grid(H)
-    values = series.evaluate_grid(time_grid)
-    defects = hermiticity_defect(values)
-    return EffectiveOrderResult(
-        order=n,
-        series=series,
-        secular=averaged.constant_part(tol_zero),
-        secular_growth_flag=averaged.has_secular_growth(tol_zero),
-        max_hermiticity_defect_on_grid=float(defects.max(initial=0.0)),
-        grid_values=values,
-        hermiticity_defect_grid=defects,
-    )
+    heffs, _ = _chain(S, orders[-1])
+    averaged, _ = _chain(S, orders[-1], indefinite=True)
+    results = {}
+    for k in orders:
+        values = heffs[k - 1].evaluate_grid(ts)
+        defects = hermiticity_defect(values)
+        results[k] = EffectiveOrderResult(
+            order=k,
+            series=heffs[k - 1],
+            secular=averaged[k - 1].constant_part(tol_zero),
+            secular_growth_flag=averaged[k - 1].has_secular_growth(tol_zero),
+            max_hermiticity_defect_on_grid=float(defects.max(initial=0.0)),
+            grid_values=values,
+            hermiticity_defect_grid=defects,
+        )
+    return results[orders[0]] if single else results
 
 
 def dyson_terms(H: MultiToneHamiltonian, N: int) -> list[OperatorSeries]:
     """Propagator terms ``[U_1(t), ..., U_N(t)]`` in closed form, from one pass
     of the Dyson recursion ``U_k = (1/(i*hbar)) int_0^t H U_{k-1}``."""
     N = _check_order(N, low=1)
-    return _chain(H.to_operator_series(), N)
+    heffs, terms = _chain(H.to_operator_series(), N)
+    return terms + [dyson_step(heffs[-1])]
 
 
 def dyson_term(H: MultiToneHamiltonian, n: int) -> OperatorSeries:

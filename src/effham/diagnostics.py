@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -271,16 +272,23 @@ def run_report(
 
     ``model_path_or_name`` is a ``.ham`` file path, a bare zoo name, or
     ``builtin:NAME``. Writes JSON/CSV when paths are given and returns the
-    :class:`Report` either way. An empty order list, orders outside
-    ``[2, MAX_ORDER]`` and non-finite sweep factors raise
-    :class:`OperatorValueError` before any computation; ``tol_zero``
-    reaches both the frequency report and the secular extraction.
+    :class:`Report` either way. An empty order list, an order that is not
+    an integer in ``[2, MAX_ORDER]``, a ``tmax`` that is not finite and
+    > 0, a ``grid`` that is not an integer >= 2 and non-finite sweep
+    factors raise :class:`OperatorValueError` before any computation;
+    ``tol_zero`` reaches both the frequency report and the secular
+    extraction.
 
-    ``U_1 .. U_N`` (N the highest order) come from one pass of the Dyson
-    recursion, :func:`~effham.builder.dyson_terms`, and each order from one
-    :func:`~effham.builder.heff_secular` call, which still builds its own
-    chains (``Heff_n = H * U_{n-1}`` and the indefinite-integral chain for
-    ``secular``). The sweep is derived from them by homogeneity,
+    Every order comes from one :func:`~effham.builder.heff_secular` call
+    over the tuple of orders, which builds one definite and one indefinite
+    Dyson chain up to the highest order N. The integrand of each definite
+    step is ``Heff_k = H * U_(k-1)``, so ``U_1 .. U_N`` follow from the
+    series it returns, with ``Heff_1 = H`` and
+    ``U_k = (1/(i*hbar)) int_0^t Heff_k`` (an order that was not asked
+    for is filled in as ``H * U_(k-1)``). A report at top order N thus
+    makes ``2 (N - 1)`` series products, 4 more for the reordering-identity
+    gap, and one more per order below N that was not asked for. The sweep
+    is derived from them by homogeneity,
     ``Heff_n(lam H) = lam^n Heff_n(H)`` and ``U_k(lam H) = lam^k U_k(H)``:
     row ``lam`` holds, per order n, the largest Hermiticity defect of
     ``lam^n Heff_n`` on the grid and the unitarity defect of
@@ -293,9 +301,13 @@ def run_report(
     call at its time alone; the residuals agree with such calls to well
     below the quadrature tolerance.
     """
-    orders = tuple(sorted(set(int(n) for n in orders)))
-    if not orders or not 2 <= orders[0] <= orders[-1] <= builder.MAX_ORDER:
-        raise OperatorValueError(f"orders must be given and lie in [2, {builder.MAX_ORDER}]")
+    orders = builder.check_orders(orders)
+    if tmax is not None:
+        tmax = float(tmax)
+        if not (math.isfinite(tmax) and tmax > 0):
+            raise OperatorValueError(f"tmax must be finite and > 0, got {tmax}")
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 2:
+        raise OperatorValueError(f"grid must be an integer >= 2, got {grid!r}")
     lambdas = [float(x) for x in sweep] if sweep else []
     for lam in lambdas:
         if not math.isfinite(lam):
@@ -316,15 +328,17 @@ def run_report(
     ts = np.linspace(0.0, float(tmax), int(grid))
 
     freq = frequency_report(H, tol_zero=tol_zero, gap_min=gap_min)
-    dyson = builder.dyson_terms(H, max(orders))
+    results = builder.heff_secular(H, orders, tol_zero=tol_zero, time_grid=ts)
+    S = H.to_operator_series()
+    dyson = [builder.dyson_step(S)]
+    for k in range(2, orders[-1] + 1):
+        heff = results[k].series if k in results else S * dyson[-1]
+        dyson.append(builder.dyson_step(heff))
     dyson_grids = _unitarity_of_partial_sums([U.evaluate_grid(ts) for U in dyson], orders)
 
     records = []
-    series_by_order = {}
     sweep_herm = {}
-    for n in orders:
-        result = builder.heff_secular(H, n, tol_zero=tol_zero, time_grid=ts)
-        series_by_order[n] = result.series
+    for n, result in results.items():
         values = result.grid_values
         sweep_herm[n] = [float(hermiticity_defect(lam ** n * values).max(initial=0.0))
                          for lam in lambdas]
@@ -347,7 +361,7 @@ def run_report(
     residuals = tuple(
         {"order": n, "t": float(t), "residual": float(np.linalg.norm(closed - ref))}
         for n in quad_orders
-        for t, closed, ref in zip(residual_ts, series_by_order[n].evaluate_grid(residual_ts),
+        for t, closed, ref in zip(residual_ts, results[n].series.evaluate_grid(residual_ts),
                                   refs[n])
     )
 

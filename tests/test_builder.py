@@ -421,3 +421,73 @@ def test_recursion_matches_nested_products(make):
         result = heff_secular(H, n, time_grid=np.linspace(0.0, 1.0, 3))
         assert np.array_equal(result.secular, averaged.constant_part())
         assert result.secular_growth_flag == averaged.has_secular_growth()
+
+
+# ----------------------------------------------------------------------
+# heff_secular over a tuple of orders: one definite and one indefinite chain
+
+ZOO_AND_DEMOS = [p for p in RECURSION_MODELS if not p.id.startswith("generic")]
+
+
+def _assert_same_result(a, b):
+    assert a.order == b.order
+    _assert_same_series(a.series, b.series)
+    assert np.array_equal(a.secular, b.secular)
+    assert a.secular_growth_flag == b.secular_growth_flag
+    assert a.max_hermiticity_defect_on_grid == b.max_hermiticity_defect_on_grid
+    assert np.array_equal(a.grid_values, b.grid_values)
+    assert np.array_equal(a.hermiticity_defect_grid, b.hermiticity_defect_grid)
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (2, 3, 4), (4,), (2, 3, 4, 5, 6), (3, 2, 3)],
+                         ids=lambda orders: ",".join(map(str, orders)))
+@pytest.mark.parametrize("make", ZOO_AND_DEMOS)
+def test_secular_tuple_form_equals_the_scalar_calls(make, orders):
+    H = make()
+    results = heff_secular(H, orders)
+    assert list(results) == sorted(set(orders))
+    for n, result in results.items():
+        _assert_same_result(result, heff_secular(H, n))
+        _assert_same_series(result.series, heff_n_timedep(H, n))
+    assert heff_secular(H, list(orders)).keys() == results.keys()
+
+
+def test_secular_tuple_form_passes_grid_and_tol_zero_to_every_order():
+    ts = np.linspace(0.0, 3.0, 5)
+    results = heff_secular(NONCOMM, (2, 4), tol_zero=1e-6, time_grid=ts)
+    for n, result in results.items():
+        _assert_same_result(result, heff_secular(NONCOMM, n, tol_zero=1e-6, time_grid=ts))
+        assert result.grid_values.shape == (5, 2, 2)
+
+
+@pytest.mark.parametrize("order", [2.7, 2.0, True, np.float64(3.0), "3", None])
+def test_non_integer_orders_are_rejected(order):
+    with pytest.raises(OperatorValueError):
+        heff_secular(SCALAR, order)
+    with pytest.raises(OperatorValueError):
+        heff_secular(SCALAR, (2, order))
+    with pytest.raises(OperatorValueError):
+        heff_n_timedep(SCALAR, order)
+    with pytest.raises(OperatorValueError):
+        dyson_terms(SCALAR, order)
+
+
+def test_numpy_integer_orders_are_accepted():
+    _assert_same_result(heff_secular(SCALAR, np.int64(3)), heff_secular(SCALAR, 3))
+    assert list(heff_secular(SCALAR, (np.int32(2), 3))) == [2, 3]
+
+
+@pytest.mark.parametrize("orders", [(), (1, 2), (2, 7)])
+def test_secular_tuple_form_rejects_bad_order_lists(orders):
+    with pytest.raises(OperatorValueError):
+        heff_secular(SCALAR, orders)
+
+
+@pytest.mark.parametrize("grid", [
+    np.zeros((3, 2)), 0.5, [0.0, np.nan, 1.0], [0.0, np.inf], [[0.0, 1.0]],
+])
+def test_secular_rejects_bad_time_grids(grid):
+    with pytest.raises(OperatorValueError):
+        heff_secular(SCALAR, 2, time_grid=grid)
+    with pytest.raises(OperatorValueError):
+        heff_secular(SCALAR, (2, 3), time_grid=grid)

@@ -8,6 +8,7 @@ import pytest
 import effham.diagnostics
 from effham import (
     MultiToneHamiltonian,
+    OperatorSeries,
     OperatorValueError,
     ZOO_NAMES,
     commutation_probe,
@@ -350,7 +351,39 @@ def test_report_defect_grids_equal_a_fresh_evaluation(source):
 @pytest.mark.parametrize("options", [
     {"sweep": (0.4, math.nan)}, {"sweep": (math.inf,)}, {"sweep": (-math.inf, 0.2)},
     {"orders": (1, 2)}, {"orders": (2, 7)}, {"orders": ()},
+    {"orders": (2.5,)}, {"orders": (2, 3.0)}, {"orders": (True, 2)},
+    {"tmax": math.inf}, {"tmax": math.nan}, {"tmax": 0.0}, {"tmax": -1.0},
+    {"grid": 0}, {"grid": 1}, {"grid": 2.5}, {"grid": True}, {"grid": "64"},
 ])
 def test_report_rejects_bad_options_before_loading(options):
     with pytest.raises(OperatorValueError):
         run_report("no_such_file.ham", **options)
+
+
+@pytest.mark.parametrize("orders, products", [((2, 3), 8), ((2, 3, 4), 10),
+                                              ((2, 3, 4, 5, 6), 14), ((2, 4), 11), ((4,), 12)])
+def test_report_builds_one_definite_and_one_indefinite_chain(orders, products, monkeypatch):
+    # 2 (N - 1) products for the two chains up to the top order N, 4 for the
+    # reordering-identity gap, and one per order below N left out of `orders`
+    calls = []
+    multiply = OperatorSeries.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(OperatorSeries, "__mul__", counting)
+    run_report("raman_lambda", orders=orders, grid=8)
+    skipped = len(set(range(2, max(orders))) - set(orders))
+    assert len(calls) == 2 * (max(orders) - 1) + 4 + skipped == products
+
+
+@pytest.mark.parametrize("source", REPORT_SOURCES)
+def test_report_fills_in_the_orders_it_does_not_report(source):
+    # orders 2,4 need U_3, which the report builds as H * U_2 itself
+    full = run_report(source, orders=(2, 3, 4), grid=16, sweep=(0.4, -0.2)).as_dict()
+    gapped = run_report(source, orders=(2, 4), grid=16, sweep=(0.4, -0.2)).as_dict()
+    assert [rec["order"] for rec in gapped["orders"]] == [2, 4]
+    assert gapped["orders"] == [rec for rec in full["orders"] if rec["order"] != 3]
+    for row, full_row in zip(gapped["sweep"]["rows"], full["sweep"]["rows"]):
+        assert row["orders"] == [c for c in full_row["orders"] if c["order"] != 3]
