@@ -1,7 +1,11 @@
 """Command-line entry point: ``effham report MODEL [options]``.
 
-Exit codes: 0 on success, 2 for usage errors and for model problems
-(missing file, parse or compile diagnostics), 3 for numerical-guard
+Exit codes: 0 on success, 2 for usage errors, for model problems (an
+unknown ``builtin:`` name, a model path that cannot be read, such as a
+missing file or a directory, a file that is not UTF-8 text, parse or
+compile diagnostics) and for output paths that cannot be written (``--out``
+or ``--csv`` naming a directory or a file in a missing directory is
+refused before anything is computed), 3 for numerical-guard
 failures (term budget, power cap, dimension cap, quadrature refinement
 budget, and an allocation that runs out of memory, such as the time grid
 of a huge ``--grid``); each prints a one-line message. A usage error is
@@ -19,7 +23,9 @@ pairs per product); a value that is not an integer >= 1 exits 3 as well.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import re
 import sys
 
@@ -115,11 +121,35 @@ def _join_negative_sweep(argv: list[str]) -> list[str]:
     return args
 
 
+def _unwritable(path: str) -> int | None:
+    """The ``errno`` that writing a file at ``path`` would surely fail with:
+    ``path`` is a directory, or its parent is missing or not a directory."""
+    if os.path.isdir(path):
+        return errno.EISDIR
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    return None
+
+
+def _os_reason(exc: OSError) -> str:
+    return f"{exc.filename!r}: {exc.strerror}" if exc.filename else str(exc)
+
+
+def _fail(kind: str, message: str, code: int) -> int:
+    print(f"effham: {kind}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_sweep(sys.argv[1:] if argv is None else argv))
     if not args.tol_zero < args.gap_min:
         parser.error(f"--tol-zero ({args.tol_zero}) must be smaller than --gap-min ({args.gap_min})")
+    for path in filter(None, (args.out, args.csv)):
+        code = _unwritable(path)
+        if code is not None:
+            return _fail("output error", f"cannot write {path!r}: {os.strerror(code)}", 2)
     try:
         report = run_report(
             args.model,
@@ -129,15 +159,17 @@ def main(argv: list[str] | None = None) -> int:
             sweep=args.sweep,
             tol_zero=args.tol_zero,
             gap_min=args.gap_min,
-            out=args.out,
-            csv_path=args.csv,
         )
-    except (ModelError, FileNotFoundError) as exc:
-        print(f"effham: model error: {exc}", file=sys.stderr)
-        return 2
+    except ModelError as exc:
+        return _fail("model error", str(exc), 2)
+    except OSError as exc:  # the model file is the only thing run_report reads
+        return _fail("model error", f"cannot read {_os_reason(exc)}", 2)
     except _GUARD_ERRORS as exc:
-        print(f"effham: numerical guard: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 3
+        return _fail("numerical guard", str(exc) or type(exc).__name__, 3)
+    try:
+        report.write(args.out, args.csv)
+    except OSError as exc:
+        return _fail("output error", f"cannot write {_os_reason(exc)}", 2)
     if not args.out:
         print(report.to_json())
     return 0

@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import builder
-from .errors import OperatorValueError
+from .errors import OperatorValueError, UnknownModelError
 from .metrics import hermiticity_defect, unitarity_defect
 from .model import (
     DEFAULT_GAP_MIN,
@@ -122,11 +122,12 @@ ZOO_NAMES = tuple(sorted(_ZOO))
 
 
 def make_model(name: str, **params) -> MultiToneHamiltonian:
-    """Look up a zoo model by name (see ``ZOO_NAMES``)."""
+    """Look up a zoo model by name (see ``ZOO_NAMES``); an unknown name
+    raises :class:`UnknownModelError`, which lists the known ones."""
     try:
         factory = _ZOO[name]
     except KeyError:
-        raise OperatorValueError(
+        raise UnknownModelError(
             f"unknown model {name!r}; available: {', '.join(ZOO_NAMES)}"
         ) from None
     return factory(**params)
@@ -239,6 +240,18 @@ class Report:
             row.append(float(self.eq6[i]))
             rows.append(row)
         return rows
+
+    def write(self, json_path: str | None = None, csv_path: str | None = None) -> None:
+        """Write the JSON report and the CSV time series to the paths given."""
+        if json_path:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                fh.write(self.to_json())
+                fh.write("\n")
+        if csv_path:
+            import csv as _csv
+
+            with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+                _csv.writer(fh).writerows(self.csv_rows())
 
 
 def _unitarity_of_partial_sums(terms, orders: tuple[int, ...]) -> dict[int, np.ndarray]:
@@ -408,14 +421,5 @@ def run_report(
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
 
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-    if csv_path:
-        import csv as _csv
-
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerows(report.csv_rows())
+    report.write(out, csv_path)
     return report

@@ -769,7 +769,14 @@ def compile_model(ast: ModelSpecAst) -> MultiToneHamiltonian:
 
 
 def load_model(path: str) -> MultiToneHamiltonian:
-    """Parse and compile a ``.ham`` file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse and compile a ``.ham`` file.
+
+    A file that is not UTF-8 text raises :class:`ModelSyntaxError`; a path
+    that cannot be read raises the ``OSError`` of ``open``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ModelSyntaxError(f"not UTF-8 text: {exc}") from None
     return compile_model(parse_model(text))

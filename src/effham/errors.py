@@ -60,6 +60,11 @@ class ModelError(EffhamError):
         super().__init__(message)
 
 
+class UnknownModelError(ModelError, OperatorValueError):
+    """A built-in model name that is not in the zoo. It is an
+    :class:`OperatorValueError` too, as an unknown name has always been."""
+
+
 class ModelSyntaxError(ModelError):
     """Tokenization or grammar failure in a model file."""
 

@@ -11,7 +11,6 @@ truncation.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionCapError, DimensionMismatchError, OperatorValueError
 
@@ -80,8 +79,13 @@ def matrix_exponential(A: Operator) -> Operator:
 
     Delegates to ``scipy.linalg.expm`` (scaling-and-squaring with Pade
     approximants); for anti-Hermitian input the result is unitary to well
-    below 1e-12 in Frobenius norm for norms up to ~1e2.
+    below 1e-12 in Frobenius norm for norms up to ~1e2. ``scipy.linalg``
+    is imported here, on the first call, and not when ``effham`` is
+    imported: it takes about half the start-up time of a process, and
+    nothing else in the package uses it.
     """
+    from scipy.linalg import expm
+
     A = as_operator(A)
     return expm(A)
 

@@ -313,18 +313,22 @@ def quad_oracle(H, n, t, tol: float,
     gives a zero matrix. The grid then spans ``[0, T]`` and not
     ``[0, t]``, so a value is not bit-identical to that of a call at its
     time alone; a one-element sequence is, since there ``T = t``. Bad
-    orders, tolerances and times raise :class:`OperatorValueError` before
-    H is sampled. Raises :class:`QuadratureError` if the refinement cap is
+    orders (anything but an integer in 2..4: ``2.0`` and ``True`` are
+    refused, numpy integers accepted), tolerances and times raise
+    :class:`OperatorValueError` before H is sampled. Raises :class:`QuadratureError` if the refinement cap is
     reached first; its ``best`` holds the best estimate, or for a tuple of
     orders the best estimate of every order, in the shape of the result.
     """
     single = not isinstance(n, (tuple, list))
-    orders = sorted({int(k) for k in ((n,) if single else n)})
-    if not orders:
+    asked = (n,) if single else n
+    if not asked:
         raise OperatorValueError("quad_oracle needs at least one order")
-    for k in orders:
+    for k in asked:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise OperatorValueError(f"quad_oracle order must be an integer, got {k!r}")
         if not 2 <= k <= 4:
             raise OperatorValueError(f"quad_oracle supports orders 2..4, got {k}")
+    orders = sorted({int(k) for k in asked})
     if tol < 1e-12:
         raise OperatorValueError(f"tolerance must be >= 1e-12, got {tol}")
     times, scalar = _check_times(t)

@@ -175,3 +175,61 @@ def test_bare_memory_error_names_itself(monkeypatch, capsys):
     monkeypatch.setattr(effham.cli, "run_report", out_of_memory)
     assert main(["report", "builtin:scalar_single_tone"]) == 3
     assert capsys.readouterr().err.strip() == "effham: numerical guard: MemoryError"
+
+
+def _one_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    return lines[0]
+
+
+def test_unknown_builtin_exits_2_and_lists_the_names(capsys):
+    assert main(["report", "builtin:nope"]) == 2
+    line = _one_line(capsys)
+    assert line.startswith("effham: model error: unknown model 'nope'")
+    assert all(name in line for name in effham.ZOO_NAMES)
+
+
+def test_directory_as_model_exits_2(tmp_path, capsys):
+    assert main(["report", str(tmp_path)]) == 2
+    line = _one_line(capsys)
+    assert line.startswith("effham: model error: cannot read") and str(tmp_path) in line
+
+
+def test_model_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.ham"
+    path.write_bytes("space q 2\n# détuning\ntone sx(q) omega = 2.0\n".encode("latin-1"))
+    assert main(["report", str(path)]) == 2
+    line = _one_line(capsys)
+    assert line.startswith("effham: model error: not UTF-8 text") and "0xe9" in line
+
+
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+@pytest.mark.parametrize("where", ["missing_dir/x", "a_file/x", "."])
+def test_unwritable_output_exits_2_before_computing(option, where, tmp_path, capsys,
+                                                    no_report):
+    (tmp_path / "a_file").write_text("")
+    path = str(tmp_path / where)
+    assert main(["report", "builtin:scalar_single_tone", "--grid", "8", option, path]) == 2
+    line = _one_line(capsys)
+    assert line.startswith(f"effham: output error: cannot write {path!r}: ")
+    assert "model" not in line
+
+
+def test_csv_to_directory_leaves_no_json(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["report", "builtin:scalar_single_tone", "--grid", "8",
+                 "--out", str(out), "--csv", str(tmp_path)]) == 2
+    assert "Is a directory" in _one_line(capsys)
+    assert not out.exists()
+
+
+def test_output_error_while_writing_exits_2(tmp_path, capsys, monkeypatch):
+    # a path that passes the up-front check but fails when it is opened
+    monkeypatch.setattr(effham.cli, "_unwritable", lambda path: None)
+    assert main(["report", "builtin:scalar_single_tone", "--grid", "8",
+                 "--out", str(tmp_path)]) == 2
+    line = _one_line(capsys)
+    assert line == f"effham: output error: cannot write {str(tmp_path)!r}: Is a directory"

@@ -7,9 +7,11 @@ import pytest
 
 import effham.diagnostics
 from effham import (
+    ModelError,
     MultiToneHamiltonian,
     OperatorSeries,
     OperatorValueError,
+    UnknownModelError,
     ZOO_NAMES,
     commutation_probe,
     default_time_grid,
@@ -136,6 +138,13 @@ def test_zoo_names_cover_expected_models():
 def test_make_model_unknown_name():
     with pytest.raises(OperatorValueError):
         make_model("nonexistent_model")
+
+
+def test_unknown_name_is_a_model_error_too():
+    with pytest.raises(ModelError, match="available: commuting_diag, jc_detuned"):
+        make_model("nonexistent_model")
+    with pytest.raises(UnknownModelError):
+        run_report("builtin:nonexistent_model")
 
 
 def test_commuting_diag_probe_zero():

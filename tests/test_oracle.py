@@ -393,6 +393,23 @@ def test_quad_oracle_tuple_rejects_bad_orders_before_sampling(orders):
     assert H.points == 0
 
 
+@pytest.mark.parametrize("order", [2.7, 2.0, 3.0, True, None, "3", np.float64(3.0)])
+def test_quad_oracle_rejects_non_integer_orders_before_sampling(order):
+    H = _CountingOperator(make_model("raman_lambda"))
+    with pytest.raises(OperatorValueError, match=re.escape(f"integer, got {order!r}")):
+        quad_oracle(H, order, 1.0, 1e-9)
+    with pytest.raises(OperatorValueError, match="integer"):
+        quad_oracle(H, (2, order), 1.0, 1e-9)
+    assert H.points == 0
+
+
+def test_quad_oracle_accepts_numpy_integer_orders():
+    H = make_model("raman_lambda")
+    assert np.array_equal(quad_oracle(H, np.int64(3), 1.0, 1e-9), quad_oracle(H, 3, 1.0, 1e-9))
+    vals = quad_oracle(H, (np.int32(2), np.int64(4)), 1.0, 1e-9)
+    assert sorted(vals) == [2, 4] and all(type(k) is int for k in vals)
+
+
 def test_quad_oracle_tuple_budget_error_carries_best_estimates():
     # commuting_diag at t = 10 needs 2048 points for order 2 and 4096 for
     # orders 3 and 4, so a cap of 2048 stops orders 3 and 4 only
