@@ -31,9 +31,8 @@ report = run_report(
     orders=(2, 3),
     grid=32,
     sweep=(0.4, 0.2, 0.1),
-    out=str(out_dir / "report.json"),
-    csv_path=str(out_dir / "series.csv"),
 )
+report.write(str(out_dir / "report.json"), str(out_dir / "series.csv"))
 
 print("\n== report summary ==")
 print("model digest      :", report.model_digest[:16], "...")

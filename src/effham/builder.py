@@ -1,7 +1,7 @@
 """Closed-form effective Hamiltonians and time-ordered propagator terms.
 
 Every closed form here comes from one Dyson recursion (:func:`_chain`,
-one :func:`dyson_step` per order):
+one :func:`_dyson_step` per order); no other module runs it:
 
     U_0 = I,    U_k(t) = (1/(i*hbar)) * int_0^t H(t') U_{k-1}(t') dt',
 
@@ -35,6 +35,11 @@ instead pair a tone with its conjugate into zero-frequency terms that are
 not Hermitian at third order. Zero-frequency terms of that frame with a
 polynomial time dependence set ``secular_growth_flag`` instead of being
 silently folded into a "time-independent" Hamiltonian.
+
+The propagator terms ``U_1 .. U_n`` of the definite chain ride along on
+each :class:`EffectiveOrderResult` as ``dyson_terms``, equal key for key to
+:func:`dyson_terms`, so a caller that needs both the effective orders and
+the propagator (the report) runs the recursion once.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ def _drop_lower_limit_constants(I: OperatorSeries) -> OperatorSeries:
     return OperatorSeries._of(I.dim, I.freqs[keep], I.powers[keep], I.coeffs[keep])
 
 
-def dyson_step(heff: OperatorSeries, indefinite: bool = False) -> OperatorSeries:
+def _dyson_step(heff: OperatorSeries, indefinite: bool = False) -> OperatorSeries:
     """One step of the Dyson recursion: ``U_n = (1/(i*hbar)) int_0^t Heff_n``.
 
     ``heff`` is the order-n integrand ``Heff_n = H * U_{n-1}`` (``H`` itself
@@ -108,16 +113,20 @@ def dyson_step(heff: OperatorSeries, indefinite: bool = False) -> OperatorSeries
 
 def _chain(S: OperatorSeries, N: int,
            indefinite: bool = False) -> tuple[list[OperatorSeries], list[OperatorSeries]]:
-    """Integrands ``[Heff_1, ..., Heff_N]`` and terms ``[U_1, ..., U_(N-1)]``.
+    """Integrands ``[Heff_1, ..., Heff_N]`` and terms ``[U_1, ..., U_N]``.
 
-    ``Heff_1 = S``, ``U_k = dyson_step(Heff_k)`` and ``Heff_k = S * U_(k-1)``,
-    with every integral from 0, or indefinite if ``indefinite``. The chain
-    makes N - 1 products and N - 1 integrals.
+    ``Heff_1 = S``, ``U_k = _dyson_step(Heff_k)`` and ``Heff_k = S * U_(k-1)``,
+    with every integral from 0. The chain makes N - 1 products and N
+    integrals. If ``indefinite``, every integral drops its lower-limit
+    constants and the terms stop at ``U_(N-1)``: only the integrands of that
+    frame are read, so it makes N - 1 integrals.
     """
     heffs, terms = [S], []
     for _ in range(N - 1):
-        terms.append(dyson_step(heffs[-1], indefinite))
+        terms.append(_dyson_step(heffs[-1], indefinite))
         heffs.append(S * terms[-1])
+    if not indefinite:
+        terms.append(_dyson_step(heffs[-1]))
     return heffs, terms
 
 
@@ -185,6 +194,12 @@ class EffectiveOrderResult:
     ``grid_values`` holds ``series`` evaluated on the time grid, and
     ``hermiticity_defect_grid`` its Hermiticity defect at each grid point,
     so callers that need either do not evaluate the series again.
+
+    ``dyson_terms`` holds the propagator terms ``(U_1, ..., U_n)``, with
+    ``U_k = (1/(i*hbar)) int_0^t Heff_k`` taken from the same definite
+    chain as ``series``, and equal key for key to
+    ``dyson_terms(H, n)``. The results of one :func:`heff_secular` call
+    share prefixes of one tuple.
     """
 
     order: int
@@ -194,6 +209,7 @@ class EffectiveOrderResult:
     max_hermiticity_defect_on_grid: float
     grid_values: np.ndarray
     hermiticity_defect_grid: np.ndarray
+    dyson_terms: tuple[OperatorSeries, ...]
 
 
 def default_time_grid(H: MultiToneHamiltonian, points: int = 64) -> np.ndarray:
@@ -220,9 +236,10 @@ def heff_secular(H: MultiToneHamiltonian, n,
     tuple (or list) of orders, which gives ``{order: EffectiveOrderResult}``
     for its distinct orders in ascending order. Every order is read off one
     definite and one indefinite Dyson chain up to the highest order N
-    (``2 (N - 1)`` series products in all): the integrand ``Heff_n = H *
-    U_{n-1}`` of the definite chain is ``series``, equal key for key to
-    :func:`heff_n_timedep`, and ``secular`` and ``secular_growth_flag`` are
+    (``2 (N - 1)`` series products and ``2 N - 1`` integrals in all): the
+    integrand ``Heff_n = H * U_{n-1}`` of the definite chain is ``series``,
+    equal key for key to :func:`heff_n_timedep`, its terms ``U_1 .. U_n``
+    are ``dyson_terms``, and ``secular`` and ``secular_growth_flag`` are
     read from ``H * V_{n-1}`` of the indefinite chain (see
     :class:`EffectiveOrderResult`); at order 3 its zero-frequency terms
     come only from three-carrier sums that the frequency report classes as
@@ -238,7 +255,8 @@ def heff_secular(H: MultiToneHamiltonian, n,
     orders = check_orders((n,) if single else n)
     ts = default_time_grid(H) if time_grid is None else _check_time_grid(time_grid)
     S = H.to_operator_series()
-    heffs, _ = _chain(S, orders[-1])
+    heffs, terms = _chain(S, orders[-1])
+    terms = tuple(terms)
     averaged, _ = _chain(S, orders[-1], indefinite=True)
     results = {}
     for k in orders:
@@ -252,6 +270,7 @@ def heff_secular(H: MultiToneHamiltonian, n,
             max_hermiticity_defect_on_grid=float(defects.max(initial=0.0)),
             grid_values=values,
             hermiticity_defect_grid=defects,
+            dyson_terms=terms[:k],
         )
     return results[orders[0]] if single else results
 
@@ -260,8 +279,7 @@ def dyson_terms(H: MultiToneHamiltonian, N: int) -> list[OperatorSeries]:
     """Propagator terms ``[U_1(t), ..., U_N(t)]`` in closed form, from one pass
     of the Dyson recursion ``U_k = (1/(i*hbar)) int_0^t H U_{k-1}``."""
     N = _check_order(N, low=1)
-    heffs, terms = _chain(H.to_operator_series(), N)
-    return terms + [dyson_step(heffs[-1])]
+    return _chain(H.to_operator_series(), N)[1]
 
 
 def dyson_term(H: MultiToneHamiltonian, n: int) -> OperatorSeries:

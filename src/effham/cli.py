@@ -4,11 +4,13 @@ Exit codes: 0 on success, 2 for usage errors, for model problems (an
 unknown ``builtin:`` name, a model path that cannot be read, such as a
 missing file or a directory, a file that is not UTF-8 text, parse or
 compile diagnostics) and for output paths that cannot be written (``--out``
-or ``--csv`` naming a directory or a file in a missing directory is
-refused before anything is computed), 3 for numerical-guard
-failures (term budget, power cap, dimension cap, quadrature refinement
-budget, and an allocation that runs out of memory, such as the time grid
-of a huge ``--grid``); each prints a one-line message. A usage error is
+or ``--csv`` naming a directory or a file in a missing directory, or both
+naming the same file, is refused before anything is computed), 3 for
+numerical-guard failures (term budget, power cap, dimension cap,
+quadrature refinement budget, a ``--sweep`` factor that scales an order
+out of the float range, such as ``1e200``, and an allocation that runs
+out of memory, such as the time grid of a huge ``--grid``); each prints a
+one-line message. A usage error is
 an option that does not parse or is out of range: ``--orders`` outside
 ``[2, MAX_ORDER]``, a ``--tmax`` that is not finite and > 0, a ``--grid``
 below 2, a ``--sweep`` factor that is not finite, a ``--tol-zero`` or
@@ -34,6 +36,7 @@ from .errors import (
     ModelError,
     PowerCapError,
     QuadratureError,
+    SweepOverflowError,
     TermBudgetError,
 )
 from .builder import MAX_ORDER
@@ -42,7 +45,7 @@ from .model import DEFAULT_GAP_MIN
 from .tones import TOL_ZERO
 
 _GUARD_ERRORS = (TermBudgetError, PowerCapError, DimensionCapError, QuadratureError,
-                 MemoryError)
+                 SweepOverflowError, MemoryError)
 
 
 def _checked(convert, ok, what: str, expected: str):
@@ -150,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
         code = _unwritable(path)
         if code is not None:
             return _fail("output error", f"cannot write {path!r}: {os.strerror(code)}", 2)
+    if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
+        return _fail("output error", f"--out {args.out!r} and --csv {args.csv!r} "
+                                     "name the same file", 2)
     try:
         report = run_report(
             args.model,

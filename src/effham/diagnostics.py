@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import builder
-from .errors import OperatorValueError, UnknownModelError
+from .errors import OperatorValueError, SweepOverflowError, UnknownModelError
 from .metrics import hermiticity_defect, unitarity_defect
 from .model import (
     DEFAULT_GAP_MIN,
@@ -269,6 +269,39 @@ def _unitarity_of_partial_sums(terms, orders: tuple[int, ...]) -> dict[int, np.n
     return out
 
 
+def _sweep_row(lam: float, results, at_one, orders: tuple[int, ...]) -> list[dict]:
+    """The sweep cells of factor ``lam``: per order n, the largest
+    Hermiticity defect of ``lam^n Heff_n`` on the grid and the unitarity
+    defect of ``I + sum_{k<=n} lam^k U_k(1)``, with ``at_one`` holding the
+    values ``U_k(1)``. Raises :class:`SweepOverflowError` at the first order
+    whose cell is not finite."""
+
+    def power(k: int) -> float:
+        try:
+            return lam ** k
+        except OverflowError:
+            return math.inf
+
+    # an overflow shows as a non-finite defect below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        unitarity = _unitarity_of_partial_sums(
+            [power(k) * U for k, U in enumerate(at_one, start=1)], orders)
+        cells = []
+        for n in orders:
+            herm = float(hermiticity_defect(power(n) * results[n].grid_values).max(initial=0.0))
+            if not (math.isfinite(herm) and math.isfinite(unitarity[n])):
+                raise SweepOverflowError(
+                    f"sweep factor {lam!r} overflows the float range at order {n}: "
+                    f"Hermiticity defect {herm}, unitarity defect {unitarity[n]}"
+                )
+            cells.append({
+                "order": n,
+                "hermiticity_defect_max": herm,
+                "dyson_unitarity_defect_t1": unitarity[n],
+            })
+    return cells
+
+
 def run_report(
     model_path_or_name: str,
     orders: tuple[int, ...] = (2, 3),
@@ -278,29 +311,28 @@ def run_report(
     tol_zero: float = TOL_ZERO,
     gap_min: float = DEFAULT_GAP_MIN,
     quad_tol: float = 1e-9,
-    out: str | None = None,
-    csv_path: str | None = None,
 ) -> Report:
     """Run the full diagnostic pipeline for one model.
 
     ``model_path_or_name`` is a ``.ham`` file path, a bare zoo name, or
-    ``builtin:NAME``. Writes JSON/CSV when paths are given and returns the
-    :class:`Report` either way. An empty order list, an order that is not
+    ``builtin:NAME``. Returns the :class:`Report`; :meth:`Report.write`
+    writes its JSON and CSV files. An empty order list, an order that is not
     an integer in ``[2, MAX_ORDER]``, a ``tmax`` that is not finite and
     > 0, a ``grid`` that is not an integer >= 2 and non-finite sweep
-    factors raise :class:`OperatorValueError` before any computation;
-    ``tol_zero`` reaches both the frequency report and the secular
+    factors raise :class:`OperatorValueError` before any computation; a
+    finite sweep factor that scales some order out of the float range
+    raises :class:`SweepOverflowError`, which names the factor and the
+    order. ``tol_zero`` reaches both the frequency report and the secular
     extraction.
 
     Every order comes from one :func:`~effham.builder.heff_secular` call
     over the tuple of orders, which builds one definite and one indefinite
-    Dyson chain up to the highest order N. The integrand of each definite
-    step is ``Heff_k = H * U_(k-1)``, so ``U_1 .. U_N`` follow from the
-    series it returns, with ``Heff_1 = H`` and
-    ``U_k = (1/(i*hbar)) int_0^t Heff_k`` (an order that was not asked
-    for is filled in as ``H * U_(k-1)``). A report at top order N thus
-    makes ``2 (N - 1)`` series products, 4 more for the reordering-identity
-    gap, and one more per order below N that was not asked for. The sweep
+    Dyson chain up to the highest order N; the propagator terms
+    ``U_1 .. U_N`` are the ``dyson_terms`` of the top order's result. A
+    report at top order N thus makes ``2 (N - 1) + 4`` series products and
+    ``2 N + 3`` integrals, whichever orders up to N it lists: ``2 (N - 1)``
+    products and ``2 N - 1`` integrals for the two chains, and 4 of each
+    for the reordering-identity gap. The sweep
     is derived from them by homogeneity,
     ``Heff_n(lam H) = lam^n Heff_n(H)`` and ``U_k(lam H) = lam^k U_k(H)``:
     row ``lam`` holds, per order n, the largest Hermiticity defect of
@@ -342,29 +374,20 @@ def run_report(
 
     freq = frequency_report(H, tol_zero=tol_zero, gap_min=gap_min)
     results = builder.heff_secular(H, orders, tol_zero=tol_zero, time_grid=ts)
-    S = H.to_operator_series()
-    dyson = [builder.dyson_step(S)]
-    for k in range(2, orders[-1] + 1):
-        heff = results[k].series if k in results else S * dyson[-1]
-        dyson.append(builder.dyson_step(heff))
+    dyson = results[orders[-1]].dyson_terms
     dyson_grids = _unitarity_of_partial_sums([U.evaluate_grid(ts) for U in dyson], orders)
 
-    records = []
-    sweep_herm = {}
-    for n, result in results.items():
-        values = result.grid_values
-        sweep_herm[n] = [float(hermiticity_defect(lam ** n * values).max(initial=0.0))
-                         for lam in lambdas]
-        records.append(
-            OrderRecord(
-                order=n,
-                secular=result.secular,
-                secular_growth_flag=result.secular_growth_flag,
-                hermiticity_defect_grid=result.hermiticity_defect_grid,
-                dyson_unitarity_grid=dyson_grids[n],
-                secular_hermiticity_defect=hermiticity_defect(result.secular),
-            )
+    records = tuple(
+        OrderRecord(
+            order=n,
+            secular=result.secular,
+            secular_growth_flag=result.secular_growth_flag,
+            hermiticity_defect_grid=result.hermiticity_defect_grid,
+            dyson_unitarity_grid=dyson_grids[n],
+            secular_hermiticity_defect=hermiticity_defect(result.secular),
         )
+        for n, result in results.items()
+    )
 
     eq6 = eq6_gap_grid(H, ts)
 
@@ -381,31 +404,18 @@ def run_report(
     sweep_block = None
     if lambdas:
         at_one = [U.evaluate(1.0) for U in dyson]
-        rows = []
-        for i, lam in enumerate(lambdas):
-            unitarity = _unitarity_of_partial_sums(
-                [lam ** k * U for k, U in enumerate(at_one, start=1)], orders)
-            rows.append({
-                "lambda": lam,
-                "orders": [
-                    {
-                        "order": n,
-                        "hermiticity_defect_max": sweep_herm[n][i],
-                        "dyson_unitarity_defect_t1": unitarity[n],
-                    }
-                    for n in orders
-                ],
-            })
+        rows = [{"lambda": lam, "orders": _sweep_row(lam, results, at_one, orders)}
+                for lam in lambdas]
         sweep_block = {"lambdas": lambdas, "rows": rows}
 
-    report = Report(
+    return Report(
         model_digest=model_digest(H),
         source=source,
         dim=H.dim,
         omegas=H.omegas,
         frequency=freq,
         time_grid=ts,
-        orders=tuple(records),
+        orders=records,
         eq6=eq6,
         oracle_residuals=residuals,
         sweep=sweep_block,
@@ -420,6 +430,3 @@ def run_report(
         },
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
-
-    report.write(out, csv_path)
-    return report

@@ -33,6 +33,11 @@ class TermBudgetError(EffhamError):
     """
 
 
+class SweepOverflowError(EffhamError):
+    """A coupling-sweep factor drives a scaled order out of the range of a
+    float, so a defect of the sweep would not be finite."""
+
+
 class FrequencyConditionError(EffhamError):
     """A builder's frequency precondition (distinctness, no ambiguous
     three-frequency sums) is violated."""

@@ -437,6 +437,9 @@ def _assert_same_result(a, b):
     assert a.max_hermiticity_defect_on_grid == b.max_hermiticity_defect_on_grid
     assert np.array_equal(a.grid_values, b.grid_values)
     assert np.array_equal(a.hermiticity_defect_grid, b.hermiticity_defect_grid)
+    assert len(a.dyson_terms) == len(b.dyson_terms) == a.order
+    for U, V in zip(a.dyson_terms, b.dyson_terms):
+        _assert_same_series(U, V)
 
 
 @pytest.mark.parametrize("orders", [(2, 3), (2, 3, 4), (4,), (2, 3, 4, 5, 6), (3, 2, 3)],
@@ -450,6 +453,18 @@ def test_secular_tuple_form_equals_the_scalar_calls(make, orders):
         _assert_same_result(result, heff_secular(H, n))
         _assert_same_series(result.series, heff_n_timedep(H, n))
     assert heff_secular(H, list(orders)).keys() == results.keys()
+
+
+@pytest.mark.parametrize("make", ZOO_AND_DEMOS)
+def test_secular_dyson_terms_equal_dyson_terms(make):
+    H = make()
+    results = heff_secular(H, (2, 3, 4, 5, 6))
+    top = results[6].dyson_terms
+    for n, result in results.items():
+        assert len(result.dyson_terms) == n
+        assert all(U is V for U, V in zip(result.dyson_terms, top))  # shared prefixes
+        for U, V in zip(result.dyson_terms, dyson_terms(H, n)):
+            _assert_same_series(U, V)
 
 
 def test_secular_tuple_form_passes_grid_and_tol_zero_to_every_order():

@@ -233,3 +233,28 @@ def test_output_error_while_writing_exits_2(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path)]) == 2
     line = _one_line(capsys)
     assert line == f"effham: output error: cannot write {str(tmp_path)!r}: Is a directory"
+
+
+@pytest.mark.parametrize("out, csv", [("P", "P"), ("P", "./P"), ("./P", "P"),
+                                      ("P", "{tmp}/P"), ("link/P", "P")])
+def test_same_output_path_exits_2_and_writes_nothing(out, csv, tmp_path, monkeypatch, capsys,
+                                                     no_report):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+    argv = ["report", "builtin:scalar_single_tone", "--grid", "4",
+            "--out", out, "--csv", csv.format(tmp=tmp_path)]
+    assert main(argv) == 2
+    line = _one_line(capsys)
+    assert line.startswith("effham: output error: --out ") and line.endswith("name the same file")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
+
+
+@pytest.mark.parametrize("factor", ["1e60", "1e200"])
+def test_sweep_factor_out_of_float_range_exits_3(factor, capsys):
+    # 1e60 used to end in json's "Out of range float values", 1e200 in an
+    # OverflowError at lam ** n
+    argv = ["report", "builtin:scalar_single_tone", "--grid", "4", "--sweep", f"0.2,{factor}"]
+    assert main(argv) == 3
+    line = _one_line(capsys)
+    assert line.startswith(f"effham: numerical guard: sweep factor {float(factor)!r} ")
+    assert "at order 2" in line

@@ -240,7 +240,8 @@ def test_report_deterministic_apart_from_timestamp():
 def test_report_json_and_csv_files(tmp_path):
     out = tmp_path / "report.json"
     csv_file = tmp_path / "series.csv"
-    rep = run_report("commuting_diag", grid=8, out=str(out), csv_path=str(csv_file))
+    rep = run_report("commuting_diag", grid=8)
+    rep.write(str(out), str(csv_file))
     data = json.loads(out.read_text())
     assert data["schema"] == 1
     assert data["model_digest"] == rep.model_digest
@@ -370,26 +371,34 @@ def test_report_rejects_bad_options_before_loading(options):
 
 
 @pytest.mark.parametrize("orders, products", [((2, 3), 8), ((2, 3, 4), 10),
-                                              ((2, 3, 4, 5, 6), 14), ((2, 4), 11), ((4,), 12)])
+                                              ((2, 3, 4, 5, 6), 14), ((2, 4), 10), ((4,), 10)])
 def test_report_builds_one_definite_and_one_indefinite_chain(orders, products, monkeypatch):
-    # 2 (N - 1) products for the two chains up to the top order N, 4 for the
-    # reordering-identity gap, and one per order below N left out of `orders`
-    calls = []
+    # 2 (N - 1) products and 2 N - 1 integrals for the two chains up to the
+    # top order N, whichever orders below N are listed, and 4 of each for the
+    # reordering-identity gap; the propagator terms come off the definite chain
+    calls = {"mul": 0, "integrate": 0}
     multiply = OperatorSeries.__mul__
+    integrate = OperatorSeries.integrate_from_zero
 
-    def counting(self, other):
-        calls.append(None)
+    def counting_mul(self, other):
+        calls["mul"] += 1
         return multiply(self, other)
 
-    monkeypatch.setattr(OperatorSeries, "__mul__", counting)
+    def counting_integrate(self):
+        calls["integrate"] += 1
+        return integrate(self)
+
+    monkeypatch.setattr(OperatorSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(OperatorSeries, "integrate_from_zero", counting_integrate)
     run_report("raman_lambda", orders=orders, grid=8)
-    skipped = len(set(range(2, max(orders))) - set(orders))
-    assert len(calls) == 2 * (max(orders) - 1) + 4 + skipped == products
+    N = max(orders)
+    assert calls["mul"] == 2 * (N - 1) + 4 == products
+    assert calls["integrate"] == 2 * N + 3
 
 
 @pytest.mark.parametrize("source", REPORT_SOURCES)
 def test_report_fills_in_the_orders_it_does_not_report(source):
-    # orders 2,4 need U_3, which the report builds as H * U_2 itself
+    # orders 2,4 need U_3, which the report reads off the chain up to order 4
     full = run_report(source, orders=(2, 3, 4), grid=16, sweep=(0.4, -0.2)).as_dict()
     gapped = run_report(source, orders=(2, 4), grid=16, sweep=(0.4, -0.2)).as_dict()
     assert [rec["order"] for rec in gapped["orders"]] == [2, 4]
