@@ -4,8 +4,9 @@ Exit codes: 0 on success, 2 for usage errors, for model problems (an
 unknown ``builtin:`` name, a model path that cannot be read, such as a
 missing file or a directory, a file that is not UTF-8 text, parse or
 compile diagnostics) and for output paths that cannot be written (``--out``
-or ``--csv`` naming a directory or a file in a missing directory, or both
-naming the same file, is refused before anything is computed), 3 for
+or ``--csv`` naming a directory or a file in a missing directory, both
+naming the same file, or either naming the model file, is refused before
+anything is computed), 3 for
 numerical-guard failures (term budget, power cap, dimension cap,
 quadrature refinement budget, a ``--sweep`` factor that scales an order
 out of the float range, such as ``1e200``, and an allocation that runs
@@ -156,6 +157,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
         return _fail("output error", f"--out {args.out!r} and --csv {args.csv!r} "
                                      "name the same file", 2)
+    for option, path in (("--out", args.out), ("--csv", args.csv)):
+        if path and os.path.realpath(path) == os.path.realpath(args.model):
+            return _fail("output error", f"{option} {path!r} names the model file "
+                                         f"{args.model!r}", 2)
     try:
         report = run_report(
             args.model,

@@ -249,6 +249,20 @@ def test_same_output_path_exits_2_and_writes_nothing(out, csv, tmp_path, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
 
 
+@pytest.mark.parametrize("option, path", [("--csv", "M.ham"), ("--out", "./M.ham")])
+def test_output_path_naming_the_model_file_exits_2(option, path, tmp_path, monkeypatch, capsys,
+                                                   no_report):
+    monkeypatch.chdir(tmp_path)
+    model = tmp_path / "M.ham"
+    model.write_text("space q 2\ntone sx(q) omega = 2.0\n")
+    before = model.read_bytes()
+    assert main(["report", "M.ham", "--grid", "4", option, path]) == 2
+    line = _one_line(capsys)
+    assert line == f"effham: output error: {option} {path!r} names the model file 'M.ham'"
+    assert model.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["M.ham"]
+
+
 @pytest.mark.parametrize("factor", ["1e60", "1e200"])
 def test_sweep_factor_out_of_float_range_exits_3(factor, capsys):
     # 1e60 used to end in json's "Out of range float values", 1e200 in an

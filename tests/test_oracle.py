@@ -148,9 +148,86 @@ def test_propagate_exact_matches_reference_loop_generic_tail_block(rng):
     _assert_matches_reference(propagate_exact(H, 1.5, steps=1000), H, 1.5, 1000)
 
 
+def test_propagate_exact_matches_reference_loop_dense_3x3(rng):
+    # one dense sector of 3 levels, multiplied as sums of outer products
+    H = MultiToneHamiltonian([(random_generic(rng, 3, 0.4), w) for w in (1.3, 2.1, 3.7)])
+    assert _sector_sizes(H, np.linspace(0.0, 1.5, 5)) == [3]
+    _assert_matches_reference(propagate_exact(H, 1.5, steps=1000), H, 1.5, 1000)
+
+
 def test_propagate_exact_matches_reference_loop_jc():
     H = jc_detuned(g=0.05)
     _assert_matches_reference(propagate_exact(H, 50.0, steps=4096), H, 50.0, 4096)
+
+
+def _sector_sizes(op, ts):
+    return sorted(len(s) for s in oracle._sectors(np.any(op.evaluate_grid(ts) != 0, axis=0)))
+
+
+def test_sectors_of_jc_and_of_a_dense_model(rng):
+    ts = np.linspace(0.0, 3.0, 7)
+    # jc conserves the excitation number: two lone states, four doublets
+    assert _sector_sizes(jc_detuned(g=0.05), ts) == [1, 1, 2, 2, 2, 2]
+    assert _sector_sizes(_generic_three_tone(rng), ts) == [6]
+
+
+def _random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def test_propagate_exact_of_rotated_jc_matches_conjugated_propagator(rng):
+    # V H V^dag has one dense sector, so it runs the unsplit path, while jc
+    # itself runs split into its sectors; both give V U V^dag and the same
+    # step-halving distance
+    jc = jc_detuned(g=0.05)
+    V = _random_unitary(rng, jc.dim)
+    rotated = MultiToneHamiltonian([(V @ tone.h @ V.conj().T, tone.omega) for tone in jc.tones])
+    assert _sector_sizes(rotated, np.linspace(0.0, 3.0, 7)) == [jc.dim]
+    res = propagate_exact(jc, 50.0, steps=1024)
+    rot = propagate_exact(rotated, 50.0, steps=1024)
+    assert np.linalg.norm(rot.U - V @ res.U @ V.conj().T) <= 1e-12 * np.linalg.norm(res.U)
+    assert abs(rot.est_error - res.est_error) <= 1e-6 * res.est_error
+
+
+def test_propagate_exact_runs_sectors_larger_than_3x3_unsplit(rng, monkeypatch):
+    # a padded stack of 4x4 sectors would cost one np.matmul per sector
+    h = np.zeros((8, 8), dtype=complex)
+    h[:4, :4] = random_generic(rng, 4, 0.4)
+    h[4:, 4:] = random_generic(rng, 4, 0.4)
+    H = MultiToneHamiltonian([(h, w) for w in (1.3, 2.1)])
+    assert _sector_sizes(H, np.linspace(0.0, 1.5, 5)) == [4, 4]
+    monkeypatch.setattr(oracle, "_SectorSplit", None)
+    _assert_matches_reference(propagate_exact(H, 1.5, steps=300), H, 1.5, 300)
+
+
+class _SwitchedCoupling:
+    """Two detuned pairs of levels whose coupling is off until ``t_on``."""
+
+    dim = 4
+    max_omega = 1.7
+
+    def __init__(self, t_on):
+        self.t_on = t_on
+
+    def evaluate_grid(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        H = np.zeros((len(ts), 4, 4), dtype=complex)
+        H[:, range(4), range(4)] = [0.3, -0.2, 0.5, 0.1]
+        on = 0.4 * np.cos(1.7 * ts) * (ts >= self.t_on)
+        for i, j in ((0, 1), (2, 3)):
+            H[:, i, j] = H[:, j, i] = on
+        return H
+
+
+def test_propagate_exact_matches_reference_loop_when_sectors_change():
+    # the first block has four lone levels; from the second block on the
+    # coupling joins them into two pairs, so the sectors are found again
+    steps, t = 3 * oracle._RK4_BLOCK, 2.0
+    op = _SwitchedCoupling(t_on=1.1 * t / 3)
+    assert _sector_sizes(op, [0.0, t / 3]) == [1, 1, 1, 1]
+    assert _sector_sizes(op, [0.0, t]) == [2, 2]
+    _assert_matches_reference(propagate_exact(op, t, steps=steps), op, t, steps)
 
 
 def test_propagate_series_matches_reference_loop_nonhermitian(rng):
@@ -313,6 +390,16 @@ def test_quad_oracle_validates_inputs():
         quad_oracle(H, 5, 1.0, 1e-9)
     with pytest.raises(OperatorValueError):
         quad_oracle(H, 2, 1.0, 1e-13)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, None, -1.0, 1e-13, True, "1e-9"])
+def test_quad_oracle_rejects_bad_tolerance_before_sampling(tol):
+    H = _CountingOperator(make_model("noncommuting_two_tone"))
+    with pytest.raises(OperatorValueError, match="tolerance"):
+        quad_oracle(H, 2, 1.0, tol)
+    with pytest.raises(OperatorValueError, match="tolerance"):
+        quad_oracle(H, (2, 3), [0.5, 1.0], tol)
+    assert H.points == 0
 
 
 def test_quad_oracle_budget_error_carries_best_estimate():
