@@ -47,7 +47,15 @@ sectors costs S products under ``np.matmul``.
 The quadrature path (:func:`quad_oracle`) evaluates the interaction
 Hamiltonian directly on refined uniform grids and builds the nested
 integrals with a fourth-order cumulative Simpson rule, one refinement
-for any set of orders 2..4 and any list of times. The cumulative chain on
+for any set of orders 2..4 and any list of times. A cumulative integral
+and a product with H keep the sectors of H's samples, so each level's
+chain runs on them by the same rule as an RK4 block: split when there is
+more than one sector and none larger than 3, with products by
+:func:`_mul` either way, and only the values at the read-out times are
+scattered back into ``(d, d)``. The Jaynes-Cummings chain then multiplies
+2x2 blocks and the dense zoo models of dimension 2 and 3 take the sum of
+outer products. The samples are read as complex, so a grid function may
+return real ones, and neither oracle writes to them. The cumulative chain on
 ``[0, T]``, ``T`` the largest time, holds every time that is an even node
 of the 256-interval level-0 grid (``t / T * 256`` an even integer, e.g.
 ``j * T / 8``), and every later level keeps those nodes, so all such times
@@ -242,9 +250,28 @@ class _SectorSplit:
         return stack
 
     def scatter(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=X.dtype)
-        out[self.rows[self.valid], self.cols[self.valid]] = X[self.valid]
+        # X is (..., S, b, b); any leading axes are kept
+        out = np.zeros(X.shape[:-3] + (self.dim, self.dim), dtype=X.dtype)
+        out[..., self.rows[self.valid], self.cols[self.valid]] = X[..., self.valid]
         return out
+
+
+def _nonzero(A: np.ndarray) -> np.ndarray:
+    """``(d, d)`` pattern of the entries of a C-contiguous complex sample
+    stack ``(n, d, d)`` with a nonzero real or imaginary part in any sample."""
+    d = A.shape[-1]
+    return np.any(A.view(A.real.dtype), axis=0).reshape(d, d, 2).any(axis=2)
+
+
+def _sector_split(pattern: np.ndarray) -> _SectorSplit | None:
+    """The split of samples with this nonzero pattern into its invariant
+    sectors, or None where they run unsplit: the split pays only where the
+    sectors take the cheap product of :func:`_mul`, so there must be more
+    than one sector and none larger than ``_SMALL_PRODUCT``."""
+    sectors = _sectors(pattern)
+    if len(sectors) > 1 and max(map(len, sectors)) <= _SMALL_PRODUCT:
+        return _SectorSplit(len(pattern), sectors)
+    return None
 
 
 def _rk4_pair(grid_eval, dim: int, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,19 +285,17 @@ def _rk4_pair(grid_eval, dim: int, t: float, steps: int) -> tuple[np.ndarray, np
     for c0 in range(0, steps, _RK4_BLOCK):
         c1 = min(steps, c0 + _RK4_BLOCK)
         times = (h / 2) * (4 * c0 + np.arange(4 * (c1 - c0) + 1))
-        A = -1j * np.asarray(grid_eval(times))
-        # entries with a nonzero real or imaginary part in any sample
-        nonzero = np.any(A.view(A.real.dtype), axis=0).reshape(dim, dim, 2).any(axis=2)
+        # the caller's samples are never written to: only a copy is scaled
+        A = np.ascontiguousarray(grid_eval(times), dtype=complex)
+        nonzero = _nonzero(A)
         if pattern is None or not np.array_equal(nonzero, pattern):
-            sectors = _sectors(nonzero)
-            pattern = nonzero
-            # the split pays only where the sectors take the cheap product
-            small = len(sectors) > 1 and max(map(len, sectors)) <= _SMALL_PRODUCT
-            split = _SectorSplit(dim, sectors) if small else None
+            pattern, split = nonzero, _sector_split(nonzero)
         if split is None:
-            Gb, Eb = _block_maps(A, h)
+            Gb, Eb = _block_maps(-1j * A, h)
         else:
-            Gb, Eb = map(split.scatter, _block_maps(split.gather(A), h))
+            A = split.gather(A)
+            A *= -1j
+            Gb, Eb = map(split.scatter, _block_maps(A, h))
         G, E = _join(G, E, Gb, Eb)
     G[np.diag_indices_from(G)] += 1
     return G, E
@@ -344,24 +369,31 @@ def _nested_values(H, orders: list[int], T: float, points: int,
                    nodes: np.ndarray) -> dict[int, np.ndarray]:
     # Order-k values for each k in ``orders`` from one sampling of H on
     # [0, T], read at the grid indices ``nodes``: the chain of order k is the
-    # first k - 1 steps of the highest order's chain.
+    # first k - 1 steps of the highest order's chain. The chain runs on the
+    # invariant sectors of the samples where they split, as the RK4 does,
+    # and only the read-out nodes are scattered back.
     ts = np.linspace(0.0, T, points + 1)
     h = T / points
-    Hs = H.evaluate_grid(ts)
+    Hs = np.ascontiguousarray(H.evaluate_grid(ts), dtype=complex)
+    split = _sector_split(_nonzero(Hs))
+    if split is not None:
+        Hs = split.gather(Hs)
     A = Hs
     factor = 1 + 0j
     out = {}
     for k in range(2, max(orders) + 1):
-        A = np.matmul(Hs, _cumulative_simpson(A, h))
+        A = _mul(Hs, _cumulative_simpson(A, h))
         factor *= -1j
         if k in orders:
-            out[k] = factor * A[nodes]
+            val = factor * A[nodes]
+            out[k] = val if split is None else split.scatter(val)
     return out
 
 
-def _agree(val: np.ndarray, prev: np.ndarray, tol: float) -> bool:
-    # successive values agree to tol in Frobenius norm at every time
-    return all(float(np.linalg.norm(v - p)) < tol for v, p in zip(val, prev))
+def _change(val: np.ndarray, prev: np.ndarray) -> float:
+    # largest Frobenius distance between successive values over the times;
+    # NaN if any distance is NaN, so that it never counts as converged
+    return float(np.max([np.linalg.norm(v - p) for v, p in zip(val, prev)]))
 
 
 def _check_times(t) -> tuple[np.ndarray, bool]:
@@ -425,7 +457,8 @@ def quad_oracle(H, n, t, tol: float,
     ``bool`` is refused as well. Raises :class:`QuadratureError` if the
     refinement cap is reached first; its ``best`` holds the best estimate,
     or for a tuple of orders the best estimate of every order, in the shape
-    of the result.
+    of the result, and its message states, for each order that did not
+    converge, its last successive change and the grid it was measured on.
     """
     single = not isinstance(n, (tuple, list))
     asked = (n,) if single else n
@@ -455,20 +488,28 @@ def quad_oracle(H, n, t, tol: float,
     nodes = np.rint(times / T * _BASE_POINTS).astype(int)
     done: dict[int, np.ndarray] = {}
     prev: dict[int, np.ndarray] = {}
+    changes: dict[int, float] = {}
     points = _BASE_POINTS
     while points <= max_points:
         vals = _nested_values(H, [k for k in orders if k not in done], T, points,
                               nodes * (points // _BASE_POINTS))
         for k, val in vals.items():
-            if k in prev and _agree(val, prev[k], tol):
-                done[k] = val
+            if k in prev:
+                changes[k] = _change(val, prev[k])
+                if changes[k] < tol:
+                    done[k] = val
         if len(done) == len(orders):
             return result(done)
         prev = vals
         points *= 2
     best = {k: done.get(k, prev.get(k)) for k in orders}
-    missing = ", ".join(str(k) for k in orders if k not in done)
+    # an order not done ran at every level, so its last change is the finest's
+    missing = [k for k in orders if k not in done]
+    why = "; ".join(f"order {k}: last change {changes[k]:.2g} at {points // 2} points"
+                    if k in changes else f"order {k}: fewer than two levels"
+                    for k in missing)
     raise QuadratureError(
-        f"quadrature of order {missing} did not reach tol={tol} within {max_points} points",
+        f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol} "
+        f"within {max_points} points ({why})",
         best=result(best),
     )

@@ -249,6 +249,66 @@ def test_propagate_exact_matches_reference_loop_odd_tree_and_short_tail(rng, ste
     _assert_matches_reference(propagate_exact(H, 1.5, steps=steps), H, 1.5, steps)
 
 
+class _RealPart:
+    """The real part of a model's samples, returned as ``dtype`` (float64
+    by default): a grid function whose samples are not complex."""
+
+    def __init__(self, op, dtype=float):
+        self.op, self.dtype = op, dtype
+        self.dim, self.max_omega = op.dim, op.max_omega
+
+    def evaluate_grid(self, ts):
+        return self.op.evaluate_grid(ts).real.astype(self.dtype)
+
+
+class _CachedSamples:
+    """Returns one cached array per distinct time grid, as a memoised grid
+    function would, and keeps a pristine copy of each to compare against."""
+
+    def __init__(self, op):
+        self.op = op
+        self.dim, self.max_omega = op.dim, op.max_omega
+        self.cache = {}
+
+    def evaluate_grid(self, ts):
+        key = np.asarray(ts, dtype=float).tobytes()
+        if key not in self.cache:
+            samples = self.op.evaluate_grid(ts)
+            self.cache[key] = (samples, samples.copy())
+        return self.cache[key][0]
+
+
+def _oracle_models(rng):
+    # split into 2x2 sectors (jc), one dense 3x3 sector (outer-product sums)
+    # and one dense 6x6 sector (np.matmul)
+    return {"jc": jc_detuned(g=0.05),
+            "dense3": MultiToneHamiltonian([(random_generic(rng, 3, 0.4), w)
+                                            for w in (1.3, 2.1, 3.7)]),
+            "dense6": _generic_three_tone(rng)}
+
+
+@pytest.mark.parametrize("name", ["jc", "dense3", "dense6"])
+def test_propagate_exact_of_real_samples_matches_reference_loop(rng, name):
+    op = _RealPart(_oracle_models(rng)[name])
+    assert op.evaluate_grid([0.0, 0.7]).dtype == np.float64
+    _assert_matches_reference(propagate_exact(op, 1.5, steps=300), op, 1.5, 300)
+
+
+@pytest.mark.parametrize("name", ["jc", "dense3"])
+def test_oracles_never_write_to_the_callers_samples(rng, name):
+    H = _oracle_models(rng)[name]
+    op = _CachedSamples(H)
+    res = propagate_exact(op, 1.5, steps=300)
+    vals = quad_oracle(op, (2, 3, 4), _eighths(2.0), 1e-9)
+    assert op.cache
+    for samples, pristine in op.cache.values():
+        assert samples.dtype == complex
+        assert samples.tobytes() == pristine.tobytes()
+    assert np.array_equal(res.U, propagate_exact(H, 1.5, steps=300).U)
+    for n, val in quad_oracle(H, (2, 3, 4), _eighths(2.0), 1e-9).items():
+        assert np.array_equal(vals[n], val)
+
+
 def _rk4_extended(A, h, steps):
     # the reference loop's RK4 step, in extended precision, on given samples
     U = np.eye(A.shape[1], dtype=A.dtype)
@@ -534,7 +594,7 @@ def test_quad_oracle_one_element_list_equals_scalar_call(n):
             assert np.array_equal(stack[0], matrix)
 
 
-@pytest.mark.parametrize("name", [n for n in ZOO_NAMES if make_model(n).dim <= 8])
+@pytest.mark.parametrize("name", ZOO_NAMES)
 def test_quad_oracle_times_match_closed_forms(name):
     H = make_model(name)
     T = 10.0 / H.min_omega
@@ -550,6 +610,85 @@ def test_quad_oracle_times_match_closed_forms(name):
             assert np.linalg.norm(val - closed.evaluate(t)) < 1e-8
     single = quad_oracle(H, 3, ts, 1e-9)
     assert single.shape == (8, H.dim, H.dim)
+
+
+@pytest.mark.parametrize("name", ["jc", "dense3", "dense6"])
+def test_quad_oracle_of_real_samples_equals_complex_samples(rng, name):
+    H = _oracle_models(rng)[name]
+    ts = _eighths(2.0)
+    real = quad_oracle(_RealPart(H), (2, 3, 4), ts, 1e-9)
+    cast = quad_oracle(_RealPart(H, complex), (2, 3, 4), ts, 1e-9)
+    for n in (2, 3, 4):
+        assert np.array_equal(real[n], cast[n])
+
+
+def test_quad_oracle_of_rotated_jc_matches_conjugated_values(rng):
+    # jc runs its chain on 2x2 sectors, V H V^dag (one dense sector) on
+    # whole 10x10 matrices; both refine to the same grids, so their values
+    # differ by rounding only, and jc's are exactly zero off its sectors
+    jc = jc_detuned(g=0.05)
+    V = _random_unitary(rng, jc.dim)
+    rotated = MultiToneHamiltonian([(V @ tone.h @ V.conj().T, tone.omega) for tone in jc.tones])
+    ts = np.linspace(0.0, 3.0, 7)
+    assert _sector_sizes(jc, ts) == [1, 1, 2, 2, 2, 2]
+    assert _sector_sizes(rotated, ts) == [jc.dim]
+    in_sector = np.zeros((jc.dim, jc.dim), dtype=bool)
+    for s in oracle._sectors(np.any(jc.evaluate_grid(ts) != 0, axis=0)):
+        in_sector[np.ix_(s, s)] = True
+    times = _eighths(6.0)
+    probe, rot_probe = _CountingOperator(jc), _CountingOperator(rotated)
+    vals = quad_oracle(probe, (2, 3, 4), times, 1e-9)
+    rot = quad_oracle(rot_probe, (2, 3, 4), times, 1e-9)
+    assert probe.grids == rot_probe.grids
+    for n in (2, 3, 4):
+        assert not vals[n][:, ~in_sector].any()
+        assert vals[n][:, in_sector].any()
+        conjugated = V @ vals[n] @ V.conj().T
+        assert np.linalg.norm(rot[n] - conjugated) <= 1e-12 * np.linalg.norm(vals[n])
+
+
+def test_quad_oracle_runs_sectors_larger_than_3x3_unsplit(rng, monkeypatch):
+    h = np.zeros((8, 8), dtype=complex)
+    h[:4, :4] = random_generic(rng, 4, 0.4)
+    h[4:, 4:] = random_generic(rng, 4, 0.4)
+    H = MultiToneHamiltonian([(h, w) for w in (1.3, 2.1)])
+    assert _sector_sizes(H, np.linspace(0.0, 1.5, 5)) == [4, 4]
+    monkeypatch.setattr(oracle, "_SectorSplit", None)
+    ts = _eighths(1.5)
+    vals = quad_oracle(H, (2, 3, 4), ts, 1e-9)
+    for n in (2, 3, 4):
+        closed = heff_n_timedep(H, n)
+        for t, val in zip(ts, vals[n]):
+            assert np.linalg.norm(val - closed.evaluate(t)) < 1e-8
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+def test_small_product_matches_matmul(rng, b):
+    # the shapes the oracles pass: single blocks, stacks of samples, stacks
+    # of samples split into sectors, and strided views of such a stack
+    def stack(*shape):
+        return rng.normal(size=shape + (b, b)) + 1j * rng.normal(size=shape + (b, b))
+
+    A = stack(9, 4)
+    for X, Y in [(stack(), stack()), (stack(9), stack(9)), (stack(9, 4), stack(9, 4)),
+                 (A[1::2], A[:-1:2])]:
+        ref = np.matmul(X, Y)
+        Z = oracle._mul(X, Y)
+        assert Z.shape == ref.shape
+        assert np.linalg.norm(Z - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_quad_oracle_budget_error_states_the_last_change():
+    # commuting_diag at t = 10 needs 4096 points for orders 3 and 4
+    H = make_model("commuting_diag")
+    tol = 1e-9
+    with pytest.raises(QuadratureError, match="order 3, 4") as err:
+        quad_oracle(H, (2, 3, 4), 10.0 / H.min_omega, tol, max_points=2048)
+    stated = re.findall(r"order (\d): last change (\S+) at (\d+) points", str(err.value))
+    assert [int(k) for k, _, _ in stated] == [3, 4]
+    for _, change, points in stated:
+        assert float(change) > tol
+        assert int(points) == 2048
 
 
 @pytest.mark.parametrize("ts", [
