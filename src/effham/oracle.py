@@ -454,11 +454,14 @@ def quad_oracle(H, n, t, tol: float,
     :class:`OperatorValueError` before H is sampled. ``tol`` must be a
     finite real number >= 1e-12: NaN would never agree and run the whole
     refinement, infinity would accept the first level, and ``None`` or a
-    ``bool`` is refused as well. Raises :class:`QuadratureError` if the
-    refinement cap is reached first; its ``best`` holds the best estimate,
-    or for a tuple of orders the best estimate of every order, in the shape
-    of the result, and its message states, for each order that did not
-    converge, its last successive change and the grid it was measured on.
+    ``bool`` is refused as well. ``max_points`` must be an integer >= 512
+    (a ``bool`` is refused), since convergence needs the 256- and 512-point
+    levels; a smaller cap is refused before H is sampled too. Raises
+    :class:`QuadratureError` if the refinement cap is reached first; its
+    ``best`` holds the best estimate, or for a tuple of orders the best
+    estimate of every order, in the shape of the result, and its message
+    states, for each order that did not converge, its last successive
+    change and the grid it was measured on.
     """
     single = not isinstance(n, (tuple, list))
     asked = (n,) if single else n
@@ -473,6 +476,11 @@ def quad_oracle(H, n, t, tol: float,
     if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
             or not math.isfinite(tol) or tol < 1e-12):
         raise OperatorValueError(f"tolerance must be a finite number >= 1e-12, got {tol!r}")
+    if (isinstance(max_points, bool) or not isinstance(max_points, numbers.Integral)
+            or max_points < 2 * _BASE_POINTS):
+        raise OperatorValueError(
+            f"max_points must be an integer >= {2 * _BASE_POINTS} (two refinement "
+            f"levels), got {max_points!r}")
     times, scalar = _check_times(t)
 
     def result(values: dict[int, np.ndarray]):
@@ -502,11 +510,10 @@ def quad_oracle(H, n, t, tol: float,
             return result(done)
         prev = vals
         points *= 2
-    best = {k: done.get(k, prev.get(k)) for k in orders}
+    best = {k: done[k] if k in done else prev[k] for k in orders}
     # an order not done ran at every level, so its last change is the finest's
     missing = [k for k in orders if k not in done]
     why = "; ".join(f"order {k}: last change {changes[k]:.2g} at {points // 2} points"
-                    if k in changes else f"order {k}: fewer than two levels"
                     for k in missing)
     raise QuadratureError(
         f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol} "

@@ -5,8 +5,12 @@ and ``coeffs[K, d, d]``, sorted by (frequency, power). Such envelopes are
 closed under products, derivatives and integrals from 0, which is what
 lets the nested-integral builders produce closed forms. The scalar rules
 (zero snapping, frequency clustering, the power cap, the by-parts
-integral) live in :class:`~effham.tones.TonePoly` alone: each operation
-takes the keys of its result from ``TonePoly`` and only sums matrices.
+integral) live in :class:`~effham.tones.TonePoly` alone. Construction,
+sums and products take the keys of their result from ``TonePoly`` and
+only sum matrices. Integrals and derivatives take each key's monomials
+from ``TonePoly`` and group the output keys exactly: such a monomial keeps
+its key's frequency or has frequency 0.0, and canonical frequencies lie
+more than ``TOL_ZERO`` apart, so clustering them again would change nothing.
 Keys whose matrix cancels below ``DROP_TOL`` of the largest are dropped.
 Stored keys and the key pairs of one product are guarded by a budget
 (default 2_000_000, overridable via ``EFFHAM_MAX_TERMS``).
@@ -59,20 +63,40 @@ def _key_poly(freqs, powers) -> TonePoly:
     return TonePoly(ToneMono(1.0, int(k), float(f)) for f, k in zip(freqs, powers))
 
 
+def _sum_keys(dim: int, key_freqs: np.ndarray, key_powers: np.ndarray, index, mats):
+    """``(freqs, powers, coeffs)`` of the keys ``key_freqs``/``key_powers``,
+    each the sum of the ``mats[i]`` with ``index[i]`` at it, in input order;
+    keys that cancel below ``DROP_TOL`` of the largest are dropped."""
+    _check_budget(len(key_freqs), "series keys")
+    coeffs = np.zeros((len(key_freqs), dim * dim), dtype=complex)
+    np.add.at(coeffs, index, np.reshape(mats, (-1, dim * dim)))
+    norms = np.linalg.norm(coeffs, axis=1)
+    keep = norms > DROP_TOL * norms.max(initial=0.0)
+    return key_freqs[keep], key_powers[keep], coeffs[keep].reshape(-1, dim, dim)
+
+
 def _gather(dim: int, freqs, powers, mats, keys: TonePoly | None = None):
     """``(freqs, powers, coeffs)`` of the sum of the monomials
     ``mats[i] t**powers[i] e^{i freqs[i] t}``, whose keys are the terms of
     ``keys`` (default: their key polynomial)."""
     if keys is None:
         keys = _key_poly(freqs, powers)
-    _check_budget(len(keys), "series keys")
-    coeffs = np.zeros((len(keys), dim * dim), dtype=complex)
-    np.add.at(coeffs, keys.term_index(freqs, powers), np.reshape(mats, (-1, dim * dim)))
-    norms = np.linalg.norm(coeffs, axis=1)
-    keep = norms > DROP_TOL * norms.max(initial=0.0)
-    return (np.array([m.freq for m in keys.terms], dtype=float)[keep],
-            np.array([m.power for m in keys.terms], dtype=int)[keep],
-            coeffs[keep].reshape(-1, dim, dim))
+    return _sum_keys(dim, np.array([m.freq for m in keys.terms], dtype=float),
+                     np.array([m.power for m in keys.terms], dtype=int),
+                     keys.term_index(freqs, powers), mats)
+
+
+def _group(dim: int, freqs: np.ndarray, powers: np.ndarray, mats: np.ndarray):
+    """As :func:`_gather`, for monomials whose keys are equal exactly when
+    they merge: no snapping or clustering, only a sort and a grouping of
+    equal neighbours."""
+    order = np.lexsort((powers, freqs))
+    f, k = freqs[order], powers[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (f[1:] != f[:-1]) | (k[1:] != k[:-1])
+    index = np.empty(len(order), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return _sum_keys(dim, f[first], k[first], index, mats)
 
 
 class _KeyView(Sequence):
@@ -194,14 +218,22 @@ class OperatorSeries:
     # ------------------------------------------------------------------
     # calculus
     def _termwise(self, op) -> "OperatorSeries":
-        """Apply the scalar map ``op`` to each key's unit monomial."""
-        freqs, powers, mats = [], [], []
-        for f, k, C in zip(self.freqs, self.powers, self.coeffs):
-            for m in op(TonePoly.exponential(f, 1.0, k)).terms:
-                freqs.append(m.freq)
-                powers.append(m.power)
-                mats.append(m.coeff * C)
-        return OperatorSeries._of(self.dim, *_gather(self.dim, freqs, powers, mats))
+        """Apply the scalar map ``op`` to each key's unit monomial.
+
+        ``op`` (an integral or a derivative) keeps a key's frequency or
+        gives exactly 0.0, and canonical frequencies lie more than
+        ``TOL_ZERO`` apart, so the output keys are grouped exactly."""
+        freqs, powers, scalars, owners = [], [], [], []
+        for i, (f, k) in enumerate(zip(self.freqs.tolist(), self.powers.tolist())):
+            for c, p, w in op(TonePoly.exponential(f, 1.0, k)).terms:
+                freqs.append(w)
+                powers.append(p)
+                scalars.append(c)
+                owners.append(i)
+        mats = (np.array(scalars, dtype=complex)[:, None, None]
+                * self.coeffs[np.array(owners, dtype=np.intp)])
+        return OperatorSeries._of(self.dim, *_group(
+            self.dim, np.array(freqs, dtype=float), np.array(powers, dtype=int), mats))
 
     def integrate_from_zero(self) -> "OperatorSeries":
         return self._termwise(TonePoly.integrate_from_zero)

@@ -11,8 +11,8 @@ below ``drop_tol`` relative to the largest one pruned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -30,47 +30,57 @@ DROP_TOL = 1e-14
 POWER_CAP = 16
 
 
-@dataclass(frozen=True)
-class ToneMono:
-    """One monomial ``coeff * t**power * exp(1j*freq*t)``."""
+class ToneMono(NamedTuple):
+    """One monomial ``coeff * t**power * exp(1j*freq*t)``.
+
+    A named tuple ``(coeff, power, freq)``: immutable and hashable, with
+    fields read by name or by position. Being a tuple, it also compares
+    equal to a plain ``(coeff, power, freq)`` tuple of the same values.
+    """
 
     coeff: complex
     power: int
     freq: float
 
 
-def _canonicalize(terms: Iterable[ToneMono], tol_zero: float, drop_tol: float) -> tuple[ToneMono, ...]:
-    snapped = []
-    for m in terms:
-        if m.coeff == 0:
-            continue
-        freq = 0.0 if abs(m.freq) <= tol_zero else float(m.freq)
-        snapped.append((freq, int(m.power), complex(m.coeff)))
+# Builds a ToneMono from a triple at half the cost of calling the class.
+_new_mono = tuple.__new__
+_BY_KEY = itemgetter(0, 1)
+
+
+def _canonicalize(terms: Iterable[tuple[complex, int, float]], tol_zero: float,
+                  drop_tol: float) -> tuple[ToneMono, ...]:
+    """Canonical terms of ``(coeff, power, freq)`` triples (a :class:`ToneMono`
+    is one): one sort by (frequency, power), then one pass that snaps,
+    clusters and sums."""
+    snapped = [(0.0 if abs(freq) <= tol_zero else float(freq), int(power), complex(coeff))
+               for coeff, power, freq in terms if coeff != 0]
     if not snapped:
         return ()
-    snapped.sort(key=lambda x: (x[0], x[1]))
+    snapped.sort(key=_BY_KEY)
 
     # Cluster frequencies by adjacency in the sorted order; the cluster
-    # representative is its smallest member.
+    # representative is its smallest member. Unless a cluster holds two
+    # distinct frequencies, the sums come out in sorted key order.
     merged: dict[tuple[float, int], complex] = {}
     cluster_freq = snapped[0][0]
+    regroup = False
     for freq, power, coeff in snapped:
-        if freq - cluster_freq > tol_zero:
-            cluster_freq = freq
+        if freq != cluster_freq:
+            if freq - cluster_freq > tol_zero:
+                cluster_freq = freq
+            else:
+                regroup = True
         key = (cluster_freq, power)
         merged[key] = merged.get(key, 0j) + coeff
 
-    max_mag = max(abs(c) for c in merged.values())
+    max_mag = max(map(abs, merged.values()))
     if max_mag == 0.0:
         return ()
     floor = drop_tol * max_mag
-    out = [
-        ToneMono(coeff, power, freq)
-        for (freq, power), coeff in merged.items()
-        if abs(coeff) > floor
-    ]
-    out.sort(key=lambda m: (m.freq, m.power))
-    return tuple(out)
+    items = sorted(merged.items()) if regroup else merged.items()
+    return tuple([_new_mono(ToneMono, (coeff, power, freq))
+                  for (freq, power), coeff in items if abs(coeff) > floor])
 
 
 class TonePoly:
@@ -84,7 +94,8 @@ class TonePoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[ToneMono] = (), *, tol_zero: float = TOL_ZERO,
+    def __init__(self, terms: Iterable[tuple[complex, int, float]] = (), *,
+                 tol_zero: float = TOL_ZERO,
                  drop_tol: float = DROP_TOL):
         object.__setattr__(self, "terms", _canonicalize(terms, tol_zero, drop_tol))
         for m in self.terms:
@@ -168,18 +179,14 @@ class TonePoly:
 
     def __mul__(self, other) -> "TonePoly":
         if isinstance(other, TonePoly):
-            out = []
-            for m1 in self.terms:
-                for m2 in other.terms:
-                    power = m1.power + m2.power
-                    if power > POWER_CAP:
-                        raise PowerCapError(
-                            f"product power {power} exceeds cap {POWER_CAP}"
-                        )
-                    out.append(ToneMono(m1.coeff * m2.coeff, power, m1.freq + m2.freq))
-            return TonePoly(out)
+            if self.terms and other.terms:
+                power = max(m.power for m in self.terms) + max(m.power for m in other.terms)
+                if power > POWER_CAP:
+                    raise PowerCapError(f"product power {power} exceeds cap {POWER_CAP}")
+            return TonePoly([(c1 * c2, p1 + p2, f1 + f2)
+                             for c1, p1, f1 in self.terms for c2, p2, f2 in other.terms])
         z = complex(other)
-        return TonePoly(tuple(ToneMono(m.coeff * z, m.power, m.freq) for m in self.terms))
+        return TonePoly([(c * z, p, f) for c, p, f in self.terms])
 
     __rmul__ = __mul__
 
@@ -196,25 +203,25 @@ class TonePoly:
         is applied, keeping every lower-limit constant so that the result
         evaluates to exactly 0 at t = 0.
         """
-        out: list[ToneMono] = []
-        for m in self.terms:
-            if m.freq == 0.0:
-                out.append(ToneMono(m.coeff / (m.power + 1), m.power + 1, 0.0))
+        out: list[tuple[complex, int, float]] = []
+        for coeff, power, freq in self.terms:
+            if freq == 0.0:
+                out.append((coeff / (power + 1), power + 1, 0.0))
                 continue
-            osc, const = _integral_table(m.power, m.freq)
+            osc, const = _integral_table(power, freq)
             for c, k in osc:
-                out.append(ToneMono(m.coeff * c, k, m.freq))
-            out.append(ToneMono(m.coeff * const, 0, 0.0))
+                out.append((coeff * c, k, freq))
+            out.append((coeff * const, 0, 0.0))
         return TonePoly(out)
 
     def derivative(self) -> "TonePoly":
         """Term-by-term ``d/dt``; exact left inverse of integrate_from_zero."""
         out = []
-        for m in self.terms:
-            if m.power >= 1:
-                out.append(ToneMono(m.coeff * m.power, m.power - 1, m.freq))
-            if m.freq != 0.0:
-                out.append(ToneMono(m.coeff * 1j * m.freq, m.power, m.freq))
+        for coeff, power, freq in self.terms:
+            if power >= 1:
+                out.append((coeff * power, power - 1, freq))
+            if freq != 0.0:
+                out.append((coeff * 1j * freq, power, freq))
         return TonePoly(out)
 
     # ------------------------------------------------------------------
@@ -269,6 +276,6 @@ def poly_allclose(p: TonePoly, q: TonePoly, rtol: float = 1e-11,
     scale = max(p.max_abs_coeff(), q.max_abs_coeff())
     if scale == 0.0:
         return True
-    diff = TonePoly(p.terms + tuple(ToneMono(-m.coeff, m.power, m.freq) for m in q.terms),
+    diff = TonePoly(p.terms + tuple((-c, k, f) for c, k, f in q.terms),
                     tol_zero=tol_zero, drop_tol=0.0)
     return diff.max_abs_coeff() <= rtol * scale

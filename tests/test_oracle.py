@@ -462,6 +462,25 @@ def test_quad_oracle_rejects_bad_tolerance_before_sampling(tol):
     assert H.points == 0
 
 
+@pytest.mark.parametrize("max_points", [100, 256, 511, 2.0, True])
+def test_quad_oracle_rejects_impossible_max_points_before_sampling(max_points):
+    # convergence needs two levels, 256 and 512 points
+    H = _CountingOperator(make_model("raman_lambda"))
+    with pytest.raises(OperatorValueError, match="max_points"):
+        quad_oracle(H, 2, 1.0, 1e-9, max_points=max_points)
+    with pytest.raises(OperatorValueError, match="max_points"):
+        quad_oracle(H, (2, 3), [0.5, 1.0], 1e-9, max_points=max_points)
+    assert H.points == 0
+
+
+@pytest.mark.parametrize("max_points", [512, np.int64(512)])
+def test_quad_oracle_accepts_two_level_max_points(max_points):
+    H = _CountingOperator(make_model("raman_lambda"))
+    value = quad_oracle(H, 2, 1.0, 1e-6, max_points=max_points)
+    assert np.array_equal(value, quad_oracle(H.op, 2, 1.0, 1e-6))
+    assert H.grids == [257, 513]
+
+
 def test_quad_oracle_budget_error_carries_best_estimate():
     H = make_model("noncommuting_two_tone")
     with pytest.raises(QuadratureError) as err:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from effham import series
 from effham import (
     DimensionMismatchError,
     OperatorSeries,
@@ -176,3 +177,53 @@ def test_term_budget_rejects_bad_value(monkeypatch, raw):
     monkeypatch.setenv("EFFHAM_MAX_TERMS", raw)
     with pytest.raises(TermBudgetError, match=repr(raw)):
         two_entry_series()
+
+
+# ----------------------------------------------------------------------
+# exact key grouping of integrals and derivatives
+
+
+def reference_termwise(S, op):
+    """The route exact grouping replaced: every output monomial re-clustered
+    through ``_key_poly`` and ``term_index``, kept verbatim as the reference."""
+    freqs, powers, mats = [], [], []
+    for f, k, C in zip(S.freqs, S.powers, S.coeffs):
+        for m in op(TonePoly.exponential(f, 1.0, k)).terms:
+            freqs.append(m.freq)
+            powers.append(m.power)
+            mats.append(m.coeff * C)
+    return OperatorSeries._of(S.dim, *series._gather(S.dim, freqs, powers, mats))
+
+
+def assert_identical(S, R):
+    for name in ("freqs", "powers", "coeffs"):
+        a, b = getattr(S, name), getattr(R, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_integral_and_derivative_match_reference_route(rng):
+    near = 1.0 + 1.5 * TOL_ZERO
+    cases = [random_series(rng, int(rng.integers(1, 4)), int(rng.integers(1, 12)))
+             for _ in range(20)]
+    cases += [
+        # keys just over TOL_ZERO apart, at 1.0 and around 0
+        OperatorSeries(2, [(sigma_x(), TonePoly.exponential(1.0, power=2)),
+                           (sigma_z(), TonePoly.exponential(near, power=1)),
+                           (sigma_z(), TonePoly.exponential(near)),
+                           (sigma_x(), TonePoly.exponential(1.5 * TOL_ZERO, power=1)),
+                           (sigma_z(), TonePoly.constant(0.5))]),
+        OperatorSeries.zero(3),
+    ]
+    for S in cases:
+        assert_identical(S.integrate_from_zero(),
+                         reference_termwise(S, TonePoly.integrate_from_zero))
+        assert_identical(S.derivative(), reference_termwise(S, TonePoly.derivative))
+    assert cases[-2].term_count == 5
+    assert cases[-1].integrate_from_zero().coeffs.shape == (0, 3, 3)
+
+
+def test_integral_keeps_the_term_budget(monkeypatch):
+    S = OperatorSeries(2, [(sigma_x(), TonePoly.exponential(1.0, power=2))])
+    monkeypatch.setenv("EFFHAM_MAX_TERMS", "3")
+    with pytest.raises(TermBudgetError, match="series keys"):
+        S.integrate_from_zero()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from effham import POWER_CAP, PowerCapError, ToneMono, TonePoly, poly_allclose
+from effham import POWER_CAP, TOL_ZERO, PowerCapError, ToneMono, TonePoly, poly_allclose
 
 
 def random_poly(rng, n_terms=10, max_power=3, freq_scale=5.0, coeff_scale=10.0):
@@ -224,3 +224,137 @@ def test_deterministic_ordering(rng):
 def test_power_cap_enforced():
     with pytest.raises(PowerCapError):
         TonePoly([ToneMono(1.0, POWER_CAP + 1, 0.0)])
+
+
+# ----------------------------------------------------------------------
+# reference canonicalizer
+
+
+def reference_canonicalize(terms, tol_zero, drop_tol):
+    """The dict-of-clusters canonicalizer the one-sort version replaced,
+    kept verbatim as the reference."""
+    snapped = []
+    for m in terms:
+        if m.coeff == 0:
+            continue
+        freq = 0.0 if abs(m.freq) <= tol_zero else float(m.freq)
+        snapped.append((freq, int(m.power), complex(m.coeff)))
+    if not snapped:
+        return ()
+    snapped.sort(key=lambda x: (x[0], x[1]))
+
+    # Cluster frequencies by adjacency in the sorted order; the cluster
+    # representative is its smallest member.
+    merged: dict[tuple[float, int], complex] = {}
+    cluster_freq = snapped[0][0]
+    for freq, power, coeff in snapped:
+        if freq - cluster_freq > tol_zero:
+            cluster_freq = freq
+        key = (cluster_freq, power)
+        merged[key] = merged.get(key, 0j) + coeff
+
+    max_mag = max(abs(c) for c in merged.values())
+    if max_mag == 0.0:
+        return ()
+    floor = drop_tol * max_mag
+    out = [
+        ToneMono(coeff, power, freq)
+        for (freq, power), coeff in merged.items()
+        if abs(coeff) > floor
+    ]
+    out.sort(key=lambda m: (m.freq, m.power))
+    return tuple(out)
+
+
+def edge_terms(rng, n_terms):
+    """Monomials on a small frequency lattice with offsets just inside and
+    just outside TOL_ZERO (also around 0), exact and near cancellations,
+    and zero coefficients."""
+    offsets = np.array([0.0, 0.4, 0.6, 0.99, 1.01, 1.5, 2.2]) * TOL_ZERO
+    terms = []
+    for _ in range(n_terms):
+        base = float(rng.integers(-2, 3)) * 0.5
+        freq = base + float(rng.choice(offsets)) * float(rng.choice([-1.0, 1.0]))
+        power = int(rng.integers(0, 3))
+        coeff = complex(rng.normal(), rng.normal())
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            terms.append(ToneMono(-coeff, power, freq))
+        elif kind == 1:
+            terms.append(ToneMono(-coeff * (1 - 1e-15), power, freq))
+        elif kind == 2:
+            coeff = 0j
+        terms.append(ToneMono(coeff, power, freq))
+    return terms
+
+
+def test_canonicalize_matches_reference(rng):
+    for trial in range(300):
+        terms = edge_terms(rng, int(rng.integers(0, 14)))
+        rng.shuffle(terms)
+        for drop_tol in (1e-14, 0.0, 0.3):
+            expected = reference_canonicalize(terms, TOL_ZERO, drop_tol)
+            got = TonePoly(terms, drop_tol=drop_tol).terms
+            assert got == expected, trial
+            assert [type(c) for m in got for c in m] == [type(c) for m in expected for c in m]
+
+
+def test_canonicalize_matches_reference_on_random_polys(rng):
+    for _ in range(50):
+        p = random_poly(rng, 8, freq_scale=1e-8)
+        q = random_poly(rng, 8)
+        terms = (p * q).terms + p.integrate_from_zero().terms + (p * q).derivative().terms
+        assert TonePoly(terms).terms == reference_canonicalize(terms, TOL_ZERO, 1e-14)
+
+
+def test_cluster_representative_is_smallest_member():
+    # gaps of 6e-10 chain 1.0 to 1.0 + 1.2e-9, which is more than TOL_ZERO
+    # from the representative 1.0, so it starts a cluster of its own
+    assert TOL_ZERO == 1e-9
+    terms = [ToneMono(1.0, 0, 1.0), ToneMono(1.0, 0, 1.0 + 6e-10), ToneMono(1.0, 0, 1.0 + 1.2e-9)]
+    for order in (terms, terms[::-1]):
+        p = TonePoly(order)
+        assert [m.freq for m in p.terms] == [1.0, 1.0 + 1.2e-9]
+        assert [m.coeff for m in p.terms] == [2.0, 1.0]
+
+
+def test_cluster_with_distinct_frequencies_keeps_sorted_keys():
+    # the power-1 key of 1.0 sorts before the power-0 key of 1.0 + 5e-10,
+    # which merges into the power-0 key of 1.0
+    p = TonePoly([ToneMono(1.0, 1, 1.0), ToneMono(2.0, 0, 1.0 + 5e-10), ToneMono(3.0, 0, 4.0)])
+    assert p.terms == (ToneMono(2.0, 0, 1.0), ToneMono(1.0, 1, 1.0), ToneMono(3.0, 0, 4.0))
+
+
+# ----------------------------------------------------------------------
+# ToneMono contract
+
+
+def test_tone_mono_fields_by_name_and_position():
+    m = ToneMono(2.0 - 1j, 3, 1.5)
+    assert (m.coeff, m.power, m.freq) == (2.0 - 1j, 3, 1.5)
+    assert (m[0], m[1], m[2]) == (2.0 - 1j, 3, 1.5)
+    coeff, power, freq = m
+    assert (coeff, power, freq) == (2.0 - 1j, 3, 1.5)
+    assert repr(m) == "ToneMono(coeff=(2-1j), power=3, freq=1.5)"
+
+
+def test_tone_mono_is_immutable_and_hashable():
+    m = ToneMono(1.0, 0, 2.0)
+    for name in ("coeff", "power", "freq"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0)
+    assert hash(m) == hash(ToneMono(1.0, 0, 2.0))
+    assert len({m, ToneMono(1.0, 0, 2.0), ToneMono(1.0, 1, 2.0)}) == 2
+    # the one difference from the frozen dataclass it replaced
+    assert m == (1.0, 0, 2.0)
+
+
+def test_operation_terms_are_tone_monos(rng):
+    p, q = random_poly(rng, 5), random_poly(rng, 4)
+    for r in (p * q, p * 2j, -p, p + q, p - q, p.integrate_from_zero(), p.derivative(),
+              p.secular_part(), TonePoly.exponential(2.0, 3.0, 1), TonePoly.constant(1.5)):
+        assert all(type(m) is ToneMono for m in r.terms)
+        assert r.terms == tuple(ToneMono(m.coeff, m.power, m.freq) for m in r.terms)
+    assert TonePoly.exponential(2.0, 3.0, 1).terms == (ToneMono(3.0 + 0j, 1, 2.0),)
+    assert (TonePoly.exponential(1.0) * TonePoly.exponential(2.0, power=2)).terms == (
+        ToneMono(1.0 + 0j, 2, 3.0),)
