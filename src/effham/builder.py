@@ -55,6 +55,7 @@ from .model import (
     HBAR,
     FrequencyReport,
     MultiToneHamiltonian,
+    _check_threshold,
     frequency_report,
 )
 from .series import OperatorSeries
@@ -248,11 +249,12 @@ def heff_secular(H: MultiToneHamiltonian, n,
     The Hermiticity defect of the full time-dependent series is measured on
     ``time_grid``, a finite 1-D sequence of times (default: 64 points over
     [0, 10 / min carrier]); the values and the per-point defects are kept
-    on the result. Bad orders and grids raise :class:`OperatorValueError`
-    before any build.
+    on the result. Bad orders and grids, and a ``tol_zero`` that is negative
+    or not finite, raise :class:`OperatorValueError` before any build.
     """
     single = not isinstance(n, (tuple, list))
     orders = check_orders((n,) if single else n)
+    _check_threshold("tol_zero", tol_zero)
     ts = default_time_grid(H) if time_grid is None else _check_time_grid(time_grid)
     S = H.to_operator_series()
     heffs, terms = _chain(S, orders[-1])

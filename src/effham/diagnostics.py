@@ -323,7 +323,9 @@ def run_report(
     finite sweep factor that scales some order out of the float range
     raises :class:`SweepOverflowError`, which names the factor and the
     order. ``tol_zero`` reaches both the frequency report and the secular
-    extraction.
+    extraction; a ``tol_zero`` or ``gap_min`` that is negative or not finite
+    raises :class:`OperatorValueError` from :func:`frequency_report`, before
+    any build.
 
     Every order comes from one :func:`~effham.builder.heff_secular` call
     over the tuple of orders, which builds one definite and one indefinite

@@ -26,6 +26,14 @@ must match the full model space.
 Names must be declared before use. ``param``/``op`` names share one
 namespace, space names another; the keywords of the grammar and the
 built-in function names are reserved.
+
+Nesting is bounded (200 parser levels), so that no walk of a parsed tree
+can exhaust the stack: a unary ``-`` counts one level, a parenthesis, a
+call argument or a ``mat`` entry four, and each chained ``+``, ``-`` or
+``*`` operator one more. A sum or product of up to 198 operands is
+accepted; a longer chain or a deeper nest is refused with a located
+"expression is nested too deeply". The product of the space dimensions
+is capped at ``MAX_DIMENSION`` (4096), checked before any matrix is built.
 """
 
 from __future__ import annotations
@@ -53,10 +61,10 @@ _BUILTIN_FACTOR_OPS: dict[str, Callable[[int], np.ndarray]] = {
     "sm": ops.sigma_minus,
 }
 
-_RESERVED = (
-    {"space", "param", "op", "tone", "omega", "mat", "kron", "proj"}
-    | set(_BUILTIN_FACTOR_OPS)
-)
+#: Argument count of every built-in call; the names are reserved words.
+_ARITY: dict[str, int] = {**dict.fromkeys(_BUILTIN_FACTOR_OPS, 1), "proj": 3, "kron": 2}
+
+_RESERVED = {"space", "param", "op", "tone", "omega", "mat"} | set(_ARITY)
 
 _MAX_EXPR_DEPTH = 200
 
@@ -73,14 +81,18 @@ class _Token:
     col: int
 
 
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
+# Each group is named after the kind of token it makes.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<number>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?i?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<sym>[()\[\],+\-*=])
+    rf"""
+    (?P<WS>[ \t]+)
+  | (?P<COMMENT>\#[^\n]*)
+  | (?P<NEWLINE>\n)
+  | (?P<IMAG>{_NUM}i)
+  | (?P<NUMBER>{_NUM})
+  | (?P<NAME>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<SYM>[()\[\],+\-*=])
     """,
     re.VERBOSE,
 )
@@ -94,20 +106,14 @@ def _lex(text: str) -> list[_Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ModelSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        group = m.lastgroup
+        kind = m.lastgroup
         value = m.group()
-        if group == "newline":
-            tokens.append(_Token("NEWLINE", value, line, col))
+        if kind not in ("WS", "COMMENT"):
+            tokens.append(_Token(kind, value, line, col))
+        if kind == "NEWLINE":
             line += 1
             col = 1
         else:
-            if group == "number":
-                kind = "IMAG" if value.endswith("i") else "NUMBER"
-                tokens.append(_Token(kind, value, line, col))
-            elif group == "name":
-                tokens.append(_Token("NAME", value, line, col))
-            elif group == "sym":
-                tokens.append(_Token("SYM", value, line, col))
             col += len(value)
         pos = m.end()
     tokens.append(_Token("EOF", "", line, col))
@@ -119,76 +125,66 @@ def _lex(text: str) -> list[_Token]:
 
 
 @dataclass(frozen=True)
-class NumberLit:
+class _Located:
+    line: int = field(default=0, compare=False, kw_only=True)
+    col: int = field(default=0, compare=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class NumberLit(_Located):
     value: complex
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class NameRef:
+class NameRef(_Located):
     name: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Located):
     func: str
     args: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class MatLit:
+class MatLit(_Located):
     rows: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Located):
     op: str
     left: object
     right: object
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Located):
     operand: object
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class SpaceDecl:
+class SpaceDecl(_Located):
     name: str
     dim: int
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class ParamDecl:
+class ParamDecl(_Located):
     name: str
     value: float
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class OpDecl:
+class OpDecl(_Located):
     name: str
     expr: object
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class ToneDecl:
+class ToneDecl(_Located):
     operator: object
     frequency: object
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -218,20 +214,13 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None) -> ModelSyntaxError:
-        tok = tok or self.current
-        return ModelSyntaxError(message, tok.line, tok.col)
+    def error(self, message: str) -> ModelSyntaxError:
+        return ModelSyntaxError(message, self.current.line, self.current.col)
 
     def expect_sym(self, sym: str) -> _Token:
         tok = self.current
         if tok.kind != "SYM" or tok.text != sym:
             raise self.error(f"expected {sym!r}, found {tok.text or 'end of file'!r}")
-        return self.advance()
-
-    def expect_name(self, what: str = "name") -> _Token:
-        tok = self.current
-        if tok.kind != "NAME":
-            raise self.error(f"expected {what}, found {tok.text or 'end of file'!r}")
         return self.advance()
 
     def at_sym(self, sym: str) -> bool:
@@ -244,14 +233,26 @@ class _Parser:
         elif tok.kind != "EOF":
             raise self.error(f"unexpected trailing token {tok.text!r}")
 
-    # ---- expressions (precedence climbing) ----
-    def parse_expr(self, depth: int = 0):
-        return self.parse_sum(depth)
+    def items(self, open_: str, close: str, parse_item, depth: int) -> tuple:
+        """``open_ item (, item)* close``, each item read by ``parse_item(depth)``."""
+        self.expect_sym(open_)
+        out = [parse_item(depth)]
+        while self.at_sym(","):
+            self.advance()
+            out.append(parse_item(depth))
+        self.expect_sym(close)
+        return tuple(out)
 
-    def parse_sum(self, depth: int):
+    # ---- expressions (precedence climbing) ----
+    # Every chained operator counts one more level, as the left-nested
+    # BinOp it builds is one level deeper: so the depth bound holds for
+    # the tree, and every recursive walk of it stays within the stack.
+    def parse_expr(self, depth: int = 0):
         self._check_depth(depth)
         node = self.parse_product(depth + 1)
         while self.current.kind == "SYM" and self.current.text in "+-":
+            depth += 1
+            self._check_depth(depth)
             tok = self.advance()
             right = self.parse_product(depth + 1)
             node = BinOp(tok.text, node, right, line=tok.line, col=tok.col)
@@ -261,6 +262,8 @@ class _Parser:
         self._check_depth(depth)
         node = self.parse_unary(depth + 1)
         while self.at_sym("*"):
+            depth += 1
+            self._check_depth(depth)
             tok = self.advance()
             right = self.parse_unary(depth + 1)
             node = BinOp("*", node, right, line=tok.line, col=tok.col)
@@ -286,8 +289,12 @@ class _Parser:
             return NumberLit(value, line=tok.line, col=tok.col)
         if tok.kind == "NAME":
             if tok.text == "mat":
-                return self.parse_mat(depth)
-            if tok.text in _BUILTIN_FACTOR_OPS or tok.text in ("proj", "kron"):
+                self.advance()
+                rows = self.items(
+                    "[", "]", lambda d: self.items("[", "]", self.parse_expr, d + 1), depth
+                )
+                return MatLit(rows, line=tok.line, col=tok.col)
+            if tok.text in _ARITY:
                 return self.parse_call(depth)
             if tok.text in _RESERVED:
                 raise self.error(f"reserved word {tok.text!r} cannot appear here")
@@ -305,38 +312,13 @@ class _Parser:
 
     def parse_call(self, depth: int):
         tok = self.advance()
-        self.expect_sym("(")
-        args = [self.parse_expr(depth + 1)]
-        while self.at_sym(","):
-            self.advance()
-            args.append(self.parse_expr(depth + 1))
-        self.expect_sym(")")
-        func = tok.text
-        want = 3 if func == "proj" else 2 if func == "kron" else 1
+        args = self.items("(", ")", self.parse_expr, depth + 1)
+        want = _ARITY[tok.text]
         if len(args) != want:
             raise ModelSyntaxError(
-                f"{func} takes {want} argument(s), got {len(args)}", tok.line, tok.col
+                f"{tok.text} takes {want} argument(s), got {len(args)}", tok.line, tok.col
             )
-        return Call(func, tuple(args), line=tok.line, col=tok.col)
-
-    def parse_mat(self, depth: int):
-        tok = self.advance()  # 'mat'
-        self.expect_sym("[")
-        rows = [self.parse_mat_row(depth)]
-        while self.at_sym(","):
-            self.advance()
-            rows.append(self.parse_mat_row(depth))
-        self.expect_sym("]")
-        return MatLit(tuple(rows), line=tok.line, col=tok.col)
-
-    def parse_mat_row(self, depth: int) -> tuple:
-        self.expect_sym("[")
-        row = [self.parse_expr(depth + 1)]
-        while self.at_sym(","):
-            self.advance()
-            row.append(self.parse_expr(depth + 1))
-        self.expect_sym("]")
-        return tuple(row)
+        return Call(tok.text, args, line=tok.line, col=tok.col)
 
     def _check_depth(self, depth: int):
         if depth > _MAX_EXPR_DEPTH:
@@ -344,14 +326,14 @@ class _Parser:
 
     # ---- statements ----
     def parse_file(self) -> ModelSpecAst:
-        spaces: list[SpaceDecl] = []
-        params: list[ParamDecl] = []
-        opdefs: list[OpDecl] = []
-        tones: list[ToneDecl] = []
-        while True:
-            tok = self.current
-            if tok.kind == "EOF":
-                break
+        # keyword -> (statement parser, the declarations it adds to)
+        statements = {
+            "space": (self.parse_space, []),
+            "param": (self.parse_param, []),
+            "op": (self.parse_opdef, []),
+            "tone": (self.parse_tone, []),
+        }
+        while (tok := self.current).kind != "EOF":
             if tok.kind == "NEWLINE":
                 self.advance()
                 continue
@@ -359,30 +341,27 @@ class _Parser:
                 raise self.error(
                     f"expected a declaration keyword, found {tok.text!r}"
                 )
-            if tok.text == "space":
-                spaces.append(self.parse_space())
-            elif tok.text == "param":
-                params.append(self.parse_param())
-            elif tok.text == "op":
-                opdefs.append(self.parse_opdef())
-            elif tok.text == "tone":
-                tones.append(self.parse_tone())
-            else:
+            if tok.text not in statements:
                 raise self.error(
                     f"expected 'space', 'param', 'op' or 'tone', found {tok.text!r}"
                 )
-        return ModelSpecAst(tuple(spaces), tuple(params), tuple(opdefs), tuple(tones))
+            parse, decls = statements[tok.text]
+            self.advance()
+            decls.append(parse(tok.line))
+        return ModelSpecAst(*(tuple(decls) for _, decls in statements.values()))
 
-    def _decl_name(self) -> _Token:
-        tok = self.expect_name()
+    def _decl_name(self) -> str:
+        tok = self.current
+        if tok.kind != "NAME":
+            raise self.error(f"expected name, found {tok.text or 'end of file'!r}")
         if tok.text in _RESERVED:
             raise ModelValidationError(
                 f"{tok.text!r} is a reserved word", tok.line, tok.col
             )
-        return tok
+        self.advance()
+        return tok.text
 
-    def parse_space(self) -> SpaceDecl:
-        kw = self.advance()
+    def parse_space(self, line: int) -> SpaceDecl:
         name = self._decl_name()
         dim_tok = self.current
         if dim_tok.kind != "NUMBER" or not re.fullmatch(r"\d+", dim_tok.text):
@@ -394,10 +373,9 @@ class _Parser:
                 "space dimension must be >= 1", dim_tok.line, dim_tok.col
             )
         self.end_of_line()
-        return SpaceDecl(name.text, dim, line=kw.line)
+        return SpaceDecl(name, dim, line=line)
 
-    def parse_param(self) -> ParamDecl:
-        kw = self.advance()
+    def parse_param(self, line: int) -> ParamDecl:
         name = self._decl_name()
         self.expect_sym("=")
         sign = 1.0
@@ -409,18 +387,16 @@ class _Parser:
             raise self.error("param value must be a real literal")
         self.advance()
         self.end_of_line()
-        return ParamDecl(name.text, sign * float(tok.text), line=kw.line)
+        return ParamDecl(name, sign * float(tok.text), line=line)
 
-    def parse_opdef(self) -> OpDecl:
-        kw = self.advance()
+    def parse_opdef(self, line: int) -> OpDecl:
         name = self._decl_name()
         self.expect_sym("=")
         expr = self.parse_expr()
         self.end_of_line()
-        return OpDecl(name.text, expr, line=kw.line)
+        return OpDecl(name, expr, line=line)
 
-    def parse_tone(self) -> ToneDecl:
-        kw = self.advance()
+    def parse_tone(self, line: int) -> ToneDecl:
         expr = self.parse_expr()
         tok = self.current
         if not (tok.kind == "NAME" and tok.text == "omega"):
@@ -429,50 +405,41 @@ class _Parser:
         self.expect_sym("=")
         freq = self.parse_expr()
         self.end_of_line()
-        return ToneDecl(expr, freq, line=kw.line)
+        return ToneDecl(expr, freq, line=line)
 
 
 # ----------------------------------------------------------------------
 # validation
 
 
-def _walk_names(expr, spaces: set[str], scalars: set[str], opnames: set[str]):
-    if isinstance(expr, NumberLit):
-        return
+def _walk_names(expr, spaces: set[str], values: set[str]):
+    """Check that every name ``expr`` uses is declared: a param or earlier op
+    in ``values``, and a space as the first argument of a factor built-in."""
     if isinstance(expr, NameRef):
-        if expr.name not in scalars and expr.name not in opnames:
+        if expr.name not in values:
             raise ModelValidationError(
                 f"unknown identifier {expr.name!r}", expr.line, expr.col
             )
         return
+    children = ()
     if isinstance(expr, Call):
-        if expr.func in _BUILTIN_FACTOR_OPS or expr.func == "proj":
-            space_arg = expr.args[0]
+        children = expr.args
+        if expr.func != "kron":
+            space_arg, *children = expr.args
             if not isinstance(space_arg, NameRef) or space_arg.name not in spaces:
                 raise ModelValidationError(
                     f"{expr.func} expects a declared space name as its first argument",
                     expr.line,
                     expr.col,
                 )
-            for arg in expr.args[1:]:
-                _walk_names(arg, spaces, scalars, opnames)
-            return
-        for arg in expr.args:
-            _walk_names(arg, spaces, scalars, opnames)
-        return
-    if isinstance(expr, MatLit):
-        for row in expr.rows:
-            for el in row:
-                _walk_names(el, spaces, scalars, opnames)
-        return
-    if isinstance(expr, BinOp):
-        _walk_names(expr.left, spaces, scalars, opnames)
-        _walk_names(expr.right, spaces, scalars, opnames)
-        return
-    if isinstance(expr, Neg):
-        _walk_names(expr.operand, spaces, scalars, opnames)
-        return
-    raise ModelValidationError(f"unsupported expression node {type(expr).__name__}")
+    elif isinstance(expr, MatLit):
+        children = [el for row in expr.rows for el in row]
+    elif isinstance(expr, BinOp):
+        children = (expr.left, expr.right)
+    elif isinstance(expr, Neg):
+        children = (expr.operand,)
+    for child in children:
+        _walk_names(child, spaces, values)
 
 
 def _eval_scalar(expr, params: dict[str, float]) -> complex:
@@ -508,25 +475,19 @@ def _validate(ast: ModelSpecAst) -> None:
             raise ModelValidationError(f"duplicate space name {s.name!r}", s.line)
         spaces.add(s.name)
 
-    params: dict[str, float] = {}
-    value_names: set[str] = set()
-    for p in ast.params:
-        if p.name in value_names:
-            raise ModelValidationError(f"duplicate name {p.name!r}", p.line)
-        value_names.add(p.name)
-        params[p.name] = p.value
+    # Params and ops share one namespace. Declaration order matters: an op
+    # may reference params and earlier ops.
+    values: set[str] = set()
+    for decl in ast.params + ast.operator_defs:
+        if decl.name in values:
+            raise ModelValidationError(f"duplicate name {decl.name!r}", decl.line)
+        if isinstance(decl, OpDecl):
+            _walk_names(decl.expr, spaces, values)
+        values.add(decl.name)
 
-    # Declaration order matters: an op may reference params and earlier ops.
-    opnames: set[str] = set()
-    for o in ast.operator_defs:
-        if o.name in value_names:
-            raise ModelValidationError(f"duplicate name {o.name!r}", o.line)
-        _walk_names(o.expr, spaces, set(params), opnames)
-        value_names.add(o.name)
-        opnames.add(o.name)
-
+    params = {p.name: p.value for p in ast.params}
     for t in ast.tones:
-        _walk_names(t.operator, spaces, set(params), opnames)
+        _walk_names(t.operator, spaces, values)
         freq = _eval_scalar(t.frequency, params)
         if (
             not math.isfinite(freq.real)
@@ -615,12 +576,9 @@ def _embed(mat: np.ndarray, factor: int, dims: Sequence[int]) -> np.ndarray:
 class _Compiler:
     def __init__(self, ast: ModelSpecAst):
         self.ast = ast
-        self.space_index: dict[str, int] = {}
-        self.dims: list[int] = []
-        for s in ast.spaces:
-            self.space_index[s.name] = len(self.dims)
-            self.dims.append(s.dim)
-        self.total = int(np.prod(self.dims)) if self.dims else 1
+        self.space_index = {s.name: i for i, s in enumerate(ast.spaces)}
+        self.dims = [s.dim for s in ast.spaces]
+        self.total = math.prod(self.dims)  # exact: int64 would wrap past 2**63
         if self.total > MAX_DIMENSION:
             raise ModelCompileError(
                 f"total dimension {self.total} exceeds cap {MAX_DIMENSION}"

@@ -17,6 +17,7 @@ ambiguous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Sequence
@@ -176,6 +177,11 @@ class FrequencyReport:
         return self.pairwise_distinct and self.ambiguous_count == 0
 
 
+def _check_threshold(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise OperatorValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def frequency_report(H: MultiToneHamiltonian, tol_zero: float = TOL_ZERO,
                      gap_min: float = DEFAULT_GAP_MIN) -> FrequencyReport:
     """Classify carrier distinctness and all signed three-frequency sums.
@@ -184,7 +190,12 @@ def frequency_report(H: MultiToneHamiltonian, tol_zero: float = TOL_ZERO,
     "three same ones" are included) and all sign patterns, deduplicated up
     to reordering. A sum is "zero" when |sum| <= tol_zero, "nonzero" when
     |sum| >= gap_min, and "ambiguous" in between.
+
+    A ``tol_zero`` or ``gap_min`` that is negative or not finite, or a
+    ``tol_zero`` not below ``gap_min``, raises :class:`OperatorValueError`.
     """
+    _check_threshold("tol_zero", tol_zero)
+    _check_threshold("gap_min", gap_min)
     if not tol_zero < gap_min:
         raise OperatorValueError(
             f"tol_zero ({tol_zero}) must be smaller than gap_min ({gap_min})"

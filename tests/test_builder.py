@@ -3,6 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import effham.builder
 from effham import (
     MAX_ORDER,
     FrequencyConditionError,
@@ -506,3 +507,15 @@ def test_secular_rejects_bad_time_grids(grid):
         heff_secular(SCALAR, 2, time_grid=grid)
     with pytest.raises(OperatorValueError):
         heff_secular(SCALAR, (2, 3), time_grid=grid)
+
+
+@pytest.mark.parametrize("tol_zero", [-1.0, float("nan"), float("inf")])
+def test_heff_secular_rejects_bad_tol_zero_before_any_build(tol_zero, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(effham.builder, "_chain", no_build)
+    with pytest.raises(OperatorValueError, match="tol_zero must be finite and >= 0"):
+        heff_secular(NONCOMM, 2, tol_zero=tol_zero)
+    with pytest.raises(OperatorValueError, match="tol_zero must be finite and >= 0"):
+        heff_secular(NONCOMM, (2, 3), tol_zero=tol_zero)

@@ -272,3 +272,13 @@ def test_sweep_factor_out_of_float_range_exits_3(factor, capsys):
     line = _one_line(capsys)
     assert line.startswith(f"effham: numerical guard: sweep factor {float(factor)!r} ")
     assert "at order 2" in line
+
+
+def test_long_operator_chain_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "chain.ham"
+    chain = " + ".join(["g"] * 3000)
+    path.write_text(f"space q 2\nparam g = 0.1\nop x = {chain}\ntone x * sx(q) omega = 1.0\n")
+    assert main(["report", str(path)]) == 2
+    line = _one_line(capsys)
+    assert line.startswith("effham: model error: 3:")
+    assert line.endswith("expression is nested too deeply")

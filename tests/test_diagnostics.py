@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import effham.builder
 import effham.diagnostics
 from effham import (
     ModelError,
@@ -405,3 +406,14 @@ def test_report_fills_in_the_orders_it_does_not_report(source):
     assert gapped["orders"] == [rec for rec in full["orders"] if rec["order"] != 3]
     for row, full_row in zip(gapped["sweep"]["rows"], full["sweep"]["rows"]):
         assert row["orders"] == [c for c in full_row["orders"] if c["order"] != 3]
+
+
+@pytest.mark.parametrize("name", ["tol_zero", "gap_min"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_report_rejects_bad_thresholds_before_any_build(name, value, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(effham.builder, "_chain", no_build)
+    with pytest.raises(OperatorValueError, match=f"{name} must be finite and >= 0"):
+        run_report("builtin:jc_detuned", grid=8, **{name: value})

@@ -231,6 +231,7 @@ def _mutate(text: str, rnd: random.Random) -> str:
 
 
 def test_parser_is_total_under_fuzzing():
+    # a case that parses must also serialize, and compile or fail with a ModelError
     rnd = random.Random(20260810)
     seeds = [path.read_text() for path in CORPUS]
     cases = []
@@ -245,6 +246,204 @@ def test_parser_is_total_under_fuzzing():
     assert len(cases) == 200
     for case in cases:
         try:
-            parse_model(case)
+            ast = parse_model(case)
         except ModelError:
-            pass  # a located diagnostic is the expected failure mode
+            continue  # a located diagnostic is the expected failure mode
+        serialize_model(ast)
+        try:
+            compile_model(ast)
+        except ModelError:
+            pass
+
+
+# ----------------------------------------------------------------------
+# every diagnostic site: class, message, line and col
+
+Q = "space q 2\n"
+
+DIAGNOSTICS = [
+    # (id, text, class, message, line, col)
+    ("unexpected_character", Q + "op x = $\n",
+     ModelSyntaxError, "unexpected character '$'", 2, 8),
+    ("expected_call_open", Q + "tone sx q omega = 1\n",
+     ModelSyntaxError, "expected '(', found 'q'", 2, 9),
+    ("expected_paren_close", Q + "tone (sx(q) omega = 1\n",
+     ModelSyntaxError, "expected ')', found 'omega'", 2, 13),
+    ("expected_call_close", Q + "tone sx(q omega = 1\n",
+     ModelSyntaxError, "expected ')', found 'omega'", 2, 11),
+    ("expected_mat_open", Q + "tone mat(1) omega = 1\n",
+     ModelSyntaxError, "expected '[', found '('", 2, 9),
+    ("expected_row_open", Q + "tone mat[1] omega = 1\n",
+     ModelSyntaxError, "expected '[', found '1'", 2, 10),
+    ("expected_row_close", Q + "tone mat[[1, 0] omega = 1\n",
+     ModelSyntaxError, "expected ']', found 'omega'", 2, 17),
+    ("expected_mat_close", Q + "tone mat[[1, 0], [0, 1] omega = 1\n",
+     ModelSyntaxError, "expected ']', found 'omega'", 2, 25),
+    ("expected_equals_op", Q + "op x sx(q)\n",
+     ModelSyntaxError, "expected '=', found 'sx'", 2, 6),
+    ("expected_equals_param", "param g 1\n",
+     ModelSyntaxError, "expected '=', found '1'", 1, 9),
+    ("expected_equals_omega", Q + "tone sx(q) omega 1\n",
+     ModelSyntaxError, "expected '=', found '1'", 2, 18),
+    ("expected_name", "space 3 2\n",
+     ModelSyntaxError, "expected name, found '3'", 1, 7),
+    ("expected_name_at_eof", "op",
+     ModelSyntaxError, "expected name, found 'end of file'", 1, 3),
+    ("expected_operand", Q + "tone sx(q) + , omega = 1\n",
+     ModelSyntaxError, "expected a number, name, built-in, 'mat', or '(', found ','", 2, 14),
+    ("expected_operand_at_newline", Q + "op x = sx(q) +\n",
+     ModelSyntaxError, "expected a number, name, built-in, 'mat', or '(', found '\\n'", 2, 15),
+    ("expected_operand_at_eof", Q + "op x = sx(q) *",
+     ModelSyntaxError, "expected a number, name, built-in, 'mat', or '(', found 'end of line'",
+     2, 15),
+    ("trailing_token", Q + "op x = sx(q) sy(q)\n",
+     ModelSyntaxError, "unexpected trailing token 'sy'", 2, 14),
+    ("reserved_word_in_expression", Q + "op x = omega\n",
+     ModelSyntaxError, "reserved word 'omega' cannot appear here", 2, 8),
+    ("reserved_word_as_name", "space tone 2\n",
+     ModelValidationError, "'tone' is a reserved word", 1, 7),
+    ("arity_proj", "space d 3\ntone proj(d, 0) omega = 1\n",
+     ModelSyntaxError, "proj takes 3 argument(s), got 2", 2, 6),
+    ("arity_kron", Q + "tone kron(sx(q)) omega = 1\n",
+     ModelSyntaxError, "kron takes 2 argument(s), got 1", 2, 6),
+    ("arity_factor_builtin", Q + "tone sx(q, q) omega = 1\n",
+     ModelSyntaxError, "sx takes 1 argument(s), got 2", 2, 6),
+    ("nesting_parentheses", Q + "op x = " + "(" * 60 + "1" + ")" * 60 + "\n",
+     ModelSyntaxError, "expression is nested too deeply", 2, 58),
+    ("nesting_unary_minus", Q + "op x = " + "-" * 300 + "1\n",
+     ModelSyntaxError, "expression is nested too deeply", 2, 207),
+    ("declaration_keyword", "3\n",
+     ModelSyntaxError, "expected a declaration keyword, found '3'", 1, 1),
+    ("unknown_keyword", "spaces q 2\n",
+     ModelSyntaxError, "expected 'space', 'param', 'op' or 'tone', found 'spaces'", 1, 1),
+    ("space_dimension_real", "space q 2.5\n",
+     ModelSyntaxError, "space dimension must be a positive integer", 1, 9),
+    ("space_dimension_name", "space q n\n",
+     ModelSyntaxError, "space dimension must be a positive integer", 1, 9),
+    ("space_dimension_zero", "space q 0\n",
+     ModelValidationError, "space dimension must be >= 1", 1, 9),
+    ("param_imaginary_literal", "param g = 1i\n",
+     ModelSyntaxError, "param value must be a real literal", 1, 11),
+    ("param_name_value", "param g = h\n",
+     ModelSyntaxError, "param value must be a real literal", 1, 11),
+    ("missing_omega", Q + "tone sx(q) 1\n",
+     ModelSyntaxError, "expected 'omega' after the tone operator expression", 2, 12),
+    ("duplicate_space", "space q 2\nspace q 3\n",
+     ModelValidationError, "duplicate space name 'q'", 2, None),
+    ("duplicate_param", "param g = 1\nparam g = 2\n",
+     ModelValidationError, "duplicate name 'g'", 2, None),
+    ("duplicate_op_and_param", Q + "param g = 1\nop g = sx(q)\n",
+     ModelValidationError, "duplicate name 'g'", 3, None),
+    ("duplicate_op", Q + "op x = sx(q)\nop x = sy(q)\n",
+     ModelValidationError, "duplicate name 'x'", 3, None),
+    ("unknown_identifier", Q + "tone sx(q) * y omega = 1\n",
+     ModelValidationError, "unknown identifier 'y'", 2, 14),
+    ("unknown_projector_index", "space d 3\ntone proj(d, k, 0) omega = 1\n",
+     ModelValidationError, "unknown identifier 'k'", 2, 14),
+    ("builtin_undeclared_space", Q + "tone sx(c) omega = 1\n",
+     ModelValidationError, "sx expects a declared space name as its first argument", 2, 6),
+    ("builtin_space_not_a_name", Q + "tone sx(2) omega = 1\n",
+     ModelValidationError, "sx expects a declared space name as its first argument", 2, 6),
+    ("frequency_names_an_operator", Q + "op x = sx(q)\ntone x omega = x\n",
+     ModelValidationError, "'x' is not a scalar parameter", 3, 16),
+    ("frequency_not_scalar", Q + "tone sx(q) omega = sz(q)\n",
+     ModelValidationError, "expected a scalar expression (numbers and params only)", 2, 20),
+    ("frequency_negative", Q + "tone sx(q) omega = -2\n",
+     ModelValidationError, "frequency must be a positive finite real, evaluates to -2", 2, None),
+    ("frequency_complex", Q + "tone sx(q) omega = 1 + 1i\n",
+     ModelValidationError, "frequency must be a positive finite real, evaluates to 1", 2, None),
+    ("frequency_infinite", Q + "tone sx(q) omega = 1e400\n",
+     ModelValidationError, "frequency must be a positive finite real, evaluates to inf",
+     2, None),
+    ("compile_dimension_cap", "space big 70\nspace ger 70\ntone a(big) omega = 1\n",
+     ModelCompileError, "total dimension 4900 exceeds cap 4096", None, None),
+    ("compile_no_space", "tone mat[[1]] omega = 1\n",
+     ModelCompileError, "a model needs at least one space declaration", None, None),
+    ("compile_no_tone", Q,
+     ModelCompileError, "a model needs at least one tone", None, None),
+    ("compile_scalar_tone", Q + "tone 2 omega = 1\n",
+     ModelCompileError, "tone operator expression must produce a matrix", 2, None),
+    ("compile_tone_dimension", Q + "tone mat[[1]] omega = 1\n",
+     ModelCompileError, "tone operator acts on dimension 1, model space has dimension 2",
+     2, None),
+    ("compile_model_construction", Q + "tone mat[[1e400, 0], [0, 1]] omega = 1\n",
+     ModelCompileError, "model construction failed: tone operator has non-finite entries",
+     None, None),
+    ("compile_kron_scalar", Q + "tone kron(sx(q), 2) omega = 1\n",
+     ModelCompileError, "kron requires matrix arguments", 2, 6),
+    ("compile_kron_cap", "space q 65\ntone kron(a(q), a(q)) omega = 1\n",
+     ModelCompileError, "kron result exceeds the dimension cap", 2, 6),
+    ("compile_builtin_failure", "space d 1\ntone sx(d) omega = 1\n",
+     ModelCompileError, "Pauli operators require dim >= 2", 2, 6),
+    ("compile_projector_range", "space d 3\ntone proj(d, 0, 7) omega = 1\n",
+     ModelCompileError, "projector indices (0, 7) out of range for dim 3", 2, 6),
+    # the index diagnostic is located, then wrapped by the call's handler
+    ("compile_projector_integer", "space d 3\ntone proj(d, 0.5, 0) omega = 1\n",
+     ModelCompileError, "2:14: projector indices must be integers", 2, 6),
+    ("compile_matrix_square", Q + "tone mat[[1, 0, 0], [0, 1, 0]] omega = 1\n",
+     ModelCompileError, "matrix literal must be square, got 2 row(s) with lengths [3, 3]",
+     2, 6),
+    ("compile_matrix_entry", Q + "tone mat[[sx(q), 0], [0, 1]] omega = 1\n",
+     ModelCompileError, "matrix literal entries must be scalars", 2, 11),
+    ("compile_multiply_dimensions", Q + "tone sx(q) * mat[[1]] omega = 1\n",
+     ModelCompileError, "cannot multiply operators of dimensions 2 and 1", 2, 12),
+    ("compile_add_scalar", Q + "tone sx(q) + 1 omega = 1\n",
+     ModelCompileError, "cannot add a scalar and an operator (wrap scalars with id(...))",
+     2, 12),
+    ("compile_add_dimensions", Q + "tone sx(q) - mat[[1]] omega = 1\n",
+     ModelCompileError, "cannot add operators of dimensions 2 and 1", 2, 12),
+]
+
+
+@pytest.mark.parametrize("text, cls, message, line, col",
+                         [row[1:] for row in DIAGNOSTICS], ids=[row[0] for row in DIAGNOSTICS])
+def test_diagnostic_sites(text, cls, message, line, col):
+    with pytest.raises(ModelError) as err:
+        compile_model(parse_model(text))
+    assert type(err.value) is cls
+    assert (err.value.line, err.value.col) == (line, col)
+    prefix = "" if line is None else f"{line}:{col or 0}: "
+    assert str(err.value) == prefix + message
+
+
+# ----------------------------------------------------------------------
+# bounds every later walk of the tree relies on
+
+
+def _chain(op: str, n: int) -> str:
+    return f" {op} ".join(["g"] * n)
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+@pytest.mark.parametrize("where", ["op", "frequency"])
+def test_long_operator_chain_is_a_located_syntax_error(op, where):
+    head = "space q 2\nparam g = 1.0\n"
+    text = head + (f"op x = {_chain(op, 3000)}\ntone x * sx(q) omega = 1.0\n"
+                   if where == "op" else f"tone sx(q) omega = {_chain(op, 3000)}\n")
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(text)
+    assert "expression is nested too deeply" in str(err.value)
+    assert err.value.line == 3 and err.value.col is not None
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_operator_chain_length_bound(op):
+    # each chained operator counts one nesting level: 198 operands pass, 199 do not
+    head = "space q 2\nparam g = 1.0\n"
+    freq = "1.0" if op == "-" else _chain(op, 198)  # a "-" chain of ones is negative
+    ast = parse_model(head + f"op x = {_chain(op, 198)}\ntone x * sx(q) omega = {freq}\n")
+    assert parse_model(serialize_model(ast)) == ast
+    H = compile_model(ast)
+    value = {"+": 198.0, "-": -196.0, "*": 1.0}[op]
+    assert np.array_equal(H.tones[0].h, value * sigma_x())
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(head + f"op x = {_chain(op, 199)}\ntone x * sx(q) omega = 1.0\n")
+    assert (err.value.line, err.value.col) == (3, 8 + 4 * 198)  # at the 199th operand
+
+
+def test_total_dimension_beyond_int64_hits_the_cap():
+    text = "space p 4294967296\nspace q 4294967296\ntone sx(p) omega = 1\n"
+    with pytest.raises(ModelCompileError) as err:
+        compile_model(parse_model(text))
+    assert str(err.value) == "total dimension 18446744073709551616 exceeds cap 4096"
+    assert err.value.line is None

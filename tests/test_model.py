@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,16 @@ def test_probe_noncommuting_model_positive():
 def test_probe_needs_pairs():
     with pytest.raises(OperatorValueError):
         commutation_probe(scalar_two_tone(), [])
+
+
+@pytest.mark.parametrize("name", ["tol_zero", "gap_min"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_report_thresholds_must_be_finite_and_nonnegative(name, value):
+    H = MultiToneHamiltonian([(sigma_plus(), 3.0)])
+    with pytest.raises(OperatorValueError, match=f"{name} must be finite and >= 0"):
+        frequency_report(H, **{name: value})
+
+
+def test_report_accepts_zero_tol_zero():
+    rep = frequency_report(MultiToneHamiltonian([(sigma_plus(), 3.0)]), tol_zero=0.0)
+    assert rep.tol_zero == 0.0 and rep.three_sum_classes
