@@ -27,13 +27,16 @@ Names must be declared before use. ``param``/``op`` names share one
 namespace, space names another; the keywords of the grammar and the
 built-in function names are reserved.
 
-Nesting is bounded (200 parser levels), so that no walk of a parsed tree
-can exhaust the stack: a unary ``-`` counts one level, a parenthesis, a
-call argument or a ``mat`` entry four, and each chained ``+``, ``-`` or
-``*`` operator one more. A sum or product of up to 198 operands is
-accepted; a longer chain or a deeper nest is refused with a located
-"expression is nested too deeply". The product of the space dimensions
-is capped at ``MAX_DIMENSION`` (4096), checked before any matrix is built.
+Nesting is bounded, so that no walk of a parsed tree can exhaust the
+stack. The parser's own recursion is capped at 200 levels: a unary ``-``
+counts one level, a parenthesis, a call argument or a ``mat`` entry four.
+The tree it builds is capped at 200 nodes from root to leaf: each chained
+``+``, ``-`` or ``*`` operator puts one more node over the operands before
+it, so a sum or product of up to 200 operands is accepted, and a chain
+inside parentheses adds its height to the one around it. Past either cap
+the parser raises a located "expression is nested too deeply". The product
+of the space dimensions is capped at ``MAX_DIMENSION`` (4096), checked
+before any matrix is built.
 """
 
 from __future__ import annotations
@@ -233,47 +236,50 @@ class _Parser:
         elif tok.kind != "EOF":
             raise self.error(f"unexpected trailing token {tok.text!r}")
 
-    def items(self, open_: str, close: str, parse_item, depth: int) -> tuple:
-        """``open_ item (, item)* close``, each item read by ``parse_item(depth)``."""
+    def items(self, open_: str, close: str, parse_item, depth: int):
+        """``open_ item (, item)* close``, each item read by ``parse_item(depth)``;
+        returns the items and the greatest of their heights."""
         self.expect_sym(open_)
         out = [parse_item(depth)]
         while self.at_sym(","):
             self.advance()
             out.append(parse_item(depth))
         self.expect_sym(close)
-        return tuple(out)
+        nodes, heights = zip(*out)
+        return nodes, max(heights)
 
     # ---- expressions (precedence climbing) ----
-    # Every chained operator counts one more level, as the left-nested
-    # BinOp it builds is one level deeper: so the depth bound holds for
-    # the tree, and every recursive walk of it stays within the stack.
+    # ``depth`` bounds the parser's own recursion. Each method returns its
+    # node with the node's height, which ``_grow`` bounds, as every later
+    # walk of the tree recurses on it: an operator chain builds a tall tree
+    # in a loop, and parentheses nest the parser without making a node, so
+    # neither bound follows from the other.
     def parse_expr(self, depth: int = 0):
         self._check_depth(depth)
-        node = self.parse_product(depth + 1)
+        node, height = self.parse_product(depth + 1)
         while self.current.kind == "SYM" and self.current.text in "+-":
-            depth += 1
-            self._check_depth(depth)
             tok = self.advance()
-            right = self.parse_product(depth + 1)
+            right, right_height = self.parse_product(depth + 1)
             node = BinOp(tok.text, node, right, line=tok.line, col=tok.col)
-        return node
+            height = self._grow(tok, max(height, right_height))
+        return node, height
 
     def parse_product(self, depth: int):
         self._check_depth(depth)
-        node = self.parse_unary(depth + 1)
+        node, height = self.parse_unary(depth + 1)
         while self.at_sym("*"):
-            depth += 1
-            self._check_depth(depth)
             tok = self.advance()
-            right = self.parse_unary(depth + 1)
+            right, right_height = self.parse_unary(depth + 1)
             node = BinOp("*", node, right, line=tok.line, col=tok.col)
-        return node
+            height = self._grow(tok, max(height, right_height))
+        return node, height
 
     def parse_unary(self, depth: int):
         self._check_depth(depth)
         if self.at_sym("-"):
             tok = self.advance()
-            return Neg(self.parse_unary(depth + 1), line=tok.line, col=tok.col)
+            operand, height = self.parse_unary(depth + 1)
+            return Neg(operand, line=tok.line, col=tok.col), self._grow(tok, height)
         return self.parse_atom(depth + 1)
 
     def parse_atom(self, depth: int):
@@ -286,25 +292,25 @@ class _Parser:
                 value = complex(0.0, float(text[:-1]))
             else:
                 value = complex(float(text), 0.0)
-            return NumberLit(value, line=tok.line, col=tok.col)
+            return NumberLit(value, line=tok.line, col=tok.col), 1
         if tok.kind == "NAME":
             if tok.text == "mat":
                 self.advance()
-                rows = self.items(
+                rows, height = self.items(
                     "[", "]", lambda d: self.items("[", "]", self.parse_expr, d + 1), depth
                 )
-                return MatLit(rows, line=tok.line, col=tok.col)
+                return MatLit(rows, line=tok.line, col=tok.col), self._grow(tok, height)
             if tok.text in _ARITY:
                 return self.parse_call(depth)
             if tok.text in _RESERVED:
                 raise self.error(f"reserved word {tok.text!r} cannot appear here")
             self.advance()
-            return NameRef(tok.text, line=tok.line, col=tok.col)
+            return NameRef(tok.text, line=tok.line, col=tok.col), 1
         if self.at_sym("("):
             self.advance()
-            node = self.parse_expr(depth + 1)
+            inner = self.parse_expr(depth + 1)
             self.expect_sym(")")
-            return node
+            return inner
         raise self.error(
             f"expected a number, name, built-in, 'mat', or '(', found "
             f"{tok.text or 'end of line'!r}"
@@ -312,27 +318,27 @@ class _Parser:
 
     def parse_call(self, depth: int):
         tok = self.advance()
-        args = self.items("(", ")", self.parse_expr, depth + 1)
+        args, height = self.items("(", ")", self.parse_expr, depth + 1)
         want = _ARITY[tok.text]
         if len(args) != want:
             raise ModelSyntaxError(
                 f"{tok.text} takes {want} argument(s), got {len(args)}", tok.line, tok.col
             )
-        return Call(tok.text, args, line=tok.line, col=tok.col)
+        return Call(tok.text, args, line=tok.line, col=tok.col), self._grow(tok, height)
 
     def _check_depth(self, depth: int):
         if depth > _MAX_EXPR_DEPTH:
             raise self.error("expression is nested too deeply")
 
+    def _grow(self, tok: _Token, height: int) -> int:
+        """Height of the node made at ``tok`` over children at most ``height`` tall."""
+        if height >= _MAX_EXPR_DEPTH:
+            raise ModelSyntaxError("expression is nested too deeply", tok.line, tok.col)
+        return height + 1
+
     # ---- statements ----
     def parse_file(self) -> ModelSpecAst:
-        # keyword -> (statement parser, the declarations it adds to)
-        statements = {
-            "space": (self.parse_space, []),
-            "param": (self.parse_param, []),
-            "op": (self.parse_opdef, []),
-            "tone": (self.parse_tone, []),
-        }
+        decls: dict[str, list] = {attr: [] for _, attr in self._STATEMENTS.values()}
         while (tok := self.current).kind != "EOF":
             if tok.kind == "NEWLINE":
                 self.advance()
@@ -341,14 +347,14 @@ class _Parser:
                 raise self.error(
                     f"expected a declaration keyword, found {tok.text!r}"
                 )
-            if tok.text not in statements:
+            if tok.text not in self._STATEMENTS:
                 raise self.error(
                     f"expected 'space', 'param', 'op' or 'tone', found {tok.text!r}"
                 )
-            parse, decls = statements[tok.text]
+            parse, attr = self._STATEMENTS[tok.text]
             self.advance()
-            decls.append(parse(tok.line))
-        return ModelSpecAst(*(tuple(decls) for _, decls in statements.values()))
+            decls[attr].append(parse(self, tok.line))
+        return ModelSpecAst(**{attr: tuple(found) for attr, found in decls.items()})
 
     def _decl_name(self) -> str:
         tok = self.current
@@ -392,20 +398,28 @@ class _Parser:
     def parse_opdef(self, line: int) -> OpDecl:
         name = self._decl_name()
         self.expect_sym("=")
-        expr = self.parse_expr()
+        expr, _ = self.parse_expr()
         self.end_of_line()
         return OpDecl(name, expr, line=line)
 
     def parse_tone(self, line: int) -> ToneDecl:
-        expr = self.parse_expr()
+        expr, _ = self.parse_expr()
         tok = self.current
         if not (tok.kind == "NAME" and tok.text == "omega"):
             raise self.error("expected 'omega' after the tone operator expression")
         self.advance()
         self.expect_sym("=")
-        freq = self.parse_expr()
+        freq, _ = self.parse_expr()
         self.end_of_line()
         return ToneDecl(expr, freq, line=line)
+
+    # keyword -> (statement parser, the ModelSpecAst field it fills)
+    _STATEMENTS = {
+        "space": (parse_space, "spaces"),
+        "param": (parse_param, "params"),
+        "op": (parse_opdef, "operator_defs"),
+        "tone": (parse_tone, "tones"),
+    }
 
 
 # ----------------------------------------------------------------------

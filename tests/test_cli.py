@@ -274,9 +274,14 @@ def test_sweep_factor_out_of_float_range_exits_3(factor, capsys):
     assert "at order 2" in line
 
 
-def test_long_operator_chain_exits_2_with_one_line(tmp_path, capsys):
+# a flat chain, and chains each under the bound nested in parentheses
+_FLAT_CHAIN = " + ".join(["g"] * 3000)
+_NESTED_CHAIN = "(((" + ") + ".join([" + ".join(["g"] * 150)] * 4)
+
+
+@pytest.mark.parametrize("chain", [_FLAT_CHAIN, _NESTED_CHAIN], ids=["flat", "nested"])
+def test_long_operator_chain_exits_2_with_one_line(chain, tmp_path, capsys):
     path = tmp_path / "chain.ham"
-    chain = " + ".join(["g"] * 3000)
     path.write_text(f"space q 2\nparam g = 0.1\nop x = {chain}\ntone x * sx(q) omega = 1.0\n")
     assert main(["report", str(path)]) == 2
     line = _one_line(capsys)

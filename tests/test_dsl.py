@@ -414,31 +414,68 @@ def _chain(op: str, n: int) -> str:
     return f" {op} ".join(["g"] * n)
 
 
-@pytest.mark.parametrize("op", ["+", "*"])
+def _nested_chain(levels: int, n: int) -> str:
+    # ((g + ...n...) + ...n...) + ...: every level's chain sits on the one inside
+    text = _chain("+", n)
+    for _ in range(levels - 1):
+        text = f"({text}) + " + _chain("+", n)
+    return text
+
+
+# flat chains, and chains each under the bound whose heights add up along
+# the left operand
+TALL_CHAINS = {
+    "sum": _chain("+", 3000),
+    "product": _chain("*", 3000),
+    "nested_4x150": _nested_chain(4, 150),
+    "nested_6x170": _nested_chain(6, 170),
+    "nested_40x6": _nested_chain(40, 6),
+}
+
+
+@pytest.mark.parametrize("chain", TALL_CHAINS.values(), ids=TALL_CHAINS.keys())
 @pytest.mark.parametrize("where", ["op", "frequency"])
-def test_long_operator_chain_is_a_located_syntax_error(op, where):
+def test_long_operator_chain_is_a_located_syntax_error(chain, where):
     head = "space q 2\nparam g = 1.0\n"
-    text = head + (f"op x = {_chain(op, 3000)}\ntone x * sx(q) omega = 1.0\n"
-                   if where == "op" else f"tone sx(q) omega = {_chain(op, 3000)}\n")
+    text = head + (f"op x = {chain}\ntone x * sx(q) omega = 1.0\n"
+                   if where == "op" else f"tone sx(q) omega = {chain}\n")
     with pytest.raises(ModelSyntaxError) as err:
-        parse_model(text)
-    assert "expression is nested too deeply" in str(err.value)
+        compile_model(parse_model(text))
+    assert str(err.value).endswith("expression is nested too deeply")
     assert err.value.line == 3 and err.value.col is not None
 
 
 @pytest.mark.parametrize("op", ["+", "-", "*"])
 def test_operator_chain_length_bound(op):
-    # each chained operator counts one nesting level: 198 operands pass, 199 do not
+    # each chained operator puts one node over the chain: 200 operands pass, 201 do not
     head = "space q 2\nparam g = 1.0\n"
-    freq = "1.0" if op == "-" else _chain(op, 198)  # a "-" chain of ones is negative
-    ast = parse_model(head + f"op x = {_chain(op, 198)}\ntone x * sx(q) omega = {freq}\n")
+    freq = "1.0" if op == "-" else _chain(op, 200)  # a "-" chain of ones is negative
+    ast = parse_model(head + f"op x = {_chain(op, 200)}\ntone x * sx(q) omega = {freq}\n")
     assert parse_model(serialize_model(ast)) == ast
     H = compile_model(ast)
-    value = {"+": 198.0, "-": -196.0, "*": 1.0}[op]
+    value = {"+": 200.0, "-": -198.0, "*": 1.0}[op]
     assert np.array_equal(H.tones[0].h, value * sigma_x())
     with pytest.raises(ModelSyntaxError) as err:
-        parse_model(head + f"op x = {_chain(op, 199)}\ntone x * sx(q) omega = 1.0\n")
-    assert (err.value.line, err.value.col) == (3, 8 + 4 * 198)  # at the 199th operand
+        parse_model(head + f"op x = {_chain(op, 201)}\ntone x * sx(q) omega = 1.0\n")
+    assert (err.value.line, err.value.col) == (3, 10 + 4 * 199)  # at the 200th operator
+
+
+@pytest.mark.parametrize("wrap, operand", [
+    ("({})", "g"), ("-({})", "g"), ("kron({}, u)", "u"), ("mat[[{}]]", "g"),
+])
+def test_nested_tree_height_bound(wrap, operand):
+    # the tallest accepted tree is 200 nodes from root to leaf, whichever nodes
+    # build its levels; a parenthesis makes none
+    head = "space q 1\nparam g = 1.0\nop u = id(q)\n"
+    terms = lambda n: " + ".join([operand] * n)
+    below = 199 - (wrap != "({})")
+    tree = wrap.format(f"({terms(100)}) + {terms(below - 100)}") + f" * {operand}"
+    ast = parse_model(head + f"op x = {tree}\ntone x * id(q) omega = 1.0\n")
+    assert parse_model(serialize_model(ast)) == ast
+    compile_model(ast)
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(head + f"op x = {tree} * {operand}\ntone x * id(q) omega = 1.0\n")
+    assert str(err.value) == f"4:{9 + len(tree)}: expression is nested too deeply"
 
 
 def test_total_dimension_beyond_int64_hits_the_cap():
