@@ -13,7 +13,9 @@ complex constant is spelled ``1 + 2i``), parameter and operator names,
 the built-ins ``id(S) a(S) adag(S) sx(S) sy(S) sz(S) sp(S) sm(S)
 proj(S, i, j)`` acting on a declared space ``S``, ``mat[[...], [...]]``
 literals, ``kron(E1, E2)`` for an explicit Kronecker product of matrix
-values, binary ``+ - *``, unary ``-`` and parentheses.
+values, binary ``+ - *``, unary ``-`` and parentheses. A numeric literal
+that overflows to infinity (``1e400``) is refused where it stands, and so
+is a space dimension with more digits than Python's int-string limit.
 
 Built-ins are embedded into the full tensor-product space immediately
 (identity padding on the other factors, in declaration order), so a
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -287,11 +290,10 @@ class _Parser:
         tok = self.current
         if tok.kind in ("NUMBER", "IMAG"):
             self.advance()
-            text = tok.text
             if tok.kind == "IMAG":
-                value = complex(0.0, float(text[:-1]))
+                value = complex(0.0, self._number(tok, tok.text[:-1]))
             else:
-                value = complex(float(text), 0.0)
+                value = complex(self._number(tok, tok.text), 0.0)
             return NumberLit(value, line=tok.line, col=tok.col), 1
         if tok.kind == "NAME":
             if tok.text == "mat":
@@ -325,6 +327,15 @@ class _Parser:
                 f"{tok.text} takes {want} argument(s), got {len(args)}", tok.line, tok.col
             )
         return Call(tok.text, args, line=tok.line, col=tok.col), self._grow(tok, height)
+
+    @staticmethod
+    def _number(tok: _Token, text: str) -> float:
+        """Value of the literal ``text`` read at ``tok``; one that overflows
+        to infinity is refused, as no model or serialized text can hold it."""
+        value = float(text)
+        if not math.isfinite(value):
+            raise ModelSyntaxError(f"numeric literal {tok.text!r} overflows", tok.line, tok.col)
+        return value
 
     def _check_depth(self, depth: int):
         if depth > _MAX_EXPR_DEPTH:
@@ -373,6 +384,11 @@ class _Parser:
         if dim_tok.kind != "NUMBER" or not re.fullmatch(r"\d+", dim_tok.text):
             raise self.error("space dimension must be a positive integer")
         self.advance()
+        # Python's int-string limit; versions before 3.10.7 have none
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if len(dim_tok.text) > limit > 0:
+            raise ModelSyntaxError(f"space dimension has more than {limit} digits",
+                                   dim_tok.line, dim_tok.col)
         dim = int(dim_tok.text)
         if dim < 1:
             raise ModelValidationError(
@@ -393,7 +409,7 @@ class _Parser:
             raise self.error("param value must be a real literal")
         self.advance()
         self.end_of_line()
-        return ParamDecl(name, sign * float(tok.text), line=line)
+        return ParamDecl(name, sign * self._number(tok, tok.text), line=line)
 
     def parse_opdef(self, line: int) -> OpDecl:
         name = self._decl_name()
@@ -547,7 +563,7 @@ def _expr_str(expr, required: int = _PREC_SUM) -> str:
         )
         text, prec = f"mat[{rows}]", _PREC_ATOM
     elif isinstance(expr, Neg):
-        text = "-" + _expr_str(expr.operand, _PREC_ATOM)
+        text = "-" + _expr_str(expr.operand, _PREC_UNARY)
         prec = _PREC_UNARY
     elif isinstance(expr, BinOp):
         prec = _PREC_PROD if expr.op == "*" else _PREC_SUM

@@ -11,6 +11,10 @@ only sum matrices. Integrals and derivatives take each key's monomials
 from ``TonePoly`` and group the output keys exactly: such a monomial keeps
 its key's frequency or has frequency 0.0, and canonical frequencies lie
 more than ``TOL_ZERO`` apart, so clustering them again would change nothing.
+A series' own keys are canonical and are never canonicalized again: they
+reach ``TonePoly`` through its trusted constructor ``TonePoly._of``, so an
+integral or a derivative canonicalizes nothing and a product only the
+product of its two key sets.
 Keys whose matrix cancels below ``DROP_TOL`` of the largest are dropped.
 Stored keys and the key pairs of one product are guarded by a budget
 (default 2_000_000, overridable via ``EFFHAM_MAX_TERMS``).
@@ -29,6 +33,9 @@ from .tones import DROP_TOL, TOL_ZERO, ToneMono, TonePoly
 
 #: Default budget for stored keys and for the key pairs of one product.
 MAX_TERMS = 2_000_000
+
+# A unit coefficient as a canonical term holds it: complex.
+_ONE = 1 + 0j
 
 
 def term_budget() -> int:
@@ -61,6 +68,13 @@ def _key_poly(freqs, powers) -> TonePoly:
     """Unit-coefficient polynomial whose terms are the canonical keys of
     the monomials at ``freqs``/``powers``."""
     return TonePoly(ToneMono(1.0, int(k), float(f)) for f, k in zip(freqs, powers))
+
+
+def _unit_keys(freqs: np.ndarray, powers: np.ndarray) -> TonePoly:
+    """Unit-coefficient polynomial of a series' own keys, which are
+    canonical already and so are not canonicalized again."""
+    return TonePoly._of(tuple([ToneMono(_ONE, k, f)
+                               for f, k in zip(freqs.tolist(), powers.tolist())]))
 
 
 def _sum_keys(dim: int, key_freqs: np.ndarray, key_powers: np.ndarray, index, mats):
@@ -110,7 +124,7 @@ class _KeyView(Sequence):
 
     def __getitem__(self, k: int):
         S = self._series
-        return S.coeffs[k], TonePoly.exponential(S.freqs[k], 1.0, S.powers[k])
+        return S.coeffs[k], _unit_keys(S.freqs[k:k + 1], S.powers[k:k + 1])
 
 
 class OperatorSeries:
@@ -206,7 +220,7 @@ class OperatorSeries:
                 f"cannot multiply series of dims {self.dim} and {other.dim}"
             )
         _check_budget(self.term_count * other.term_count, "series product key pairs")
-        keys = _key_poly(self.freqs, self.powers) * _key_poly(other.freqs, other.powers)
+        keys = _unit_keys(self.freqs, self.powers) * _unit_keys(other.freqs, other.powers)
         return OperatorSeries._of(self.dim, *_gather(
             self.dim,
             np.add.outer(self.freqs, other.freqs).ravel(),
@@ -225,7 +239,7 @@ class OperatorSeries:
         ``TOL_ZERO`` apart, so the output keys are grouped exactly."""
         freqs, powers, scalars, owners = [], [], [], []
         for i, (f, k) in enumerate(zip(self.freqs.tolist(), self.powers.tolist())):
-            for c, p, w in op(TonePoly.exponential(f, 1.0, k)).terms:
+            for c, p, w in op(TonePoly._of((ToneMono(_ONE, k, f),))).terms:
                 freqs.append(w)
                 powers.append(p)
                 scalars.append(c)

@@ -287,3 +287,15 @@ def test_long_operator_chain_exits_2_with_one_line(chain, tmp_path, capsys):
     line = _one_line(capsys)
     assert line.startswith("effham: model error: 3:")
     assert line.endswith("expression is nested too deeply")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("space q 2\ntone 1e400 * sx(q) omega = 1\n", "2:6"),
+    ("space q 2\nparam g = 1e400\ntone g * sx(q) omega = 1\n", "2:11"),
+    ("space q " + "9" * 5000 + "\ntone sx(q) omega = 1\n", "1:9"),
+], ids=["tone_literal", "param_literal", "space_digits"])
+def test_literal_out_of_range_exits_2_with_one_line(text, where, tmp_path, capsys):
+    path = tmp_path / "big.ham"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    assert _one_line(capsys).startswith(f"effham: model error: {where}: ")

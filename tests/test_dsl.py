@@ -1,6 +1,7 @@
 import pathlib
 import random
 import string
+import sys
 
 import numpy as np
 import pytest
@@ -322,6 +323,14 @@ DIAGNOSTICS = [
      ModelSyntaxError, "space dimension must be a positive integer", 1, 9),
     ("space_dimension_zero", "space q 0\n",
      ModelValidationError, "space dimension must be >= 1", 1, 9),
+    ("literal_overflow", Q + "tone 1e400 * sx(q) omega = 1\n",
+     ModelSyntaxError, "numeric literal '1e400' overflows", 2, 6),
+    ("imaginary_literal_overflow", Q + "tone sx(q) omega = 1 + 2e308i\n",
+     ModelSyntaxError, "numeric literal '2e308i' overflows", 2, 24),
+    ("param_literal_overflow", "param g = 1e400\n",
+     ModelSyntaxError, "numeric literal '1e400' overflows", 1, 11),
+    ("negative_param_literal_overflow", "param g = -1e400\n",
+     ModelSyntaxError, "numeric literal '1e400' overflows", 1, 12),
     ("param_imaginary_literal", "param g = 1i\n",
      ModelSyntaxError, "param value must be a real literal", 1, 11),
     ("param_name_value", "param g = h\n",
@@ -352,7 +361,7 @@ DIAGNOSTICS = [
      ModelValidationError, "frequency must be a positive finite real, evaluates to -2", 2, None),
     ("frequency_complex", Q + "tone sx(q) omega = 1 + 1i\n",
      ModelValidationError, "frequency must be a positive finite real, evaluates to 1", 2, None),
-    ("frequency_infinite", Q + "tone sx(q) omega = 1e400\n",
+    ("frequency_infinite", Q + "tone sx(q) omega = 1e300 * 1e300\n",
      ModelValidationError, "frequency must be a positive finite real, evaluates to inf",
      2, None),
     ("compile_dimension_cap", "space big 70\nspace ger 70\ntone a(big) omega = 1\n",
@@ -366,7 +375,7 @@ DIAGNOSTICS = [
     ("compile_tone_dimension", Q + "tone mat[[1]] omega = 1\n",
      ModelCompileError, "tone operator acts on dimension 1, model space has dimension 2",
      2, None),
-    ("compile_model_construction", Q + "tone mat[[1e400, 0], [0, 1]] omega = 1\n",
+    ("compile_model_construction", Q + "tone mat[[1e300 * 1e300, 0], [0, 1]] omega = 1\n",
      ModelCompileError, "model construction failed: tone operator has non-finite entries",
      None, None),
     ("compile_kron_scalar", Q + "tone kron(sx(q), 2) omega = 1\n",
@@ -484,3 +493,25 @@ def test_total_dimension_beyond_int64_hits_the_cap():
         compile_model(parse_model(text))
     assert str(err.value) == "total dimension 18446744073709551616 exceeds cap 4096"
     assert err.value.line is None
+
+
+def test_space_dimension_past_the_int_string_limit():
+    # refused by its digit count, before int() would raise a bare ValueError
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model("space q " + "9" * (limit + 1) + "\n")
+    assert str(err.value) == f"1:9: space dimension has more than {limit} digits"
+    # at the limit the dimension parses, and the dimension cap refuses it
+    ast = parse_model("space q " + "0" * (limit - 1) + "2\ntone sx(q) omega = 1\n")
+    assert ast.spaces[0].dim == 2
+
+
+def test_nested_unary_minus_round_trips():
+    # a Neg of a Neg is written "--x": one parser level per sign, as parsed
+    ast = parse_model("space q 2\nop x = " + "-" * 150 + "1\ntone x * sx(q) omega = 1\n")
+    text = serialize_model(ast)
+    assert "op x = " + "-" * 150 + "1.0\n" in text
+    assert parse_model(text) == ast
+    mixed = parse_model("space q 2\nop x = -(-(-sx(q) + 1)) * -2\ntone x omega = 1\n")
+    assert "op x = --(-sx(q) + 1.0) * -2.0\n" in serialize_model(mixed)
+    assert parse_model(serialize_model(mixed)) == mixed

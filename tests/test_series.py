@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from effham import series
+from effham import series, tones
 from effham import (
     DimensionMismatchError,
     OperatorSeries,
@@ -227,3 +227,26 @@ def test_integral_keeps_the_term_budget(monkeypatch):
     monkeypatch.setenv("EFFHAM_MAX_TERMS", "3")
     with pytest.raises(TermBudgetError, match="series keys"):
         S.integrate_from_zero()
+
+
+def test_canonical_keys_are_not_canonicalized_again(rng, monkeypatch):
+    # a series' keys are canonical: its integral and derivative rebuild none
+    # of them, and a product canonicalizes only the product of its key sets
+    S = random_series(rng, 3, 12)
+    T = random_series(rng, 3, 9)
+    assert S.term_count > 1 and T.term_count > 1
+    calls = []
+    canonicalize = tones._canonicalize
+
+    def counting(*args):
+        calls.append(1)
+        return canonicalize(*args)
+
+    monkeypatch.setattr(tones, "_canonicalize", counting)
+    for op in (OperatorSeries.integrate_from_zero, OperatorSeries.derivative):
+        calls.clear()
+        op(S)
+        assert len(calls) == 0, op.__name__
+    calls.clear()
+    S * T
+    assert len(calls) == 1

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from effham import POWER_CAP, TOL_ZERO, PowerCapError, ToneMono, TonePoly, poly_allclose
+from effham.tones import _integral_table
 
 
 def random_poly(rng, n_terms=10, max_power=3, freq_scale=5.0, coeff_scale=10.0):
@@ -358,3 +359,92 @@ def test_operation_terms_are_tone_monos(rng):
     assert TonePoly.exponential(2.0, 3.0, 1).terms == (ToneMono(3.0 + 0j, 1, 2.0),)
     assert (TonePoly.exponential(1.0) * TonePoly.exponential(2.0, power=2)).terms == (
         ToneMono(1.0 + 0j, 2, 3.0),)
+
+
+# ----------------------------------------------------------------------
+# reference route of one-term integrals and derivatives
+
+
+def reference_integrate(p):
+    """``TonePoly.integrate_from_zero`` as it was before one-term polynomials
+    skipped the canonicalizer, kept verbatim as the reference."""
+    out = []
+    for coeff, power, freq in p.terms:
+        if freq == 0.0:
+            out.append((coeff / (power + 1), power + 1, 0.0))
+            continue
+        osc, const = _integral_table(power, freq)
+        for c, k in osc:
+            out.append((coeff * c, k, freq))
+        out.append((coeff * const, 0, 0.0))
+    return TonePoly(out)
+
+
+def reference_derivative(p):
+    """``TonePoly.derivative`` as it was before one-term polynomials skipped
+    the canonicalizer, kept verbatim as the reference."""
+    out = []
+    for coeff, power, freq in p.terms:
+        if power >= 1:
+            out.append((coeff * power, power - 1, freq))
+        if freq != 0.0:
+            out.append((coeff * 1j * freq, power, freq))
+    return TonePoly(out)
+
+
+def bits(p):
+    """Terms of ``p`` with every float as its exact hex form (signed zeros
+    included) and every field's type."""
+    return [(type(c), c.real.hex(), c.imag.hex(), type(k), k, type(f), f.hex())
+            for c, k, f in p.terms]
+
+
+def outcome(op, p):
+    try:
+        return bits(op(p))
+    except PowerCapError as exc:
+        return ("PowerCapError", str(exc))
+
+
+ONE_TERM_FREQS = [0.0, 1.0, -1.0, 2.5, -0.3, 1.5 * TOL_ZERO, -1.5 * TOL_ZERO,
+                  TOL_ZERO * (1 + 1e-12), -TOL_ZERO * (1 + 1e-12), 1e3, -1e3, 1e6]
+ONE_TERM_COEFFS = [1.0, -1.0, 1j, -1j, 2.0 - 3.0j, -0.5 + 1e-300j, 1e-200]
+
+
+@pytest.mark.parametrize("freq", ONE_TERM_FREQS)
+def test_one_term_calculus_matches_reference(freq):
+    for power in range(POWER_CAP + 1):
+        for coeff in ONE_TERM_COEFFS:
+            p = TonePoly.exponential(freq, coeff, power)
+            assert len(p) == 1
+            for op, ref in ((TonePoly.integrate_from_zero, reference_integrate),
+                            (TonePoly.derivative, reference_derivative)):
+                assert outcome(op, p) == outcome(ref, p), (op.__name__, power, coeff)
+
+
+def test_one_term_route_edge_cases():
+    # the power cap at frequency 0, where the integral raises the power
+    top = TonePoly.exponential(0.0, 1.0, POWER_CAP)
+    assert outcome(TonePoly.integrate_from_zero, top)[0] == "PowerCapError"
+    # large power and frequency: the lowest powers fall below DROP_TOL
+    p = TonePoly.exponential(1e3, 1.0, 8)
+    assert len(p.integrate_from_zero()) < 8 + 2
+    assert bits(p.integrate_from_zero()) == bits(reference_integrate(p))
+    # a key just outside TOL_ZERO of 0 keeps its own frequency
+    assert {m.freq for m in TonePoly.exponential(1.5 * TOL_ZERO).integrate_from_zero().terms} == {
+        0.0, 1.5 * TOL_ZERO}
+
+
+@pytest.mark.parametrize("freq", [0.5 * TOL_ZERO, -0.5 * TOL_ZERO, TOL_ZERO, -TOL_ZERO])
+def test_one_term_within_tol_zero_still_snaps(freq):
+    # a finer tol_zero keeps a frequency the default would snap; the calculus
+    # canonicalizes with the default, so its result sits at exactly 0.0
+    for power in range(POWER_CAP + 1):
+        p = TonePoly([ToneMono(2.0 - 1j, power, freq)], tol_zero=1e-12)
+        assert p.terms[0].freq == freq
+        for op, ref in ((TonePoly.integrate_from_zero, reference_integrate),
+                        (TonePoly.derivative, reference_derivative)):
+            got = outcome(op, p)
+            assert got == outcome(ref, p), (op.__name__, power)
+            if got and got[0] != "PowerCapError":
+                assert {m.freq for m in op(p).terms} == {0.0}
