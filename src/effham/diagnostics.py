@@ -37,7 +37,7 @@ from .model import (
     frequency_report,
 )
 from .operators import annihilate, projector, sigma_plus, sigma_z, tensor_product
-from .oracle import quad_oracle
+from .oracle import MAX_QUAD_ORDER, quad_oracle
 from .series import OperatorSeries
 from .tones import TOL_ZERO
 
@@ -393,7 +393,7 @@ def run_report(
 
     eq6 = eq6_gap_grid(H, ts)
 
-    quad_orders = tuple(n for n in orders if n <= 4)  # the oracle covers orders 2..4
+    quad_orders = tuple(n for n in orders if n <= MAX_QUAD_ORDER)
     residual_ts = np.linspace(tmax / 8.0, tmax, 8)
     refs = quad_oracle(H, quad_orders, residual_ts, quad_tol) if quad_orders else {}
     residuals = tuple(

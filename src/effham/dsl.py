@@ -646,19 +646,26 @@ class _Compiler:
             raise ModelCompileError(f"model construction failed: {exc}") from exc
 
     def eval(self, expr):
+        # literals are finite and names hold checked values, so only the
+        # nodes that compute can overflow; each is checked where it is made
         if isinstance(expr, NumberLit):
             return expr.value
         if isinstance(expr, NameRef):
             return self.env[expr.name]
-        if isinstance(expr, Neg):
-            return -self.eval(expr.operand)
-        if isinstance(expr, Call):
-            return self.eval_call(expr)
         if isinstance(expr, MatLit):
             return self.eval_mat(expr)
-        if isinstance(expr, BinOp):
-            return self.eval_binop(expr)
-        raise ModelCompileError(f"cannot evaluate node {type(expr).__name__}")
+        if isinstance(expr, Neg):
+            value = -self.eval(expr.operand)
+        elif isinstance(expr, Call):
+            value = self.eval_call(expr)
+        elif isinstance(expr, BinOp):
+            value = self.eval_binop(expr)
+        else:
+            raise ModelCompileError(f"cannot evaluate node {type(expr).__name__}")
+        if not np.isfinite(value).all():
+            raise ModelCompileError("arithmetic overflows to a non-finite value",
+                                    expr.line, expr.col)
+        return value
 
     def eval_call(self, expr: Call):
         if expr.func == "kron":
@@ -752,8 +759,14 @@ class _Compiler:
 
 
 def compile_model(ast: ModelSpecAst) -> MultiToneHamiltonian:
-    """Evaluate an AST to matrices over the full tensor-product space."""
-    return _Compiler(ast).run()
+    """Evaluate an AST to matrices over the full tensor-product space.
+
+    A value that overflows to a non-finite number raises
+    :class:`ModelCompileError` at the node that computed it; numpy's
+    overflow warnings are silenced meanwhile, as the error replaces them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _Compiler(ast).run()
 
 
 def load_model(path: str) -> MultiToneHamiltonian:

@@ -63,6 +63,19 @@ are read off one chain. Values at a time below ``T`` then come from a grid
 on ``[0, T]`` rather than ``[0, t]`` and are not bit-identical to those of
 a call at that time alone. The quadrature must not touch the closed-form
 machinery, since its whole value is independence from it.
+
+The levels share their samples. Node ``2j`` of the grid of ``2p``
+intervals and node ``j`` of the grid of ``p`` intervals are the same
+double, ``j * fl(T / p)``, since halving is exact, so each level after the
+first samples H only at its ``p`` new midpoints and interleaves them with
+the kept samples: the stack equals that of sampling the whole grid, and
+every level still calls ``evaluate_grid`` once. The refinement then
+samples ``256 * 2**k + 1`` points up to level k instead of about twice as
+many. While a level is interleaved, memory holds the previous stack and
+the new one. The values are those of sampling each level whole as long as
+the grid function returns for each time the same value whatever batch it
+comes in, as :class:`MultiToneHamiltonian` does; one whose values depend
+on the batch may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -80,6 +93,9 @@ STEPS_PER_UNIT = 4096
 
 #: Refinement cap for the nested quadrature (grid points per level).
 MAX_QUAD_POINTS = 1 << 21
+
+#: Highest order the nested quadrature evaluates.
+MAX_QUAD_ORDER = 4
 
 #: Coarse RK4 steps per block. A block of B coarse steps samples H at
 #: ``4B + 1`` points of the fine half-step grid, about ``(4B+1) * d^2 * 16``
@@ -365,17 +381,24 @@ def _cumulative_simpson(F: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _nested_values(H, orders: list[int], T: float, points: int,
-                   nodes: np.ndarray) -> dict[int, np.ndarray]:
-    # Order-k values for each k in ``orders`` from one sampling of H on
-    # [0, T], read at the grid indices ``nodes``: the chain of order k is the
-    # first k - 1 steps of the highest order's chain. The chain runs on the
-    # invariant sectors of the samples where they split, as the RK4 does,
-    # and only the read-out nodes are scattered back.
-    ts = np.linspace(0.0, T, points + 1)
-    h = T / points
-    Hs = np.ascontiguousarray(H.evaluate_grid(ts), dtype=complex)
-    split = _sector_split(_nonzero(Hs))
+def _refined(samples: np.ndarray, midpoints) -> np.ndarray:
+    """The ``(2p + 1, d, d)`` sample stack of the next level: the ``p + 1``
+    samples of this level on its even rows, the ``p`` new midpoint samples
+    on its odd rows."""
+    stack = np.empty((2 * len(samples) - 1,) + samples.shape[1:], dtype=complex)
+    stack[0::2] = samples
+    stack[1::2] = midpoints
+    return stack
+
+
+def _nested_values(Hs: np.ndarray, orders: list[int], h: float,
+                   split: _SectorSplit | None, nodes: np.ndarray) -> dict[int, np.ndarray]:
+    # Order-k values for each k in ``orders`` from one level's samples ``Hs``
+    # (complex, step ``h``, never written to), read at the grid indices
+    # ``nodes``: the chain of order k is the first k - 1 steps of the highest
+    # order's chain. The chain runs on the invariant sectors of ``split``
+    # where the samples split, as the RK4 does, and only the read-out nodes
+    # are scattered back.
     if split is not None:
         Hs = split.gather(Hs)
     A = Hs
@@ -437,7 +460,12 @@ def quad_oracle(H, n, t, tol: float,
     orders share one refinement: each level samples H once and runs one
     nested chain up to the highest order not yet converged, and each order
     is frozen at the level where its own successive values agree, so its
-    value is the same as that of a call for that order alone.
+    value is the same as that of a call for that order alone. The first
+    level samples its 257 grid points; each later level samples only its
+    new midpoints and keeps the previous level's samples as its even nodes
+    (during the interleave both stacks are held). For a grid function whose
+    value at a time depends on the other times in its batch, the values may
+    differ in the last bits from sampling each grid whole.
 
     ``t`` is one time, which gives a ``(d, d)`` matrix per order, or a 1-D
     sequence of times, which gives a ``(len(t), d, d)`` stack per order.
@@ -470,8 +498,9 @@ def quad_oracle(H, n, t, tol: float,
     for k in asked:
         if isinstance(k, bool) or not isinstance(k, numbers.Integral):
             raise OperatorValueError(f"quad_oracle order must be an integer, got {k!r}")
-        if not 2 <= k <= 4:
-            raise OperatorValueError(f"quad_oracle supports orders 2..4, got {k}")
+        if not 2 <= k <= MAX_QUAD_ORDER:
+            raise OperatorValueError(
+                f"quad_oracle supports orders 2..{MAX_QUAD_ORDER}, got {k}")
     orders = sorted({int(k) for k in asked})
     if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
             or not math.isfinite(tol) or tol < 1e-12):
@@ -497,10 +526,21 @@ def quad_oracle(H, n, t, tol: float,
     done: dict[int, np.ndarray] = {}
     prev: dict[int, np.ndarray] = {}
     changes: dict[int, float] = {}
+    samples = pattern = split = None
     points = _BASE_POINTS
     while points <= max_points:
-        vals = _nested_values(H, [k for k in orders if k not in done], T, points,
-                              nodes * (points // _BASE_POINTS))
+        # node 2j of this level's grid is node j of the last one, the same
+        # double, so only the midpoints are new
+        ts = np.linspace(0.0, T, points + 1)
+        if samples is None:
+            samples = np.ascontiguousarray(H.evaluate_grid(ts), dtype=complex)
+        else:
+            samples = _refined(samples, H.evaluate_grid(ts[1::2]))
+        nonzero = _nonzero(samples)
+        if pattern is None or not np.array_equal(nonzero, pattern):
+            pattern, split = nonzero, _sector_split(nonzero)
+        vals = _nested_values(samples, [k for k in orders if k not in done], T / points,
+                              split, nodes * (points // _BASE_POINTS))
         for k, val in vals.items():
             if k in prev:
                 changes[k] = _change(val, prev[k])

@@ -299,3 +299,19 @@ def test_literal_out_of_range_exits_2_with_one_line(text, where, tmp_path, capsy
     path.write_text(text)
     assert main(["report", str(path)]) == 2
     assert _one_line(capsys).startswith(f"effham: model error: {where}: ")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("space q 2\ntone 1e300*1e300*sx(q) omega = 1\n", "2:11"),
+    ("space q 2\ntone kron(1e200 * sx(q), 1e200 * sx(q)) omega = 1\n", "2:6"),
+    ("space q 2\nop x = 1e308 * sx(q) + 1e308 * sx(q)\ntone x omega = 1\n", "2:22"),
+], ids=["product", "kron", "sum"])
+def test_arithmetic_overflow_exits_2_with_one_line(text, where, tmp_path, capsys):
+    # finite literals whose product, kron or sum overflows: a located model
+    # error, not numpy's overflow warning (an error under this suite's
+    # warning filter)
+    path = tmp_path / "overflow.ham"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    assert _one_line(capsys) == (
+        f"effham: model error: {where}: arithmetic overflows to a non-finite value")

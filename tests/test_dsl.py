@@ -375,9 +375,8 @@ DIAGNOSTICS = [
     ("compile_tone_dimension", Q + "tone mat[[1]] omega = 1\n",
      ModelCompileError, "tone operator acts on dimension 1, model space has dimension 2",
      2, None),
-    ("compile_model_construction", Q + "tone mat[[1e300 * 1e300, 0], [0, 1]] omega = 1\n",
-     ModelCompileError, "model construction failed: tone operator has non-finite entries",
-     None, None),
+    ("compile_arithmetic_overflow", Q + "tone mat[[1e300 * 1e300, 0], [0, 1]] omega = 1\n",
+     ModelCompileError, "arithmetic overflows to a non-finite value", 2, 17),
     ("compile_kron_scalar", Q + "tone kron(sx(q), 2) omega = 1\n",
      ModelCompileError, "kron requires matrix arguments", 2, 6),
     ("compile_kron_cap", "space q 65\ntone kron(a(q), a(q)) omega = 1\n",

@@ -27,6 +27,7 @@ from effham import (
 )
 from effham import oracle
 from effham.diagnostics import jc_detuned
+from effham.dsl import load_model
 
 from conftest import random_generic
 
@@ -123,12 +124,13 @@ def _assert_matches_reference(res, op, t, steps):
 
 
 class _CountingOperator:
-    """Forwards to a model or series and counts the points it is sampled at."""
+    """Forwards to a model or series and records the times it is sampled at."""
 
     def __init__(self, op):
         self.op = op
         self.points = 0
         self.grids = []
+        self.times = []
 
     def __getattr__(self, name):
         return getattr(self.op, name)
@@ -136,6 +138,7 @@ class _CountingOperator:
     def evaluate_grid(self, ts):
         self.points += len(ts)
         self.grids.append(len(ts))
+        self.times.append(np.array(ts, dtype=float))
         return self.op.evaluate_grid(ts)
 
 
@@ -427,6 +430,172 @@ def test_propagate_series_nonhermitian_generator_nonunitary():
 # nested quadrature
 
 
+# Refinement that sampled every level's whole grid, kept verbatim as the
+# reference; the oracle now samples only each level's new midpoints.
+def _quad_reference_values(H, orders, T, points, nodes):
+    ts = np.linspace(0.0, T, points + 1)
+    h = T / points
+    Hs = np.ascontiguousarray(H.evaluate_grid(ts), dtype=complex)
+    split = oracle._sector_split(oracle._nonzero(Hs))
+    if split is not None:
+        Hs = split.gather(Hs)
+    A = Hs
+    factor = 1 + 0j
+    out = {}
+    for k in range(2, max(orders) + 1):
+        A = oracle._mul(Hs, oracle._cumulative_simpson(A, h))
+        factor *= -1j
+        if k in orders:
+            val = factor * A[nodes]
+            out[k] = val if split is None else split.scatter(val)
+    return out
+
+
+def _quad_reference(H, n, t, tol, max_points=oracle.MAX_QUAD_POINTS):
+    single = not isinstance(n, (tuple, list))
+    orders = sorted({int(k) for k in ((n,) if single else n)})
+    times, scalar = oracle._check_times(t)
+
+    def result(values):
+        if scalar:
+            values = {k: None if v is None else v[0] for k, v in values.items()}
+        return values[orders[0]] if single else values
+
+    T = float(times.max())
+    if T == 0.0:
+        return result({k: np.zeros((times.size, H.dim, H.dim), dtype=complex)
+                       for k in orders})
+    nodes = np.rint(times / T * oracle._BASE_POINTS).astype(int)
+    done, prev, changes = {}, {}, {}
+    points = oracle._BASE_POINTS
+    while points <= max_points:
+        vals = _quad_reference_values(H, [k for k in orders if k not in done], T, points,
+                                      nodes * (points // oracle._BASE_POINTS))
+        for k, val in vals.items():
+            if k in prev:
+                changes[k] = oracle._change(val, prev[k])
+                if changes[k] < tol:
+                    done[k] = val
+        if len(done) == len(orders):
+            return result(done)
+        prev = vals
+        points *= 2
+    best = {k: done[k] if k in done else prev[k] for k in orders}
+    missing = [k for k in orders if k not in done]
+    why = "; ".join(f"order {k}: last change {changes[k]:.2g} at {points // 2} points"
+                    for k in missing)
+    raise QuadratureError(
+        f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol} "
+        f"within {max_points} points ({why})",
+        best=result(best),
+    )
+
+
+DEMO_MODELS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "models"
+QUAD_MODELS = (
+    [pytest.param(lambda name=name: make_model(name), id=name) for name in ZOO_NAMES]
+    + [pytest.param(lambda path=path: load_model(path), id=path.name)
+       for path in sorted(DEMO_MODELS.glob("*.ham"))]
+)
+
+
+def _assert_same_values(got, ref):
+    if isinstance(ref, dict):
+        assert sorted(got) == sorted(ref)
+        pairs = [(got[k], ref[k]) for k in ref]
+    else:
+        pairs = [(got, ref)]
+    for x, y in pairs:
+        assert x.shape == y.shape and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("make", QUAD_MODELS)
+def test_quad_oracle_equals_full_grid_reference(make):
+    # the midpoint refinement feeds the chain the same doubles as sampling
+    # each level's whole grid did, so every value is bit-identical; jc's
+    # chain runs split into its sectors, the other models' unsplit
+    H = make()
+    T = 10.0 / H.min_omega
+    times = [0.5, 1.0, 2.0, 5.0, T, np.linspace(T / 8, T, 8)]
+    for n in (2, 3, 4, (2, 3, 4)):
+        for t in times:
+            _assert_same_values(quad_oracle(H, n, t, 1e-9), _quad_reference(H, n, t, 1e-9))
+
+
+@pytest.mark.parametrize("max_points", [512, 2048])
+@pytest.mark.parametrize("n", [3, (2, 3, 4)])
+def test_quad_oracle_budget_error_equals_full_grid_reference(max_points, n):
+    H = make_model("commuting_diag")
+    for t in (10.0 / H.min_omega, _eighths(10.0 / H.min_omega)):
+        with pytest.raises(QuadratureError) as err:
+            quad_oracle(H, n, t, 1e-9, max_points=max_points)
+        with pytest.raises(QuadratureError) as ref:
+            _quad_reference(H, n, t, 1e-9, max_points=max_points)
+        assert str(err.value) == str(ref.value)
+        _assert_same_values(err.value.best, ref.value.best)
+
+
+class _MidpointCoupling:
+    """Two pairs of levels coupled only away from the nodes of the level-0
+    grid on ``[0, T]``: that grid's samples are diagonal, later levels' not."""
+
+    dim = 4
+    max_omega = 1.7
+
+    def __init__(self, T):
+        self.T = T
+
+    def evaluate_grid(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        r = ts / self.T * oracle._BASE_POINTS
+        H = np.zeros((len(ts), 4, 4), dtype=complex)
+        H[:, range(4), range(4)] = [0.3, -0.2, 0.5, 0.1]
+        on = 0.4 * np.cos(1.7 * ts) * (np.abs(r - np.rint(r)) > 0.25)
+        for i, j in ((0, 1), (2, 3)):
+            H[:, i, j] = H[:, j, i] = on
+        return H
+
+
+def test_quad_oracle_finds_the_sectors_again_when_a_level_couples_them():
+    # level 0 splits into four lone levels, level 1 into two pairs
+    T = 2.0
+    op = _MidpointCoupling(T)
+    assert _sector_sizes(op, np.linspace(0.0, T, 257)) == [1, 1, 1, 1]
+    assert _sector_sizes(op, np.linspace(0.0, T, 513)) == [2, 2]
+    with pytest.raises(QuadratureError) as err:
+        quad_oracle(op, (2, 3, 4), _eighths(T), 1e-12, max_points=2048)
+    with pytest.raises(QuadratureError) as ref:
+        _quad_reference(op, (2, 3, 4), _eighths(T), 1e-12, max_points=2048)
+    assert str(err.value) == str(ref.value)
+    _assert_same_values(err.value.best, ref.value.best)
+
+
+def _schedule(levels):
+    # points sampled per level: the whole level-0 grid, then the midpoints
+    return [oracle._BASE_POINTS + 1] + [oracle._BASE_POINTS * 2 ** (k - 1)
+                                        for k in range(1, levels)]
+
+
+def _finest(grids):
+    # intervals of the finest grid reached by a run that sampled ``grids``
+    assert grids == _schedule(len(grids))
+    return oracle._BASE_POINTS * 2 ** (len(grids) - 1)
+
+
+@pytest.mark.parametrize("T", [10 / 0.3, 7.77, 1e-6])
+def test_quad_oracle_samples_each_grid_point_once(T):
+    # a carrier far above the level-0 grid's resolution and a tolerance out
+    # of reach run every level up to the cap; H scales with 1 / T
+    H = _CountingOperator(MultiToneHamiltonian([(0.5 / T * sigma_plus(), 300.0 / T)]))
+    with pytest.raises(QuadratureError):
+        quad_oracle(H, (2, 3, 4), T, 1e-12, max_points=4096)
+    assert H.grids == _schedule(5)
+    for k in range(len(H.times)):
+        sampled = np.sort(np.concatenate(H.times[:k + 1]))
+        grid = np.linspace(0.0, T, oracle._BASE_POINTS * 2**k + 1)
+        assert sampled.tobytes() == grid.tobytes()
+
+
 def test_quad_oracle_zero_time():
     H = make_model("noncommuting_two_tone")
     assert np.array_equal(quad_oracle(H, 2, 0.0, 1e-9), np.zeros((2, 2)))
@@ -478,7 +647,7 @@ def test_quad_oracle_accepts_two_level_max_points(max_points):
     H = _CountingOperator(make_model("raman_lambda"))
     value = quad_oracle(H, 2, 1.0, 1e-6, max_points=max_points)
     assert np.array_equal(value, quad_oracle(H.op, 2, 1.0, 1e-6))
-    assert H.grids == [257, 513]
+    assert H.grids == [257, 256]
 
 
 def test_quad_oracle_budget_error_carries_best_estimate():
@@ -519,7 +688,7 @@ def test_quad_oracle_tuple_equals_single_order_calls(name):
     for n in (2, 3, 4):
         probe = _CountingOperator(H)
         singles[n] = quad_oracle(probe, n, t, 1e-9)
-        finest[n] = probe.grids[-1] - 1
+        finest[n] = _finest(probe.grids)
     # the orders converge at different levels (2048/4096/4096 points on
     # commuting_diag, 2048/2048/4096 on scalar_single_tone, 1024/1024/512
     # on noncommuting_two_tone), so some are frozen while others refine
@@ -530,8 +699,7 @@ def test_quad_oracle_tuple_equals_single_order_calls(name):
     for n in (2, 3, 4):
         assert np.array_equal(both[n], singles[n])
     # one sampling of H per level, up to the finest level any order needs
-    assert probe.grids == [256 * 2**k + 1 for k in range(len(probe.grids))]
-    assert probe.grids[-1] - 1 == max(finest.values())
+    assert _finest(probe.grids) == max(finest.values())
 
 
 def test_quad_oracle_tuple_generic_model(rng):
@@ -621,7 +789,7 @@ def test_quad_oracle_times_match_closed_forms(name):
     probe = _CountingOperator(H)
     vals = quad_oracle(probe, (2, 3, 4), ts, 1e-9)
     # one sampling of H per level, all times read off the same chain
-    assert probe.grids == [256 * 2**k + 1 for k in range(len(probe.grids))]
+    assert probe.grids == _schedule(len(probe.grids))
     for n in (2, 3, 4):
         assert vals[n].shape == (8, H.dim, H.dim)
         closed = heff_n_timedep(H, n)
