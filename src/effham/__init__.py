@@ -10,6 +10,8 @@ the truncated propagator expansion and its coupling scaling, and the gap
 of the third-order operator-reordering identity.
 """
 
+from types import ModuleType as _ModuleType
+
 from .builder import (
     EffectiveOrderResult,
     MAX_ORDER,
@@ -96,80 +98,7 @@ from .tones import POWER_CAP, TOL_ZERO, ToneMono, TonePoly, poly_allclose
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EffectiveOrderResult",
-    "MAX_ORDER",
-    "default_time_grid",
-    "dyson_term",
-    "dyson_terms",
-    "dyson_truncated",
-    "heff2_rwa",
-    "heff2_timedep",
-    "heff3_timedep",
-    "heff_n_timedep",
-    "heff_secular",
-    "Report",
-    "ZOO_NAMES",
-    "eq6_gap",
-    "eq6_gap_grid",
-    "make_model",
-    "model_digest",
-    "run_report",
-    "ModelSpecAst",
-    "compile_model",
-    "load_model",
-    "parse_model",
-    "serialize_model",
-    "DimensionCapError",
-    "DimensionMismatchError",
-    "EffhamError",
-    "FrequencyConditionError",
-    "ModelCompileError",
-    "ModelError",
-    "ModelSyntaxError",
-    "ModelValidationError",
-    "OperatorValueError",
-    "PowerCapError",
-    "QuadratureError",
-    "SweepOverflowError",
-    "TermBudgetError",
-    "UnknownModelError",
-    "hermiticity_defect",
-    "unitarity_defect",
-    "HBAR",
-    "FrequencyReport",
-    "MultiToneHamiltonian",
-    "ToneTerm",
-    "commutation_probe",
-    "frequency_report",
-    "MAX_DIMENSION",
-    "adjoint",
-    "annihilate",
-    "as_operator",
-    "commutator",
-    "create",
-    "frobenius_norm",
-    "identity",
-    "matrix_exponential",
-    "projector",
-    "sigma_minus",
-    "sigma_plus",
-    "sigma_x",
-    "sigma_y",
-    "sigma_z",
-    "standard_operator",
-    "tensor_product",
-    "zero",
-    "PropagationResult",
-    "fidelity_distance",
-    "propagate_exact",
-    "propagate_series",
-    "quad_oracle",
-    "OperatorSeries",
-    "series_residual",
-    "POWER_CAP",
-    "TOL_ZERO",
-    "ToneMono",
-    "TonePoly",
-    "poly_allclose",
-]
+# Each public name is declared once, in its import above; the submodules
+# those imports bind are not part of the public API.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -44,6 +44,7 @@ the propagator (the report) runs the recursion once.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -53,6 +54,7 @@ from .errors import FrequencyConditionError, OperatorValueError
 from .metrics import hermiticity_defect
 from .model import (
     HBAR,
+    MAX_ORDER,
     FrequencyReport,
     MultiToneHamiltonian,
     _check_threshold,
@@ -60,9 +62,6 @@ from .model import (
 )
 from .series import OperatorSeries
 from .tones import TOL_ZERO
-
-#: Largest supported expansion order.
-MAX_ORDER = 6
 
 #: Factor ``1/(i*hbar)`` of one step of the Dyson recursion. Scaling by it
 #: only swaps and negates real and imaginary parts, so it is exact.
@@ -293,8 +292,12 @@ def dyson_truncated(H: MultiToneHamiltonian, N: int, t: float) -> np.ndarray:
     """``I + sum_{n=1..N} U_n(t)``: the truncated propagator expansion.
 
     Generally non-unitary away from t = 0; the defect shrinks with the
-    coupling strength as lambda**(N+1).
+    coupling strength as lambda**(N+1). ``t`` must be finite, as for
+    :func:`~effham.oracle.propagate_exact`, and is checked before any
+    series is built.
     """
+    if not math.isfinite(t):
+        raise OperatorValueError(f"time must be finite, got {t}")
     out = np.eye(H.dim, dtype=complex)
     for U in dyson_terms(H, N):
         out += U.evaluate(t)

@@ -43,6 +43,9 @@ from .tones import TOL_ZERO
 
 SCHEMA_VERSION = 1
 
+#: Tolerance of the report's quadrature residuals (``options.quad_tol``).
+QUAD_TOL = 1e-9
+
 
 # ----------------------------------------------------------------------
 # reordering identity
@@ -310,7 +313,6 @@ def run_report(
     sweep: tuple[float, ...] | None = None,
     tol_zero: float = TOL_ZERO,
     gap_min: float = DEFAULT_GAP_MIN,
-    quad_tol: float = 1e-9,
 ) -> Report:
     """Run the full diagnostic pipeline for one model.
 
@@ -341,7 +343,8 @@ def run_report(
     ``lam^n Heff_n`` on the grid and the unitarity defect of
     ``I + sum_{k<=n} lam^k U_k(1)``. The quadrature
     residuals of all orders up to 4, at the 8 times ``j * tmax / 8``, come
-    from one :func:`quad_oracle` call: one refinement on ``[0, tmax]``
+    from one :func:`quad_oracle` call at tolerance ``QUAD_TOL``: one
+    refinement on ``[0, tmax]``
     whose chain holds every residual time as an even level-0 node
     (``256 / 8 = 32`` intervals apart). Since that grid spans ``[0, tmax]``
     and not ``[0, t]``, a reference value is not bit-identical to that of a
@@ -395,7 +398,7 @@ def run_report(
 
     quad_orders = tuple(n for n in orders if n <= MAX_QUAD_ORDER)
     residual_ts = np.linspace(tmax / 8.0, tmax, 8)
-    refs = quad_oracle(H, quad_orders, residual_ts, quad_tol) if quad_orders else {}
+    refs = quad_oracle(H, quad_orders, residual_ts, QUAD_TOL) if quad_orders else {}
     residuals = tuple(
         {"order": n, "t": float(t), "residual": float(np.linalg.norm(closed - ref))}
         for n in quad_orders
@@ -428,7 +431,7 @@ def run_report(
             "sweep": list(sweep) if sweep else None,
             "tol_zero": tol_zero,
             "gap_min": gap_min,
-            "quad_tol": quad_tol,
+            "quad_tol": QUAD_TOL,
         },
         generated_at=datetime.now(timezone.utc).isoformat(),
     )

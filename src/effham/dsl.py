@@ -25,9 +25,13 @@ products keep their written order. ``mat`` and ``kron`` values are raw
 matrices; when used in a tone or combined with built-ins their dimension
 must match the full model space.
 
-Names must be declared before use. ``param``/``op`` names share one
-namespace, space names another; the keywords of the grammar and the
-built-in function names are reserved.
+Every name must be declared in the file, but only an ``op`` is bound by
+the order of the declarations: an ``op`` may use params and the ops
+declared above it, not itself or a later one. Spaces and params may be
+used anywhere, before or after their declaration, and a ``tone`` may use
+any op; a tone's frequency takes numbers and params only. ``param``/``op``
+names share one namespace, space names another; the keywords of the
+grammar and the built-in function names are reserved.
 
 Nesting is bounded, so that no walk of a parsed tree can exhaust the
 stack. The parser's own recursion is capped at 200 levels: a unary ``-``

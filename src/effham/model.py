@@ -35,6 +35,10 @@ HBAR = 1.0
 #: Default threshold above which a frequency sum counts as safely nonzero.
 DEFAULT_GAP_MIN = 1e-3
 
+#: Largest supported expansion order. An order-n term oscillates at sums
+#: of up to n carriers, so a model's carriers must keep such sums finite.
+MAX_ORDER = 6
+
 
 @dataclass(frozen=True)
 class ToneTerm:
@@ -51,7 +55,9 @@ class MultiToneHamiltonian:
     ----------
     tones:
         Sequence of ``(h, omega)`` pairs or :class:`ToneTerm` instances;
-        must be nonempty, share one dimension, and have ``omega > 0``.
+        must be nonempty, share one dimension, and have ``omega > 0``
+        with ``MAX_ORDER * omega`` finite, so that no sum of carriers the
+        builders or the frequency report form overflows.
     """
 
     __slots__ = ("dim", "tones", "_freqs", "_mats")
@@ -66,6 +72,11 @@ class MultiToneHamiltonian:
             if not omega > 0:
                 raise OperatorValueError(
                     f"tone frequency must be positive, got {omega}"
+                )
+            if not math.isfinite(MAX_ORDER * omega):
+                raise OperatorValueError(
+                    f"tone frequency {omega:g} is too large: a sum of {MAX_ORDER} "
+                    "carriers would overflow"
                 )
             h.setflags(write=False)
             terms.append(ToneTerm(h, omega))

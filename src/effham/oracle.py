@@ -28,11 +28,13 @@ the block's maps are computed on a zero-padded ``(b, b)`` stack of the
 sectors, ``b`` the largest sector, and scattered back into ``(d, d)``. The
 sectors are read off the samples rather than off a model's tone matrices,
 so the split is exact for any grid function, series and duck-typed
-operators included; they are found again only when a block's pattern
-differs from the previous block's. A model that conserves a quantum
-number, such as the excitation number of the Jaynes-Cummings model
-(dimension 10, sectors 1, 1, 2, 2, 2, 2), then multiplies 2x2 blocks
-instead of 10x10 ones.
+operators included. One object, ``_SectorStage``, holds the split for a
+whole run of either oracle: it finds the sectors again only when a
+stack's pattern differs from the previous stack's, gathers the stack
+into them and scatters values back, and passes stacks that run unsplit
+through unchanged. A model that conserves a quantum number, such as the
+excitation number of the Jaynes-Cummings model (dimension 10, sectors 1,
+1, 2, 2, 2, 2), then multiplies 2x2 blocks instead of 10x10 ones.
 
 Blocks up to 3x3 are multiplied as a sum of outer products over the inner
 index, not by ``np.matmul``, whose cost per matrix hardly falls below
@@ -46,23 +48,22 @@ sectors costs S products under ``np.matmul``.
 
 The quadrature path (:func:`quad_oracle`) evaluates the interaction
 Hamiltonian directly on refined uniform grids and builds the nested
-integrals with a fourth-order cumulative Simpson rule, one refinement
-for any set of orders 2..4 and any list of times. A cumulative integral
-and a product with H keep the sectors of H's samples, so each level's
-chain runs on them by the same rule as an RK4 block: split when there is
-more than one sector and none larger than 3, with products by
+integrals with a fourth-order cumulative Simpson rule, one refinement for
+any set of orders 2..4 and any list of times. A cumulative integral and a
+product with H keep the sectors of H's samples, so each level's samples go
+through the same sector stage as an RK4 block's, with products by
 :func:`_mul` either way, and only the values at the read-out times are
 scattered back into ``(d, d)``. The Jaynes-Cummings chain then multiplies
 2x2 blocks and the dense zoo models of dimension 2 and 3 take the sum of
 outer products. The samples are read as complex, so a grid function may
-return real ones, and neither oracle writes to them. The cumulative chain on
-``[0, T]``, ``T`` the largest time, holds every time that is an even node
-of the 256-interval level-0 grid (``t / T * 256`` an even integer, e.g.
-``j * T / 8``), and every later level keeps those nodes, so all such times
-are read off one chain. Values at a time below ``T`` then come from a grid
-on ``[0, T]`` rather than ``[0, t]`` and are not bit-identical to those of
-a call at that time alone. The quadrature must not touch the closed-form
-machinery, since its whole value is independence from it.
+return real ones, and neither oracle writes to them. The cumulative chain
+on ``[0, T]``, ``T`` the largest time, holds every time that is an even
+node of the 256-interval level-0 grid (``t / T * 256`` an even integer,
+e.g. ``j * T / 8``), and every later level keeps those nodes, so all such
+times are read off one chain. Values at a time below ``T`` then come from
+a grid on ``[0, T]`` rather than ``[0, t]`` and are not bit-identical to
+those of a call at that time alone. The quadrature must not touch the
+closed-form machinery, since its whole value is independence from it.
 
 The levels share their samples. Node ``2j`` of the grid of ``2p``
 intervals and node ``j`` of the grid of ``p`` intervals are the same
@@ -244,50 +245,60 @@ def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
         labels = new
 
 
-class _SectorSplit:
-    """Gathers the samples of a block into one zero-padded ``(b, b)``
-    block per sector, and scatters the sectors' maps back into ``(d, d)``."""
+class _SectorStage:
+    """The invariant-sector split of the successive sample stacks of one
+    run, as both oracles take it (see the module docstring).
 
-    def __init__(self, dim: int, sectors: list[np.ndarray]):
-        b = max(len(s) for s in sectors)
-        index = np.zeros((len(sectors), b), dtype=int)
-        valid = np.zeros((len(sectors), b), dtype=bool)
-        for k, s in enumerate(sectors):
-            index[k, :len(s)] = s
-            valid[k, :len(s)] = True
-        self.dim = dim
-        self.rows = np.broadcast_to(index[:, :, None], (len(sectors), b, b))
-        self.cols = np.broadcast_to(index[:, None, :], (len(sectors), b, b))
-        self.valid = valid[:, :, None] & valid[:, None, :]
+    :meth:`gather` reads the nonzero pattern of a C-contiguous complex
+    ``(n, d, d)`` stack (an entry with a nonzero real or imaginary part in
+    any sample) and finds the split again only when the pattern differs
+    from the last stack's. The split pays only where the sectors take the
+    cheap product of :func:`_mul`, so the samples split when they have more
+    than one sector and none larger than ``_SMALL_PRODUCT``. Then
+    :meth:`gather` returns a new zero-padded ``(n, S, b, b)`` stack of the
+    ``S`` sectors, ``b`` the largest, and :meth:`scatter` puts values of
+    those sectors back into ``(d, d)``; otherwise both return their input
+    unchanged.
+    """
+
+    def __init__(self):
+        self.pattern = None
+        self.valid = None
 
     def gather(self, A: np.ndarray) -> np.ndarray:
+        d = A.shape[-1]
+        pattern = np.any(A.view(A.real.dtype), axis=0).reshape(d, d, 2).any(axis=2)
+        if self.pattern is None or not np.array_equal(pattern, self.pattern):
+            self.pattern = pattern
+            self._split(_sectors(pattern))
+        if self.valid is None:
+            return A
         stack = A[:, self.rows, self.cols]
         stack[:, ~self.valid] = 0
         return stack
 
     def scatter(self, X: np.ndarray) -> np.ndarray:
         # X is (..., S, b, b); any leading axes are kept
-        out = np.zeros(X.shape[:-3] + (self.dim, self.dim), dtype=X.dtype)
+        if self.valid is None:
+            return X
+        d = len(self.pattern)
+        out = np.zeros(X.shape[:-3] + (d, d), dtype=X.dtype)
         out[..., self.rows[self.valid], self.cols[self.valid]] = X[..., self.valid]
         return out
 
-
-def _nonzero(A: np.ndarray) -> np.ndarray:
-    """``(d, d)`` pattern of the entries of a C-contiguous complex sample
-    stack ``(n, d, d)`` with a nonzero real or imaginary part in any sample."""
-    d = A.shape[-1]
-    return np.any(A.view(A.real.dtype), axis=0).reshape(d, d, 2).any(axis=2)
-
-
-def _sector_split(pattern: np.ndarray) -> _SectorSplit | None:
-    """The split of samples with this nonzero pattern into its invariant
-    sectors, or None where they run unsplit: the split pays only where the
-    sectors take the cheap product of :func:`_mul`, so there must be more
-    than one sector and none larger than ``_SMALL_PRODUCT``."""
-    sectors = _sectors(pattern)
-    if len(sectors) > 1 and max(map(len, sectors)) <= _SMALL_PRODUCT:
-        return _SectorSplit(len(pattern), sectors)
-    return None
+    def _split(self, sectors: list[np.ndarray]) -> None:
+        b = max(map(len, sectors))
+        self.valid = None
+        if len(sectors) == 1 or b > _SMALL_PRODUCT:
+            return
+        index = np.zeros((len(sectors), b), dtype=int)
+        valid = np.zeros((len(sectors), b), dtype=bool)
+        for k, s in enumerate(sectors):
+            index[k, :len(s)] = s
+            valid[k, :len(s)] = True
+        self.rows = np.broadcast_to(index[:, :, None], (len(sectors), b, b))
+        self.cols = np.broadcast_to(index[:, None, :], (len(sectors), b, b))
+        self.valid = valid[:, :, None] & valid[:, None, :]
 
 
 def _rk4_pair(grid_eval, dim: int, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,22 +308,17 @@ def _rk4_pair(grid_eval, dim: int, t: float, steps: int) -> tuple[np.ndarray, np
     # the module docstring).
     h = t / (2 * steps)
     G = E = np.zeros((dim, dim), dtype=complex)
-    pattern = split = None
+    sectors = _SectorStage()
     for c0 in range(0, steps, _RK4_BLOCK):
         c1 = min(steps, c0 + _RK4_BLOCK)
         times = (h / 2) * (4 * c0 + np.arange(4 * (c1 - c0) + 1))
-        # the caller's samples are never written to: only a copy is scaled
         A = np.ascontiguousarray(grid_eval(times), dtype=complex)
-        nonzero = _nonzero(A)
-        if pattern is None or not np.array_equal(nonzero, pattern):
-            pattern, split = nonzero, _sector_split(nonzero)
-        if split is None:
-            Gb, Eb = _block_maps(-1j * A, h)
-        else:
-            A = split.gather(A)
-            A *= -1j
-            Gb, Eb = map(split.scatter, _block_maps(A, h))
-        G, E = _join(G, E, Gb, Eb)
+        S = sectors.gather(A)
+        # -i S, in place on a stack the gather made; the caller's samples
+        # are never written to, so unsplit ones are scaled into a copy
+        A = np.multiply(S, -1j, out=None if S is A else S)
+        del S  # the samples are not held while the block's maps are formed
+        G, E = _join(G, E, *map(sectors.scatter, _block_maps(A, h)))
     G[np.diag_indices_from(G)] += 1
     return G, E
 
@@ -392,15 +398,13 @@ def _refined(samples: np.ndarray, midpoints) -> np.ndarray:
 
 
 def _nested_values(Hs: np.ndarray, orders: list[int], h: float,
-                   split: _SectorSplit | None, nodes: np.ndarray) -> dict[int, np.ndarray]:
+                   sectors: _SectorStage, nodes: np.ndarray) -> dict[int, np.ndarray]:
     # Order-k values for each k in ``orders`` from one level's samples ``Hs``
     # (complex, step ``h``, never written to), read at the grid indices
     # ``nodes``: the chain of order k is the first k - 1 steps of the highest
-    # order's chain. The chain runs on the invariant sectors of ``split``
-    # where the samples split, as the RK4 does, and only the read-out nodes
-    # are scattered back.
-    if split is not None:
-        Hs = split.gather(Hs)
+    # order's chain. The chain runs on what ``sectors`` gathers, as the RK4
+    # does, and only the read-out nodes are scattered back.
+    Hs = sectors.gather(Hs)
     A = Hs
     factor = 1 + 0j
     out = {}
@@ -408,8 +412,7 @@ def _nested_values(Hs: np.ndarray, orders: list[int], h: float,
         A = _mul(Hs, _cumulative_simpson(A, h))
         factor *= -1j
         if k in orders:
-            val = factor * A[nodes]
-            out[k] = val if split is None else split.scatter(val)
+            out[k] = sectors.scatter(factor * A[nodes])
     return out
 
 
@@ -526,7 +529,8 @@ def quad_oracle(H, n, t, tol: float,
     done: dict[int, np.ndarray] = {}
     prev: dict[int, np.ndarray] = {}
     changes: dict[int, float] = {}
-    samples = pattern = split = None
+    samples = None
+    sectors = _SectorStage()
     points = _BASE_POINTS
     while points <= max_points:
         # node 2j of this level's grid is node j of the last one, the same
@@ -536,11 +540,8 @@ def quad_oracle(H, n, t, tol: float,
             samples = np.ascontiguousarray(H.evaluate_grid(ts), dtype=complex)
         else:
             samples = _refined(samples, H.evaluate_grid(ts[1::2]))
-        nonzero = _nonzero(samples)
-        if pattern is None or not np.array_equal(nonzero, pattern):
-            pattern, split = nonzero, _sector_split(nonzero)
         vals = _nested_values(samples, [k for k in orders if k not in done], T / points,
-                              split, nodes * (points // _BASE_POINTS))
+                              sectors, nodes * (points // _BASE_POINTS))
         for k, val in vals.items():
             if k in prev:
                 changes[k] = _change(val, prev[k])

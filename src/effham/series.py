@@ -12,9 +12,11 @@ from ``TonePoly`` and group the output keys exactly: such a monomial keeps
 its key's frequency or has frequency 0.0, and canonical frequencies lie
 more than ``TOL_ZERO`` apart, so clustering them again would change nothing.
 A series' own keys are canonical and are never canonicalized again: they
-reach ``TonePoly`` through its trusted constructor ``TonePoly._of``, so an
-integral or a derivative canonicalizes nothing and a product only the
-product of its two key sets.
+reach ``TonePoly`` through its trusted constructor ``TonePoly._of``, one
+key at a time for an integral or a derivative, whose rules put a single
+key's monomials in canonical order directly. So an integral or a
+derivative canonicalizes nothing and a product only the product of its
+two key sets.
 Keys whose matrix cancels below ``DROP_TOL`` of the largest are dropped.
 Stored keys and the key pairs of one product are guarded by a budget
 (default 2_000_000, overridable via ``EFFHAM_MAX_TERMS``).

@@ -9,10 +9,12 @@ other merged (and snapped to exactly 0.0 near zero), and coefficients
 below ``drop_tol`` relative to the largest one pruned.
 
 Canonical terms are never canonicalized again. ``TonePoly._of`` takes
-terms that are canonical already, as they are. The integral and the
-derivative of a one-term polynomial whose frequency is 0.0 or farther
-than ``TOL_ZERO`` from 0 (every series key is one) are built directly in
-canonical order, since none of their monomials share a key or merge.
+terms that are canonical already, as they are. The by-parts integral and
+the derivative are each one loop over the terms. For a one-term
+polynomial whose frequency is 0.0 or farther than ``TOL_ZERO`` from 0
+(every series key is one), none of the monomials they emit share a key
+or merge, so those are put in canonical order directly, the lower-limit
+constant first for a positive frequency, and not canonicalized.
 """
 
 from __future__ import annotations
@@ -205,16 +207,6 @@ class TonePoly:
 
     # ------------------------------------------------------------------
     # calculus
-    def _key(self) -> ToneMono | None:
-        """The only term, if its frequency is 0.0 or farther than ``TOL_ZERO``
-        from 0, as a series key's is: its integral and derivative are then
-        built in canonical order by :func:`_key_terms`."""
-        if len(self.terms) == 1:
-            m = self.terms[0]
-            if m.freq == 0.0 or abs(m.freq) > TOL_ZERO:
-                return m
-        return None
-
     def integrate_from_zero(self) -> "TonePoly":
         """Exact definite integral from 0 to t, as a polynomial in t.
 
@@ -226,40 +218,51 @@ class TonePoly:
         is applied, keeping every lower-limit constant so that the result
         evaluates to exactly 0 at t = 0.
         """
-        key = self._key()
-        if key is not None:
-            coeff, power, freq = key
-            if freq == 0.0:
-                return _key_terms(0.0, [(coeff / (power + 1), power + 1)])
-            osc, const = _integral_table(power, freq)
-            return _key_terms(freq, [(coeff * c, k) for c, k in osc], coeff * const)
         out: list[tuple[complex, int, float]] = []
         for coeff, power, freq in self.terms:
             if freq == 0.0:
                 out.append((coeff / (power + 1), power + 1, 0.0))
                 continue
             osc, const = _integral_table(power, freq)
-            for c, k in osc:
-                out.append((coeff * c, k, freq))
+            out += [(coeff * c, k, freq) for c, k in osc]
             out.append((coeff * const, 0, 0.0))
-        return TonePoly(out)
+        return self._derived(out)
 
     def derivative(self) -> "TonePoly":
         """Term-by-term ``d/dt``; exact left inverse of integrate_from_zero."""
-        key = self._key()
-        if key is not None:
-            coeff, power, freq = key
-            osc = [(coeff * power, power - 1)] if power >= 1 else []
-            if freq != 0.0:
-                osc.append((coeff * 1j * freq, power))
-            return _key_terms(freq, osc)
         out = []
         for coeff, power, freq in self.terms:
             if power >= 1:
                 out.append((coeff * power, power - 1, freq))
             if freq != 0.0:
                 out.append((coeff * 1j * freq, power, freq))
-        return TonePoly(out)
+        return self._derived(out)
+
+    def _derived(self, out: list[tuple[complex, int, float]]) -> "TonePoly":
+        """Polynomial of the monomials that :meth:`integrate_from_zero` or
+        :meth:`derivative` emitted, term by term: at the term's frequency
+        in ascending power, then any lower-limit constant at (0.0, 0).
+
+        For one term whose frequency is 0.0 or farther than ``TOL_ZERO``
+        from 0, as every series key's is, no two of these monomials share a
+        key or merge, so they are taken in canonical order without
+        :func:`_canonicalize`: the constant goes first for a positive
+        frequency. As in that function, each coefficient is added to 0j and
+        each frequency to 0.0, which turns a signed zero into +0.0, and
+        coefficients below ``DROP_TOL`` of the largest are pruned.
+        """
+        freq = self.terms[0].freq if len(self.terms) == 1 else None
+        if freq is None or not (freq == 0.0 or abs(freq) > TOL_ZERO):
+            return TonePoly(out)
+        if freq > 0.0 and out[-1][2] == 0.0:
+            out.insert(0, out.pop())
+        out = [(0j + c, k, f + 0.0) for c, k, f in out if c != 0]
+        floor = DROP_TOL * max((abs(m[0]) for m in out), default=0.0)
+        kept = tuple([_new_mono(ToneMono, m) for m in out if abs(m[0]) > floor])
+        for m in kept:
+            if m.power > POWER_CAP:
+                raise PowerCapError(f"power {m.power} exceeds cap {POWER_CAP}")
+        return TonePoly._of(kept)
 
     # ------------------------------------------------------------------
     # evaluation and extraction
@@ -283,28 +286,6 @@ class TonePoly:
     def has_secular_growth(self, tol_zero: float = TOL_ZERO) -> bool:
         """True iff a zero-frequency monomial with power >= 1 is present."""
         return any(abs(m.freq) <= tol_zero and m.power >= 1 for m in self.terms)
-
-
-def _key_terms(freq: float, osc: list[tuple[complex, int]],
-               const: complex | None = None) -> TonePoly:
-    """``TonePoly`` of the monomials ``(coeff, power)`` at ``freq``, in
-    ascending power, plus ``const`` at (0.0, 0), for ``freq`` 0.0 or farther
-    than ``TOL_ZERO`` from 0: the terms ``_canonicalize`` gives for them,
-    without its sort and clustering, as no two of them share a key or merge.
-    Each coefficient is added to 0j, as the canonicalizer's sum does, which
-    turns a signed zero part into +0.0."""
-    freq = 0.0 if freq == 0.0 else freq
-    terms = [(0j + c, k, freq) for c, k in osc if c != 0]
-    if const is not None and const != 0:
-        terms.insert(0 if freq > 0.0 else len(terms), (0j + const, 0, 0.0))
-    if not terms:
-        return TonePoly._of(())
-    floor = DROP_TOL * max(abs(c) for c, _, _ in terms)
-    kept = tuple([_new_mono(ToneMono, m) for m in terms if abs(m[0]) > floor])
-    for m in kept:
-        if m.power > POWER_CAP:
-            raise PowerCapError(f"power {m.power} exceeds cap {POWER_CAP}")
-    return TonePoly._of(kept)
 
 
 def _integral_table(k: int, freq: float) -> tuple[list[tuple[complex, int]], complex]:

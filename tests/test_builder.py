@@ -1,3 +1,4 @@
+import math
 import pathlib
 
 import numpy as np
@@ -337,6 +338,12 @@ def test_derivative_identity_at_top_order():
 
 def test_dyson_truncated_identity_at_zero():
     assert np.allclose(dyson_truncated(NONCOMM, 4, 0.0), np.eye(2))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_dyson_truncated_refuses_non_finite_time(t):
+    with pytest.raises(OperatorValueError, match="finite"):
+        dyson_truncated(NONCOMM, 2, t)
 
 
 def test_dyson_truncated_nonunitary_at_generic_time():

@@ -315,3 +315,13 @@ def test_arithmetic_overflow_exits_2_with_one_line(text, where, tmp_path, capsys
     assert main(["report", str(path)]) == 2
     assert _one_line(capsys) == (
         f"effham: model error: {where}: arithmetic overflows to a non-finite value")
+
+
+@pytest.mark.parametrize("omega", ["1e308", "1e307 * 6"])
+def test_carrier_whose_sums_overflow_exits_2_with_one_line(omega, tmp_path, capsys):
+    # the report's three-carrier sums would be infinite, which JSON refuses
+    path = tmp_path / "fast.ham"
+    path.write_text(f"space q 2\ntone sx(q) omega = {omega}\n")
+    assert main(["report", str(path)]) == 2
+    line = _one_line(capsys)
+    assert line.startswith("effham: model error: ") and "overflow" in line

@@ -90,8 +90,28 @@ def test_unknown_space_in_builtin():
 
 
 def test_declaration_order_enforced():
-    with pytest.raises(ModelValidationError):
-        parse_model("space q 2\nop first = second\nop second = sx(q)\ntone first omega = 1.0\n")
+    # an op may use only the ops declared above it: not a later one, nor itself
+    for text in ["space q 2\nop first = second\nop second = sx(q)\ntone first omega = 1.0\n",
+                 "space q 2\nop x = x\ntone x omega = 1.0\n"]:
+        with pytest.raises(ModelValidationError, match="unknown identifier"):
+            parse_model(text)
+
+
+@pytest.mark.parametrize("text, in_order", [
+    ("op x = sx(q)\nspace q 2\ntone x omega = 1\n",
+     "space q 2\nop x = sx(q)\ntone x omega = 1\n"),
+    ("space q 2\ntone sx(q) omega = w\nparam w = 2\n",
+     "space q 2\nparam w = 2\ntone sx(q) omega = w\n"),
+    ("space q 2\nop y = g * sx(q)\nparam g = 0.5\ntone y omega = 1\n",
+     "space q 2\nparam g = 0.5\nop y = g * sx(q)\ntone y omega = 1\n"),
+    ("space q 2\ntone x omega = 1\nop x = sx(q)\n",
+     "space q 2\nop x = sx(q)\ntone x omega = 1\n"),
+], ids=["space_after_op", "param_after_tone", "param_after_op", "op_after_tone"])
+def test_spaces_params_and_ops_in_tones_may_be_used_before_declaration(text, in_order):
+    H, ref = compile_model(parse_model(text)), compile_model(parse_model(in_order))
+    assert H.omegas == ref.omegas
+    for tone, ref_tone in zip(H.tones, ref.tones):
+        assert np.array_equal(tone.h, ref_tone.h)
 
 
 # ----------------------------------------------------------------------

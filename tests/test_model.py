@@ -34,6 +34,19 @@ def test_requires_positive_frequency():
         MultiToneHamiltonian([(sigma_plus(), 0.0)])
 
 
+@pytest.mark.parametrize("omega", [math.inf, 1e308, math.nextafter(math.inf, 0) / 5])
+def test_refuses_carrier_whose_sums_overflow(omega):
+    # the builders and the frequency report sum up to MAX_ORDER carriers
+    with pytest.raises(OperatorValueError, match="overflow"):
+        MultiToneHamiltonian([(sigma_x(), omega)])
+
+
+def test_accepts_largest_carrier_whose_sums_stay_finite():
+    omega = math.nextafter(math.inf, 0) / 8
+    H = MultiToneHamiltonian([(sigma_x(), omega)])
+    assert all(math.isfinite(s.value) for s in frequency_report(H).three_sum_classes)
+
+
 def test_requires_nonempty_tones():
     with pytest.raises(OperatorValueError):
         MultiToneHamiltonian([])

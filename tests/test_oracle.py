@@ -193,15 +193,51 @@ def test_propagate_exact_of_rotated_jc_matches_conjugated_propagator(rng):
     assert abs(rot.est_error - res.est_error) <= 1e-6 * res.est_error
 
 
-def test_propagate_exact_runs_sectors_larger_than_3x3_unsplit(rng, monkeypatch):
-    # a padded stack of 4x4 sectors would cost one np.matmul per sector
+def _two_4x4_sectors(rng):
     h = np.zeros((8, 8), dtype=complex)
     h[:4, :4] = random_generic(rng, 4, 0.4)
     h[4:, 4:] = random_generic(rng, 4, 0.4)
     H = MultiToneHamiltonian([(h, w) for w in (1.3, 2.1)])
     assert _sector_sizes(H, np.linspace(0.0, 1.5, 5)) == [4, 4]
-    monkeypatch.setattr(oracle, "_SectorSplit", None)
+    return H
+
+
+def _record_splits(monkeypatch):
+    """List that gets, for every stack the oracles gather, whether it was
+    split, i.e. whether the gather returned a new stack."""
+    splits = []
+    gather = oracle._SectorStage.gather
+
+    def recording(self, A):
+        stack = gather(self, A)
+        splits.append(stack is not A)
+        return stack
+
+    monkeypatch.setattr(oracle._SectorStage, "gather", recording)
+    return splits
+
+
+def test_sector_stage_splits_jc_only_into_sectors_up_to_3x3(rng):
+    ts = np.linspace(0.0, 1.5, 9)
+    for H, split in [(jc_detuned(g=0.05), True), (_two_4x4_sectors(rng), False),
+                     (_generic_three_tone(rng), False)]:
+        A = np.ascontiguousarray(H.evaluate_grid(ts))
+        sectors = oracle._SectorStage()
+        stack = sectors.gather(A)
+        assert (stack is not A) == split
+        if split:
+            assert stack.shape == (len(ts), 6, 2, 2)
+            assert np.array_equal(sectors.scatter(stack), A)
+        else:
+            assert sectors.scatter(stack) is stack
+
+
+def test_propagate_exact_runs_sectors_larger_than_3x3_unsplit(rng, monkeypatch):
+    # a padded stack of 4x4 sectors would cost one np.matmul per sector
+    H = _two_4x4_sectors(rng)
+    splits = _record_splits(monkeypatch)
     _assert_matches_reference(propagate_exact(H, 1.5, steps=300), H, 1.5, 300)
+    assert splits and not any(splits)
 
 
 class _SwitchedCoupling:
@@ -430,15 +466,14 @@ def test_propagate_series_nonhermitian_generator_nonunitary():
 # nested quadrature
 
 
-# Refinement that sampled every level's whole grid, kept verbatim as the
-# reference; the oracle now samples only each level's new midpoints.
+# Refinement that sampled every level's whole grid, kept as the reference
+# (with a fresh sector stage per level); the oracle samples only each
+# level's new midpoints.
 def _quad_reference_values(H, orders, T, points, nodes):
     ts = np.linspace(0.0, T, points + 1)
     h = T / points
-    Hs = np.ascontiguousarray(H.evaluate_grid(ts), dtype=complex)
-    split = oracle._sector_split(oracle._nonzero(Hs))
-    if split is not None:
-        Hs = split.gather(Hs)
+    sectors = oracle._SectorStage()
+    Hs = sectors.gather(np.ascontiguousarray(H.evaluate_grid(ts), dtype=complex))
     A = Hs
     factor = 1 + 0j
     out = {}
@@ -447,7 +482,7 @@ def _quad_reference_values(H, orders, T, points, nodes):
         factor *= -1j
         if k in orders:
             val = factor * A[nodes]
-            out[k] = val if split is None else split.scatter(val)
+            out[k] = sectors.scatter(val)
     return out
 
 
@@ -835,14 +870,11 @@ def test_quad_oracle_of_rotated_jc_matches_conjugated_values(rng):
 
 
 def test_quad_oracle_runs_sectors_larger_than_3x3_unsplit(rng, monkeypatch):
-    h = np.zeros((8, 8), dtype=complex)
-    h[:4, :4] = random_generic(rng, 4, 0.4)
-    h[4:, 4:] = random_generic(rng, 4, 0.4)
-    H = MultiToneHamiltonian([(h, w) for w in (1.3, 2.1)])
-    assert _sector_sizes(H, np.linspace(0.0, 1.5, 5)) == [4, 4]
-    monkeypatch.setattr(oracle, "_SectorSplit", None)
+    H = _two_4x4_sectors(rng)
+    splits = _record_splits(monkeypatch)
     ts = _eighths(1.5)
     vals = quad_oracle(H, (2, 3, 4), ts, 1e-9)
+    assert splits and not any(splits)
     for n in (2, 3, 4):
         closed = heff_n_timedep(H, n)
         for t, val in zip(ts, vals[n]):
