@@ -44,20 +44,18 @@ the propagator (the report) runs the recursion once.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrequencyConditionError, OperatorValueError
+from .errors import FrequencyConditionError, check_integer, check_orders, check_real, check_times
 from .metrics import hermiticity_defect
 from .model import (
     HBAR,
     MAX_ORDER,
     FrequencyReport,
     MultiToneHamiltonian,
-    _check_threshold,
+    check_threshold,
     frequency_report,
 )
 from .series import OperatorSeries
@@ -66,25 +64,6 @@ from .tones import TOL_ZERO
 #: Factor ``1/(i*hbar)`` of one step of the Dyson recursion. Scaling by it
 #: only swaps and negates real and imaginary parts, so it is exact.
 _STEP = complex(0.0, -1.0 / HBAR)
-
-
-def _check_order(n: int, low: int = 2) -> int:
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise OperatorValueError(f"order must be an integer, got {n!r}")
-    n = int(n)
-    if not low <= n <= MAX_ORDER:
-        raise OperatorValueError(f"order must be in [{low}, {MAX_ORDER}], got {n}")
-    return n
-
-
-def check_orders(orders) -> tuple[int, ...]:
-    """The distinct orders of ``orders``, sorted, each an integer in
-    ``[2, MAX_ORDER]``; raises :class:`OperatorValueError` otherwise or when
-    ``orders`` is empty."""
-    checked = tuple(sorted({_check_order(n) for n in orders}))
-    if not checked:
-        raise OperatorValueError("at least one order must be given")
-    return checked
 
 
 def _drop_lower_limit_constants(I: OperatorSeries) -> OperatorSeries:
@@ -140,7 +119,7 @@ def heff_n_timedep(H: MultiToneHamiltonian, n: int) -> OperatorSeries:
     matrix at t = 0 because every lower-limit constant of ``U_{n-1}`` is
     kept.
     """
-    n = _check_order(n)
+    n = check_integer("order", n, 2, MAX_ORDER)
     return H.to_operator_series() * dyson_term(H, n - 1)
 
 
@@ -217,15 +196,6 @@ def default_time_grid(H: MultiToneHamiltonian, points: int = 64) -> np.ndarray:
     return np.linspace(0.0, 10.0 / H.min_omega, points)
 
 
-def _check_time_grid(time_grid) -> np.ndarray:
-    ts = np.asarray(time_grid, dtype=float)
-    if ts.ndim != 1:
-        raise OperatorValueError(f"time grid must be 1-D, got shape {ts.shape}")
-    if not np.isfinite(ts).all():
-        raise OperatorValueError("time grid must be finite")
-    return ts
-
-
 def heff_secular(H: MultiToneHamiltonian, n,
                  tol_zero: float = TOL_ZERO,
                  time_grid: np.ndarray | None = None,
@@ -252,9 +222,9 @@ def heff_secular(H: MultiToneHamiltonian, n,
     or not finite, raise :class:`OperatorValueError` before any build.
     """
     single = not isinstance(n, (tuple, list))
-    orders = check_orders((n,) if single else n)
-    _check_threshold("tol_zero", tol_zero)
-    ts = default_time_grid(H) if time_grid is None else _check_time_grid(time_grid)
+    orders = check_orders((n,) if single else n, MAX_ORDER)
+    check_threshold("tol_zero", tol_zero)
+    ts = default_time_grid(H) if time_grid is None else check_times("time grid", time_grid)
     S = H.to_operator_series()
     heffs, terms = _chain(S, orders[-1])
     terms = tuple(terms)
@@ -279,7 +249,7 @@ def heff_secular(H: MultiToneHamiltonian, n,
 def dyson_terms(H: MultiToneHamiltonian, N: int) -> list[OperatorSeries]:
     """Propagator terms ``[U_1(t), ..., U_N(t)]`` in closed form, from one pass
     of the Dyson recursion ``U_k = (1/(i*hbar)) int_0^t H U_{k-1}``."""
-    N = _check_order(N, low=1)
+    N = check_integer("order", N, 1, MAX_ORDER)
     return _chain(H.to_operator_series(), N)[1]
 
 
@@ -296,8 +266,7 @@ def dyson_truncated(H: MultiToneHamiltonian, N: int, t: float) -> np.ndarray:
     :func:`~effham.oracle.propagate_exact`, and is checked before any
     series is built.
     """
-    if not math.isfinite(t):
-        raise OperatorValueError(f"time must be finite, got {t}")
+    check_real("time", t)
     out = np.eye(H.dim, dtype=complex)
     for U in dyson_terms(H, N):
         out += U.evaluate(t)

@@ -12,11 +12,11 @@ quadrature refinement budget, a ``--sweep`` factor that scales an order
 out of the float range, such as ``1e200``, and an allocation that runs
 out of memory, such as the time grid of a huge ``--grid``); each prints a
 one-line message. A usage error is
-an option that does not parse or is out of range: ``--orders`` outside
-``[2, MAX_ORDER]``, a ``--tmax`` that is not finite and > 0, a ``--grid``
-below 2, a ``--sweep`` factor that is not finite, a ``--tol-zero`` or
-``--gap-min`` that is negative or not finite, or ``--tol-zero >=
---gap-min``; argparse prints the usage and a one-line message before
+an option that does not parse, or whose value the library refuses: each
+option takes the check of the ``run_report`` keyword of its name
+(``diagnostics.OPTION_CHECKS``), and ``--tol-zero`` and ``--gap-min``
+together take ``model.check_thresholds``; README's "Argument rules" table
+lists the rules. argparse prints the usage and a one-line message before
 anything is computed. A sweep list may start with a negative factor in
 either form, ``--sweep -0.3,0.2`` or ``--sweep=-0.3,0.2``.
 ``EFFHAM_MAX_TERMS`` overrides the term budget (series keys, and key
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import math
 import os
 import re
 import sys
@@ -35,33 +34,31 @@ import sys
 from .errors import (
     DimensionCapError,
     ModelError,
+    OperatorValueError,
     PowerCapError,
     QuadratureError,
     SweepOverflowError,
     TermBudgetError,
 )
-from .builder import MAX_ORDER
-from .diagnostics import ZOO_NAMES, run_report
-from .model import DEFAULT_GAP_MIN
+from .diagnostics import OPTION_CHECKS, ZOO_NAMES, run_report
+from .model import DEFAULT_GAP_MIN, check_thresholds
 from .tones import TOL_ZERO
 
 _GUARD_ERRORS = (TermBudgetError, PowerCapError, DimensionCapError, QuadratureError,
                  SweepOverflowError, MemoryError)
 
 
-def _checked(convert, ok, what: str, expected: str):
-    """argparse ``type`` that converts the text, checks the value with ``ok``,
-    and otherwise fails with ``bad <what> <text!r>; expected <expected>``."""
+def _option(convert, keyword: str):
+    """argparse ``type`` that converts the text and checks the value with the
+    ``run_report`` check of ``keyword``; a text that does not convert, or a
+    value the check refuses, fails with ``bad value <text!r>: <reason>``."""
+    check = OPTION_CHECKS[keyword]
 
     def parse(text: str):
         try:
-            value = convert(text)
-            good = ok(value)
-        except ValueError:
-            good = False
-        if not good:
-            raise argparse.ArgumentTypeError(f"bad {what} {text!r}; expected {expected}")
-        return value
+            return check(convert(text))
+        except (ValueError, OperatorValueError) as exc:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from None
 
     return parse
 
@@ -84,27 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="MODEL is a .ham file path, or builtin:NAME with NAME one of: "
                     + ", ".join(ZOO_NAMES),
     )
-    threshold = _checked(float, lambda v: math.isfinite(v) and v >= 0,
-                         "threshold", "a finite number >= 0")
     rep.add_argument("model", help=".ham file or builtin:NAME")
-    rep.add_argument("--orders", default=(2, 3),
-                     type=_checked(_numbers(int), lambda v: all(2 <= n <= MAX_ORDER for n in v),
-                                   "order list", f"integers in [2, {MAX_ORDER}], e.g. 2,3"),
+    rep.add_argument("--orders", default=(2, 3), type=_option(_numbers(int), "orders"),
                      help="comma-separated expansion orders (default 2,3)")
-    rep.add_argument("--tmax", default=None,
-                     type=_checked(float, lambda v: math.isfinite(v) and v > 0,
-                                   "end time", "a finite number > 0"),
+    rep.add_argument("--tmax", default=None, type=_option(float, "tmax"),
                      help="end of the time grid (default 10 / min carrier)")
-    rep.add_argument("--grid", default=64,
-                     type=_checked(int, lambda v: v >= 2, "grid size", "an integer >= 2"),
+    rep.add_argument("--grid", default=64, type=_option(int, "grid"),
                      help="number of grid points (default 64)")
-    rep.add_argument("--sweep", default=None,
-                     type=_checked(_numbers(float), lambda v: all(map(math.isfinite, v)),
-                                   "sweep", "finite numbers, e.g. 0.4,0.2"),
+    rep.add_argument("--sweep", default=None, type=_option(_numbers(float), "sweep"),
                      help="comma-separated coupling scale factors")
-    rep.add_argument("--tol-zero", type=threshold, default=TOL_ZERO,
+    rep.add_argument("--tol-zero", default=TOL_ZERO, type=_option(float, "tol_zero"),
                      help="threshold for exactly-zero frequency sums")
-    rep.add_argument("--gap-min", type=threshold, default=DEFAULT_GAP_MIN,
+    rep.add_argument("--gap-min", default=DEFAULT_GAP_MIN, type=_option(float, "gap_min"),
                      help="threshold for safely-nonzero frequency sums")
     rep.add_argument("--out", default=None, help="write the JSON report here")
     rep.add_argument("--csv", default=None, help="write the CSV time series here")
@@ -148,8 +136,10 @@ def _fail(kind: str, message: str, code: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_sweep(sys.argv[1:] if argv is None else argv))
-    if not args.tol_zero < args.gap_min:
-        parser.error(f"--tol-zero ({args.tol_zero}) must be smaller than --gap-min ({args.gap_min})")
+    try:
+        check_thresholds(args.tol_zero, args.gap_min)
+    except OperatorValueError as exc:
+        parser.error(f"--tol-zero, --gap-min: {exc}")
     for path in filter(None, (args.out, args.csv)):
         code = _unwritable(path)
         if code is not None:

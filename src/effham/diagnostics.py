@@ -19,21 +19,28 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import builder
-from .errors import OperatorValueError, SweepOverflowError, UnknownModelError
+from .errors import (
+    SweepOverflowError,
+    UnknownModelError,
+    check_integer,
+    check_orders,
+    check_real,
+)
 from .metrics import hermiticity_defect, unitarity_defect
 from .model import (
     DEFAULT_GAP_MIN,
     HBAR,
+    MAX_ORDER,
     FrequencyReport,
     MultiToneHamiltonian,
     ToneTerm,
+    check_threshold,
     frequency_report,
 )
 from .operators import annihilate, projector, sigma_plus, sigma_z, tensor_product
@@ -45,6 +52,18 @@ SCHEMA_VERSION = 1
 
 #: Tolerance of the report's quadrature residuals (``options.quad_tol``).
 QUAD_TOL = 1e-9
+
+#: The check of each :func:`run_report` option, by keyword: it returns the
+#: value or raises :class:`~effham.errors.OperatorValueError`. ``effham
+#: report`` applies the same checks to the values of its options.
+OPTION_CHECKS = {
+    "orders": lambda orders: check_orders(orders, MAX_ORDER),
+    "tmax": lambda tmax: check_real("tmax", tmax, 0.0, strict=True),
+    "grid": lambda grid: check_integer("grid", grid, 2),
+    "sweep": lambda sweep: tuple(check_real("sweep factor", x) for x in sweep),
+    "tol_zero": lambda tol_zero: check_threshold("tol_zero", tol_zero),
+    "gap_min": lambda gap_min: check_threshold("gap_min", gap_min),
+}
 
 
 # ----------------------------------------------------------------------
@@ -318,16 +337,15 @@ def run_report(
 
     ``model_path_or_name`` is a ``.ham`` file path, a bare zoo name, or
     ``builtin:NAME``. Returns the :class:`Report`; :meth:`Report.write`
-    writes its JSON and CSV files. An empty order list, an order that is not
-    an integer in ``[2, MAX_ORDER]``, a ``tmax`` that is not finite and
-    > 0, a ``grid`` that is not an integer >= 2 and non-finite sweep
-    factors raise :class:`OperatorValueError` before any computation; a
-    finite sweep factor that scales some order out of the float range
-    raises :class:`SweepOverflowError`, which names the factor and the
-    order. ``tol_zero`` reaches both the frequency report and the secular
-    extraction; a ``tol_zero`` or ``gap_min`` that is negative or not finite
-    raises :class:`OperatorValueError` from :func:`frequency_report`, before
-    any build.
+    writes its JSON and CSV files. ``orders``, ``tmax``, ``grid`` and
+    ``sweep`` that their ``OPTION_CHECKS`` refuse raise
+    :class:`OperatorValueError` before the model is loaded; a finite sweep
+    factor that scales some order out of the float range raises
+    :class:`SweepOverflowError`, which names the factor and the order.
+    ``tol_zero`` reaches both the frequency report and the secular
+    extraction; thresholds that :func:`~effham.model.check_thresholds`
+    refuses raise :class:`OperatorValueError` from
+    :func:`frequency_report`, before any build.
 
     Every order comes from one :func:`~effham.builder.heff_secular` call
     over the tuple of orders, which builds one definite and one indefinite
@@ -351,17 +369,11 @@ def run_report(
     call at its time alone; the residuals agree with such calls to well
     below the quadrature tolerance.
     """
-    orders = builder.check_orders(orders)
+    orders = OPTION_CHECKS["orders"](orders)
     if tmax is not None:
-        tmax = float(tmax)
-        if not (math.isfinite(tmax) and tmax > 0):
-            raise OperatorValueError(f"tmax must be finite and > 0, got {tmax}")
-    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 2:
-        raise OperatorValueError(f"grid must be an integer >= 2, got {grid!r}")
-    lambdas = [float(x) for x in sweep] if sweep else []
-    for lam in lambdas:
-        if not math.isfinite(lam):
-            raise OperatorValueError(f"sweep factors must be finite, got {lam}")
+        tmax = float(OPTION_CHECKS["tmax"](tmax))
+    grid = OPTION_CHECKS["grid"](grid)
+    lambdas = [float(x) for x in OPTION_CHECKS["sweep"](sweep)] if sweep else []
 
     source = model_path_or_name
     if source.startswith("builtin:"):
@@ -375,7 +387,7 @@ def run_report(
 
     if tmax is None:
         tmax = 10.0 / H.min_omega
-    ts = np.linspace(0.0, float(tmax), int(grid))
+    ts = np.linspace(0.0, float(tmax), grid)
 
     freq = frequency_report(H, tol_zero=tol_zero, gap_min=gap_min)
     results = builder.heff_secular(H, orders, tol_zero=tol_zero, time_grid=ts)
@@ -427,7 +439,7 @@ def run_report(
         options={
             "orders": list(orders),
             "tmax": float(tmax),
-            "grid": int(grid),
+            "grid": grid,
             "sweep": list(sweep) if sweep else None,
             "tol_zero": tol_zero,
             "gap_min": gap_min,

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OperatorValueError
+from .errors import DimensionMismatchError, OperatorValueError, check_real
 from .operators import as_operator
 from .series import OperatorSeries
 from .tones import TOL_ZERO, TonePoly
@@ -68,11 +68,7 @@ class MultiToneHamiltonian:
             if not isinstance(tone, ToneTerm):
                 tone = ToneTerm(*tone)
             h = as_operator(tone.h, name="tone operator")
-            omega = float(tone.omega)
-            if not omega > 0:
-                raise OperatorValueError(
-                    f"tone frequency must be positive, got {omega}"
-                )
+            omega = float(check_real("tone frequency", tone.omega, 0.0, strict=True))
             if not math.isfinite(MAX_ORDER * omega):
                 raise OperatorValueError(
                     f"tone frequency {omega:g} is too large: a sum of {MAX_ORDER} "
@@ -188,9 +184,21 @@ class FrequencyReport:
         return self.pairwise_distinct and self.ambiguous_count == 0
 
 
-def _check_threshold(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise OperatorValueError(f"{name} must be finite and >= 0, got {value}")
+def check_threshold(name: str, value: float) -> float:
+    """``value`` itself if it is a frequency threshold: a finite real number
+    >= 0."""
+    return check_real(name, value, 0.0)
+
+
+def check_thresholds(tol_zero: float, gap_min: float) -> None:
+    """Refuse a ``tol_zero`` or ``gap_min`` that :func:`check_threshold`
+    refuses, or a ``tol_zero`` not below ``gap_min``."""
+    check_threshold("tol_zero", tol_zero)
+    check_threshold("gap_min", gap_min)
+    if not tol_zero < gap_min:
+        raise OperatorValueError(
+            f"tol_zero ({tol_zero}) must be smaller than gap_min ({gap_min})"
+        )
 
 
 def frequency_report(H: MultiToneHamiltonian, tol_zero: float = TOL_ZERO,
@@ -202,15 +210,10 @@ def frequency_report(H: MultiToneHamiltonian, tol_zero: float = TOL_ZERO,
     to reordering. A sum is "zero" when |sum| <= tol_zero, "nonzero" when
     |sum| >= gap_min, and "ambiguous" in between.
 
-    A ``tol_zero`` or ``gap_min`` that is negative or not finite, or a
-    ``tol_zero`` not below ``gap_min``, raises :class:`OperatorValueError`.
+    Thresholds that :func:`check_thresholds` refuses raise
+    :class:`OperatorValueError`.
     """
-    _check_threshold("tol_zero", tol_zero)
-    _check_threshold("gap_min", gap_min)
-    if not tol_zero < gap_min:
-        raise OperatorValueError(
-            f"tol_zero ({tol_zero}) must be smaller than gap_min ({gap_min})"
-        )
+    check_thresholds(tol_zero, gap_min)
     omegas = H.omegas
     n = len(omegas)
 

@@ -82,15 +82,30 @@ on the batch may differ in the last bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OperatorValueError, QuadratureError
+from .errors import (
+    DimensionMismatchError,
+    OperatorValueError,
+    QuadratureError,
+    check_integer,
+    check_orders,
+    check_real,
+    check_times,
+)
 
 #: Default sample density: steps per unit of (max carrier) * (time span).
 STEPS_PER_UNIT = 4096
+
+#: Largest coarse RK4 step count, given or default, checked before H is
+#: sampled. It is far above every count in use: criterion 9 takes up to
+#: 102,400 steps, the benchmark's ``exact:jc`` 25,600 and ``exact:d6t3``
+#: 8,192. The Jaynes-Cummings model takes about 9 us per coarse step
+#: (2-vCPU VM, one BLAS thread), so the cap is about 2.5 minutes of its
+#: work; a carrier of 1e300 would ask for a count of 304 digits at t = 1.
+MAX_RK4_STEPS = 1 << 24
 
 #: Refinement cap for the nested quadrature (grid points per level).
 MAX_QUAD_POINTS = 1 << 21
@@ -137,9 +152,11 @@ class PropagationResult:
     est_error: float
 
 
-def default_step_count(max_omega: float, t: float) -> int:
-    """Default fixed-step count: ``STEPS_PER_UNIT`` per unit of ``max_omega * t``."""
-    return max(16, int(math.ceil(STEPS_PER_UNIT * max_omega * abs(t))))
+def default_step_count(max_omega: float, t: float) -> int | float:
+    """Default fixed-step count: ``STEPS_PER_UNIT`` per unit of ``max_omega * t``,
+    at least 16; ``inf`` if that product overflows a float."""
+    units = STEPS_PER_UNIT * max_omega * abs(t)
+    return max(16, math.ceil(units)) if units < math.inf else units
 
 
 def _mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -325,15 +342,10 @@ def _rk4_pair(grid_eval, dim: int, t: float, steps: int) -> tuple[np.ndarray, np
 
 def _propagate(grid_eval, dim: int, t: float, steps: int | None,
                max_omega: float) -> PropagationResult:
-    if not math.isfinite(t):
-        raise OperatorValueError(f"propagation time must be finite, got {t}")
-    if t < 0:
-        raise OperatorValueError(f"propagation time must be >= 0, got {t}")
+    check_real("propagation time", t, 0.0)
     if steps is None:
         steps = default_step_count(max_omega, t)
-    elif not isinstance(steps, numbers.Integral) or steps < 16:
-        raise OperatorValueError(f"steps must be an integer >= 16, got {steps!r}")
-    steps = int(steps)
+    steps = check_integer("steps", steps, 16, MAX_RK4_STEPS)
     if t == 0.0:
         return PropagationResult(np.eye(dim, dtype=complex), steps, 0.0)
     fine, difference = _rk4_pair(grid_eval, dim, t, steps)
@@ -343,9 +355,10 @@ def _propagate(grid_eval, dim: int, t: float, steps: int | None,
 def propagate_exact(H, t: float, steps: int | None = None) -> PropagationResult:
     """Integrate ``dU/dt = -i H(t) U`` with U(0) = I under a multi-tone model.
 
-    ``t`` must be finite and >= 0, and ``steps``, the coarse step count,
-    an integer >= 16 (default :func:`default_step_count`); both are checked
-    before H is sampled, here and in :func:`propagate_series`.
+    ``t`` must be a finite real number >= 0, and ``steps``, the coarse
+    step count, an integer in ``[16, MAX_RK4_STEPS]``, the default
+    :func:`default_step_count` included; both are checked before H is
+    sampled, here and in :func:`propagate_series`.
     """
     return _propagate(H.evaluate_grid, H.dim, t, steps, H.max_omega)
 
@@ -428,20 +441,11 @@ def _check_times(t) -> tuple[np.ndarray, bool]:
     Every time must be finite and >= 0. A sequence must also be non-empty
     and its times on even nodes of the level-0 grid on ``[0, max(t)]``.
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise OperatorValueError("quadrature times must be a number or a 1-D sequence")
-    scalar = times.ndim == 0
-    times = np.atleast_1d(times)
+    if np.ndim(t) == 0:
+        return np.array([float(check_real("quadrature time", t, 0.0))]), True
+    times = check_times("quadrature times", t, 0.0)
     if times.size == 0:
         raise OperatorValueError("quad_oracle needs at least one time")
-    for x in times:
-        if not math.isfinite(x):
-            raise OperatorValueError(f"quadrature time must be finite, got {x}")
-    if times.min() < 0:
-        raise OperatorValueError(f"quadrature times must be >= 0, got {times.min()}")
-    if scalar:
-        return times, True
     T = times.max()
     if T > 0:
         ratio = times / T * _BASE_POINTS
@@ -495,24 +499,9 @@ def quad_oracle(H, n, t, tol: float,
     change and the grid it was measured on.
     """
     single = not isinstance(n, (tuple, list))
-    asked = (n,) if single else n
-    if not asked:
-        raise OperatorValueError("quad_oracle needs at least one order")
-    for k in asked:
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            raise OperatorValueError(f"quad_oracle order must be an integer, got {k!r}")
-        if not 2 <= k <= MAX_QUAD_ORDER:
-            raise OperatorValueError(
-                f"quad_oracle supports orders 2..{MAX_QUAD_ORDER}, got {k}")
-    orders = sorted({int(k) for k in asked})
-    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-            or not math.isfinite(tol) or tol < 1e-12):
-        raise OperatorValueError(f"tolerance must be a finite number >= 1e-12, got {tol!r}")
-    if (isinstance(max_points, bool) or not isinstance(max_points, numbers.Integral)
-            or max_points < 2 * _BASE_POINTS):
-        raise OperatorValueError(
-            f"max_points must be an integer >= {2 * _BASE_POINTS} (two refinement "
-            f"levels), got {max_points!r}")
+    orders = check_orders((n,) if single else n, MAX_QUAD_ORDER)
+    check_real("tolerance", tol, 1e-12)
+    max_points = check_integer("max_points", max_points, 2 * _BASE_POINTS)
     times, scalar = _check_times(t)
 
     def result(values: dict[int, np.ndarray]):

@@ -340,7 +340,7 @@ def test_dyson_truncated_identity_at_zero():
     assert np.allclose(dyson_truncated(NONCOMM, 4, 0.0), np.eye(2))
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, True, "1.0"])
 def test_dyson_truncated_refuses_non_finite_time(t):
     with pytest.raises(OperatorValueError, match="finite"):
         dyson_truncated(NONCOMM, 2, t)
@@ -508,6 +508,7 @@ def test_secular_tuple_form_rejects_bad_order_lists(orders):
 
 @pytest.mark.parametrize("grid", [
     np.zeros((3, 2)), 0.5, [0.0, np.nan, 1.0], [0.0, np.inf], [[0.0, 1.0]],
+    [False, True], ["0.0", "0.5"],
 ])
 def test_secular_rejects_bad_time_grids(grid):
     with pytest.raises(OperatorValueError):
@@ -516,13 +517,13 @@ def test_secular_rejects_bad_time_grids(grid):
         heff_secular(SCALAR, (2, 3), time_grid=grid)
 
 
-@pytest.mark.parametrize("tol_zero", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol_zero", [-1.0, float("nan"), float("inf"), True, "1e-9"])
 def test_heff_secular_rejects_bad_tol_zero_before_any_build(tol_zero, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a chain was built")
 
     monkeypatch.setattr(effham.builder, "_chain", no_build)
-    with pytest.raises(OperatorValueError, match="tol_zero must be finite and >= 0"):
+    with pytest.raises(OperatorValueError, match="tol_zero must be a finite real number >= 0"):
         heff_secular(NONCOMM, 2, tol_zero=tol_zero)
-    with pytest.raises(OperatorValueError, match="tol_zero must be finite and >= 0"):
+    with pytest.raises(OperatorValueError, match="tol_zero must be a finite real number >= 0"):
         heff_secular(NONCOMM, (2, 3), tol_zero=tol_zero)

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 import effham.cli
+from effham import OperatorValueError, run_report
 from effham.cli import main
 
 
@@ -124,6 +126,59 @@ def test_tol_zero_not_below_gap_min_exits_2(tol_zero, gap_min, capsys, no_report
     assert exc.value.code == 2
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert "--tol-zero" in last and "--gap-min" in last
+
+
+# Option texts of `effham report` and the run_report keywords they stand for;
+# the CLI must refuse a row exactly when the library does.
+_AGREEMENT = [
+    (["--orders", "2,3"], {"orders": (2, 3)}),
+    (["--orders", "3,2,3"], {"orders": (3, 2, 3)}),
+    (["--orders", "6"], {"orders": (6,)}),
+    (["--orders", "1"], {"orders": (1,)}),
+    (["--orders", "2,7"], {"orders": (2, 7)}),
+    (["--tmax", "1e-3"], {"tmax": 1e-3}),
+    (["--tmax", "0"], {"tmax": 0.0}),
+    (["--tmax", "-1"], {"tmax": -1.0}),
+    (["--tmax", "inf"], {"tmax": math.inf}),
+    (["--tmax", "nan"], {"tmax": math.nan}),
+    (["--grid", "2"], {"grid": 2}),
+    (["--grid", "1"], {"grid": 1}),
+    (["--grid", "-3"], {"grid": -3}),
+    (["--sweep", "0,-0.5"], {"sweep": (0.0, -0.5)}),
+    (["--sweep", "0.4,inf"], {"sweep": (0.4, math.inf)}),
+    (["--sweep", "nan"], {"sweep": (math.nan,)}),
+    (["--tol-zero", "0"], {"tol_zero": 0.0}),
+    (["--tol-zero", "-1"], {"tol_zero": -1.0}),
+    (["--tol-zero", "inf"], {"tol_zero": math.inf}),
+    (["--tol-zero", "1e-3"], {"tol_zero": 1e-3}),  # not below the default gap_min
+    (["--gap-min", "1e-6"], {"gap_min": 1e-6}),
+    (["--gap-min", "1e-12"], {"gap_min": 1e-12}),  # not above the default tol_zero
+    (["--gap-min", "nan"], {"gap_min": math.nan}),
+    (["--gap-min", "-0.001"], {"gap_min": -0.001}),
+    (["--tol-zero", "0", "--gap-min", "1e-12"], {"tol_zero": 0.0, "gap_min": 1e-12}),
+    (["--tol-zero", "1e-2", "--gap-min", "1e-3"], {"tol_zero": 1e-2, "gap_min": 1e-3}),
+]
+
+
+class _Reached(Exception):
+    """The CLI called run_report: it accepted every option."""
+
+
+@pytest.mark.parametrize("options, kwargs", _AGREEMENT, ids=[" ".join(o) for o, _ in _AGREEMENT])
+def test_cli_refuses_exactly_what_run_report_refuses(options, kwargs, monkeypatch):
+    try:
+        run_report("builtin:scalar_single_tone", **kwargs)
+        refused = False
+    except OperatorValueError:
+        refused = True
+
+    def reached(*args, **kw):
+        raise _Reached
+
+    monkeypatch.setattr(effham.cli, "run_report", reached)
+    with pytest.raises((SystemExit, _Reached)) as exc:
+        main(["report", "builtin:scalar_single_tone", *options])
+    assert (exc.type is SystemExit and exc.value.code == 2) == refused
 
 
 def test_edge_report_options_accepted(capsys):

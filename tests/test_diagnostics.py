@@ -363,7 +363,9 @@ def test_report_defect_grids_equal_a_fresh_evaluation(source):
     {"sweep": (0.4, math.nan)}, {"sweep": (math.inf,)}, {"sweep": (-math.inf, 0.2)},
     {"orders": (1, 2)}, {"orders": (2, 7)}, {"orders": ()},
     {"orders": (2.5,)}, {"orders": (2, 3.0)}, {"orders": (True, 2)},
+    {"sweep": (True,)}, {"sweep": ("0.4",)}, {"sweep": "0.4,0.2"},
     {"tmax": math.inf}, {"tmax": math.nan}, {"tmax": 0.0}, {"tmax": -1.0},
+    {"tmax": True}, {"tmax": "1.0"},
     {"grid": 0}, {"grid": 1}, {"grid": 2.5}, {"grid": True}, {"grid": "64"},
 ])
 def test_report_rejects_bad_options_before_loading(options):
@@ -409,11 +411,11 @@ def test_report_fills_in_the_orders_it_does_not_report(source):
 
 
 @pytest.mark.parametrize("name", ["tol_zero", "gap_min"])
-@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, True, "1e-3"])
 def test_report_rejects_bad_thresholds_before_any_build(name, value, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a chain was built")
 
     monkeypatch.setattr(effham.builder, "_chain", no_build)
-    with pytest.raises(OperatorValueError, match=f"{name} must be finite and >= 0"):
+    with pytest.raises(OperatorValueError, match=f"{name} must be a finite real number >= 0"):
         run_report("builtin:jc_detuned", grid=8, **{name: value})

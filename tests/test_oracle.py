@@ -22,6 +22,7 @@ from effham import (
     propagate_series,
     quad_oracle,
     sigma_plus,
+    sigma_x,
     sigma_z,
     unitarity_defect,
 )
@@ -380,14 +381,30 @@ def test_propagate_exact_error_estimate_matches_extended_precision(rng):
     assert np.linalg.norm(res.U - fine.astype(complex)) <= 1e-14
 
 
-@pytest.mark.parametrize("steps", [math.nan, math.inf, 16.9, 64.0, 15, -64])
+@pytest.mark.parametrize("steps", [math.nan, math.inf, 16.9, 64.0, 15, -64,
+                                   oracle.MAX_RK4_STEPS + 1])
 def test_propagators_reject_bad_steps_before_sampling(steps):
+    rule = re.escape(f"integer in [16, {oracle.MAX_RK4_STEPS}], got {steps!r}")
     H = _CountingOperator(make_model("noncommuting_two_tone"))
-    with pytest.raises(OperatorValueError, match="integer >= 16"):
+    with pytest.raises(OperatorValueError, match=rule):
         propagate_exact(H, 1.0, steps=steps)
     S = _CountingOperator(heff3_timedep(H.op))
-    with pytest.raises(OperatorValueError, match="integer >= 16"):
+    with pytest.raises(OperatorValueError, match=rule):
         propagate_series(S, 1.0, steps=steps)
+    assert H.points == 0 and S.points == 0
+
+
+@pytest.mark.parametrize("t", [1.0, 1e10])
+def test_propagators_refuse_a_default_step_count_above_the_cap(t):
+    # a carrier of 1e300 asks for a default count of 304 digits at t = 1,
+    # and for more than a float holds at t = 1e10
+    H = _CountingOperator(MultiToneHamiltonian([(sigma_x(), 1e300)]))
+    rule = re.escape(f"steps must be an integer in [16, {oracle.MAX_RK4_STEPS}], got ")
+    with pytest.raises(OperatorValueError, match=rule):
+        propagate_exact(H, t)
+    S = _CountingOperator(H.op.to_operator_series())
+    with pytest.raises(OperatorValueError, match=rule):
+        propagate_series(S, t)
     assert H.points == 0 and S.points == 0
 
 
@@ -406,7 +423,7 @@ def test_propagate_exact_samples_h_once_for_both_runs(steps):
     assert H.points <= 4 * steps + math.ceil(steps / oracle._RK4_BLOCK)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, True, "1.0"])
 @pytest.mark.parametrize("steps", [None, 64])
 def test_propagators_reject_non_finite_time_before_sampling(t, steps):
     H = _CountingOperator(make_model("noncommuting_two_tone"))
@@ -418,7 +435,7 @@ def test_propagators_reject_non_finite_time_before_sampling(t, steps):
     assert H.points == 0 and S.points == 0
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, True, "1.0"])
 def test_quad_oracle_rejects_non_finite_time_before_sampling(t):
     H = _CountingOperator(make_model("noncommuting_two_tone"))
     with pytest.raises(OperatorValueError, match="finite"):
@@ -765,7 +782,7 @@ def test_quad_oracle_tuple_rejects_bad_orders_before_sampling(orders):
 @pytest.mark.parametrize("order", [2.7, 2.0, 3.0, True, None, "3", np.float64(3.0)])
 def test_quad_oracle_rejects_non_integer_orders_before_sampling(order):
     H = _CountingOperator(make_model("raman_lambda"))
-    with pytest.raises(OperatorValueError, match=re.escape(f"integer, got {order!r}")):
+    with pytest.raises(OperatorValueError, match=re.escape(f"integer in [2, 4], got {order!r}")):
         quad_oracle(H, order, 1.0, 1e-9)
     with pytest.raises(OperatorValueError, match="integer"):
         quad_oracle(H, (2, order), 1.0, 1e-9)
@@ -912,6 +929,7 @@ def test_quad_oracle_budget_error_states_the_last_change():
 
 @pytest.mark.parametrize("ts", [
     [], [0.3, 1.0], [1.0 / 256, 1.0], [-0.5, 1.0], [-1.0], [0.5, math.nan], [[0.5, 1.0]],
+    [False, True], ["0.5", "1.0"],
 ])
 def test_quad_oracle_rejects_bad_times_before_sampling(ts):
     H = _CountingOperator(make_model("noncommuting_two_tone"))
