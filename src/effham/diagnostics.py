@@ -385,9 +385,9 @@ def run_report(
 
         H = load_model(source)
 
-    if tmax is None:
-        tmax = 10.0 / H.min_omega
-    ts = np.linspace(0.0, float(tmax), grid)
+    # linspace ends on its stop exactly, so ts[-1] is the given tmax
+    ts = builder.default_time_grid(H, grid) if tmax is None else np.linspace(0.0, tmax, grid)
+    tmax = float(ts[-1])
 
     freq = frequency_report(H, tol_zero=tol_zero, gap_min=gap_min)
     results = builder.heff_secular(H, orders, tol_zero=tol_zero, time_grid=ts)

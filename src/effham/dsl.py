@@ -17,13 +17,17 @@ values, binary ``+ - *``, unary ``-`` and parentheses. A numeric literal
 that overflows to infinity (``1e400``) is refused where it stands, and so
 is a space dimension with more digits than Python's int-string limit.
 
-Built-ins are embedded into the full tensor-product space immediately
-(identity padding on the other factors, in declaration order), so a
-product of operators on different factors equals the padded Kronecker
-product regardless of the order it is written in, while same-factor
-products keep their written order. ``mat`` and ``kron`` values are raw
-matrices; when used in a tone or combined with built-ins their dimension
-must match the full model space.
+The built-ins, ``kron`` and the padding all come from
+:mod:`effham.operators`, whose argument rules they share: a built-in
+takes the dimension of its space, ``proj`` its indices in ``[0, dim -
+1]``, and ``kron`` stays within ``MAX_DIMENSION``; a refusal is reported
+at the call. Built-ins are embedded into the full tensor-product space
+immediately (identity padding on the other factors, in declaration
+order), so a product of operators on different factors equals the padded
+Kronecker product regardless of the order it is written in, while
+same-factor products keep their written order. ``mat`` and ``kron``
+values are raw matrices; when used in a tone or combined with built-ins
+their dimension must match the full model space.
 
 Every name must be declared in the file, but only an ``op`` is bound by
 the order of the declarations: an ``op`` may use params and the ops
@@ -47,6 +51,7 @@ before any matrix is built.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -56,11 +61,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import operators as ops
-from .errors import ModelCompileError, ModelSyntaxError, ModelValidationError
+from .errors import (
+    DimensionCapError,
+    ModelCompileError,
+    ModelSyntaxError,
+    ModelValidationError,
+    OperatorValueError,
+)
 from .model import MultiToneHamiltonian, ToneTerm
 from .operators import MAX_DIMENSION
 
-_BUILTIN_FACTOR_OPS: dict[str, Callable[[int], np.ndarray]] = {
+#: Built-ins acting on one space: its dimension, then ``proj``'s indices.
+_BUILTINS: dict[str, Callable[..., np.ndarray]] = {
     "id": ops.identity,
     "a": ops.annihilate,
     "adag": ops.create,
@@ -69,14 +81,18 @@ _BUILTIN_FACTOR_OPS: dict[str, Callable[[int], np.ndarray]] = {
     "sz": ops.sigma_z,
     "sp": ops.sigma_plus,
     "sm": ops.sigma_minus,
+    "proj": ops.projector,
 }
 
 #: Argument count of every built-in call; the names are reserved words.
-_ARITY: dict[str, int] = {**dict.fromkeys(_BUILTIN_FACTOR_OPS, 1), "proj": 3, "kron": 2}
+_ARITY: dict[str, int] = {**dict.fromkeys(_BUILTINS, 1), "proj": 3, "kron": 2}
 
 _RESERVED = {"space", "param", "op", "tone", "omega", "mat"} | set(_ARITY)
 
 _MAX_EXPR_DEPTH = 200
+
+#: Binary operators by precedence level, the loosest first.
+_LEVELS = ("+-", "*")
 
 
 # ----------------------------------------------------------------------
@@ -91,9 +107,11 @@ class _Token:
     col: int
 
 
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# one way to split a digit run, so a failed IMAG match backs off in linear time
+_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 
-# Each group is named after the kind of token it makes.
+# Each group is named after the kind of token it makes; ERROR takes any
+# character that starts no token.
 _TOKEN_RE = re.compile(
     rf"""
     (?P<WS>[ \t]+)
@@ -103,6 +121,7 @@ _TOKEN_RE = re.compile(
   | (?P<NUMBER>{_NUM})
   | (?P<NAME>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<SYM>[()\[\],+\-*=])
+  | (?P<ERROR>.)
     """,
     re.VERBOSE,
 )
@@ -110,23 +129,16 @@ _TOKEN_RE = re.compile(
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ModelSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "ERROR":
+            raise ModelSyntaxError(f"unexpected character {m.group()!r}", line, col)
         if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, value, line, col))
+            tokens.append(_Token(kind, m.group(), line, col))
         if kind == "NEWLINE":
-            line += 1
-            col = 1
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
+            line, line_start = line + 1, m.end()
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -261,23 +273,17 @@ class _Parser:
     # walk of the tree recurses on it: an operator chain builds a tall tree
     # in a loop, and parentheses nest the parser without making a node, so
     # neither bound follows from the other.
-    def parse_expr(self, depth: int = 0):
+    def parse_expr(self, depth: int = 0, level: int = 0):
+        """A left-associative chain of the operators of ``_LEVELS[level]``
+        over operands of the next level; one parser level each."""
         self._check_depth(depth)
-        node, height = self.parse_product(depth + 1)
-        while self.current.kind == "SYM" and self.current.text in "+-":
+        operand = (self.parse_unary if level + 1 == len(_LEVELS)
+                   else functools.partial(self.parse_expr, level=level + 1))
+        node, height = operand(depth + 1)
+        while self.current.kind == "SYM" and self.current.text in _LEVELS[level]:
             tok = self.advance()
-            right, right_height = self.parse_product(depth + 1)
+            right, right_height = operand(depth + 1)
             node = BinOp(tok.text, node, right, line=tok.line, col=tok.col)
-            height = self._grow(tok, max(height, right_height))
-        return node, height
-
-    def parse_product(self, depth: int):
-        self._check_depth(depth)
-        node, height = self.parse_unary(depth + 1)
-        while self.at_sym("*"):
-            tok = self.advance()
-            right, right_height = self.parse_unary(depth + 1)
-            node = BinOp("*", node, right, line=tok.line, col=tok.col)
             height = self._grow(tok, max(height, right_height))
         return node, height
 
@@ -600,11 +606,8 @@ def serialize_model(ast: ModelSpecAst) -> str:
 
 
 def _embed(mat: np.ndarray, factor: int, dims: Sequence[int]) -> np.ndarray:
-    out = None
-    for i, d in enumerate(dims):
-        block = mat if i == factor else np.eye(d, dtype=complex)
-        out = block if out is None else np.kron(out, block)
-    return out
+    return functools.reduce(ops.tensor_product, [
+        mat if i == factor else ops.identity(d) for i, d in enumerate(dims)])
 
 
 class _Compiler:
@@ -672,40 +675,28 @@ class _Compiler:
         return value
 
     def eval_call(self, expr: Call):
-        if expr.func == "kron":
-            left = self.eval(expr.args[0])
-            right = self.eval(expr.args[1])
-            if not (isinstance(left, np.ndarray) and isinstance(right, np.ndarray)):
-                raise ModelCompileError(
-                    "kron requires matrix arguments", expr.line, expr.col
-                )
-            if left.shape[0] * right.shape[0] > MAX_DIMENSION:
-                raise ModelCompileError(
-                    "kron result exceeds the dimension cap", expr.line, expr.col
-                )
-            return np.kron(left, right)
-        space = expr.args[0].name
-        factor = self.space_index[space]
-        d = self.dims[factor]
+        # an argument's own diagnostic is a ModelCompileError at the
+        # argument; a refusal of ``operators`` is reported at the call
         try:
-            if expr.func == "proj":
-                i = self._index_arg(expr.args[1])
-                j = self._index_arg(expr.args[2])
-                block = ops.projector(d, i, j)
-            else:
-                block = _BUILTIN_FACTOR_OPS[expr.func](d)
-        except Exception as exc:
+            if expr.func == "kron":
+                left, right = (self.eval(arg) for arg in expr.args)
+                if not (isinstance(left, np.ndarray) and isinstance(right, np.ndarray)):
+                    raise ModelCompileError(
+                        "kron requires matrix arguments", expr.line, expr.col
+                    )
+                return ops.tensor_product(left, right)
+            factor = self.space_index[expr.args[0].name]
+            indices = [self._index_arg(arg) for arg in expr.args[1:]]
+            block = _BUILTINS[expr.func](self.dims[factor], *indices)
+            return _embed(block, factor, self.dims)
+        except (OperatorValueError, DimensionCapError) as exc:
             raise ModelCompileError(str(exc), expr.line, expr.col) from exc
-        return _embed(block, factor, self.dims)
 
     def _index_arg(self, arg) -> int:
-        value = _eval_scalar(arg, self.params)
-        if abs(value.imag) > 1e-9 or abs(value.real - round(value.real)) > 1e-9:
-            raise ModelCompileError(
-                "projector indices must be integers",
-                getattr(arg, "line", None),
-                getattr(arg, "col", None),
-            )
+        value = self.eval(arg)
+        if (isinstance(value, np.ndarray) or abs(value.imag) > 1e-9
+                or abs(value.real - round(value.real)) > 1e-9):
+            raise ModelCompileError("projector indices must be integers", arg.line, arg.col)
         return int(round(value.real))
 
     def eval_mat(self, expr: MatLit):

@@ -5,8 +5,8 @@ Each rule is written once here, so the library and the command line
 refuse the same values: an integer is a ``numbers.Integral`` and a real
 number a ``numbers.Real``, never a ``bool`` or a ``str``; a real number and
 every time in an array of times must be finite; an array of times is 1-D
-with a numeric, non-bool dtype. Every message reads ``<name> must be
-<rule>, got <value>``.
+with a numeric, non-bool dtype, and a sequence of times holds no ``bool``.
+Every message reads ``<name> must be <rule>, got <value>``.
 """
 
 from __future__ import annotations
@@ -127,7 +127,10 @@ def check_real(name: str, value, low: float = -math.inf, strict: bool = False):
 
 
 def check_times(name: str, times, low: float = -math.inf) -> np.ndarray:
-    """``times`` as a 1-D float array; each time must be finite and ``>= low``."""
+    """``times`` as a 1-D float array; each time must be finite and ``>= low``.
+
+    A ``bool`` in a sequence is refused before numpy would promote it to
+    a number."""
     try:
         array = np.asarray(times)
     except ValueError:  # a ragged nest of sequences
@@ -136,6 +139,9 @@ def check_times(name: str, times, low: float = -math.inf) -> np.ndarray:
         got = f"shape {array.shape}"
     elif array.dtype.kind not in "iuf":
         got = f"dtype {array.dtype}"
+    elif not isinstance(times, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in times):
+        got = "a bool"
     else:
         array = array.astype(float, copy=False)
         bad = ~(np.isfinite(array) & (array >= low))

@@ -6,18 +6,28 @@ freshly allocated. Ladder operators follow the truncated-Fock convention
 (the top level has no upward coupling), so ``commutator(a, adag)`` deviates
 from the identity in the last diagonal entry, as expected for a finite
 truncation.
+
+Every constructor takes ``dim`` as an integer in ``[1, MAX_DIMENSION]``,
+``[2, MAX_DIMENSION]`` for the Pauli family, and ``projector`` its indices
+in ``[0, dim - 1]``; the rule is :func:`errors.check_integer`, so another
+value raises :class:`OperatorValueError`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionCapError, DimensionMismatchError, OperatorValueError
+from .errors import DimensionCapError, DimensionMismatchError, OperatorValueError, check_integer
 
 #: Hard cap on constructed matrix dimension (desk-scale guarantee).
 MAX_DIMENSION = 4096
 
 Operator = np.ndarray
+
+
+def _dim(dim, low: int = 1) -> int:
+    # the dimension rule of every constructor: an integer in [low, MAX_DIMENSION]
+    return check_integer("dim", dim, low, MAX_DIMENSION)
 
 
 def as_operator(entries, name: str = "operator") -> Operator:
@@ -35,11 +45,11 @@ def as_operator(entries, name: str = "operator") -> Operator:
 
 
 def identity(dim: int) -> Operator:
-    return np.eye(dim, dtype=complex)
+    return np.eye(_dim(dim), dtype=complex)
 
 
 def zero(dim: int) -> Operator:
-    return np.zeros((dim, dim), dtype=complex)
+    return np.zeros((_dim(dim),) * 2, dtype=complex)
 
 
 def adjoint(A: Operator) -> Operator:
@@ -92,9 +102,7 @@ def matrix_exponential(A: Operator) -> Operator:
 
 def annihilate(dim: int) -> Operator:
     """Truncated-Fock lowering operator: ``a[n-1, n] = sqrt(n)``."""
-    if dim < 1:
-        raise OperatorValueError("annihilate requires dim >= 1")
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1.0, _dim(dim))), 1).astype(complex)
 
 
 def create(dim: int) -> Operator:
@@ -102,19 +110,16 @@ def create(dim: int) -> Operator:
 
 
 def projector(dim: int, i: int, j: int) -> Operator:
-    """|i><j| on a ``dim``-level space."""
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise OperatorValueError(f"projector indices ({i}, {j}) out of range for dim {dim}")
+    """|i><j| on a ``dim``-level space; ``i`` and ``j`` are in ``[0, dim - 1]``."""
+    dim = _dim(dim)
     P = zero(dim)
-    P[i, j] = 1.0
+    P[check_integer("i", i, 0, dim - 1), check_integer("j", j, 0, dim - 1)] = 1.0
     return P
 
 
 def _pauli(dim: int, block: np.ndarray) -> Operator:
     # Embed the 2x2 block on the first two levels; zero elsewhere.
-    if dim < 2:
-        raise OperatorValueError("Pauli operators require dim >= 2")
-    M = zero(dim)
+    M = zero(_dim(dim, 2))
     M[:2, :2] = block
     return M
 
@@ -148,6 +153,7 @@ _STANDARD_KINDS = {
     "sigma_z": sigma_z,
     "sigma_plus": sigma_plus,
     "sigma_minus": sigma_minus,
+    "projector": projector,
 }
 
 
@@ -158,14 +164,8 @@ def standard_operator(kind: str, dim: int, i: int | None = None, j: int | None =
     ``sigma_x``, ``sigma_y``, ``sigma_z``, ``sigma_plus``, ``sigma_minus``
     or ``projector`` (which takes the extra indices ``i``, ``j``).
     """
-    if dim < 1:
-        raise OperatorValueError(f"invalid dimension {dim}")
-    if kind == "projector":
-        if i is None or j is None:
-            raise OperatorValueError("projector requires indices i and j")
-        return projector(dim, i, j)
     try:
         factory = _STANDARD_KINDS[kind]
     except KeyError:
         raise OperatorValueError(f"unknown operator kind {kind!r}") from None
-    return factory(dim)
+    return factory(dim, i, j) if kind == "projector" else factory(dim)

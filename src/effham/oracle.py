@@ -342,7 +342,7 @@ def _rk4_pair(grid_eval, dim: int, t: float, steps: int) -> tuple[np.ndarray, np
 
 def _propagate(grid_eval, dim: int, t: float, steps: int | None,
                max_omega: float) -> PropagationResult:
-    check_real("propagation time", t, 0.0)
+    t = float(check_real("propagation time", t, 0.0))
     if steps is None:
         steps = default_step_count(max_omega, t)
     steps = check_integer("steps", steps, 16, MAX_RK4_STEPS)

@@ -508,7 +508,7 @@ def test_secular_tuple_form_rejects_bad_order_lists(orders):
 
 @pytest.mark.parametrize("grid", [
     np.zeros((3, 2)), 0.5, [0.0, np.nan, 1.0], [0.0, np.inf], [[0.0, 1.0]],
-    [False, True], ["0.0", "0.5"],
+    [False, True], ["0.0", "0.5"], [0.5, True],
 ])
 def test_secular_rejects_bad_time_grids(grid):
     with pytest.raises(OperatorValueError):

@@ -2,6 +2,7 @@ import pathlib
 import random
 import string
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -400,14 +401,16 @@ DIAGNOSTICS = [
     ("compile_kron_scalar", Q + "tone kron(sx(q), 2) omega = 1\n",
      ModelCompileError, "kron requires matrix arguments", 2, 6),
     ("compile_kron_cap", "space q 65\ntone kron(a(q), a(q)) omega = 1\n",
-     ModelCompileError, "kron result exceeds the dimension cap", 2, 6),
+     ModelCompileError, "tensor product dimension 4225 exceeds cap 4096", 2, 6),
     ("compile_builtin_failure", "space d 1\ntone sx(d) omega = 1\n",
-     ModelCompileError, "Pauli operators require dim >= 2", 2, 6),
+     ModelCompileError, "dim must be an integer in [2, 4096], got 1", 2, 6),
     ("compile_projector_range", "space d 3\ntone proj(d, 0, 7) omega = 1\n",
-     ModelCompileError, "projector indices (0, 7) out of range for dim 3", 2, 6),
-    # the index diagnostic is located, then wrapped by the call's handler
+     ModelCompileError, "j must be an integer in [0, 2], got 7", 2, 6),
+    # an index's own diagnostic is located at the index alone
     ("compile_projector_integer", "space d 3\ntone proj(d, 0.5, 0) omega = 1\n",
-     ModelCompileError, "2:14: projector indices must be integers", 2, 6),
+     ModelCompileError, "projector indices must be integers", 2, 14),
+    ("compile_projector_operator_index", Q + "op x = sx(q)\ntone proj(q, x, 0) omega = 1\n",
+     ModelCompileError, "projector indices must be integers", 3, 14),
     ("compile_matrix_square", Q + "tone mat[[1, 0, 0], [0, 1, 0]] omega = 1\n",
      ModelCompileError, "matrix literal must be square, got 2 row(s) with lengths [3, 3]",
      2, 6),
@@ -523,6 +526,16 @@ def test_space_dimension_past_the_int_string_limit():
     # at the limit the dimension parses, and the dimension cap refuses it
     ast = parse_model("space q " + "0" * (limit - 1) + "2\ntone sx(q) omega = 1\n")
     assert ast.spaces[0].dim == 2
+
+
+def test_long_digit_runs_lex_in_linear_time():
+    # a digit run splits one way between a number's parts, so a failed
+    # imaginary-literal match backs off in linear time
+    start = time.perf_counter()
+    with pytest.raises(ModelSyntaxError, match="overflows"):
+        parse_model("param g = " + "9" * 50_000 + "\n")
+    assert time.perf_counter() - start < 2.0
+    assert parse_model("param g = " + "0" * 19_999 + "1\n").params[0].value == 1.0
 
 
 def test_nested_unary_minus_round_trips():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from effham import (
+    MAX_DIMENSION,
     DimensionCapError,
     DimensionMismatchError,
     OperatorValueError,
@@ -145,15 +146,22 @@ def test_standard_operator_projector():
     assert np.array_equal(projector(3, 2, 0), [[0, 0, 0], [0, 0, 0], [1, 0, 0]])
 
 
-def test_standard_operator_bad_inputs():
+@pytest.mark.parametrize("call", [
+    lambda: standard_operator("sigma_x", 1),
+    lambda: standard_operator("no_such_kind", 2),
+    lambda: projector(2, 0, 5),
+    lambda: standard_operator("projector", 2),
+    lambda: annihilate(2.5),
+    lambda: annihilate(True),
+    lambda: sigma_x(2.5),
+    lambda: projector(3, 1.5, 0),
+    lambda: identity(MAX_DIMENSION + 1),
+], ids=["sigma_x_dim_1", "unknown_kind", "projector_index_range", "projector_no_indices",
+        "annihilate_real_dim", "annihilate_bool_dim", "sigma_x_real_dim",
+        "projector_real_index", "identity_past_cap"])
+def test_standard_operator_bad_inputs(call):
     with pytest.raises(OperatorValueError):
-        standard_operator("sigma_x", 1)
-    with pytest.raises(OperatorValueError):
-        standard_operator("no_such_kind", 2)
-    with pytest.raises(OperatorValueError):
-        projector(2, 0, 5)
-    with pytest.raises(OperatorValueError):
-        standard_operator("projector", 2)
+        call()
 
 
 def test_sigma_minus_is_adjoint_of_plus():

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -406,6 +407,15 @@ def test_propagators_refuse_a_default_step_count_above_the_cap(t):
     with pytest.raises(OperatorValueError, match=rule):
         propagate_series(S, t)
     assert H.points == 0 and S.points == 0
+
+
+def test_propagators_accept_a_fraction_time():
+    # a Fraction is a numbers.Real; it runs as the float it equals
+    H = make_model("noncommuting_two_tone")
+    S = heff3_timedep(H)
+    for propagate, op in ((propagate_exact, H), (propagate_series, S)):
+        half, ref = propagate(op, Fraction(1, 2)), propagate(op, 0.5)
+        assert np.array_equal(half.U, ref.U) and half.est_error == ref.est_error
 
 
 def test_propagators_accept_numpy_integer_steps():
@@ -929,7 +939,7 @@ def test_quad_oracle_budget_error_states_the_last_change():
 
 @pytest.mark.parametrize("ts", [
     [], [0.3, 1.0], [1.0 / 256, 1.0], [-0.5, 1.0], [-1.0], [0.5, math.nan], [[0.5, 1.0]],
-    [False, True], ["0.5", "1.0"],
+    [False, True], ["0.5", "1.0"], [0.5, True],
 ])
 def test_quad_oracle_rejects_bad_times_before_sampling(ts):
     H = _CountingOperator(make_model("noncommuting_two_tone"))
