@@ -16,7 +16,11 @@ Three separate statements get disentangled here:
    term's frequency is the signed sum of its carriers. Its zero-frequency
    terms then come only from the resonant three-sums the frequency report
    classifies, and it is Hermitian on models that pass the report
-   (acceptance criterion 4).
+   (acceptance criterion 4). On carriers with no vanishing three-sum that
+   part is the zero matrix, whose defect of 0 shows nothing, so each
+   defect is printed beside the norm of the matrix it was measured on.
+   Carriers 1, 2, 3 make 1 + 2 - 3 vanish: there the order-3 secular part
+   is nonzero and still Hermitian (acceptance criterion 11).
 
 The reordering identity gap tracks statement 1 from a different angle:
 moving H(t) from the left of the double integral to the right is only
@@ -26,6 +30,7 @@ free of charge for commuting families.
 import numpy as np
 
 from effham import (
+    MultiToneHamiltonian,
     commutation_probe,
     eq6_gap_grid,
     frequency_report,
@@ -37,8 +42,17 @@ from effham import (
 
 pairs = [(0.1, 0.7), (0.3, 1.1), (0.9, 2.4)]
 
-for name in ("commuting_diag", "noncommuting_two_tone", "raman_lambda"):
-    H = make_model(name)
+# three generic dim-3 tones at carriers 1, 2, 3, couplings of norm 0.3
+rng = np.random.default_rng(7)
+couplings = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+resonant = MultiToneHamiltonian(
+    [(0.3 * h / np.linalg.norm(h), w) for h, w in zip(couplings, (1.0, 2.0, 3.0))]
+)
+models = {name: make_model(name)
+          for name in ("commuting_diag", "noncommuting_two_tone", "raman_lambda")}
+models["resonant_1_2_3"] = resonant
+
+for name, H in models.items():
     rep = frequency_report(H)
     result = heff_secular(H, 3)
     ts = np.linspace(0.0, 10.0 / H.min_omega, 32)
@@ -46,7 +60,8 @@ for name in ("commuting_diag", "noncommuting_two_tone", "raman_lambda"):
     print(f"  commutation probe          : {commutation_probe(H, pairs):.3e}")
     print(f"  frequency report passes    : {rep.passes}")
     print(f"  order-3 grid max defect    : {result.max_hermiticity_defect_on_grid:.3e}")
-    print(f"  order-3 secular defect     : {hermiticity_defect(result.secular):.3e}")
+    print(f"  order-3 secular defect     : {hermiticity_defect(result.secular):.3e}"
+          f"  (norm {np.linalg.norm(result.secular):.3e})")
     constant = heff_n_timedep(H, 3).constant_part()
     print(f"  lower-limit constant defect: {hermiticity_defect(constant):.3e}")
     print(f"  reordering gap, grid max   : {eq6_gap_grid(H, ts).max():.3e}")
@@ -57,4 +72,7 @@ print("frequency report, yet the constant part of its order-3 series is not")
 print("Hermitian. that remainder comes from the integration constants, i.e.")
 print("from insisting the expansion vanish exactly at t = 0. the secular part")
 print("drops them: in the indefinite-integral frame only resonant carrier sums")
-print("reach zero frequency, and the secular defect is zero on all three models.")
+print("reach zero frequency. on the three zoo models none does, so the secular")
+print("part is the zero matrix and its defect of 0 shows nothing. carriers 1, 2, 3")
+print("resonate (1 + 2 - 3 = 0): their order-3 secular part is nonzero, and its")
+print("defect is at rounding level, so it is Hermitian.")

@@ -143,7 +143,7 @@ def heff2_rwa(H: MultiToneHamiltonian, report: FrequencyReport | None = None) ->
     """
     if report is None:
         report = frequency_report(H)
-    if not (report.pairwise_distinct and report.ambiguous_count == 0):
+    if not report.passes:
         raise FrequencyConditionError(
             "the commutator form requires pairwise-distinct carrier frequencies "
             "and no ambiguous three-frequency sums"

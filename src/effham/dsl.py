@@ -37,6 +37,15 @@ any op; a tone's frequency takes numbers and params only. ``param``/``op``
 names share one namespace, space names another; the keywords of the
 grammar and the built-in function names are reserved.
 
+A tone's frequency must pass :func:`~effham.model.check_carrier`, the
+check :class:`~effham.model.MultiToneHamiltonian` makes, once an
+imaginary part below 1e-12 of the real part is dropped as rounding, and a
+param must be a finite real number. :func:`parse_model` refuses any
+other value at its declaration's line, and
+:func:`compile_model` runs the same validation first, so it builds no
+matrix for an AST that fails it. A diagnostic that quotes a long value
+cuts out its middle (:func:`~effham.errors.elide`).
+
 Nesting is bounded, so that no walk of a parsed tree can exhaust the
 stack. The parser's own recursion is capped at 200 levels: a unary ``-``
 counts one level, a parenthesis, a call argument or a ``mat`` entry four.
@@ -67,8 +76,10 @@ from .errors import (
     ModelSyntaxError,
     ModelValidationError,
     OperatorValueError,
+    check_real,
+    elide,
 )
-from .model import MultiToneHamiltonian, ToneTerm
+from .model import MultiToneHamiltonian, ToneTerm, check_carrier
 from .operators import MAX_DIMENSION
 
 #: Built-ins acting on one space: its dimension, then ``proj``'s indices.
@@ -300,10 +311,8 @@ class _Parser:
         tok = self.current
         if tok.kind in ("NUMBER", "IMAG"):
             self.advance()
-            if tok.kind == "IMAG":
-                value = complex(0.0, self._number(tok, tok.text[:-1]))
-            else:
-                value = complex(self._number(tok, tok.text), 0.0)
+            number = self._number(tok, tok.text.rstrip("i"))
+            value = complex(0.0, number) if tok.kind == "IMAG" else complex(number, 0.0)
             return NumberLit(value, line=tok.line, col=tok.col), 1
         if tok.kind == "NAME":
             if tok.text == "mat":
@@ -344,7 +353,8 @@ class _Parser:
         to infinity is refused, as no model or serialized text can hold it."""
         value = float(text)
         if not math.isfinite(value):
-            raise ModelSyntaxError(f"numeric literal {tok.text!r} overflows", tok.line, tok.col)
+            raise ModelSyntaxError(f"numeric literal {elide(tok.text)} overflows",
+                                   tok.line, tok.col)
         return value
 
     def _check_depth(self, depth: int):
@@ -483,6 +493,9 @@ def _walk_names(expr, spaces: set[str], values: set[str]):
 
 
 def _eval_scalar(expr, params: dict[str, float]) -> complex:
+    """Value of a frequency expression of numbers and params. Arithmetic
+    that overflows gives a non-finite value, which the carrier check
+    refuses."""
     if isinstance(expr, NumberLit):
         return expr.value
     if isinstance(expr, NameRef):
@@ -496,11 +509,7 @@ def _eval_scalar(expr, params: dict[str, float]) -> complex:
     if isinstance(expr, BinOp):
         a = _eval_scalar(expr.left, params)
         b = _eval_scalar(expr.right, params)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        return a * b
+        return a * b if expr.op == "*" else a + b if expr.op == "+" else a - b
     raise ModelValidationError(
         "expected a scalar expression (numbers and params only)",
         getattr(expr, "line", None),
@@ -508,7 +517,18 @@ def _eval_scalar(expr, params: dict[str, float]) -> complex:
     )
 
 
-def _validate(ast: ModelSpecAst) -> None:
+def _check_at(line: int, check, *args):
+    """``check(*args)``, a refusal re-raised as :class:`ModelValidationError`
+    at ``line``."""
+    try:
+        return check(*args)
+    except OperatorValueError as exc:
+        raise ModelValidationError(str(exc), line) from None
+
+
+def _validate(ast: ModelSpecAst) -> list[float]:
+    """Check every name and param value of ``ast`` and return the carrier
+    of each tone, checked by :func:`~effham.model.check_carrier`."""
     spaces: set[str] = set()
     for s in ast.spaces:
         if s.name in spaces:
@@ -525,19 +545,17 @@ def _validate(ast: ModelSpecAst) -> None:
             _walk_names(decl.expr, spaces, values)
         values.add(decl.name)
 
-    params = {p.name: p.value for p in ast.params}
+    # the parser makes a finite param, a hand-built AST may not
+    params = {p.name: _check_at(p.line, check_real, f"param {p.name}", p.value)
+              for p in ast.params}
+    carriers = []
     for t in ast.tones:
         _walk_names(t.operator, spaces, values)
         freq = _eval_scalar(t.frequency, params)
-        if (
-            not math.isfinite(freq.real)
-            or abs(freq.imag) > 1e-12 * max(1.0, abs(freq))
-            or not freq.real > 0
-        ):
-            raise ModelValidationError(
-                f"frequency must be a positive finite real, evaluates to {freq.real:g}",
-                t.line,
-            )
+        # a negligible imaginary part is rounding; a complex value is refused
+        freq = freq.real if abs(freq.imag) <= 1e-12 * max(1.0, abs(freq.real)) else freq
+        carriers.append(_check_at(t.line, check_carrier, freq))
+    return carriers
 
 
 def parse_model(text: str) -> ModelSpecAst:
@@ -620,12 +638,9 @@ class _Compiler:
             raise ModelCompileError(
                 f"total dimension {self.total} exceeds cap {MAX_DIMENSION}"
             )
-        self.params = {p.name: p.value for p in ast.params}
-        self.env: dict[str, object] = {
-            name: complex(value) for name, value in self.params.items()
-        }
+        self.env: dict[str, object] = {p.name: complex(p.value) for p in ast.params}
 
-    def run(self) -> MultiToneHamiltonian:
+    def run(self, carriers: list[float]) -> MultiToneHamiltonian:
         if not self.ast.spaces:
             raise ModelCompileError("a model needs at least one space declaration")
         if not self.ast.tones:
@@ -633,7 +648,7 @@ class _Compiler:
         for o in self.ast.operator_defs:
             self.env[o.name] = self.eval(o.expr)
         tones = []
-        for t in self.ast.tones:
+        for t, omega in zip(self.ast.tones, carriers):
             value = self.eval(t.operator)
             if not isinstance(value, np.ndarray):
                 raise ModelCompileError(
@@ -645,23 +660,19 @@ class _Compiler:
                     f"model space has dimension {self.total}",
                     t.line,
                 )
-            freq = _eval_scalar(t.frequency, self.params)
-            tones.append(ToneTerm(value, float(freq.real)))
-        try:
-            return MultiToneHamiltonian(tones)
-        except Exception as exc:
-            raise ModelCompileError(f"model construction failed: {exc}") from exc
+            tones.append(ToneTerm(value, omega))
+        return MultiToneHamiltonian(tones)
 
     def eval(self, expr):
-        # literals are finite and names hold checked values, so only the
-        # nodes that compute can overflow; each is checked where it is made
-        if isinstance(expr, NumberLit):
-            return expr.value
+        # names hold checked values; every other value is checked where it
+        # is made, a literal too, as a hand-built AST may hold a non-finite one
         if isinstance(expr, NameRef):
             return self.env[expr.name]
-        if isinstance(expr, MatLit):
-            return self.eval_mat(expr)
-        if isinstance(expr, Neg):
+        if isinstance(expr, NumberLit):
+            value = expr.value
+        elif isinstance(expr, MatLit):
+            value = self.eval_mat(expr)
+        elif isinstance(expr, Neg):
             value = -self.eval(expr.operand)
         elif isinstance(expr, Call):
             value = self.eval_call(expr)
@@ -756,12 +767,15 @@ class _Compiler:
 def compile_model(ast: ModelSpecAst) -> MultiToneHamiltonian:
     """Evaluate an AST to matrices over the full tensor-product space.
 
-    A value that overflows to a non-finite number raises
+    The AST is validated first, as :func:`parse_model` validates it, so one
+    built by hand raises the same located :class:`ModelValidationError`. A
+    value that overflows to a non-finite number raises
     :class:`ModelCompileError` at the node that computed it; numpy's
     overflow warnings are silenced meanwhile, as the error replaces them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _Compiler(ast).run()
+        carriers = _validate(ast)
+        return _Compiler(ast).run(carriers)
 
 
 def load_model(path: str) -> MultiToneHamiltonian:

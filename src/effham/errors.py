@@ -6,7 +6,8 @@ refuse the same values: an integer is a ``numbers.Integral`` and a real
 number a ``numbers.Real``, never a ``bool`` or a ``str``; a real number and
 every time in an array of times must be finite; an array of times is 1-D
 with a numeric, non-bool dtype, and a sequence of times holds no ``bool``.
-Every message reads ``<name> must be <rule>, got <value>``.
+Every message reads ``<name> must be <rule>, got <value>``, with the
+middle of a long value cut out by :func:`elide`.
 """
 
 from __future__ import annotations
@@ -90,12 +91,26 @@ class ModelSyntaxError(ModelError):
 
 class ModelValidationError(ModelError):
     """The file parsed but violates a static rule (duplicate name,
-    unknown identifier, non-positive frequency)."""
+    unknown identifier, a frequency that is not a carrier)."""
 
 
 class ModelCompileError(ModelError):
     """Expression evaluation failed while building matrices (dimension
     mismatch, non-square literal, dimension cap)."""
+
+
+#: The longest repr of a value that a diagnostic quotes whole.
+ELIDE_CAP = 80
+
+
+def elide(value) -> str:
+    """``repr(value)`` itself if it has at most ``ELIDE_CAP`` characters;
+    else its first and last ``ELIDE_CAP / 2`` around a note of how many
+    characters were cut, so that a long value cannot swamp a one-line
+    diagnostic."""
+    text, half = repr(value), ELIDE_CAP // 2
+    cut = len(text) - ELIDE_CAP
+    return text if cut <= 0 else f"{text[:half]}...[{cut} characters cut]...{text[-half:]}"
 
 
 def check_integer(name: str, value, low: int, high: int | None = None) -> int:
@@ -105,7 +120,7 @@ def check_integer(name: str, value, low: int, high: int | None = None) -> int:
             and low <= value and (high is None or value <= high)):
         return int(value)
     rule = f">= {low}" if high is None else f"in [{low}, {high}]"
-    raise OperatorValueError(f"{name} must be an integer {rule}, got {value!r}")
+    raise OperatorValueError(f"{name} must be an integer {rule}, got {elide(value)}")
 
 
 def _bound(low: float, strict: bool) -> str:
@@ -123,7 +138,7 @@ def check_real(name: str, value, low: float = -math.inf, strict: bool = False):
         if finite and (value > low if strict else value >= low):
             return value
     raise OperatorValueError(
-        f"{name} must be a finite real number{_bound(low, strict)}, got {value!r}")
+        f"{name} must be a finite real number{_bound(low, strict)}, got {elide(value)}")
 
 
 def check_times(name: str, times, low: float = -math.inf) -> np.ndarray:

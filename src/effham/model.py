@@ -55,9 +55,8 @@ class MultiToneHamiltonian:
     ----------
     tones:
         Sequence of ``(h, omega)`` pairs or :class:`ToneTerm` instances;
-        must be nonempty, share one dimension, and have ``omega > 0``
-        with ``MAX_ORDER * omega`` finite, so that no sum of carriers the
-        builders or the frequency report form overflows.
+        must be nonempty and share one dimension, and every ``omega``
+        must pass :func:`check_carrier`.
     """
 
     __slots__ = ("dim", "tones", "_freqs", "_mats")
@@ -68,14 +67,8 @@ class MultiToneHamiltonian:
             if not isinstance(tone, ToneTerm):
                 tone = ToneTerm(*tone)
             h = as_operator(tone.h, name="tone operator")
-            omega = float(check_real("tone frequency", tone.omega, 0.0, strict=True))
-            if not math.isfinite(MAX_ORDER * omega):
-                raise OperatorValueError(
-                    f"tone frequency {omega:g} is too large: a sum of {MAX_ORDER} "
-                    "carriers would overflow"
-                )
             h.setflags(write=False)
-            terms.append(ToneTerm(h, omega))
+            terms.append(ToneTerm(h, check_carrier(tone.omega)))
         if not terms:
             raise OperatorValueError("a model needs at least one tone")
         dim = terms[0].h.shape[0]
@@ -182,6 +175,19 @@ class FrequencyReport:
         so does a raised ``secular_growth_flag`` at order 5.
         """
         return self.pairwise_distinct and self.ambiguous_count == 0
+
+
+def check_carrier(value) -> float:
+    """``value`` as a ``float`` if it is a carrier frequency: a finite real
+    number > 0 whose ``MAX_ORDER``-fold sum is finite, so that no sum of
+    carriers the builders or the frequency report form overflows."""
+    omega = float(check_real("tone frequency", value, 0.0, strict=True))
+    if not math.isfinite(MAX_ORDER * omega):
+        raise OperatorValueError(
+            f"tone frequency {omega:g} is too large: a sum of {MAX_ORDER} "
+            "carriers would overflow"
+        )
+    return omega
 
 
 def check_threshold(name: str, value: float) -> float:

@@ -13,6 +13,7 @@ import numpy as np
 
 from effham import (
     ModelError,
+    MultiToneHamiltonian,
     OperatorSeries,
     ZOO_NAMES,
     dyson_term,
@@ -33,7 +34,7 @@ from effham import (
     series_residual,
     unitarity_defect,
 )
-from conftest import random_model
+from conftest import random_generic, random_model
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -245,4 +246,32 @@ def test_criterion_10_parser_totality_and_round_trip():
         "round-trips",
         crashes == 0 and round_trips == len(corpus) == 10,
         f"{crashes} crashes, {round_trips}/{len(corpus)} round trips",
+    )
+
+
+def test_criterion_11_third_order_hermitian_on_resonant_carriers():
+    # Criterion 4's carriers almost never make a signed three-sum vanish, so
+    # its order-3 secular parts are zero matrices. Here 1 + 2 - 3 = 0 and
+    # 1 + 1.5 - 2.5 = 0 put resonant terms into the order-3 secular part,
+    # and its norm floor keeps the Hermiticity check from passing on zero.
+    rng = np.random.default_rng(7)
+    norms, defects, flags, order4 = [], [], [], []
+    for carriers in ((1.0, 2.0, 3.0), (1.0, 1.5, 2.5)):
+        for _ in range(3):
+            H = MultiToneHamiltonian([(random_generic(rng, 3, 0.3), w) for w in carriers])
+            assert frequency_report(H).passes
+            third = heff_secular(H, 3)
+            norms.append(float(np.linalg.norm(third.secular)))
+            defects.append(hermiticity_defect(third.secular))
+            flags.append(third.secular_growth_flag)
+            order4.append(hermiticity_defect(heff_secular(H, 4).secular))
+    _criterion(
+        11,
+        "third-order secular part nonzero and Hermitian on resonant carriers, "
+        "fourth-order part not Hermitian there",
+        min(norms) > 1e-3 and max(defects) < 1e-10 and not any(flags)
+        and min(order4) > 1e-4,
+        f"order-3 norm {min(norms):.2e}..{max(norms):.2e} (> 1e-3), defect "
+        f"{max(defects):.2e} (< 1e-10), growth flags {sum(flags)}; order-4 defect "
+        f"{min(order4):.2e}..{max(order4):.2e} (> 1e-4)",
     )

@@ -47,7 +47,23 @@ def test_parse_error_exits_2(tmp_path, capsys):
     bad.write_text("space q 2\ntone sx(q) omega = -3.0\n")
     assert main(["report", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert "positive" in err
+    assert err == ("effham: model error: 2:0: "
+                   "tone frequency must be a finite real number > 0, got -3.0\n")
+
+
+@pytest.mark.parametrize("text, head", [
+    ("param g = " + "1" * 5000 + "\n", "1:11: numeric literal '" + "1" * 39 + "..."),
+    ("space q 2\ntone proj(q, 1e300, 0) omega = 1\n",
+     "2:6: i must be an integer in [0, 1], got 1000"),
+])
+def test_long_value_is_cut_from_the_one_line_diagnostic(tmp_path, capsys, text, head):
+    bad = tmp_path / "long.ham"
+    bad.write_text(text)
+    assert main(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("effham: model error: " + head)
+    assert "characters cut]..." in err
+    assert len(err.strip().splitlines()) == 1 and len(err.encode()) < 200
 
 
 def test_guard_error_exits_3(monkeypatch, capsys):

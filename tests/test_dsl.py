@@ -1,3 +1,4 @@
+import math
 import pathlib
 import random
 import string
@@ -21,6 +22,8 @@ from effham import (
     sigma_z,
     tensor_product,
 )
+from effham.dsl import (Call, MatLit, ModelSpecAst, NameRef, NumberLit, ParamDecl, SpaceDecl,
+                        ToneDecl)
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = sorted(DATA.glob("*.ham"))
@@ -56,8 +59,35 @@ def test_negative_frequency_rejected_with_location():
     text = "space q 2\ntone sx(q) omega = -2.0\n"
     with pytest.raises(ModelValidationError) as err:
         parse_model(text)
-    assert "positive" in str(err.value)
+    assert str(err.value) == "2:0: tone frequency must be a finite real number > 0, got -2.0"
     assert err.value.line == 2
+
+
+def test_frequency_difference_evaluates():
+    H = compile_model(parse_model("space q 2\nparam w = 3\ntone sx(q) omega = w - 1\n"))
+    assert H.omegas == (2.0,)
+
+
+_ZERO = NumberLit(0j)
+
+
+# ASTs that parse_model cannot produce: an undeclared op and an infinite
+# param, which validation refuses, and a non-finite literal, which the
+# compiler checks where it stands
+@pytest.mark.parametrize("g, operator, cls, message", [
+    (1.0, NameRef("x", line=2, col=6), ModelValidationError, "2:6: unknown identifier 'x'"),
+    (math.inf, Call("proj", (NameRef("q"), NameRef("g"), _ZERO)), ModelValidationError,
+     "1:0: param g must be a finite real number, got inf"),
+    (1.0, MatLit(((NumberLit(complex(math.inf), line=2, col=11), _ZERO), (_ZERO, _ZERO))),
+     ModelCompileError, "2:11: arithmetic overflows to a non-finite value"),
+], ids=["undeclared_op", "infinite_param", "infinite_literal"])
+def test_compile_gives_a_hand_built_ast_a_located_diagnostic(g, operator, cls, message):
+    ast = ModelSpecAst(spaces=(SpaceDecl("q", 2),), params=(ParamDecl("g", g, line=1),),
+                       operator_defs=(),
+                       tones=(ToneDecl(operator, NumberLit(1 + 0j), line=2),))
+    with pytest.raises(ModelError) as err:
+        compile_model(ast)
+    assert type(err.value) is cls and str(err.value) == message
 
 
 def test_syntax_error_carries_location():
@@ -379,12 +409,19 @@ DIAGNOSTICS = [
     ("frequency_not_scalar", Q + "tone sx(q) omega = sz(q)\n",
      ModelValidationError, "expected a scalar expression (numbers and params only)", 2, 20),
     ("frequency_negative", Q + "tone sx(q) omega = -2\n",
-     ModelValidationError, "frequency must be a positive finite real, evaluates to -2", 2, None),
+     ModelValidationError, "tone frequency must be a finite real number > 0, got -2.0", 2, None),
     ("frequency_complex", Q + "tone sx(q) omega = 1 + 1i\n",
-     ModelValidationError, "frequency must be a positive finite real, evaluates to 1", 2, None),
-    ("frequency_infinite", Q + "tone sx(q) omega = 1e300 * 1e300\n",
-     ModelValidationError, "frequency must be a positive finite real, evaluates to inf",
+     ModelValidationError, "tone frequency must be a finite real number > 0, got (1+1j)",
      2, None),
+    ("frequency_infinite", Q + "tone sx(q) omega = 1e300 * 1e300\n",
+     ModelValidationError, "tone frequency must be a finite real number > 0, got inf", 2, None),
+    ("frequency_imaginary_infinite", Q + "tone sx(q) omega = 1 + 1e300i * 1e300\n",
+     ModelValidationError, "tone frequency must be a finite real number > 0, got (1+infj)",
+     2, None),
+    # refused where it stands, not when the model is built
+    ("frequency_sums_overflow", Q + "tone sx(q) omega = 1e308\n",
+     ModelValidationError,
+     "tone frequency 1e+308 is too large: a sum of 6 carriers would overflow", 2, None),
     ("compile_dimension_cap", "space big 70\nspace ger 70\ntone a(big) omega = 1\n",
      ModelCompileError, "total dimension 4900 exceeds cap 4096", None, None),
     ("compile_no_space", "tone mat[[1]] omega = 1\n",

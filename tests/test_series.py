@@ -102,6 +102,13 @@ def test_dimension_checked():
         OperatorSeries(3, [(sigma_x(), TonePoly.constant(1.0))])
     with pytest.raises(DimensionMismatchError):
         two_entry_series() + OperatorSeries.zero(3)
+    with pytest.raises(DimensionMismatchError):
+        two_entry_series() * OperatorSeries.zero(3)
+
+
+def test_scale_by_zero_is_the_zero_series():
+    S = two_entry_series().scale(0)
+    assert S.is_zero and S.dim == 2
 
 
 def test_product_is_pointwise_operator_product(rng):
