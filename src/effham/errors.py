@@ -127,16 +127,25 @@ def _bound(low: float, strict: bool) -> str:
     return "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
 
 
+def _is_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def _as_float(value: numbers.Real) -> float:
+    """``float(value)``, or NaN for a value too large for a float (an int or
+    a ``Fraction``), so that it counts as not finite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
 def check_real(name: str, value, low: float = -math.inf, strict: bool = False):
     """``value`` itself if it is a finite real number ``>= low`` (``> low``
     if ``strict``)."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if finite and (value > low if strict else value >= low):
-            return value
+    if _is_real(value) and math.isfinite(_as_float(value)) and (
+            value > low if strict else value >= low):
+        return value
     raise OperatorValueError(
         f"{name} must be a finite real number{_bound(low, strict)}, got {elide(value)}")
 
@@ -145,11 +154,16 @@ def check_times(name: str, times, low: float = -math.inf) -> np.ndarray:
     """``times`` as a 1-D float array; each time must be finite and ``>= low``.
 
     A ``bool`` in a sequence is refused before numpy would promote it to
-    a number."""
+    a number. A sequence that numpy keeps as objects is converted element
+    by element when every element is a real number, such as a ``Fraction``
+    or an int beyond int64; one too large for a float is not finite."""
     try:
         array = np.asarray(times)
     except ValueError:  # a ragged nest of sequences
         array = np.asarray(times, dtype=object)
+    given = array
+    if array.ndim == 1 and array.dtype == object and all(map(_is_real, array)):
+        array = np.array([_as_float(x) for x in array])
     if array.ndim != 1:
         got = f"shape {array.shape}"
     elif array.dtype.kind not in "iuf":
@@ -162,7 +176,7 @@ def check_times(name: str, times, low: float = -math.inf) -> np.ndarray:
         bad = ~(np.isfinite(array) & (array >= low))
         if not bad.any():
             return array
-        got = repr(float(array[bad][0]))
+        got = elide(given[bad][0]) if given.dtype == object else repr(float(array[bad][0]))
     raise OperatorValueError(
         f"{name} must be a 1-D array of finite real numbers{_bound(low, False)}, got {got}")
 

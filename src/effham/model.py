@@ -121,7 +121,8 @@ class MultiToneHamiltonian:
         """Vectorized :meth:`evaluate`; returns shape (len(ts), dim, dim)."""
         ts = np.asarray(ts, dtype=float)
         phases = np.exp(1j * np.outer(ts, self._freqs))
-        return np.tensordot(phases, self._mats, axes=1)
+        d = self.dim
+        return np.dot(phases, self._mats.reshape(-1, d * d)).reshape(len(phases), d, d)
 
     def to_operator_series(self) -> OperatorSeries:
         """Symbolic form: entries ``(h_m, e^{i w_m t})`` and ``(h_m^dag, e^{-i w_m t})``."""

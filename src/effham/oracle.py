@@ -72,11 +72,19 @@ first samples H only at its ``p`` new midpoints and interleaves them with
 the kept samples: the stack equals that of sampling the whole grid, and
 every level still calls ``evaluate_grid`` once. The refinement then
 samples ``256 * 2**k + 1`` points up to level k instead of about twice as
-many. While a level is interleaved, memory holds the previous stack and
-the new one. The values are those of sampling each level whole as long as
-the grid function returns for each time the same value whatever batch it
+many. The grid ``j * fl(T / p)``, its last node set to ``T``, is numpy's
+``linspace`` formula for start 0.0, written out to skip its overhead.
+While a level is interleaved, memory holds the previous stack and the new
+one. The values are those of sampling each level whole as long as the
+grid function returns for each time the same value whatever batch it
 comes in, as :class:`MultiToneHamiltonian` does; one whose values depend
 on the batch may differ in the last bits.
+
+The highest order is read at its read-out nodes only, so its last step is
+taken there alone: its Simpson pair sums are accumulated up to the last
+read-out node, the same sequential prefix sums that the whole cumulative
+integral takes there, and only the read-out samples of H multiply them,
+giving the same doubles as the whole chain.
 """
 
 from __future__ import annotations
@@ -374,14 +382,30 @@ def propagate_series(S, t: float, steps: int | None = None) -> PropagationResult
 
 
 def fidelity_distance(U: np.ndarray, V: np.ndarray) -> float:
-    """Dimension-normalized Frobenius distance ``||U - V|| / sqrt(dim)``."""
+    """Dimension-normalized Frobenius distance ``||U - V|| / sqrt(dim)``.
+
+    ``U`` and ``V`` must be square matrices of dimension >= 1
+    (:class:`OperatorValueError`) and of one shape
+    (:class:`DimensionMismatchError`); non-finite entries pass through.
+    """
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
+    for X in (U, V):
+        if X.ndim != 2 or X.shape[0] != X.shape[1] or X.size == 0:
+            raise OperatorValueError(
+                f"fidelity_distance operands must be square matrices of dimension >= 1, "
+                f"got shape {X.shape}")
     if U.shape != V.shape:
         raise DimensionMismatchError(
             f"fidelity_distance operands have shapes {U.shape} and {V.shape}"
         )
     return float(np.linalg.norm(U - V)) / math.sqrt(U.shape[0])
+
+
+def _simpson_pairs(F: np.ndarray, h: float) -> np.ndarray:
+    """Simpson integral of uniform samples F (step h, axis 0) over each
+    pair of intervals ``[2j, 2j + 2]``."""
+    return (h / 3.0) * (F[0:-2:2] + 4.0 * F[1:-1:2] + F[2::2])
 
 
 def _cumulative_simpson(F: np.ndarray, h: float) -> np.ndarray:
@@ -392,8 +416,7 @@ def _cumulative_simpson(F: np.ndarray, h: float) -> np.ndarray:
     keeps the even chain independent of the odd corrections.
     """
     out = np.zeros_like(F)
-    pair = (h / 3.0) * (F[0:-2:2] + 4.0 * F[1:-1:2] + F[2::2])
-    out[2::2] = np.cumsum(pair, axis=0)
+    out[2::2] = np.cumsum(_simpson_pairs(F, h), axis=0)
     out[1::2] = out[0:-2:2] + (h / 12.0) * (
         5.0 * F[0:-2:2] + 8.0 * F[1:-1:2] - F[2::2]
     )
@@ -413,19 +436,25 @@ def _refined(samples: np.ndarray, midpoints) -> np.ndarray:
 def _nested_values(Hs: np.ndarray, orders: list[int], h: float,
                    sectors: _SectorStage, nodes: np.ndarray) -> dict[int, np.ndarray]:
     # Order-k values for each k in ``orders`` from one level's samples ``Hs``
-    # (complex, step ``h``, never written to), read at the grid indices
+    # (complex, step ``h``, never written to), read at the even grid indices
     # ``nodes``: the chain of order k is the first k - 1 steps of the highest
     # order's chain. The chain runs on what ``sectors`` gathers, as the RK4
-    # does, and only the read-out nodes are scattered back.
+    # does, and only the read-out nodes are scattered back. The highest
+    # order's last step is taken at the nodes alone (module docstring).
     Hs = sectors.gather(Hs)
     A = Hs
     factor = 1 + 0j
     out = {}
-    for k in range(2, max(orders) + 1):
+    top = max(orders)
+    for k in range(2, top):
         A = _mul(Hs, _cumulative_simpson(A, h))
         factor *= -1j
         if k in orders:
             out[k] = sectors.scatter(factor * A[nodes])
+    # the integral at the even nodes up to the last read-out node
+    even = np.zeros((nodes.max() // 2 + 1,) + A.shape[1:], dtype=complex)
+    np.cumsum(_simpson_pairs(A[:nodes.max() + 1], h), axis=0, out=even[1:])
+    out[top] = sectors.scatter(factor * -1j * _mul(Hs[nodes], even[nodes // 2]))
     return out
 
 
@@ -467,7 +496,10 @@ def quad_oracle(H, n, t, tol: float,
     orders share one refinement: each level samples H once and runs one
     nested chain up to the highest order not yet converged, and each order
     is frozen at the level where its own successive values agree, so its
-    value is the same as that of a call for that order alone. The first
+    value is the same as that of a call for that order alone. The last
+    step of the highest order is integrated only up to the last read-out
+    node and multiplied by H only at the read-out nodes, with the same
+    doubles as the whole chain read there. The first
     level samples its 257 grid points; each later level samples only its
     new midpoints and keeps the previous level's samples as its even nodes
     (during the interleave both stacks are held). For a grid function whose
@@ -524,7 +556,8 @@ def quad_oracle(H, n, t, tol: float,
     while points <= max_points:
         # node 2j of this level's grid is node j of the last one, the same
         # double, so only the midpoints are new
-        ts = np.linspace(0.0, T, points + 1)
+        ts = np.arange(points + 1) * (T / points)
+        ts[-1] = T
         if samples is None:
             samples = np.ascontiguousarray(H.evaluate_grid(ts), dtype=complex)
         else:

@@ -266,7 +266,10 @@ class OperatorSeries:
         """Vectorized evaluation; returns an array of shape (len(ts), dim, dim)."""
         ts = np.asarray(ts, dtype=float)
         envelopes = np.exp(1j * np.outer(ts, self.freqs)) * ts[:, None] ** self.powers
-        return np.tensordot(envelopes, self.coeffs, axes=1)
+        # tensordot's own product on the (K, d * d) view, without its overhead
+        d, K, lead = self.dim, len(self.coeffs), envelopes.shape[:-1]
+        flat = np.dot(envelopes.reshape(int(np.prod(lead)), K), self.coeffs.reshape(K, d * d))
+        return flat.reshape(lead + (d, d))
 
     def secular_series(self, tol_zero: float = TOL_ZERO) -> "OperatorSeries":
         """Sub-series with zero-frequency envelopes only."""

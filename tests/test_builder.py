@@ -1,5 +1,6 @@
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -508,13 +509,18 @@ def test_secular_tuple_form_rejects_bad_order_lists(orders):
 
 @pytest.mark.parametrize("grid", [
     np.zeros((3, 2)), 0.5, [0.0, np.nan, 1.0], [0.0, np.inf], [[0.0, 1.0]],
-    [False, True], ["0.0", "0.5"], [0.5, True],
+    [False, True], ["0.0", "0.5"], [0.5, True], [10**400], [Fraction(1, 2), True],
 ])
 def test_secular_rejects_bad_time_grids(grid):
     with pytest.raises(OperatorValueError):
         heff_secular(SCALAR, 2, time_grid=grid)
     with pytest.raises(OperatorValueError):
         heff_secular(SCALAR, (2, 3), time_grid=grid)
+
+
+def test_secular_takes_a_time_grid_of_fractions_as_the_floats_they_equal():
+    _assert_same_result(heff_secular(NONCOMM, 2, time_grid=[Fraction(1, 2)]),
+                        heff_secular(NONCOMM, 2, time_grid=[0.5]))
 
 
 @pytest.mark.parametrize("tol_zero", [-1.0, float("nan"), float("inf"), True, "1e-9"])

@@ -1,6 +1,8 @@
 """The argument checks of ``effham.errors`` and the value elision of their
 one-line messages."""
 
+from fractions import Fraction
+
 import pytest
 
 from effham import OperatorValueError
@@ -51,3 +53,20 @@ def test_ragged_times_are_refused_by_dtype():
     with pytest.raises(OperatorValueError) as err:
         check_times("t", [[1, 2], [3]])
     assert str(err.value) == "t must be a 1-D array of finite real numbers, got dtype object"
+
+
+def test_times_of_real_objects_are_converted_one_by_one():
+    # numpy keeps a Fraction, or an int beyond int64, as an object
+    times = check_times("t", [Fraction(1, 2), 10**20, 0.25])
+    assert times.dtype == float and times.tolist() == [0.5, 1e20, 0.25]
+
+
+@pytest.mark.parametrize("times, got", [
+    ([HUGE], repr(HUGE)[:40] + "...[321 characters cut]..." + repr(HUGE)[-40:]),
+    ([Fraction(-1, 2)], "Fraction(-1, 2)"),
+    ([-1], "-1.0"),
+])
+def test_times_refusals_quote_the_value_given(times, got):
+    with pytest.raises(OperatorValueError) as err:
+        check_times("t", times, 0.0)
+    assert str(err.value) == f"t must be a 1-D array of finite real numbers >= 0, got {got}"

@@ -410,11 +410,12 @@ def test_propagators_refuse_a_default_step_count_above_the_cap(t):
 
 
 def test_propagators_accept_a_fraction_time():
-    # a Fraction is a numbers.Real; it runs as the float it equals
+    # a Fraction is a numbers.Real; it runs as the float it equals, and
+    # each propagator takes its default step count from it
     H = make_model("noncommuting_two_tone")
     S = heff3_timedep(H)
     for propagate, op in ((propagate_exact, H), (propagate_series, S)):
-        half, ref = propagate(op, Fraction(1, 2)), propagate(op, 0.5)
+        half, ref = propagate(op, Fraction(1, 64)), propagate(op, 1 / 64)
         assert np.array_equal(half.U, ref.U) and half.est_error == ref.est_error
 
 
@@ -450,6 +451,19 @@ def test_quad_oracle_rejects_non_finite_time_before_sampling(t):
     H = _CountingOperator(make_model("noncommuting_two_tone"))
     with pytest.raises(OperatorValueError, match="finite"):
         quad_oracle(H, 2, t, 1e-9)
+    assert H.points == 0
+
+
+def test_quad_oracle_takes_a_sequence_of_fractions_as_the_floats_they_equal():
+    H = make_model("noncommuting_two_tone")
+    got, ref = quad_oracle(H, 2, [Fraction(1, 2)], 1e-9), quad_oracle(H, 2, [0.5], 1e-9)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_quad_oracle_refuses_a_time_too_large_for_a_float_before_sampling():
+    H = _CountingOperator(make_model("noncommuting_two_tone"))
+    with pytest.raises(OperatorValueError, match="finite"):
+        quad_oracle(H, 2, [10**400], 1e-9)
     assert H.points == 0
 
 
@@ -493,9 +507,30 @@ def test_propagate_series_nonhermitian_generator_nonunitary():
 # nested quadrature
 
 
-# Refinement that sampled every level's whole grid, kept as the reference
-# (with a fresh sector stage per level); the oracle samples only each
-# level's new midpoints.
+# Refinement that sampled every level's whole grid and ran every order's
+# chain on all of it, kept as the reference (with a fresh sector stage per
+# level); the oracle samples only each level's new midpoints and takes the
+# highest order at its read-out nodes alone. The reference has its own
+# copies of the cumulative Simpson rule and of the batched product, so a
+# defect in the oracle's helpers cannot pass unseen.
+def _reference_cumulative_simpson(F, h):
+    out = np.zeros_like(F)
+    out[2::2] = np.cumsum((h / 3.0) * (F[0:-2:2] + 4.0 * F[1:-1:2] + F[2::2]), axis=0)
+    out[1::2] = out[0:-2:2] + (h / 12.0) * (5.0 * F[0:-2:2] + 8.0 * F[1:-1:2] - F[2::2])
+    return out
+
+
+def _reference_mul(X, Y):
+    # a sum of outer products over the inner index up to 3x3, np.matmul above
+    b = X.shape[-1]
+    if b > 3:
+        return np.matmul(X, Y)
+    Z = X[..., :, :1] * Y[..., :1, :]
+    for j in range(1, b):
+        Z += X[..., :, j:j + 1] * Y[..., j:j + 1, :]
+    return Z
+
+
 def _quad_reference_values(H, orders, T, points, nodes):
     ts = np.linspace(0.0, T, points + 1)
     h = T / points
@@ -505,7 +540,7 @@ def _quad_reference_values(H, orders, T, points, nodes):
     factor = 1 + 0j
     out = {}
     for k in range(2, max(orders) + 1):
-        A = oracle._mul(Hs, oracle._cumulative_simpson(A, h))
+        A = _reference_mul(Hs, _reference_cumulative_simpson(A, h))
         factor *= -1j
         if k in orders:
             val = factor * A[nodes]
@@ -574,11 +609,13 @@ def _assert_same_values(got, ref):
 @pytest.mark.parametrize("make", QUAD_MODELS)
 def test_quad_oracle_equals_full_grid_reference(make):
     # the midpoint refinement feeds the chain the same doubles as sampling
-    # each level's whole grid did, so every value is bit-identical; jc's
-    # chain runs split into its sectors, the other models' unsplit
+    # each level's whole grid did, and the highest order's prefix sums at
+    # its nodes are those of its whole cumulative integral, so every value
+    # is bit-identical; jc's chain runs split into its sectors, the other
+    # models' unsplit. The last read-out set holds node 0 and a repeated time.
     H = make()
     T = 10.0 / H.min_omega
-    times = [0.5, 1.0, 2.0, 5.0, T, np.linspace(T / 8, T, 8)]
+    times = [0.5, 1.0, 2.0, 5.0, T, np.linspace(T / 8, T, 8), [0.0, T / 8, T / 8, T]]
     for n in (2, 3, 4, (2, 3, 4)):
         for t in times:
             _assert_same_values(quad_oracle(H, n, t, 1e-9), _quad_reference(H, n, t, 1e-9))
@@ -1012,3 +1049,17 @@ def test_fidelity_distance_triangle_inequality(rng):
 def test_fidelity_distance_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         fidelity_distance(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("U, V, shape", [
+    (1.0, 2.0, "()"),
+    (np.zeros((0, 0)), np.zeros((0, 0)), "(0, 0)"),
+    (np.zeros((2, 3)), np.ones((2, 3)), "(2, 3)"),
+])
+def test_fidelity_distance_refuses_anything_but_square_matrices(U, V, shape):
+    with pytest.raises(OperatorValueError, match=re.escape(f"got shape {shape}")):
+        fidelity_distance(U, V)
+
+
+def test_fidelity_distance_passes_non_finite_entries_through():
+    assert math.isnan(fidelity_distance(np.full((2, 2), math.nan), np.eye(2)))
