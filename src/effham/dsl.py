@@ -1,7 +1,9 @@
 """Text format for model definitions (``.ham`` files).
 
-The grammar is line oriented; ``#`` starts a comment and whitespace inside
-a line is insignificant::
+The grammar is line oriented: a line ends at ``\\n`` or ``\\r\\n`` and a
+lone ``\\r`` is refused (:func:`load_model` reads a file in text mode,
+which turns every line ending into ``\\n``). ``#`` starts a comment and
+whitespace inside a line is insignificant::
 
     space NAME DIM          # declare a Hilbert-space factor
     param NAME = REAL       # declare a real scalar parameter
@@ -127,7 +129,7 @@ _TOKEN_RE = re.compile(
     rf"""
     (?P<WS>[ \t]+)
   | (?P<COMMENT>\#[^\n]*)
-  | (?P<NEWLINE>\n)
+  | (?P<NEWLINE>\r?\n)
   | (?P<IMAG>{_NUM}i)
   | (?P<NUMBER>{_NUM})
   | (?P<NAME>[A-Za-z_][A-Za-z_0-9]*)
@@ -575,11 +577,22 @@ def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
+def _literal_str(expr: NumberLit) -> str:
+    """Text of a literal the parser can make: a finite real or imaginary
+    number >= 0, its other part +0.0; any other is refused at the node."""
+    v = complex(expr.value)
+    parts = (v.real, v.imag)
+    if not (0.0 in parts and all(math.isfinite(p) and math.copysign(1.0, p) > 0
+                                 for p in parts)):
+        raise ModelValidationError(
+            f"literal {elide(expr.value)} cannot be written: a literal is a "
+            "finite real or imaginary number >= 0", expr.line, expr.col)
+    return f"{_fmt_float(v.imag)}i" if v.imag else _fmt_float(v.real)
+
+
 def _expr_str(expr, required: int = _PREC_SUM) -> str:
     if isinstance(expr, NumberLit):
-        v = expr.value
-        text = f"{_fmt_float(v.imag)}i" if v.imag else _fmt_float(v.real)
-        prec = _PREC_ATOM
+        text, prec = _literal_str(expr), _PREC_ATOM
     elif isinstance(expr, NameRef):
         text, prec = expr.name, _PREC_ATOM
     elif isinstance(expr, Call):
@@ -606,12 +619,17 @@ def _expr_str(expr, required: int = _PREC_SUM) -> str:
 
 
 def serialize_model(ast: ModelSpecAst) -> str:
-    """Canonical text whose reparse is structurally identical to ``ast``."""
+    """Canonical text whose reparse is structurally identical to ``ast``.
+
+    A literal the parser cannot make (negative, complex, non-finite or
+    ``-0.0``) or a non-finite param value raises a located
+    :class:`ModelValidationError`, as no text reparses to it."""
     lines = []
     for s in ast.spaces:
         lines.append(f"space {s.name} {s.dim}")
     for p in ast.params:
-        lines.append(f"param {p.name} = {_fmt_float(p.value)}")
+        value = _check_at(p.line, check_real, f"param {p.name}", p.value)
+        lines.append(f"param {p.name} = {_fmt_float(value)}")
     for o in ast.operator_defs:
         lines.append(f"op {o.name} = {_expr_str(o.expr)}")
     for t in ast.tones:

@@ -1,10 +1,13 @@
 """Multi-tone interaction Hamiltonians ``H(t) = sum_m (h_m e^{i w_m t} + h.c.)``.
 
 Each tone is a constant operator ``h_m`` with a positive carrier frequency
-``w_m``; the conjugate (negative-frequency) partner is implied, so the
-evaluated Hamiltonian is Hermitian by construction. The reduced Planck
-constant is fixed to 1: couplings and frequencies share units of rad per
-unit time.
+``w_m``; the conjugate (negative-frequency) partner is implied. The model
+is sampled in the equivalent cos/sin form
+``H(t) = sum_m cos(w_m t) (h_m + h_m^dag) + sin(w_m t) i (h_m - h_m^dag)``,
+a real combination of Hermitian matrices, so every sample is exactly
+Hermitian. Any array of times is flattened, one sample per time; a single
+time is the one-row case. The reduced Planck constant is fixed to 1:
+couplings and frequencies share units of rad per unit time.
 
 Besides evaluation, this module classifies the frequency content of a
 model: pairwise distinctness of the carriers and the signed sums of any
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +62,7 @@ class MultiToneHamiltonian:
         must pass :func:`check_carrier`.
     """
 
-    __slots__ = ("dim", "tones", "_freqs", "_mats")
+    __slots__ = ("dim", "tones", "_omegas", "_stack")
 
     def __init__(self, tones: Sequence[ToneTerm | tuple]):
         terms = []
@@ -78,18 +81,20 @@ class MultiToneHamiltonian:
                     f"tone operators mix dimensions {dim} and {tone.h.shape[0]}"
                 )
 
-        # Stacked [h_m at +w_m ; h_m^dag at -w_m] for vectorized evaluation.
-        freqs = np.array(
-            [t.omega for t in terms] + [-t.omega for t in terms], dtype=float
-        )
-        mats = np.stack([t.h for t in terms] + [t.h.conj().T for t in terms])
-        freqs.setflags(write=False)
-        mats.setflags(write=False)
+        # Hermitian rows [h_m + h_m^dag ; i (h_m - h_m^dag)], each stored as
+        # the (real, imaginary) pairs of its d * d entries, so that a sample
+        # is a real matrix product
+        omegas = np.array([t.omega for t in terms], dtype=float)
+        stack = np.stack([t.h + t.h.conj().T for t in terms]
+                         + [1j * (t.h - t.h.conj().T) for t in terms])
+        stack = stack.reshape(2 * len(terms), dim * dim).view(float)
+        omegas.setflags(write=False)
+        stack.setflags(write=False)
 
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "tones", tuple(terms))
-        object.__setattr__(self, "_freqs", freqs)
-        object.__setattr__(self, "_mats", mats)
+        object.__setattr__(self, "_omegas", omegas)
+        object.__setattr__(self, "_stack", stack)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiToneHamiltonian is immutable")
@@ -112,17 +117,15 @@ class MultiToneHamiltonian:
 
     # ------------------------------------------------------------------
     def evaluate(self, t: float) -> np.ndarray:
-        """Hermitian matrix ``sum_m (h_m e^{i w_m t} + h_m^dag e^{-i w_m t})``."""
-        M = np.tensordot(np.exp(1j * self._freqs[: len(self.tones)] * t),
-                         self._mats[: len(self.tones)], axes=1)
-        return M + M.conj().T
+        """Hermitian matrix ``H(t)``: the one-row case of :meth:`evaluate_grid`."""
+        return self.evaluate_grid(t)[0]
 
     def evaluate_grid(self, ts) -> np.ndarray:
-        """Vectorized :meth:`evaluate`; returns shape (len(ts), dim, dim)."""
-        ts = np.asarray(ts, dtype=float)
-        phases = np.exp(1j * np.outer(ts, self._freqs))
-        d = self.dim
-        return np.dot(phases, self._mats.reshape(-1, d * d)).reshape(len(phases), d, d)
+        """``H`` at each time of ``ts`` (any shape, flattened), in shape
+        (size, dim, dim): ``[cos(w t) | sin(w t)]`` times the Hermitian rows."""
+        wt = np.outer(np.asarray(ts, dtype=float), self._omegas)
+        samples = np.dot(np.hstack((np.cos(wt), np.sin(wt))), self._stack)
+        return samples.view(complex).reshape(-1, self.dim, self.dim)
 
     def to_operator_series(self) -> OperatorSeries:
         """Symbolic form: entries ``(h_m, e^{i w_m t})`` and ``(h_m^dag, e^{-i w_m t})``."""
@@ -228,23 +231,22 @@ def frequency_report(H: MultiToneHamiltonian, tol_zero: float = TOL_ZERO,
     min_pair_gap = min(gaps) if gaps else float("inf")
     pairwise_distinct = all(g >= gap_min for g in gaps)
 
-    seen: set[tuple[tuple[int, int], ...]] = set()
+    # each multiset of three signed carriers once, ordered by indices and
+    # then by signs, + first
+    letters = [(i, s) for i in range(n) for s in (1, -1)]
     sums: list[ThreeSum] = []
-    for triple in combinations_with_replacement(range(n), 3):
-        for signs in product((1, -1), repeat=3):
-            canon = tuple(sorted(zip(triple, signs)))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            value = sum(s * omegas[i] for i, s in zip(triple, signs))
-            mag = abs(value)
-            if mag <= tol_zero:
-                klass = "zero"
-            elif mag >= gap_min:
-                klass = "nonzero"
-            else:
-                klass = "ambiguous"
-            sums.append(ThreeSum(triple, signs, value, klass))
+    for combo in sorted(combinations_with_replacement(letters, 3),
+                        key=lambda c: ([i for i, _ in c], [-s for _, s in c])):
+        triple, signs = zip(*combo)
+        value = sum(s * omegas[i] for i, s in combo)
+        mag = abs(value)
+        if mag <= tol_zero:
+            klass = "zero"
+        elif mag >= gap_min:
+            klass = "nonzero"
+        else:
+            klass = "ambiguous"
+        sums.append(ThreeSum(triple, signs, value, klass))
 
     ambiguous = sum(1 for s in sums if s.klass == "ambiguous")
     return FrequencyReport(

@@ -76,9 +76,12 @@ many. The grid ``j * fl(T / p)``, its last node set to ``T``, is numpy's
 ``linspace`` formula for start 0.0, written out to skip its overhead.
 While a level is interleaved, memory holds the previous stack and the new
 one. The values are those of sampling each level whole as long as the
-grid function returns for each time the same value whatever batch it
-comes in, as :class:`MultiToneHamiltonian` does; one whose values depend
-on the batch may differ in the last bits.
+grid function returns for each time the same value whatever batch of
+more than one time it comes in, as :class:`MultiToneHamiltonian` does;
+one whose values depend on the batch may differ in the last bits. A batch
+of one time is another case: the model's one-row product may differ in
+the last bits from that row of a larger batch, but no level samples
+fewer than 256 times.
 
 The highest order is read at its read-out nodes only, so its last step is
 taken there alone: its Simpson pair sums are accumulated up to the last

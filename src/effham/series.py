@@ -260,16 +260,17 @@ class OperatorSeries:
     # ------------------------------------------------------------------
     # evaluation and extraction
     def evaluate(self, t: float) -> np.ndarray:
-        return self.evaluate_grid([t])[0]
+        """Value at ``t``: the one-row case of :meth:`evaluate_grid`."""
+        return self.evaluate_grid(t)[0]
 
-    def evaluate_grid(self, ts: Sequence[float]) -> np.ndarray:
-        """Vectorized evaluation; returns an array of shape (len(ts), dim, dim)."""
-        ts = np.asarray(ts, dtype=float)
+    def evaluate_grid(self, ts) -> np.ndarray:
+        """Value at each time of ``ts`` (any shape, flattened, as the model
+        takes it), in shape (size, dim, dim)."""
+        ts = np.asarray(ts, dtype=float).ravel()
         envelopes = np.exp(1j * np.outer(ts, self.freqs)) * ts[:, None] ** self.powers
         # tensordot's own product on the (K, d * d) view, without its overhead
-        d, K, lead = self.dim, len(self.coeffs), envelopes.shape[:-1]
-        flat = np.dot(envelopes.reshape(int(np.prod(lead)), K), self.coeffs.reshape(K, d * d))
-        return flat.reshape(lead + (d, d))
+        d, K = self.dim, len(self.coeffs)
+        return np.dot(envelopes, self.coeffs.reshape(K, d * d)).reshape(-1, d, d)
 
     def secular_series(self, tol_zero: float = TOL_ZERO) -> "OperatorSeries":
         """Sub-series with zero-frequency envelopes only."""

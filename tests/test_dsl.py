@@ -13,8 +13,10 @@ from effham import (
     ModelError,
     ModelSyntaxError,
     ModelValidationError,
+    MultiToneHamiltonian,
     annihilate,
     compile_model,
+    load_model,
     parse_model,
     serialize_model,
     sigma_plus,
@@ -22,8 +24,8 @@ from effham import (
     sigma_z,
     tensor_product,
 )
-from effham.dsl import (Call, MatLit, ModelSpecAst, NameRef, NumberLit, ParamDecl, SpaceDecl,
-                        ToneDecl)
+from effham.dsl import (Call, MatLit, ModelSpecAst, NameRef, NumberLit, OpDecl, ParamDecl,
+                        SpaceDecl, ToneDecl)
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = sorted(DATA.glob("*.ham"))
@@ -172,6 +174,68 @@ def test_serialization_preserves_precedence():
     text = "space q 2\nop w = sx(q) * (sy(q) + sz(q))\ntone w omega = 2.0\n"
     ast = parse_model(text)
     assert parse_model(serialize_model(ast)) == ast
+
+
+def _with_op(expr, g=1.0) -> ModelSpecAst:
+    return ModelSpecAst(spaces=(SpaceDecl("q", 2),), params=(ParamDecl("g", g, line=2),),
+                        operator_defs=(OpDecl("x", expr, line=3),),
+                        tones=(ToneDecl(NameRef("x"), NumberLit(1 + 0j), line=4),))
+
+
+@pytest.mark.parametrize("value, shown", [
+    (1 + 2j, "(1+2j)"), (-1.0, "-1.0"), (-2j, "(-0-2j)"), (complex(-0.0, 0.0), "(-0+0j)"),
+    (complex(0.0, -0.0), "-0j"), (math.nan, "nan"), (complex(math.inf), "(inf+0j)"),
+], ids=["complex", "negative", "negative_imaginary", "negative_zero",
+        "negative_zero_imaginary", "nan", "infinite"])
+def test_serialize_refuses_a_literal_the_parser_cannot_make(value, shown):
+    with pytest.raises(ModelValidationError) as err:
+        serialize_model(_with_op(MatLit(((NumberLit(value, line=3, col=12),),))))
+    assert str(err.value) == (f"3:12: literal {shown} cannot be written: a literal is "
+                              "a finite real or imaginary number >= 0")
+
+
+@pytest.mark.parametrize("value", [0j, 2.5 + 0j, 2.5j, 0.0])
+def test_serialize_writes_a_literal_the_parser_can_make(value):
+    ast = _with_op(MatLit(((NumberLit(value),),)))
+    assert parse_model(serialize_model(ast)) == ast
+
+
+@pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+def test_serialize_refuses_a_non_finite_param(g):
+    with pytest.raises(ModelValidationError) as err:
+        serialize_model(_with_op(NameRef("g"), g))
+    assert str(err.value) == f"2:0: param g must be a finite real number, got {g!r}"
+
+
+class _Foreign:
+    line = col = 0
+
+
+def test_a_foreign_node_is_neither_serialized_nor_evaluated():
+    ast = _with_op(_Foreign())
+    with pytest.raises(ModelValidationError, match="^cannot serialize node _Foreign$"):
+        serialize_model(ast)
+    with pytest.raises(ModelCompileError, match="^cannot evaluate node _Foreign$"):
+        compile_model(ast)
+
+
+def test_crlf_ends_a_line(tmp_path):
+    text = "space q 2\r\ntone sx(q) omega = 1\r\n"
+    assert parse_model(text) == parse_model(text.replace("\r\n", "\n"))
+    (tmp_path / "crlf.ham").write_bytes(text.encode())
+    H = load_model(str(tmp_path / "crlf.ham"))
+    assert isinstance(H, MultiToneHamiltonian)
+    assert np.array_equal(H.tones[0].h, compile_model(parse_model(text)).tones[0].h)
+    # a column counts from the start of the line after a CRLF
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model("space q 2\r\ntone sx(q) omega = 1 2\r\n")
+    assert str(err.value) == "2:22: unexpected trailing token '2'"
+
+
+def test_lone_carriage_return_is_refused():
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model("space q 2\rtone sx(q) omega = 1\n")
+    assert str(err.value) == "1:10: unexpected character '\\r'"
 
 
 # ----------------------------------------------------------------------

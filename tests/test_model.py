@@ -1,15 +1,18 @@
 import math
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
 from effham import (
+    ZOO_NAMES,
     DimensionMismatchError,
     MultiToneHamiltonian,
     OperatorValueError,
     commutation_probe,
     frequency_report,
     hermiticity_defect,
+    make_model,
     sigma_plus,
     sigma_x,
     sigma_z,
@@ -97,6 +100,54 @@ def test_evaluate_grid_matches_evaluate(rng):
         assert np.allclose(grid[i], H.evaluate(float(t)))
 
 
+def test_every_grid_sample_is_exactly_hermitian():
+    # a real combination of Hermitian matrices: no rounding breaks the symmetry
+    rng = np.random.default_rng(25)
+    models = [make_model(name) for name in ZOO_NAMES]
+    for _ in range(20):
+        dim = int(rng.integers(1, 7))
+        models.append(MultiToneHamiltonian([
+            (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
+             float(rng.uniform(0.5, 10)))
+            for _ in range(int(rng.integers(1, 4)))
+        ]))
+    ts = rng.uniform(0, 20, size=2000)
+    for H in models:
+        A = H.evaluate_grid(ts)
+        assert np.array_equal(A, A.conj().transpose(0, 2, 1)), H
+        for t in ts[:20]:
+            B = H.evaluate(t)
+            assert np.array_equal(B, B.conj().T), H
+
+
+@pytest.mark.parametrize("ts", [0.4, np.linspace(0, 2, 5), np.linspace(0, 2, 5)[:, None],
+                                np.linspace(0, 2, 5)[None, :], np.array([])],
+                         ids=["0d", "n", "n_1", "1_n", "empty"])
+def test_model_and_series_read_times_alike(ts):
+    # any array of times is flattened, one sample per time
+    H = MultiToneHamiltonian([(sigma_plus(), 5.0), (0.3 * sigma_z(), 12.0)])
+    S = H.to_operator_series()
+    shape = (np.size(ts), 2, 2)
+    assert H.evaluate_grid(ts).shape == shape
+    assert S.evaluate_grid(ts).shape == shape
+
+
+def test_evaluate_is_the_one_row_grid(rng):
+    H = MultiToneHamiltonian([(sigma_plus(), 5.0), (0.3 * sigma_z(), 12.0)])
+    S = H.to_operator_series()
+    for t in rng.uniform(0, 10, size=10):
+        assert np.array_equal(H.evaluate(t), H.evaluate_grid(t)[0])
+        assert np.array_equal(H.evaluate(t), H.evaluate_grid([t])[0])
+        assert np.array_equal(S.evaluate(t), S.evaluate_grid(t)[0])
+
+
+def test_model_is_immutable_and_shows_its_carriers():
+    H = MultiToneHamiltonian([(sigma_plus(), 2.0), (sigma_z(), 3.5)])
+    with pytest.raises(AttributeError, match="immutable"):
+        H.dim = 3
+    assert repr(H) == "MultiToneHamiltonian(dim=2, omegas=[2, 3.5])"
+
+
 # ----------------------------------------------------------------------
 # operator series form
 
@@ -174,6 +225,27 @@ def test_report_permutation_invariant():
         round(s.value, 12) for s in rb.three_sum_classes
     )
     assert ra.pairwise_distinct == rb.pairwise_distinct
+
+
+def reference_three_sums(omegas):
+    """Index triples times sign patterns, each multiset kept at its first
+    appearance: the enumeration the report must reproduce."""
+    seen, out = set(), []
+    for triple in combinations_with_replacement(range(len(omegas)), 3):
+        for signs in product((1, -1), repeat=3):
+            canon = tuple(sorted(zip(triple, signs)))
+            if canon not in seen:
+                seen.add(canon)
+                out.append((triple, signs, sum(s * omegas[i] for i, s in zip(triple, signs))))
+    return out
+
+
+@pytest.mark.parametrize("omegas", [(1.0,), (2.0, 4.0), (1.0, 2.0, 3.0), (0.7, 1.3, 2.9, 4.1),
+                                    (3.0, 3.0, 1.5, 4.5), (1.0, 2.0, 3.0, 2.0 + 1e-5)])
+def test_report_enumerates_each_multiset_once(omegas):
+    H = MultiToneHamiltonian([(np.array([[1.0 + 0j]]), w) for w in omegas])
+    got = [(s.indices, s.signs, s.value) for s in frequency_report(H).three_sum_classes]
+    assert got == reference_three_sums(omegas)
 
 
 def test_report_threshold_ordering_enforced():

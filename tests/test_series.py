@@ -257,3 +257,20 @@ def test_canonical_keys_are_not_canonicalized_again(rng, monkeypatch):
     calls.clear()
     S * T
     assert len(calls) == 1
+
+
+def test_series_is_immutable_and_shows_its_size():
+    S = two_entry_series()
+    with pytest.raises(AttributeError, match="immutable"):
+        S.dim = 3
+    assert repr(S) == "OperatorSeries(dim=2, keys=2)"
+
+
+def test_series_algebra_refuses_other_operands():
+    S = two_entry_series()
+    with pytest.raises(TypeError):
+        S + 1
+    with pytest.raises(TypeError):
+        S * sigma_x()
+    assert S.__add__(1) is NotImplemented
+    assert S.__mul__(TonePoly.constant(1.0)) is NotImplemented

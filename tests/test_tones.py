@@ -326,6 +326,31 @@ def test_cluster_with_distinct_frequencies_keeps_sorted_keys():
     assert p.terms == (ToneMono(2.0, 0, 1.0), ToneMono(1.0, 1, 1.0), ToneMono(3.0, 0, 4.0))
 
 
+def test_poly_is_immutable_and_shows_its_terms():
+    p = TonePoly([ToneMono(2.0, 1, 1.5), ToneMono(0.5j, 0, 0.0)])
+    with pytest.raises(AttributeError, match="immutable"):
+        p.terms = ()
+    assert repr(p) == "TonePoly((0+0.5j) + (2+0j)*t^1*e^(1.5it))"
+    assert repr(TonePoly.zero()) == "TonePoly(0)"
+
+
+def test_poly_equality_and_hash():
+    p = TonePoly.exponential(2.0, 3.0, 1)
+    q = TonePoly([ToneMono(3.0, 1, 2.0)])
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, TonePoly.constant(1.0)}) == 2
+    assert p.__eq__(3.0) is NotImplemented
+    assert p != "p"
+    assert p.__add__(1.0) is NotImplemented
+    with pytest.raises(TypeError):
+        p + 1.0
+
+
+def test_poly_allclose_of_zero_polys():
+    assert poly_allclose(TonePoly.zero(), TonePoly.zero())
+    assert not poly_allclose(TonePoly.zero(), TonePoly.constant(1e-3))
+
+
 # ----------------------------------------------------------------------
 # ToneMono contract
 
