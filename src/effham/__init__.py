@@ -53,6 +53,7 @@ from .errors import (
     OperatorValueError,
     PowerCapError,
     QuadratureError,
+    SeriesOverflowError,
     SweepOverflowError,
     TermBudgetError,
     UnknownModelError,

@@ -192,7 +192,9 @@ class EffectiveOrderResult:
 
 
 def default_time_grid(H: MultiToneHamiltonian, points: int = 64) -> np.ndarray:
-    """Diagnostic grid covering [0, 10 / min carrier] with ``points`` samples."""
+    """Diagnostic grid covering [0, 10 / min carrier] with ``points``
+    samples, an integer >= 2 (:class:`OperatorValueError`)."""
+    points = check_integer("points", points, 2)
     return np.linspace(0.0, 10.0 / H.min_omega, points)
 
 

@@ -8,10 +8,11 @@ or ``--csv`` naming a directory or a file in a missing directory, both
 naming the same file, or either naming the model file, is refused before
 anything is computed), 3 for
 numerical-guard failures (term budget, power cap, dimension cap,
-quadrature refinement budget, a ``--sweep`` factor that scales an order
-out of the float range, such as ``1e200``, and an allocation that runs
-out of memory, such as the time grid of a huge ``--grid``); each prints a
-one-line message. A usage error is
+quadrature refinement budget, couplings so large that a series
+coefficient is not finite, such as a tone of norm ``1e200``, a
+``--sweep`` factor that scales an order out of the float range, such as
+``1e200``, and an allocation that runs out of memory, such as the time
+grid of a huge ``--grid``); each prints a one-line message. A usage error is
 an option that does not parse, or whose value the library refuses: each
 option takes the check of the ``run_report`` keyword of its name
 (``diagnostics.OPTION_CHECKS``), and ``--tol-zero`` and ``--gap-min``
@@ -37,6 +38,7 @@ from .errors import (
     OperatorValueError,
     PowerCapError,
     QuadratureError,
+    SeriesOverflowError,
     SweepOverflowError,
     TermBudgetError,
 )
@@ -45,7 +47,7 @@ from .model import DEFAULT_GAP_MIN, check_thresholds
 from .tones import TOL_ZERO
 
 _GUARD_ERRORS = (TermBudgetError, PowerCapError, DimensionCapError, QuadratureError,
-                 SweepOverflowError, MemoryError)
+                 SeriesOverflowError, SweepOverflowError, MemoryError)
 
 
 def _option(convert, keyword: str):

@@ -31,6 +31,7 @@ from .errors import (
     check_integer,
     check_orders,
     check_real,
+    check_times,
 )
 from .metrics import hermiticity_defect, unitarity_defect
 from .model import (
@@ -44,7 +45,7 @@ from .model import (
     frequency_report,
 )
 from .operators import annihilate, projector, sigma_plus, sigma_z, tensor_product
-from .oracle import MAX_QUAD_ORDER, quad_oracle
+from .oracle import quad_oracle
 from .series import OperatorSeries
 from .tones import TOL_ZERO
 
@@ -83,12 +84,15 @@ def eq6_gap(H: MultiToneHamiltonian, t: float) -> float:
 
     Zero for commuting families; strictly positive whenever moving H(t)
     from the left of the double integral to the right actually matters.
+    ``t`` must be a finite real number (:class:`OperatorValueError`).
     """
-    return float(eq6_gap_grid(H, [t])[0])
+    return float(eq6_gap_grid(H, [check_real("time", t)])[0])
 
 
 def eq6_gap_grid(H: MultiToneHamiltonian, ts) -> np.ndarray:
-    """Vectorized :func:`eq6_gap` over a time grid."""
+    """Vectorized :func:`eq6_gap` over a time grid, a 1-D sequence of
+    finite times, checked before any series is built."""
+    ts = check_times("time grid", ts)
     left, right = _identity_sides(H)
     diff = left.evaluate_grid(ts) - right.evaluate_grid(ts)
     return np.linalg.norm(diff, axis=(1, 2))
@@ -297,20 +301,15 @@ def _sweep_row(lam: float, results, at_one, orders: tuple[int, ...]) -> list[dic
     defect of ``I + sum_{k<=n} lam^k U_k(1)``, with ``at_one`` holding the
     values ``U_k(1)``. Raises :class:`SweepOverflowError` at the first order
     whose cell is not finite."""
-
-    def power(k: int) -> float:
-        try:
-            return lam ** k
-        except OverflowError:
-            return math.inf
-
-    # an overflow shows as a non-finite defect below, so numpy need not warn
+    # an overflow, of a power of lam too, shows as a non-finite defect
+    # below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         unitarity = _unitarity_of_partial_sums(
-            [power(k) * U for k, U in enumerate(at_one, start=1)], orders)
+            [np.float64(lam) ** k * U for k, U in enumerate(at_one, start=1)], orders)
         cells = []
         for n in orders:
-            herm = float(hermiticity_defect(power(n) * results[n].grid_values).max(initial=0.0))
+            scaled = np.float64(lam) ** n * results[n].grid_values
+            herm = float(hermiticity_defect(scaled).max(initial=0.0))
             if not (math.isfinite(herm) and math.isfinite(unitarity[n])):
                 raise SweepOverflowError(
                     f"sweep factor {lam!r} overflows the float range at order {n}: "
@@ -359,12 +358,11 @@ def run_report(
     ``Heff_n(lam H) = lam^n Heff_n(H)`` and ``U_k(lam H) = lam^k U_k(H)``:
     row ``lam`` holds, per order n, the largest Hermiticity defect of
     ``lam^n Heff_n`` on the grid and the unitarity defect of
-    ``I + sum_{k<=n} lam^k U_k(1)``. The quadrature
-    residuals of all orders up to 4, at the 8 times ``j * tmax / 8``, come
-    from one :func:`quad_oracle` call at tolerance ``QUAD_TOL``: one
-    refinement on ``[0, tmax]``
-    whose chain holds every residual time as an even level-0 node
-    (``256 / 8 = 32`` intervals apart). Since that grid spans ``[0, tmax]``
+    ``I + sum_{k<=n} lam^k U_k(1)``. The quadrature residuals of every
+    listed order, at the 8 times ``j * tmax / 8``, come from one
+    :func:`quad_oracle` call at tolerance ``QUAD_TOL``: one refinement on
+    ``[0, tmax]`` whose chain holds every residual time as an even level-0
+    node (``256 / 8 = 32`` intervals apart). Since that grid spans ``[0, tmax]``
     and not ``[0, t]``, a reference value is not bit-identical to that of a
     call at its time alone; the residuals agree with such calls to well
     below the quadrature tolerance.
@@ -408,12 +406,11 @@ def run_report(
 
     eq6 = eq6_gap_grid(H, ts)
 
-    quad_orders = tuple(n for n in orders if n <= MAX_QUAD_ORDER)
     residual_ts = np.linspace(tmax / 8.0, tmax, 8)
-    refs = quad_oracle(H, quad_orders, residual_ts, QUAD_TOL) if quad_orders else {}
+    refs = quad_oracle(H, orders, residual_ts, QUAD_TOL)
     residuals = tuple(
         {"order": n, "t": float(t), "residual": float(np.linalg.norm(closed - ref))}
-        for n in quad_orders
+        for n in orders
         for t, closed, ref in zip(residual_ts, results[n].series.evaluate_grid(residual_ts),
                                   refs[n])
     )

@@ -53,6 +53,11 @@ class SweepOverflowError(EffhamError):
     float, so a defect of the sweep would not be finite."""
 
 
+class SeriesOverflowError(EffhamError):
+    """A series coefficient is not finite: the couplings are so large that
+    a product or sum of series leaves the range of a float."""
+
+
 class FrequencyConditionError(EffhamError):
     """A builder's frequency precondition (distinctness, no ambiguous
     three-frequency sums) is violated."""

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OperatorValueError, check_real
+from .errors import DimensionMismatchError, OperatorValueError, check_real, check_times
 from .operators import as_operator
 from .series import OperatorSeries
 from .tones import TOL_ZERO, TonePoly
@@ -264,12 +264,18 @@ def commutation_probe(H: MultiToneHamiltonian,
     """Largest normalized commutator norm ``||[H(t1), H(t2)]||`` over the sample.
 
     Zero indicates a commuting family on the sampled pairs; the
-    normalization is ``max(1, ||H(t1)|| * ||H(t2)||)``.
+    normalization is ``max(1, ||H(t1)|| * ||H(t2)||)``. Each pair must
+    hold two finite times (:class:`OperatorValueError`, before H is
+    sampled).
     """
-    if not len(time_pairs):
+    pairs = [check_times("time pair", pair) for pair in time_pairs]
+    if not pairs:
         raise OperatorValueError("commutation_probe needs at least one time pair")
+    sizes = [len(pair) for pair in pairs if len(pair) != 2]
+    if sizes:
+        raise OperatorValueError(f"time pair must hold two times, got {sizes[0]}")
     worst = 0.0
-    for t1, t2 in time_pairs:
+    for t1, t2 in pairs:
         A = H.evaluate(t1)
         B = H.evaluate(t2)
         num = np.linalg.norm(A @ B - B @ A)

@@ -49,7 +49,7 @@ sectors costs S products under ``np.matmul``.
 The quadrature path (:func:`quad_oracle`) evaluates the interaction
 Hamiltonian directly on refined uniform grids and builds the nested
 integrals with a fourth-order cumulative Simpson rule, one refinement for
-any set of orders 2..4 and any list of times. A cumulative integral and a
+any set of orders 2..6 and any list of times. A cumulative integral and a
 product with H keep the sectors of H's samples, so each level's samples go
 through the same sector stage as an RK4 block's, with products by
 :func:`_mul` either way, and only the values at the read-out times are
@@ -121,8 +121,9 @@ MAX_RK4_STEPS = 1 << 24
 #: Refinement cap for the nested quadrature (grid points per level).
 MAX_QUAD_POINTS = 1 << 21
 
-#: Highest order the nested quadrature evaluates.
-MAX_QUAD_ORDER = 4
+#: Highest order the nested quadrature evaluates: the builders' top order,
+#: written here again so that the oracle imports nothing from them.
+MAX_QUAD_ORDER = 6
 
 #: Coarse RK4 steps per block. A block of B coarse steps samples H at
 #: ``4B + 1`` points of the fine half-step grid, about ``(4B+1) * d^2 * 16``
@@ -519,7 +520,7 @@ def quad_oracle(H, n, t, tol: float,
     gives a zero matrix. The grid then spans ``[0, T]`` and not
     ``[0, t]``, so a value is not bit-identical to that of a call at its
     time alone; a one-element sequence is, since there ``T = t``. Bad
-    orders (anything but an integer in 2..4: ``2.0`` and ``True`` are
+    orders (anything but an integer in 2..6: ``2.0`` and ``True`` are
     refused, numpy integers accepted), tolerances and times raise
     :class:`OperatorValueError` before H is sampled. ``tol`` must be a
     finite real number >= 1e-12: NaN would never agree and run the whole

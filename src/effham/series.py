@@ -17,7 +17,11 @@ key at a time for an integral or a derivative, whose rules put a single
 key's monomials in canonical order directly. So an integral or a
 derivative canonicalizes nothing and a product only the product of its
 two key sets.
-Keys whose matrix cancels below ``DROP_TOL`` of the largest are dropped.
+Keys whose matrix cancels below ``DROP_TOL`` of the largest are dropped;
+when squaring the entries would overflow, the norms are taken of the
+matrices divided by their largest real or imaginary part, so the rule
+holds at any finite size.
+A coefficient that is not finite raises :class:`SeriesOverflowError`.
 Stored keys and the key pairs of one product are guarded by a budget
 (default 2_000_000, overridable via ``EFFHAM_MAX_TERMS``).
 """
@@ -30,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TermBudgetError
+from .errors import DimensionMismatchError, SeriesOverflowError, TermBudgetError
 from .tones import DROP_TOL, TOL_ZERO, ToneMono, TonePoly
 
 #: Default budget for stored keys and for the key pairs of one product.
@@ -82,12 +86,25 @@ def _unit_keys(freqs: np.ndarray, powers: np.ndarray) -> TonePoly:
 def _sum_keys(dim: int, key_freqs: np.ndarray, key_powers: np.ndarray, index, mats):
     """``(freqs, powers, coeffs)`` of the keys ``key_freqs``/``key_powers``,
     each the sum of the ``mats[i]`` with ``index[i]`` at it, in input order;
-    keys that cancel below ``DROP_TOL`` of the largest are dropped."""
+    keys that cancel below ``DROP_TOL`` of the largest are dropped. A
+    coefficient that is not finite raises :class:`SeriesOverflowError`."""
     _check_budget(len(key_freqs), "series keys")
     coeffs = np.zeros((len(key_freqs), dim * dim), dtype=complex)
-    np.add.at(coeffs, index, np.reshape(mats, (-1, dim * dim)))
-    norms = np.linalg.norm(coeffs, axis=1)
-    keep = norms > DROP_TOL * norms.max(initial=0.0)
+    # an overflow shows as a norm that is not finite, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(coeffs, index, np.reshape(mats, (-1, dim * dim)))
+        norms = np.linalg.norm(coeffs, axis=1)
+    top = norms.max(initial=0.0)
+    if not top < np.inf:
+        # squared entries overflow: take the norms of the coefficients
+        # divided by their largest real or imaginary part, if all are finite
+        if not np.isfinite(coeffs).all():
+            raise SeriesOverflowError(
+                "a series coefficient is not finite: the couplings drive a sum or "
+                "product of series out of the float range")
+        norms = np.linalg.norm(coeffs / np.abs(coeffs.view(float)).max(), axis=1)
+        top = norms.max()
+    keep = norms > DROP_TOL * top
     return key_freqs[keep], key_powers[keep], coeffs[keep].reshape(-1, dim, dim)
 
 

@@ -275,3 +275,25 @@ def test_criterion_11_third_order_hermitian_on_resonant_carriers():
         f"{max(defects):.2e} (< 1e-10), growth flags {sum(flags)}; order-4 defect "
         f"{min(order4):.2e}..{max(order4):.2e} (> 1e-4)",
     )
+
+
+def test_criterion_12_top_orders_match_quadrature():
+    # criterion 8's set-up at the builders' top orders 5 and 6, which the
+    # quadrature oracle takes as well
+    worst = 0.0
+    for name in ZOO_NAMES:
+        H = make_model(name)
+        if H.dim > 8:
+            continue
+        for n in (5, 6):
+            series = heff_n_timedep(H, n)
+            for t in (0.5, 1.0, 2.0, 5.0):
+                ref = quad_oracle(H, n, t, 1e-9)
+                worst = max(worst, float(np.linalg.norm(series.evaluate(t) - ref)))
+    _criterion(
+        12,
+        "closed-form builders agree with the independent nested quadrature at "
+        "orders 5 and 6",
+        worst < 1e-8,
+        f"worst Frobenius residual {worst:.3e}, bound 1e-8",
+    )

@@ -345,6 +345,17 @@ def test_sweep_factor_out_of_float_range_exits_3(factor, capsys):
     assert "at order 2" in line
 
 
+def test_coupling_whose_products_overflow_exits_3(tmp_path, capsys):
+    # every order-2 product of a 1e200 coupling is infinite; such a series
+    # was once dropped key by key into a zero report
+    path = tmp_path / "strong.ham"
+    path.write_text("space q 2\ntone 1e200 * sp(q) omega = 1.0\n")
+    assert main(["report", str(path), "--grid", "4"]) == 3
+    line = _one_line(capsys)
+    assert line.startswith("effham: numerical guard: ")
+    assert "a series coefficient is not finite" in line
+
+
 # a flat chain, and chains each under the bound nested in parentheses
 _FLAT_CHAIN = " + ".join(["g"] * 3000)
 _NESTED_CHAIN = "(((" + ") + ".join([" + ".join(["g"] * 150)] * 4)

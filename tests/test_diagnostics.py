@@ -184,6 +184,37 @@ def test_default_time_grid_span():
     assert grid[-1] == pytest.approx(2.0)
 
 
+class _Unread:
+    """A model stand-in that fails on any attribute read, so that a check
+    that passes it on to sampling or to a series build shows."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the model's {name} was read")
+
+
+@pytest.mark.parametrize("points", [0, 1, -3, 2.5, True, "64", None])
+def test_default_time_grid_rejects_bad_points_before_reading_the_model(points):
+    with pytest.raises(OperatorValueError, match="points must be an integer >= 2"):
+        default_time_grid(_Unread(), points)
+
+
+def test_default_time_grid_takes_two_points():
+    assert default_time_grid(make_model("noncommuting_two_tone"), 2).tolist() == [0.0, 2.0]
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, True, "0.5", None])
+def test_eq6_gap_rejects_a_bad_time_before_any_build(t):
+    with pytest.raises(OperatorValueError, match="time must be a finite real number"):
+        eq6_gap(_Unread(), t)
+
+
+@pytest.mark.parametrize("ts", [[0.1, math.nan], [math.inf], np.ones((2, 2)), [[0.1], [0.2]],
+                                [True, 0.5], "0.5", 0.5])
+def test_eq6_gap_grid_rejects_bad_times_before_any_build(ts):
+    with pytest.raises(OperatorValueError, match="time grid must be a 1-D array"):
+        eq6_gap_grid(_Unread(), ts)
+
+
 # ----------------------------------------------------------------------
 # report runner
 
@@ -344,6 +375,20 @@ def test_report_reads_all_residual_times_off_one_quadrature(source, monkeypatch)
     for data in (rep, ref):
         data.pop("generated_at")
     assert json.dumps(rep, sort_keys=True) == json.dumps(ref, sort_keys=True)
+
+
+BUNDLED_SOURCES = REPORT_SOURCES + sorted(
+    str(path) for path in (pathlib.Path(__file__).resolve().parent / "data").glob("*.ham"))
+
+
+@pytest.mark.parametrize("source", BUNDLED_SOURCES)
+def test_report_checks_every_order_against_the_quadrature(source):
+    # the oracle takes the builders' orders 2..6, so no order goes unchecked
+    rep = run_report(source, orders=(2, 3, 4, 5, 6))
+    rows = rep.oracle_residuals
+    ts = np.linspace(rep.options["tmax"] / 8, rep.options["tmax"], 8).tolist()
+    assert [(r["order"], r["t"]) for r in rows] == [(n, t) for n in (2, 3, 4, 5, 6) for t in ts]
+    assert max(r["residual"] for r in rows) < 1e-8
 
 
 @pytest.mark.parametrize("source", REPORT_SOURCES)

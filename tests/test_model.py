@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -287,6 +288,33 @@ def test_probe_noncommuting_model_positive():
 def test_probe_needs_pairs():
     with pytest.raises(OperatorValueError):
         commutation_probe(scalar_two_tone(), [])
+
+
+class _Unsampled:
+    """A model stand-in that fails if it is sampled."""
+
+    def evaluate(self, t):
+        raise AssertionError("the model was sampled")
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(math.nan, 1.0)], "time pair must be a 1-D array of finite real numbers, got nan"),
+    ([(0.1, 0.2), (0.3, math.inf)], "got inf"),
+    ([(True, 0.5)], "got a bool"),
+    ([0.5], "got shape ()"),
+    ([(1.0,)], "time pair must hold two times, got 1"),
+    ([(0.1, 0.2), (0.1, 0.2, 0.3)], "time pair must hold two times, got 3"),
+])
+def test_probe_rejects_bad_pairs_before_sampling(pairs, message):
+    # a NaN time once gave 0.0, which reads as "commuting"
+    with pytest.raises(OperatorValueError, match=re.escape(message)):
+        commutation_probe(_Unsampled(), pairs)
+
+
+def test_probe_takes_an_array_of_pairs():
+    H = MultiToneHamiltonian([(sigma_plus(), 5.0), (sigma_z(), 12.0)])
+    pairs = [(0.1, 0.7), (0.3, 1.1)]
+    assert commutation_probe(H, np.array(pairs)) == commutation_probe(H, pairs)
 
 
 @pytest.mark.parametrize("name", ["tol_zero", "gap_min"])

@@ -12,11 +12,11 @@ import effham
 INIT = Path(effham.__file__)
 
 
-def test_star_import_binds_the_75_public_names_and_no_submodule():
+def test_star_import_binds_the_76_public_names_and_no_submodule():
     namespace = {}
     exec("from effham import *", namespace)
     del namespace["__builtins__"]
-    assert len(namespace) == 75
+    assert len(namespace) == 76
     assert sorted(namespace) == sorted(effham.__all__)
     assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
     for name, value in namespace.items():

@@ -4,12 +4,18 @@ import pytest
 from effham import series, tones
 from effham import (
     DimensionMismatchError,
+    MultiToneHamiltonian,
     OperatorSeries,
+    SeriesOverflowError,
     TOL_ZERO,
     TermBudgetError,
     ToneMono,
     TonePoly,
+    dyson_truncated,
+    heff_n_timedep,
+    heff_secular,
     series_residual,
+    sigma_plus,
     sigma_x,
     sigma_z,
 )
@@ -274,3 +280,54 @@ def test_series_algebra_refuses_other_operands():
         S * sigma_x()
     assert S.__add__(1) is NotImplemented
     assert S.__mul__(TonePoly.constant(1.0)) is NotImplemented
+
+
+@pytest.mark.parametrize("coupling", [1e150, 1e155, 1e300])
+def test_large_finite_coefficients_keep_their_keys(coupling):
+    # above about 1.34e154 a Frobenius norm overflows, which once dropped
+    # every key; the drop rule is relative, so scaling changes no key
+    S = MultiToneHamiltonian([(coupling * sigma_plus(), 1.0)]).to_operator_series()
+    assert S.term_count == 2
+    assert np.array_equal(S.coeffs, coupling * MultiToneHamiltonian(
+        [(sigma_plus(), 1.0)]).to_operator_series().coeffs)
+
+
+def test_drop_rule_is_scale_free_above_the_norm_overflow():
+    # one key far below DROP_TOL of the largest, one just above it
+    entries = [(sigma_x(), TonePoly.exponential(1.0)),
+               (1e-16 * sigma_z(), TonePoly.exponential(2.0)),
+               (1e-13 * sigma_z(), TonePoly.exponential(3.0))]
+    small = OperatorSeries(2, entries)
+    large = OperatorSeries(2, [(1e300 * A, p) for A, p in entries])
+    assert small.freqs.tolist() == large.freqs.tolist() == [1.0, 3.0]
+
+
+def test_order_two_of_a_coupling_whose_square_overflows_the_norm():
+    # 1e80 ** 2 entries are finite, but their squares are not
+    H = MultiToneHamiltonian([(sigma_plus(), 1.0), (sigma_z(), 2.3)])
+    big = MultiToneHamiltonian([(1e80 * sigma_plus(), 1.0), (1e80 * sigma_z(), 2.3)])
+    S, T = heff_n_timedep(H, 2), heff_n_timedep(big, 2)
+    assert T.freqs.tolist() == S.freqs.tolist() and T.powers.tolist() == S.powers.tolist()
+    assert np.allclose(T.coeffs / 1e160, S.coeffs, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("tones", [[(sigma_plus(), 1.0)], [(sigma_x(), 1.0), (sigma_z(), 2.0)]],
+                         ids=["one_tone", "opposite_infinities"])
+def test_non_finite_coefficient_raises_the_guard(tones):
+    # a coupling of 1e200 makes every order-2 product infinite, which once
+    # gave zero series and the identity propagator; with two tones, +inf
+    # and -inf meet in one key, which numpy would warn about
+    H = MultiToneHamiltonian([(1e200 * h, w) for h, w in tones])
+    with pytest.raises(SeriesOverflowError, match="not finite"):
+        heff_secular(H, (2, 3))
+    with pytest.raises(SeriesOverflowError, match="not finite"):
+        dyson_truncated(H, 2, 1.0)
+
+
+def test_non_finite_coefficient_of_a_sum_raises_the_guard():
+    inf = OperatorSeries._of(2, np.array([1.0]), np.array([0]),
+                             np.array([[[0, np.inf], [0, 0]]], dtype=complex))
+    with pytest.raises(SeriesOverflowError, match="a series coefficient is not finite"):
+        inf + two_entry_series().scale(1e-3)
+    with pytest.raises(SeriesOverflowError, match="not finite"):
+        OperatorSeries.constant(np.full((2, 2), np.nan))
