@@ -40,6 +40,14 @@ The propagator terms ``U_1 .. U_n`` of the definite chain ride along on
 each :class:`EffectiveOrderResult` as ``dyson_terms``, equal key for key to
 :func:`dyson_terms`, so a caller that needs both the effective orders and
 the propagator (the report) runs the recursion once.
+
+A build does each key's scalar work once. It converts the model to its
+series once (:func:`dyson_terms` and :func:`dyson_term` take a model or
+that series, and :func:`heff_n_timedep` hands its series on), and every
+integral of the build, in both of :func:`heff_secular`'s chains, shares one
+by-parts table (see :meth:`~effham.series.OperatorSeries.integrate_from_zero`),
+so each distinct ``(frequency, power)`` key is integrated once per build.
+No table outlives its build.
 """
 
 from __future__ import annotations
@@ -77,35 +85,40 @@ def _drop_lower_limit_constants(I: OperatorSeries) -> OperatorSeries:
     return OperatorSeries._of(I.dim, I.freqs[keep], I.powers[keep], I.coeffs[keep])
 
 
-def _dyson_step(heff: OperatorSeries, indefinite: bool = False) -> OperatorSeries:
+def _dyson_step(heff: OperatorSeries, table: dict,
+                indefinite: bool = False) -> OperatorSeries:
     """One step of the Dyson recursion: ``U_n = (1/(i*hbar)) int_0^t Heff_n``.
 
     ``heff`` is the order-n integrand ``Heff_n = H * U_{n-1}`` (``H`` itself
-    at n = 1). If ``indefinite``, the integral drops its lower-limit
-    constants.
+    at n = 1) and ``table`` the build's by-parts table (see
+    :meth:`OperatorSeries.integrate_from_zero`). If ``indefinite``, the
+    integral drops its lower-limit constants.
     """
-    integral = heff.integrate_from_zero()
+    integral = heff.integrate_from_zero(table=table)
     if indefinite:
         integral = _drop_lower_limit_constants(integral)
     return integral.scale(_STEP)
 
 
-def _chain(S: OperatorSeries, N: int,
-           indefinite: bool = False) -> tuple[list[OperatorSeries], list[OperatorSeries]]:
+def _chain(S: OperatorSeries, N: int, indefinite: bool = False,
+           table: dict | None = None) -> tuple[list[OperatorSeries], list[OperatorSeries]]:
     """Integrands ``[Heff_1, ..., Heff_N]`` and terms ``[U_1, ..., U_N]``.
 
     ``Heff_1 = S``, ``U_k = _dyson_step(Heff_k)`` and ``Heff_k = S * U_(k-1)``,
     with every integral from 0. The chain makes N - 1 products and N
     integrals. If ``indefinite``, every integral drops its lower-limit
     constants and the terms stop at ``U_(N-1)``: only the integrands of that
-    frame are read, so it makes N - 1 integrals.
+    frame are read, so it makes N - 1 integrals. The integrals share
+    ``table`` (a new one by default), so each distinct key is integrated
+    once per build.
     """
+    table = {} if table is None else table
     heffs, terms = [S], []
     for _ in range(N - 1):
-        terms.append(_dyson_step(heffs[-1], indefinite))
+        terms.append(_dyson_step(heffs[-1], table, indefinite))
         heffs.append(S * terms[-1])
     if not indefinite:
-        terms.append(_dyson_step(heffs[-1]))
+        terms.append(_dyson_step(heffs[-1], table))
     return heffs, terms
 
 
@@ -120,7 +133,8 @@ def heff_n_timedep(H: MultiToneHamiltonian, n: int) -> OperatorSeries:
     kept.
     """
     n = check_integer("order", n, 2, MAX_ORDER)
-    return H.to_operator_series() * dyson_term(H, n - 1)
+    S = H.to_operator_series()
+    return S * dyson_term(S, n - 1)
 
 
 def heff2_timedep(H: MultiToneHamiltonian) -> OperatorSeries:
@@ -227,10 +241,10 @@ def heff_secular(H: MultiToneHamiltonian, n,
     orders = check_orders((n,) if single else n, MAX_ORDER)
     check_threshold("tol_zero", tol_zero)
     ts = default_time_grid(H) if time_grid is None else check_times("time grid", time_grid)
-    S = H.to_operator_series()
-    heffs, terms = _chain(S, orders[-1])
+    S, table = H.to_operator_series(), {}
+    heffs, terms = _chain(S, orders[-1], table=table)
     terms = tuple(terms)
-    averaged, _ = _chain(S, orders[-1], indefinite=True)
+    averaged, _ = _chain(S, orders[-1], indefinite=True, table=table)
     results = {}
     for k in orders:
         values = heffs[k - 1].evaluate_grid(ts)
@@ -248,15 +262,17 @@ def heff_secular(H: MultiToneHamiltonian, n,
     return results[orders[0]] if single else results
 
 
-def dyson_terms(H: MultiToneHamiltonian, N: int) -> list[OperatorSeries]:
+def dyson_terms(H: MultiToneHamiltonian | OperatorSeries, N: int) -> list[OperatorSeries]:
     """Propagator terms ``[U_1(t), ..., U_N(t)]`` in closed form, from one pass
-    of the Dyson recursion ``U_k = (1/(i*hbar)) int_0^t H U_{k-1}``."""
+    of the Dyson recursion ``U_k = (1/(i*hbar)) int_0^t H U_{k-1}``. ``H`` is
+    a model or its :meth:`~effham.model.MultiToneHamiltonian.to_operator_series`."""
     N = check_integer("order", N, 1, MAX_ORDER)
-    return _chain(H.to_operator_series(), N)[1]
+    return _chain(H if isinstance(H, OperatorSeries) else H.to_operator_series(), N)[1]
 
 
-def dyson_term(H: MultiToneHamiltonian, n: int) -> OperatorSeries:
-    """Order-n time-ordered propagator correction ``U_n(t)`` in closed form."""
+def dyson_term(H: MultiToneHamiltonian | OperatorSeries, n: int) -> OperatorSeries:
+    """Order-n time-ordered propagator correction ``U_n(t)`` in closed form;
+    ``H`` as for :func:`dyson_terms`."""
     return dyson_terms(H, n)[-1]
 
 

@@ -11,17 +11,23 @@ only sum matrices. Integrals and derivatives take each key's monomials
 from ``TonePoly`` and group the output keys exactly: such a monomial keeps
 its key's frequency or has frequency 0.0, and canonical frequencies lie
 more than ``TOL_ZERO`` apart, so clustering them again would change nothing.
+An integral or a derivative takes a ``table`` that maps a key to the terms
+``TonePoly`` gave its unit monomial, and maps only the keys it lacks: the
+builders pass one by-parts table to every integral of a build, so a build
+integrates each distinct key once (a table lives no longer than its build).
 A series' own keys are canonical and are never canonicalized again: they
 reach ``TonePoly`` through its trusted constructor ``TonePoly._of``, one
 key at a time for an integral or a derivative, whose rules put a single
 key's monomials in canonical order directly. So an integral or a
 derivative canonicalizes nothing and a product only the product of its
-two key sets.
+two key sets, once.
 Keys whose matrix cancels below ``DROP_TOL`` of the largest are dropped;
 when squaring the entries would overflow, the norms are taken of the
 matrices divided by their largest real or imaginary part, so the rule
 holds at any finite size.
-A coefficient that is not finite raises :class:`SeriesOverflowError`.
+A coefficient that is not finite, after a sum, a product or :meth:`OperatorSeries.scale`,
+raises :class:`SeriesOverflowError`; an entry matrix with an infinite entry
+raises :class:`OperatorValueError`.
 Stored keys and the key pairs of one product are guarded by a budget
 (default 2_000_000, overridable via ``EFFHAM_MAX_TERMS``).
 """
@@ -34,7 +40,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SeriesOverflowError, TermBudgetError
+from .errors import (DimensionMismatchError, OperatorValueError, SeriesOverflowError,
+                     TermBudgetError)
 from .tones import DROP_TOL, TOL_ZERO, ToneMono, TonePoly
 
 #: Default budget for stored keys and for the key pairs of one product.
@@ -42,6 +49,9 @@ MAX_TERMS = 2_000_000
 
 # A unit coefficient as a canonical term holds it: complex.
 _ONE = 1 + 0j
+
+_NOT_FINITE = ("a series coefficient is not finite: the couplings drive a sum, "
+               "product or multiple of series out of the float range")
 
 
 def term_budget() -> int:
@@ -99,9 +109,7 @@ def _sum_keys(dim: int, key_freqs: np.ndarray, key_powers: np.ndarray, index, ma
         # squared entries overflow: take the norms of the coefficients
         # divided by their largest real or imaginary part, if all are finite
         if not np.isfinite(coeffs).all():
-            raise SeriesOverflowError(
-                "a series coefficient is not finite: the couplings drive a sum or "
-                "product of series out of the float range")
+            raise SeriesOverflowError(_NOT_FINITE)
         norms = np.linalg.norm(coeffs / np.abs(coeffs.view(float)).max(), axis=1)
         top = norms.max()
     keep = norms > DROP_TOL * top
@@ -160,6 +168,8 @@ class OperatorSeries:
                 raise DimensionMismatchError(
                     f"series entry has shape {A.shape}, expected ({dim}, {dim})"
                 )
+            if np.isinf(A).any():
+                raise OperatorValueError("series entry has an infinite entry")
             for m in p.terms:
                 freqs.append(m.freq)
                 powers.append(m.power)
@@ -226,9 +236,18 @@ class OperatorSeries:
         ))
 
     def scale(self, z: complex) -> "OperatorSeries":
+        """Series times the number ``z``; a coefficient driven out of the
+        float range raises :class:`SeriesOverflowError`."""
         if z == 0:
             return OperatorSeries.zero(self.dim)
-        return OperatorSeries._of(self.dim, self.freqs, self.powers, self.coeffs * z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = self.coeffs * z
+        # a real or imaginary factor of modulus <= 1 (the Dyson step, -1)
+        # takes no entry out of the float range
+        w = complex(z)
+        if not (abs(w) <= 1 and 0.0 in (w.real, w.imag)) and not np.isfinite(coeffs).all():
+            raise SeriesOverflowError(_NOT_FINITE)
+        return OperatorSeries._of(self.dim, self.freqs, self.powers, coeffs)
 
     def __mul__(self, other: "OperatorSeries") -> "OperatorSeries":
         """Pointwise-in-time operator product (left factor first)."""
@@ -250,29 +269,41 @@ class OperatorSeries:
 
     # ------------------------------------------------------------------
     # calculus
-    def _termwise(self, op) -> "OperatorSeries":
+    def _termwise(self, op, table: dict | None) -> "OperatorSeries":
         """Apply the scalar map ``op`` to each key's unit monomial.
 
-        ``op`` (an integral or a derivative) keeps a key's frequency or
-        gives exactly 0.0, and canonical frequencies lie more than
-        ``TOL_ZERO`` apart, so the output keys are grouped exactly."""
-        freqs, powers, scalars, owners = [], [], [], []
-        for i, (f, k) in enumerate(zip(self.freqs.tolist(), self.powers.tolist())):
-            for c, p, w in op(TonePoly._of((ToneMono(_ONE, k, f),))).terms:
-                freqs.append(w)
-                powers.append(p)
-                scalars.append(c)
-                owners.append(i)
+        ``table`` maps a key ``(frequency, power)`` to the terms ``op`` gave
+        its unit monomial; a key found there is not mapped again, and a key
+        mapped here is added. ``op`` (an integral or a derivative) keeps a
+        key's frequency or gives exactly 0.0, and canonical frequencies lie
+        more than ``TOL_ZERO`` apart, so the output keys are grouped exactly."""
+        if table is None:
+            table = {}
+        monos, counts = [], []
+        for key in zip(self.freqs.tolist(), self.powers.tolist()):
+            terms = table.get(key)
+            if terms is None:
+                f, k = key
+                terms = table[key] = op(TonePoly._of((ToneMono(_ONE, k, f),))).terms
+            monos += terms
+            counts.append(len(terms))
+        scalars, powers, freqs = zip(*monos) if monos else ((), (), ())
         mats = (np.array(scalars, dtype=complex)[:, None, None]
-                * self.coeffs[np.array(owners, dtype=np.intp)])
+                * np.repeat(self.coeffs, counts, axis=0))
         return OperatorSeries._of(self.dim, *_group(
             self.dim, np.array(freqs, dtype=float), np.array(powers, dtype=int), mats))
 
-    def integrate_from_zero(self) -> "OperatorSeries":
-        return self._termwise(TonePoly.integrate_from_zero)
+    def integrate_from_zero(self, table: dict | None = None) -> "OperatorSeries":
+        """Exact integral from 0 to t. ``table`` (see :meth:`_termwise`)
+        holds the by-parts terms of keys integrated before; a build passes
+        one dict to all its integrals, so each distinct key is integrated
+        once."""
+        return self._termwise(TonePoly.integrate_from_zero, table)
 
-    def derivative(self) -> "OperatorSeries":
-        return self._termwise(TonePoly.derivative)
+    def derivative(self, table: dict | None = None) -> "OperatorSeries":
+        """Term-by-term ``d/dt``; ``table`` as for :meth:`integrate_from_zero`,
+        holding derivatives only."""
+        return self._termwise(TonePoly.derivative, table)
 
     # ------------------------------------------------------------------
     # evaluation and extraction

@@ -9,12 +9,16 @@ other merged (and snapped to exactly 0.0 near zero), and coefficients
 below ``drop_tol`` relative to the largest one pruned.
 
 Canonical terms are never canonicalized again. ``TonePoly._of`` takes
-terms that are canonical already, as they are. The by-parts integral and
+terms that are canonical already, as they are. The constructor snaps its
+input triples (nonzero coefficients made complex, frequencies within
+``tol_zero`` of 0 set to 0.0) and a product snaps each product triple as
+it forms it; either then canonicalizes once. The by-parts integral and
 the derivative are each one loop over the terms. For a one-term
 polynomial whose frequency is 0.0 or farther than ``TOL_ZERO`` from 0
 (every series key is one), none of the monomials they emit share a key
 or merge, so those are put in canonical order directly, the lower-limit
-constant first for a positive frequency, and not canonicalized.
+constant first for a positive frequency, and built into the canonical
+tuple in one pass, not canonicalized.
 """
 
 from __future__ import annotations
@@ -56,13 +60,13 @@ _new_mono = tuple.__new__
 _BY_KEY = itemgetter(0, 1)
 
 
-def _canonicalize(terms: Iterable[tuple[complex, int, float]], tol_zero: float,
+def _canonicalize(snapped: list[tuple[float, int, complex]], tol_zero: float,
                   drop_tol: float) -> tuple[ToneMono, ...]:
-    """Canonical terms of ``(coeff, power, freq)`` triples (a :class:`ToneMono`
-    is one): one sort by (frequency, power), then one pass that snaps,
-    clusters and sums."""
-    snapped = [(0.0 if abs(freq) <= tol_zero else float(freq), int(power), complex(coeff))
-               for coeff, power, freq in terms if coeff != 0]
+    """Canonical terms of snapped ``(freq, power, coeff)`` triples, as
+    :meth:`TonePoly.__init__` and :meth:`TonePoly.__mul__` form them: each
+    coefficient nonzero and complex, each frequency a float snapped to 0.0
+    within ``tol_zero`` of 0. One sort by (frequency, power), then one pass
+    that clusters and sums."""
     if not snapped:
         return ()
     snapped.sort(key=_BY_KEY)
@@ -105,7 +109,9 @@ class TonePoly:
     def __init__(self, terms: Iterable[tuple[complex, int, float]] = (), *,
                  tol_zero: float = TOL_ZERO,
                  drop_tol: float = DROP_TOL):
-        object.__setattr__(self, "terms", _canonicalize(terms, tol_zero, drop_tol))
+        snapped = [(0.0 if abs(freq) <= tol_zero else float(freq), int(power), complex(coeff))
+                   for coeff, power, freq in terms if coeff != 0]
+        object.__setattr__(self, "terms", _canonicalize(snapped, tol_zero, drop_tol))
         for m in self.terms:
             if m.power > POWER_CAP:
                 raise PowerCapError(f"power {m.power} exceeds cap {POWER_CAP}")
@@ -198,8 +204,11 @@ class TonePoly:
                 power = max(m.power for m in self.terms) + max(m.power for m in other.terms)
                 if power > POWER_CAP:
                     raise PowerCapError(f"product power {power} exceeds cap {POWER_CAP}")
-            return TonePoly([(c1 * c2, p1 + p2, f1 + f2)
-                             for c1, p1, f1 in self.terms for c2, p2, f2 in other.terms])
+            # each triple snapped as it is formed, as __init__ would snap it
+            return TonePoly._of(_canonicalize(
+                [(0.0 if abs(f) <= TOL_ZERO else f, p1 + p2, c)
+                 for c1, p1, f1 in self.terms for c2, p2, f2 in other.terms
+                 if (c := c1 * c2) != 0 for f in (f1 + f2,)], TOL_ZERO, DROP_TOL))
         z = complex(other)
         return TonePoly([(c * z, p, f) for c, p, f in self.terms])
 
@@ -249,19 +258,20 @@ class TonePoly:
         :func:`_canonicalize`: the constant goes first for a positive
         frequency. As in that function, each coefficient is added to 0j and
         each frequency to 0.0, which turns a signed zero into +0.0, and
-        coefficients below ``DROP_TOL`` of the largest are pruned.
+        coefficients below ``DROP_TOL`` of the largest are pruned, in the
+        one pass that builds the terms.
         """
         freq = self.terms[0].freq if len(self.terms) == 1 else None
         if freq is None or not (freq == 0.0 or abs(freq) > TOL_ZERO):
             return TonePoly(out)
         if freq > 0.0 and out[-1][2] == 0.0:
             out.insert(0, out.pop())
-        out = [(0j + c, k, f + 0.0) for c, k, f in out if c != 0]
-        floor = DROP_TOL * max((abs(m[0]) for m in out), default=0.0)
-        kept = tuple([_new_mono(ToneMono, m) for m in out if abs(m[0]) > floor])
-        for m in kept:
-            if m.power > POWER_CAP:
-                raise PowerCapError(f"power {m.power} exceeds cap {POWER_CAP}")
+        floor = DROP_TOL * max([abs(m[0]) for m in out], default=0.0)
+        kept = tuple([_new_mono(ToneMono, (0j + c, k, f + 0.0))
+                      for c, k, f in out if abs(c) > floor])
+        # only the integral at frequency 0.0 raises a power, and it emits one term
+        if kept and kept[-1].power > POWER_CAP:
+            raise PowerCapError(f"power {kept[-1].power} exceeds cap {POWER_CAP}")
         return TonePoly._of(kept)
 
     # ------------------------------------------------------------------

@@ -533,3 +533,66 @@ def test_heff_secular_rejects_bad_tol_zero_before_any_build(tol_zero, monkeypatc
         heff_secular(NONCOMM, 2, tol_zero=tol_zero)
     with pytest.raises(OperatorValueError, match="tol_zero must be a finite real number >= 0"):
         heff_secular(NONCOMM, (2, 3), tol_zero=tol_zero)
+
+
+# ----------------------------------------------------------------------
+# a build does each key's scalar work once
+
+ZOO_ONLY = [p for p in ZOO_AND_DEMOS if not p.id.endswith(".ham")]
+
+
+@pytest.mark.parametrize("make", ZOO_ONLY)
+def test_dyson_builders_take_the_model_or_its_series(make):
+    H = make()
+    S = H.to_operator_series()
+    terms = dyson_terms(S, MAX_ORDER)
+    for n in range(1, MAX_ORDER + 1):
+        _assert_same_series(dyson_term(S, n), dyson_term(H, n))
+        _assert_same_series(terms[n - 1], dyson_term(H, n))
+
+
+def test_heff_n_converts_the_model_once(monkeypatch):
+    calls = []
+    convert = MultiToneHamiltonian.to_operator_series
+
+    def counting(self):
+        calls.append(self)
+        return convert(self)
+
+    monkeypatch.setattr(MultiToneHamiltonian, "to_operator_series", counting)
+    for n in range(2, MAX_ORDER + 1):
+        calls.clear()
+        heff_n_timedep(NONCOMM, n)
+        assert calls == [NONCOMM]
+
+
+@pytest.mark.parametrize("make", ZOO_ONLY)
+def test_a_build_integrates_each_distinct_key_once(make, monkeypatch):
+    # heff_secular's definite and indefinite chains share one by-parts
+    # table, and no table outlives its build
+    H = make()
+    S = H.to_operator_series()
+    keys, integrals = set(), []
+    integrate = OperatorSeries.integrate_from_zero
+    by_parts = effham.tones.TonePoly.integrate_from_zero
+
+    def spying(self, table=None):
+        keys.update(zip(self.freqs.tolist(), self.powers.tolist()))
+        return integrate(self, table=table)
+
+    def counting(p):
+        integrals.append(p.terms[0][1:])
+        return by_parts(p)
+
+    monkeypatch.setattr(OperatorSeries, "integrate_from_zero", spying)
+    monkeypatch.setattr(effham.tones.TonePoly, "integrate_from_zero", counting)
+    for _ in range(2):
+        keys.clear()
+        integrals.clear()
+        heff_secular(H, (2, 3, 4, 5, 6))
+        assert len(integrals) == len(keys)
+        assert {(f, k) for k, f in integrals} == keys
+    integrals.clear()
+    dyson_terms(S, 4)
+    dyson_terms(S, 4)
+    assert len(integrals) == 2 * len(set(integrals))

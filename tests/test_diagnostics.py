@@ -432,9 +432,9 @@ def test_report_builds_one_definite_and_one_indefinite_chain(orders, products, m
         calls["mul"] += 1
         return multiply(self, other)
 
-    def counting_integrate(self):
+    def counting_integrate(self, **kwargs):
         calls["integrate"] += 1
-        return integrate(self)
+        return integrate(self, **kwargs)
 
     monkeypatch.setattr(OperatorSeries, "__mul__", counting_mul)
     monkeypatch.setattr(OperatorSeries, "integrate_from_zero", counting_integrate)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from effham import (
     DimensionMismatchError,
     MultiToneHamiltonian,
     OperatorSeries,
+    OperatorValueError,
     SeriesOverflowError,
     TOL_ZERO,
     TermBudgetError,
@@ -265,6 +269,40 @@ def test_canonical_keys_are_not_canonicalized_again(rng, monkeypatch):
     assert len(calls) == 1
 
 
+def test_integrals_and_derivatives_through_a_table_equal_fresh_ones(rng):
+    # a table filled by one series serves another that shares its keys, and
+    # what it returns is bit for bit what a fresh call computes
+    for _ in range(20):
+        S = random_series(rng, 3, int(rng.integers(1, 12)))
+        T = random_series(rng, 3, int(rng.integers(1, 12)))
+        for op in (OperatorSeries.integrate_from_zero, OperatorSeries.derivative):
+            table = {}
+            assert_identical(op(S, table=table), op(S))
+            assert set(table) == set(zip(S.freqs.tolist(), S.powers.tolist()))
+            filled = dict(table)
+            assert_identical(op(T, table=table), op(T))
+            assert_identical(op(S, table=table), op(S))
+            assert all(table[key] is filled[key] for key in filled)
+
+
+def test_a_table_maps_each_key_once(rng, monkeypatch):
+    S = random_series(rng, 2, 10)
+    calls = []
+    integrate = TonePoly.integrate_from_zero
+
+    def counting(p):
+        calls.append(p.terms[0][1:])
+        return integrate(p)
+
+    monkeypatch.setattr(TonePoly, "integrate_from_zero", counting)
+    table = {}
+    S.integrate_from_zero(table=table)
+    S.scale(2.0).integrate_from_zero(table=table)
+    assert len(calls) == S.term_count == len(set(calls))
+    assert table[(float(S.freqs[0]), int(S.powers[0]))] == integrate(
+        TonePoly.exponential(S.freqs[0], 1.0, S.powers[0])).terms
+
+
 def test_series_is_immutable_and_shows_its_size():
     S = two_entry_series()
     with pytest.raises(AttributeError, match="immutable"):
@@ -331,3 +369,36 @@ def test_non_finite_coefficient_of_a_sum_raises_the_guard():
         inf + two_entry_series().scale(1e-3)
     with pytest.raises(SeriesOverflowError, match="not finite"):
         OperatorSeries.constant(np.full((2, 2), np.nan))
+
+
+def test_scaling_out_of_the_float_range_raises_the_guard():
+    # 1e10 * 1e300 overflows; the guard speaks before the series is used
+    S = MultiToneHamiltonian([(1e10 * sigma_plus(), 1.0)]).to_operator_series()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesOverflowError, match="^a series coefficient is not finite"):
+            S.scale(1e300)
+        with pytest.raises(SeriesOverflowError, match="not finite"):
+            S.scale(complex(0.0, -1e300))
+        with pytest.raises(SeriesOverflowError, match="not finite"):
+            S.scale(math.inf)
+        assert np.array_equal(S.scale(1e297).coeffs, S.coeffs * 1e297)
+
+
+def test_unit_scales_keep_every_coefficient_finite():
+    # the largest finite entries, scaled by the factors the builders use
+    big = np.finfo(float).max
+    S = OperatorSeries._of(2, np.array([1.0]), np.array([0]),
+                           np.array([[[complex(big, -big), 0], [big, 1j * big]]]))
+    for z in (complex(0.0, -1.0), -1.0, 1.0, 0.5j):
+        assert np.isfinite(S.scale(z).coeffs).all()
+
+
+def test_an_infinite_entry_matrix_is_refused_before_it_is_used():
+    A = np.array([[0, np.inf], [0, 0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OperatorValueError, match="^series entry has an infinite entry$"):
+            OperatorSeries(2, [(A, TonePoly.exponential(1.0))])
+        with pytest.raises(OperatorValueError, match="infinite"):
+            OperatorSeries.constant(A.T)

@@ -473,3 +473,48 @@ def test_one_term_within_tol_zero_still_snaps(freq):
             assert got == outcome(ref, p), (op.__name__, power)
             if got and got[0] != "PowerCapError":
                 assert {m.freq for m in op(p).terms} == {0.0}
+
+
+# ----------------------------------------------------------------------
+# products snap their triples as they form them
+
+
+def raw_product(p, q):
+    """``p * q`` as it was before products snapped their own triples: the
+    raw triples handed to the constructor."""
+    return TonePoly([(c1 * c2, p1 + p2, f1 + f2)
+                     for c1, p1, f1 in p.terms for c2, p2, f2 in q.terms])
+
+
+def test_product_equals_the_constructor_on_its_raw_triples(rng):
+    for trial in range(200):
+        p = TonePoly(edge_terms(rng, int(rng.integers(0, 8))))
+        q = TonePoly(edge_terms(rng, int(rng.integers(0, 8))))
+        assert bits(p * q) == bits(raw_product(p, q)), trial
+
+
+T = TOL_ZERO
+PRODUCT_EDGES = {
+    # sums within TOL_ZERO of 0, of either sign, snap to +0.0
+    "near_zero_sums": ([(1.0, 0, 1.0), (2j, 1, -1.0)], [(1.0, 0, -1.0 + 0.5 * T), (3.0, 0, 1.0 - 0.5 * T)],
+                       [(-2.0 + 0.5 * T, 1), (0.0, 0), (0.0, 1), (2.0 - 0.5 * T, 0)]),
+    # (1.0, 1) and (1.0 + 0.6 T, 0) fall in one cluster: the regroup branch
+    "regroup": ([(1.0, 0, 0.0), (1.0, 0, 1.0)], [(1.0, 0, 1.0 + 0.6 * T), (1.0, 1, 0.0)],
+                [(0.0, 1), (1.0, 0), (1.0, 1), (2.0 + 0.6 * T, 0)]),
+    # 1e-163 ** 2 underflows to 0 at frequency 1.0, so the product at
+    # 1.0 + 0.6 T is its cluster's smallest member
+    "underflow": ([(1e-150, 0, 0.0), (1e-163, 0, 1.0)], [(1e-150, 0, 1.0 + 0.6 * T), (1e-163, 0, 0.0)],
+                  [(0.0, 0), (1.0 + 0.6 * T, 0), (2.0 + 0.6 * T, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", PRODUCT_EDGES)
+def test_product_edge_cases_match_the_raw_triples(case):
+    left, right, keys = PRODUCT_EDGES[case]
+    p = TonePoly([ToneMono(complex(c), k, f) for c, k, f in left])
+    q = TonePoly([ToneMono(complex(c), k, f) for c, k, f in right])
+    assert len(p) == len(q) == 2
+    for a, b in ((p, q), (q, p)):
+        got = a * b
+        assert bits(got) == bits(raw_product(a, b))
+        assert [(m.freq, m.power) for m in got.terms] == keys
