@@ -25,26 +25,34 @@ Each block is split into the invariant sectors of its own samples: the
 connected components of the union over its samples of ``H != 0``, made
 symmetric. No sample couples two sectors, so no step map does either, and
 the block's maps are computed on a zero-padded ``(b, b)`` stack of the
-sectors, ``b`` the largest sector, and scattered back into ``(d, d)``. The
-sectors are read off the samples rather than off a model's tone matrices,
-so the split is exact for any grid function, series and duck-typed
-operators included. One object, ``_SectorStage``, holds the split for a
-whole run of either oracle: it finds the sectors again only when a
-stack's pattern differs from the previous stack's, gathers the stack
-into them and scatters values back, and passes stacks that run unsplit
-through unchanged. A model that conserves a quantum number, such as the
-excitation number of the Jaynes-Cummings model (dimension 10, sectors 1,
-1, 2, 2, 2, 2), then multiplies 2x2 blocks instead of 10x10 ones.
+sectors, ``b`` the largest sector, and scattered back into ``(d, d)``. An
+idle level, a lone level with no diagonal entry in any sample, is left out
+of the stack: it never moves, so its rows and columns of every step map
+are those of the identity, and its quadrature values zero, as the scatter
+gives them. The sectors are read off the samples rather than off a
+model's tone matrices, so the split is exact for any grid function,
+series and duck-typed operators included. One object, ``_SectorStage``,
+holds the split for a whole run of either oracle: it finds the sectors
+again only when a stack's pattern differs from the previous stack's,
+gathers the stack into them and scatters values back, and passes stacks
+that run unsplit through unchanged. A model that conserves a quantum
+number, such as the excitation number of the Jaynes-Cummings model
+(dimension 10, sectors 1, 1, 2, 2, 2, 2, the two lone levels idle), then
+multiplies a stack of four 2x2 blocks instead of 10x10 ones.
 
 Blocks up to 3x3 are multiplied as a sum of outer products over the inner
 index, not by ``np.matmul``, whose cost per matrix hardly falls below
 4x4. On a 2-vCPU VM with one BLAS thread, on stacks of 3072 complex
 matrices, ``np.matmul`` took 0.46/0.50/0.50/0.64/1.06 us per matrix at
-b = 2/3/4/6/10 and the sum 0.17/0.40/0.69/2.0/10.0 us. The split pays
-only with that cheap product: a block runs unsplit when it has a single
-sector or a sector larger than 3. Split, sectors 5, 1 took 2.5 times and
-sectors 4, 4 1.5 times as long as unsplit, since a padded stack of S
-sectors costs S products under ``np.matmul``.
+b = 2/3/4/6/10 and the sum 0.17/0.40/0.69/2.0/10.0 us, both measured on
+C-ordered stacks. The gather's fancy index lays its stack out with time
+as the fastest axis, and that layout is what makes the sum cheap there:
+on a C-ordered copy of the same stack the Jaynes-Cummings RK4 at t = 400
+(25,600 steps) took 0.27 s instead of 0.18 s. The split pays only with
+that cheap product: a block runs unsplit when it has a single sector,
+idle levels counted, or a sector larger than 3. Split, sectors 5, 1 took
+2.5 times and sectors 4, 4 1.5 times as long as unsplit, since a padded
+stack of S sectors costs S products under ``np.matmul``.
 
 The quadrature path (:func:`quad_oracle`) evaluates the interaction
 Hamiltonian directly on refined uniform grids and builds the nested
@@ -286,8 +294,13 @@ class _SectorStage:
     than one sector and none larger than ``_SMALL_PRODUCT``. Then
     :meth:`gather` returns a new zero-padded ``(n, S, b, b)`` stack of the
     ``S`` sectors, ``b`` the largest, and :meth:`scatter` puts values of
-    those sectors back into ``(d, d)``; otherwise both return their input
-    unchanged.
+    those sectors back into ``(d, d)``, zeros elsewhere; otherwise both
+    return their input unchanged. The stack leaves out idle levels (lone
+    levels whose diagonal entry is zero in every sample); when every level
+    is idle it has no sectors, and whatever is computed on it scatters to
+    zeros. Its fancy index gives it time as the fastest axis (strides
+    ``(16, ...)``), which is what makes :func:`_mul`'s sum of outer
+    products cheap on it.
     """
 
     def __init__(self):
@@ -320,6 +333,8 @@ class _SectorStage:
         self.valid = None
         if len(sectors) == 1 or b > _SMALL_PRODUCT:
             return
+        # an idle level never moves; if all are, the stack has no sectors
+        sectors = [s for s in sectors if len(s) > 1 or self.pattern[s[0], s[0]]]
         index = np.zeros((len(sectors), b), dtype=int)
         valid = np.zeros((len(sectors), b), dtype=bool)
         for k, s in enumerate(sectors):
@@ -527,7 +542,9 @@ def quad_oracle(H, n, t, tol: float,
     refinement, infinity would accept the first level, and ``None`` or a
     ``bool`` is refused as well. ``max_points`` must be an integer >= 512
     (a ``bool`` is refused), since convergence needs the 256- and 512-point
-    levels; a smaller cap is refused before H is sampled too. Raises
+    levels; a smaller cap is refused before H is sampled too. A level whose
+    new samples of H are not all finite raises :class:`OperatorValueError`,
+    naming the first such time, before its chain runs. Raises
     :class:`QuadratureError` if the refinement cap is reached first; its
     ``best`` holds the best estimate, or for a tuple of orders the best
     estimate of every order, in the shape of the result, and its message
@@ -562,10 +579,17 @@ def quad_oracle(H, n, t, tol: float,
         # double, so only the midpoints are new
         ts = np.arange(points + 1) * (T / points)
         ts[-1] = T
+        new_ts = ts if samples is None else ts[1::2]
+        new = H.evaluate_grid(new_ts)
+        finite = np.isfinite(new)
+        if not finite.all():
+            # axis 0 is time, so the first non-finite entry is at the first such time
+            raise OperatorValueError("H is not finite at quadrature time "
+                                     f"{float(new_ts[np.argwhere(~finite)[0, 0]])!r}")
         if samples is None:
-            samples = np.ascontiguousarray(H.evaluate_grid(ts), dtype=complex)
+            samples = np.ascontiguousarray(new, dtype=complex)
         else:
-            samples = _refined(samples, H.evaluate_grid(ts[1::2]))
+            samples = _refined(samples, new)
         vals = _nested_values(samples, [k for k in orders if k not in done], T / points,
                               sectors, nodes * (points // _BASE_POINTS))
         for k, val in vals.items():

@@ -228,10 +228,111 @@ def test_sector_stage_splits_jc_only_into_sectors_up_to_3x3(rng):
         stack = sectors.gather(A)
         assert (stack is not A) == split
         if split:
-            assert stack.shape == (len(ts), 6, 2, 2)
+            # the doublets only: levels 4 and 5 are idle and left out
+            assert stack.shape == (len(ts), 4, 2, 2)
             assert np.array_equal(sectors.scatter(stack), A)
         else:
             assert sectors.scatter(stack) is stack
+
+
+def _jc_with_idle_level():
+    # jc with an 11th level that no tone touches
+    jc = jc_detuned(g=0.05)
+    h = np.zeros((jc.dim + 1, jc.dim + 1), dtype=complex)
+    h[:jc.dim, :jc.dim] = jc.tones[0].h
+    return MultiToneHamiltonian([(h, jc.tones[0].omega)])
+
+
+def _idle_levels(op, ts):
+    # lone levels with no diagonal entry in any sample
+    pattern = np.any(op.evaluate_grid(ts) != 0, axis=0)
+    return [s[0] for s in oracle._sectors(pattern) if len(s) == 1 and not pattern[s[0], s[0]]]
+
+
+def test_propagate_exact_leaves_idle_levels_of_jc_at_the_identity():
+    ts = np.linspace(0.0, 3.0, 7)
+    jc, padded = jc_detuned(g=0.05), _jc_with_idle_level()
+    assert _idle_levels(jc, ts) == [4, 5]
+    assert _idle_levels(padded, ts) == [4, 5, 10]
+    res = propagate_exact(jc, 50.0, steps=1024)
+    pad = propagate_exact(padded, 50.0, steps=1024)
+    for op, U in ((jc, res.U), (padded, pad.U)):
+        idle = _idle_levels(op, ts)
+        identity = np.eye(op.dim)
+        assert np.array_equal(U[idle], identity[idle])
+        assert np.array_equal(U[:, idle], identity[:, idle])
+    # the same 4 sectors run either way
+    assert np.array_equal(pad.U[:jc.dim, :jc.dim], res.U)
+    assert abs(pad.est_error - res.est_error) <= 1e-14 * res.est_error
+    _assert_matches_reference(pad, padded, 50.0, 1024)
+
+
+class _DetunedLoneLevel:
+    """A driven pair of levels and a lone level of constant energy ``eps``."""
+
+    dim = 3
+    max_omega = 1.3
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def evaluate_grid(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        H = np.zeros((len(ts), 3, 3), dtype=complex)
+        H[:, 0, 1] = H[:, 1, 0] = 0.4 * np.cos(1.3 * ts)
+        H[:, 2, 2] = self.eps
+        return H
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.7])
+def test_a_lone_level_with_a_diagonal_entry_is_kept(eps):
+    op = _DetunedLoneLevel(eps)
+    stack = oracle._SectorStage().gather(op.evaluate_grid(np.linspace(0.0, 1.0, 5)))
+    assert stack.shape == (5, 1 if eps == 0.0 else 2, 2, 2)
+    t = 3.0
+    res = propagate_exact(op, t, steps=512)
+    assert res.est_error > 0.0
+    assert abs(res.U[2, 2] - np.exp(-1j * eps * t)) <= res.est_error
+    _assert_matches_reference(res, op, t, 512)
+
+
+class _Zero:
+    """A grid function that is zero at every time."""
+
+    dim = 4
+    max_omega = 1.0
+
+    def evaluate_grid(self, ts):
+        return np.zeros((len(ts), 4, 4))
+
+
+class _SwitchedIdleCoupling(_Zero):
+    """Zero until ``t_on``, then a coupling of levels 0 and 1."""
+
+    def __init__(self, t_on):
+        self.t_on = t_on
+
+    def evaluate_grid(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        H = np.zeros((len(ts), 4, 4), dtype=complex)
+        H[:, 0, 1] = H[:, 1, 0] = 0.4 * np.cos(ts) * (ts >= self.t_on)
+        return H
+
+
+def test_oracles_of_a_vanishing_block_give_the_identity_and_zero():
+    # every level idle: the stack has no sectors
+    assert oracle._SectorStage().gather(np.zeros((2, 4, 4), dtype=complex)).shape == (2, 0, 1, 1)
+    res = propagate_exact(_Zero(), 2.0, steps=3 * oracle._RK4_BLOCK)
+    assert np.array_equal(res.U, np.eye(4)) and res.est_error == 0.0
+    for val in quad_oracle(_Zero(), (2, 3, 6), [1.0, 2.0], 1e-9).values():
+        assert val.shape == (2, 4, 4) and not val.any()
+    # the first block vanishes, the later ones couple levels 0 and 1
+    steps, t = 3 * oracle._RK4_BLOCK, 2.0
+    op = _SwitchedIdleCoupling(t_on=1.1 * t / 3)
+    res = propagate_exact(op, t, steps=steps)
+    assert np.array_equal(res.U[2:], np.eye(4)[2:])
+    assert np.array_equal(res.U[:, 2:], np.eye(4)[:, 2:])
+    _assert_matches_reference(res, op, t, steps)
 
 
 def test_propagate_exact_runs_sectors_larger_than_3x3_unsplit(rng, monkeypatch):
@@ -943,6 +1044,44 @@ def test_quad_oracle_of_rotated_jc_matches_conjugated_values(rng):
         assert vals[n][:, in_sector].any()
         conjugated = V @ vals[n] @ V.conj().T
         assert np.linalg.norm(rot[n] - conjugated) <= 1e-12 * np.linalg.norm(vals[n])
+
+
+def test_quad_oracle_of_jc_is_zero_on_its_idle_levels():
+    jc = jc_detuned(g=0.05)
+    idle = _idle_levels(jc, np.linspace(0.0, 3.0, 7))
+    vals = quad_oracle(jc, (2, 3, 4, 5, 6), _eighths(5.0), 1e-9)
+    for n, val in vals.items():
+        assert not val[:, idle].any() and not val[:, :, idle].any()
+        assert val.any()
+
+
+class _InfiniteAfter:
+    """A 1-level grid function that returns ``inf`` itself (no numpy
+    overflow) at every time in ``bad(ts)``, and 1 elsewhere."""
+
+    dim = 1
+
+    def __init__(self, bad):
+        self.bad = bad
+        self.points = 0
+
+    def evaluate_grid(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        self.points += len(ts)
+        return np.where(self.bad(ts), np.inf, 1.0)[:, None, None]
+
+
+def test_quad_oracle_refuses_non_finite_samples_at_the_level_that_meets_them():
+    # on the level-0 grid: refused before any chain, at the first such time
+    op = _InfiniteAfter(lambda ts: ts > 0.5)
+    with pytest.raises(OperatorValueError, match=r"not finite at quadrature time 0\.50390625$"):
+        quad_oracle(op, 2, 1.0, 1e-9)
+    assert op.points <= oracle._BASE_POINTS + 1
+    # only on the new midpoints of level 1: refused there
+    op = _InfiniteAfter(lambda ts: np.abs(ts * 256 - np.rint(ts * 256)) > 0.25)
+    with pytest.raises(OperatorValueError, match=r"time 0\.001953125$"):
+        quad_oracle(op, (2, 3), 1.0, 1e-9)
+    assert op.points == 2 * oracle._BASE_POINTS + 1
 
 
 def test_quad_oracle_runs_sectors_larger_than_3x3_unsplit(rng, monkeypatch):
