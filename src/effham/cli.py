@@ -7,12 +7,13 @@ compile diagnostics) and for output paths that cannot be written (``--out``
 or ``--csv`` naming a directory or a file in a missing directory, both
 naming the same file, or either naming the model file, is refused before
 anything is computed), 3 for
-numerical-guard failures (term budget, power cap, dimension cap,
-quadrature refinement budget, couplings so large that a series
-coefficient is not finite, such as a tone of norm ``1e200``, a
-``--sweep`` factor that scales an order out of the float range, such as
-``1e200``, and an allocation that runs out of memory, such as the time
-grid of a huge ``--grid``); each prints a one-line message. A usage error is
+numerical-guard failures: any ``errors.NumericalGuardError`` (such as the
+term budget, the power cap, the dimension cap, the quadrature refinement
+budget, couplings so large that a series coefficient is not finite, such
+as a tone of norm ``1e200``, or a ``--sweep`` factor that scales an order
+out of the float range, such as ``1e200``) and an allocation that runs
+out of memory, such as the time grid of a huge ``--grid``; each prints a
+one-line message. A usage error is
 an option that does not parse, or whose value the library refuses: each
 option takes the check of the ``run_report`` keyword of its name
 (``diagnostics.OPTION_CHECKS``), and ``--tol-zero`` and ``--gap-min``
@@ -32,22 +33,10 @@ import os
 import re
 import sys
 
-from .errors import (
-    DimensionCapError,
-    ModelError,
-    OperatorValueError,
-    PowerCapError,
-    QuadratureError,
-    SeriesOverflowError,
-    SweepOverflowError,
-    TermBudgetError,
-)
+from .errors import ModelError, NumericalGuardError, OperatorValueError
 from .diagnostics import OPTION_CHECKS, ZOO_NAMES, run_report
 from .model import DEFAULT_GAP_MIN, check_thresholds
 from .tones import TOL_ZERO
-
-_GUARD_ERRORS = (TermBudgetError, PowerCapError, DimensionCapError, QuadratureError,
-                 SeriesOverflowError, SweepOverflowError, MemoryError)
 
 
 def _option(convert, keyword: str):
@@ -167,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("model error", str(exc), 2)
     except OSError as exc:  # the model file is the only thing run_report reads
         return _fail("model error", f"cannot read {_os_reason(exc)}", 2)
-    except _GUARD_ERRORS as exc:
+    except (NumericalGuardError, MemoryError) as exc:
         return _fail("numerical guard", str(exc) or type(exc).__name__, 3)
     try:
         report.write(args.out, args.csv)

@@ -26,7 +26,13 @@ class DimensionMismatchError(EffhamError):
     """Operands act on spaces of different dimension."""
 
 
-class DimensionCapError(EffhamError):
+class NumericalGuardError(EffhamError):
+    """Base class for the numerical guards: a budget, a cap or the float
+    range that a computation would exceed. ``effham report`` ends on any of
+    these with exit 3."""
+
+
+class DimensionCapError(NumericalGuardError):
     """A constructed matrix would exceed the configured dimension cap."""
 
 
@@ -34,11 +40,11 @@ class OperatorValueError(EffhamError):
     """Operator entries are invalid (non-square layout, NaN or Inf)."""
 
 
-class PowerCapError(EffhamError):
+class PowerCapError(NumericalGuardError):
     """A tone-polynomial power would exceed the configured maximum order."""
 
 
-class TermBudgetError(EffhamError):
+class TermBudgetError(NumericalGuardError):
     """A series operation would exceed the term budget.
 
     The budget bounds the ``(frequency, power)`` keys a series stores and
@@ -48,12 +54,12 @@ class TermBudgetError(EffhamError):
     """
 
 
-class SweepOverflowError(EffhamError):
+class SweepOverflowError(NumericalGuardError):
     """A coupling-sweep factor drives a scaled order out of the range of a
     float, so a defect of the sweep would not be finite."""
 
 
-class SeriesOverflowError(EffhamError):
+class SeriesOverflowError(NumericalGuardError):
     """A series coefficient is not finite: the couplings are so large that
     a product or sum of series leaves the range of a float."""
 
@@ -63,7 +69,7 @@ class FrequencyConditionError(EffhamError):
     three-frequency sums) is violated."""
 
 
-class QuadratureError(EffhamError):
+class QuadratureError(NumericalGuardError):
     """Quadrature refinement budget exhausted before reaching tolerance.
 
     Carries the best available estimate in ``best``.

@@ -40,6 +40,15 @@ number, such as the excitation number of the Jaynes-Cummings model
 (dimension 10, sectors 1, 1, 2, 2, 2, 2, the two lone levels idle), then
 multiplies a stack of four 2x2 blocks instead of 10x10 ones.
 
+Both oracles refuse samples of H that are not all finite, with
+:class:`OperatorValueError` naming the first such time, rather than
+return NaNs. The RK4 checks each block's gathered stack, not its raw
+samples: a non-finite entry is nonzero, so it lies in a sector, or the
+block runs unsplit and the stack is the samples. On the Jaynes-Cummings
+model the check on the ``(1025, 4, 2, 2)`` stack of a block takes 37 us,
+against 166 us on the ``(1025, 10, 10)`` samples (one BLAS thread). The
+quadrature checks each level's new samples before its chain runs.
+
 Blocks up to 3x3 are multiplied as a sum of outer products over the inner
 index, not by ``np.matmul``, whose cost per matrix hardly falls below
 4x4. On a 2-vCPU VM with one BLAS thread, on stacks of 3072 complex
@@ -345,6 +354,12 @@ class _SectorStage:
         self.valid = valid[:, :, None] & valid[:, None, :]
 
 
+def _not_finite(kind: str, times: np.ndarray, samples: np.ndarray) -> str:
+    # axis 0 is time, so the first non-finite entry is at the first such time
+    first = np.argwhere(~np.isfinite(samples))[0, 0]
+    return f"H is not finite at {kind} time {float(times[first])!r}"
+
+
 def _rk4_pair(grid_eval, dim: int, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     # Fine (``2 * steps``) RK4 map of dU/dt = -i H U and its difference from
     # the coarse (``steps``) map, both fed from one sampling of H per block,
@@ -358,6 +373,9 @@ def _rk4_pair(grid_eval, dim: int, t: float, steps: int) -> tuple[np.ndarray, np
         times = (h / 2) * (4 * c0 + np.arange(4 * (c1 - c0) + 1))
         A = np.ascontiguousarray(grid_eval(times), dtype=complex)
         S = sectors.gather(A)
+        # a non-finite entry is nonzero, so it lies in a sector (or S is A)
+        if not np.isfinite(S).all():
+            raise OperatorValueError(_not_finite("propagation", times, A))
         # -i S, in place on a stack the gather made; the caller's samples
         # are never written to, so unsplit ones are scaled into a copy
         A = np.multiply(S, -1j, out=None if S is A else S)
@@ -385,7 +403,10 @@ def propagate_exact(H, t: float, steps: int | None = None) -> PropagationResult:
     ``t`` must be a finite real number >= 0, and ``steps``, the coarse
     step count, an integer in ``[16, MAX_RK4_STEPS]``, the default
     :func:`default_step_count` included; both are checked before H is
-    sampled, here and in :func:`propagate_series`.
+    sampled, here and in :func:`propagate_series`. A block whose samples
+    of H are not all finite raises :class:`OperatorValueError`, naming the
+    first such time, before its maps are formed; the check reads the
+    gathered stack, which holds every nonzero entry.
     """
     return _propagate(H.evaluate_grid, H.dim, t, steps, H.max_omega)
 
@@ -511,8 +532,9 @@ def quad_oracle(H, n, t, tol: float,
 
     Grids are refined by doubling until two successive refinements agree
     to ``tol`` in Frobenius norm. ``n`` is one order, which gives its
-    value, or a tuple of orders, which gives ``{order: value}``. All
-    orders share one refinement: each level samples H once and runs one
+    value, or a tuple of orders, which gives ``{order: value}`` keyed in
+    ascending order, whatever order the orders converge in. All orders
+    share one refinement: each level samples H once and runs one
     nested chain up to the highest order not yet converged, and each order
     is frozen at the level where its own successive values agree, so its
     value is the same as that of a call for that order alone. The last
@@ -558,6 +580,7 @@ def quad_oracle(H, n, t, tol: float,
     times, scalar = _check_times(t)
 
     def result(values: dict[int, np.ndarray]):
+        values = {k: values[k] for k in orders}  # ascending, not in convergence order
         if scalar:
             values = {k: None if v is None else v[0] for k, v in values.items()}
         return values[orders[0]] if single else values
@@ -581,11 +604,8 @@ def quad_oracle(H, n, t, tol: float,
         ts[-1] = T
         new_ts = ts if samples is None else ts[1::2]
         new = H.evaluate_grid(new_ts)
-        finite = np.isfinite(new)
-        if not finite.all():
-            # axis 0 is time, so the first non-finite entry is at the first such time
-            raise OperatorValueError("H is not finite at quadrature time "
-                                     f"{float(new_ts[np.argwhere(~finite)[0, 0]])!r}")
+        if not np.isfinite(new).all():
+            raise OperatorValueError(_not_finite("quadrature", new_ts, new))
         if samples is None:
             samples = np.ascontiguousarray(new, dtype=complex)
         else:

@@ -11,10 +11,10 @@ only sum matrices. Integrals and derivatives take each key's monomials
 from ``TonePoly`` and group the output keys exactly: such a monomial keeps
 its key's frequency or has frequency 0.0, and canonical frequencies lie
 more than ``TOL_ZERO`` apart, so clustering them again would change nothing.
-An integral or a derivative takes a ``table`` that maps a key to the terms
-``TonePoly`` gave its unit monomial, and maps only the keys it lacks: the
-builders pass one by-parts table to every integral of a build, so a build
-integrates each distinct key once (a table lives no longer than its build).
+An integral takes a ``table`` that maps a key to the terms ``TonePoly``
+gave its unit monomial, and maps only the keys it lacks: the builders pass
+one by-parts table to every integral of a build, so a build integrates
+each distinct key once (a table lives no longer than its build).
 A series' own keys are canonical and are never canonicalized again: they
 reach ``TonePoly`` through its trusted constructor ``TonePoly._of``, one
 key at a time for an integral or a derivative, whose rules put a single
@@ -26,8 +26,9 @@ when squaring the entries would overflow, the norms are taken of the
 matrices divided by their largest real or imaginary part, so the rule
 holds at any finite size.
 A coefficient that is not finite, after a sum, a product or :meth:`OperatorSeries.scale`,
-raises :class:`SeriesOverflowError`; an entry matrix with an infinite entry
-raises :class:`OperatorValueError`.
+raises :class:`SeriesOverflowError`; an entry matrix with a non-finite entry
+(NaN or infinite) raises :class:`OperatorValueError`, by the rule of
+:func:`~effham.operators.as_operator`.
 Stored keys and the key pairs of one product are guarded by a budget
 (default 2_000_000, overridable via ``EFFHAM_MAX_TERMS``).
 """
@@ -168,8 +169,8 @@ class OperatorSeries:
                 raise DimensionMismatchError(
                     f"series entry has shape {A.shape}, expected ({dim}, {dim})"
                 )
-            if np.isinf(A).any():
-                raise OperatorValueError("series entry has an infinite entry")
+            if not np.isfinite(A).all():
+                raise OperatorValueError("series entry has non-finite entries")
             for m in p.terms:
                 freqs.append(m.freq)
                 powers.append(m.power)
@@ -269,7 +270,7 @@ class OperatorSeries:
 
     # ------------------------------------------------------------------
     # calculus
-    def _termwise(self, op, table: dict | None) -> "OperatorSeries":
+    def _termwise(self, op, table: dict) -> "OperatorSeries":
         """Apply the scalar map ``op`` to each key's unit monomial.
 
         ``table`` maps a key ``(frequency, power)`` to the terms ``op`` gave
@@ -277,8 +278,6 @@ class OperatorSeries:
         mapped here is added. ``op`` (an integral or a derivative) keeps a
         key's frequency or gives exactly 0.0, and canonical frequencies lie
         more than ``TOL_ZERO`` apart, so the output keys are grouped exactly."""
-        if table is None:
-            table = {}
         monos, counts = [], []
         for key in zip(self.freqs.tolist(), self.powers.tolist()):
             terms = table.get(key)
@@ -298,12 +297,11 @@ class OperatorSeries:
         holds the by-parts terms of keys integrated before; a build passes
         one dict to all its integrals, so each distinct key is integrated
         once."""
-        return self._termwise(TonePoly.integrate_from_zero, table)
+        return self._termwise(TonePoly.integrate_from_zero, {} if table is None else table)
 
-    def derivative(self, table: dict | None = None) -> "OperatorSeries":
-        """Term-by-term ``d/dt``; ``table`` as for :meth:`integrate_from_zero`,
-        holding derivatives only."""
-        return self._termwise(TonePoly.derivative, table)
+    def derivative(self) -> "OperatorSeries":
+        """Term-by-term ``d/dt``."""
+        return self._termwise(TonePoly.derivative, {})
 
     # ------------------------------------------------------------------
     # evaluation and extraction

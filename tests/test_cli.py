@@ -4,7 +4,7 @@ import math
 import pytest
 
 import effham.cli
-from effham import OperatorValueError, run_report
+from effham import OperatorValueError, errors, run_report
 from effham.cli import main
 
 
@@ -246,6 +246,21 @@ def test_bare_memory_error_names_itself(monkeypatch, capsys):
     monkeypatch.setattr(effham.cli, "run_report", out_of_memory)
     assert main(["report", "builtin:scalar_single_tone"]) == 3
     assert capsys.readouterr().err.strip() == "effham: numerical guard: MemoryError"
+
+
+@pytest.mark.parametrize("guard", [
+    c for c in vars(errors).values()
+    if isinstance(c, type) and issubclass(c, errors.NumericalGuardError)
+], ids=lambda c: c.__name__)
+def test_every_numerical_guard_exits_3_with_one_line(guard, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise guard(f"{guard.__name__} fired")  # QuadratureError's best is None
+
+    monkeypatch.setattr(effham.cli, "run_report", fail)
+    assert main(["report", "builtin:scalar_single_tone"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"effham: numerical guard: {guard.__name__} fired\n"
 
 
 def _one_line(capsys) -> str:

@@ -1,12 +1,14 @@
-"""The argument checks of ``effham.errors`` and the value elision of their
-one-line messages."""
+"""The argument checks of ``effham.errors``, the value elision of their
+one-line messages, and the split of the error classes by exit code."""
 
 from fractions import Fraction
 
 import pytest
 
-from effham import OperatorValueError
-from effham.errors import check_integer, check_real, check_times, elide
+from effham import OperatorValueError, errors
+from effham.errors import (DimensionMismatchError, EffhamError, FrequencyConditionError,
+                           ModelError, NumericalGuardError, check_integer, check_real,
+                           check_times, elide)
 
 HUGE = 10**400  # 401 digits, too large for a float
 
@@ -70,3 +72,23 @@ def test_times_refusals_quote_the_value_given(times, got):
     with pytest.raises(OperatorValueError) as err:
         check_times("t", times, 0.0)
     assert str(err.value) == f"t must be a 1-D array of finite real numbers >= 0, got {got}"
+
+
+#: The six numerical guards; ``effham report`` exits 3 on each.
+GUARDS = ("DimensionCapError", "PowerCapError", "TermBudgetError", "SweepOverflowError",
+          "SeriesOverflowError", "QuadratureError")
+
+#: Library refusals that ``effham report`` checks up front or never reaches.
+LIBRARY_ONLY = (OperatorValueError, DimensionMismatchError, FrequencyConditionError)
+
+
+def test_every_error_class_has_exactly_one_exit_code_group():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, EffhamError) and c is not EffhamError]
+    for c in classes:
+        # UnknownModelError is an OperatorValueError too, but exits 2 as a ModelError
+        groups = [issubclass(c, ModelError), issubclass(c, NumericalGuardError),
+                  c in LIBRARY_ONLY]
+        assert groups.count(True) == 1, c.__name__
+    guards = {c.__name__ for c in classes if issubclass(c, NumericalGuardError)}
+    assert guards == {"NumericalGuardError", *GUARDS}

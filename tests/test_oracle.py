@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1214,3 +1215,47 @@ def test_fidelity_distance_refuses_anything_but_square_matrices(U, V, shape):
 
 def test_fidelity_distance_passes_non_finite_entries_through():
     assert math.isnan(fidelity_distance(np.full((2, 2), math.nan), np.eye(2)))
+
+
+class _CouplingInfiniteAfter:
+    """A grid function whose coupling of levels ``dim - 2`` and ``dim - 1``
+    is ``inf`` itself (no numpy overflow) after t = 0.5; it duck-types both
+    a model (``max_omega``) and a series (``freqs``). At ``dim`` 2 the
+    block runs unsplit; at ``dim`` 4, with levels 0 and 1 coupled too, it
+    splits into two 2x2 sectors."""
+
+    max_omega = 1.0
+    freqs = np.array([1.0])
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def evaluate_grid(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        out = np.zeros((len(ts), self.dim, self.dim), dtype=complex)
+        out[:, 0, 1] = out[:, 1, 0] = 1.0
+        out[:, -2, -1] = out[:, -1, -2] = np.where(ts > 0.5, np.inf, 1.0)
+        return out
+
+
+@pytest.mark.parametrize("dim", [2, 4], ids=["unsplit", "split"])
+@pytest.mark.parametrize("propagate", [propagate_exact, propagate_series])
+def test_rk4_refuses_non_finite_samples_at_the_first_such_time(propagate, dim):
+    # once the NaNs of inf * 0 flowed into U, with est_error nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OperatorValueError,
+                           match=r"^H is not finite at propagation time 0\.50390625$"):
+            propagate(_CouplingInfiniteAfter(dim), 1.0, steps=64)
+
+
+def test_quad_oracle_keys_its_values_in_ascending_order():
+    # order 6 converges first here, and once came first in the dict
+    H = make_model("noncommuting_two_tone")
+    assert list(quad_oracle(H, (2, 3, 4, 5, 6), 5.0, 1e-9)) == [2, 3, 4, 5, 6]
+    assert list(quad_oracle(H, (6, 2, 4), [2.5, 5.0], 1e-9)) == [2, 4, 6]
+    # commuting_diag at t = 10 stops orders 3 and 4 at a cap of 2048 points
+    H = make_model("commuting_diag")
+    with pytest.raises(QuadratureError) as err:
+        quad_oracle(H, (4, 2, 3), 10.0 / H.min_omega, 1e-9, max_points=2048)
+    assert list(err.value.best) == [2, 3, 4]
