@@ -61,7 +61,6 @@ from .metrics import hermiticity_defect
 from .model import (
     HBAR,
     MAX_ORDER,
-    FrequencyReport,
     MultiToneHamiltonian,
     check_threshold,
     frequency_report,
@@ -147,17 +146,17 @@ def heff3_timedep(H: MultiToneHamiltonian) -> OperatorSeries:
     return heff_n_timedep(H, 3)
 
 
-def heff2_rwa(H: MultiToneHamiltonian, report: FrequencyReport | None = None) -> np.ndarray:
+def heff2_rwa(H: MultiToneHamiltonian) -> np.ndarray:
     """Commutator form ``sum_m [h_m, h_m^dag] / (hbar * w_m)``.
 
     Valid only when all carriers are pairwise distinct (the oscillating
-    cross terms it drops are then far from resonance); raises
-    :class:`FrequencyConditionError` otherwise. Degenerate models should
-    use :func:`heff_secular`, which keeps cross terms naturally.
+    cross terms it drops are then far from resonance); it runs
+    :func:`frequency_report` on ``H`` and raises
+    :class:`FrequencyConditionError` when the report fails. Degenerate
+    models should use :func:`heff_secular`, which keeps cross terms
+    naturally.
     """
-    if report is None:
-        report = frequency_report(H)
-    if not report.passes:
+    if not frequency_report(H).passes:
         raise FrequencyConditionError(
             "the commutator form requires pairwise-distinct carrier frequencies "
             "and no ambiguous three-frequency sums"

@@ -3,16 +3,17 @@
 Exit codes: 0 on success, 2 for usage errors, for model problems (an
 unknown ``builtin:`` name, a model path that cannot be read, such as a
 missing file or a directory, a file that is not UTF-8 text, parse or
-compile diagnostics) and for output paths that cannot be written (``--out``
-or ``--csv`` naming a directory or a file in a missing directory, both
-naming the same file, or either naming the model file, is refused before
-anything is computed), 3 for
-numerical-guard failures: any ``errors.NumericalGuardError`` (such as the
-term budget, the power cap, the dimension cap, the quadrature refinement
-budget, couplings so large that a series coefficient is not finite, such
-as a tone of norm ``1e200``, or a ``--sweep`` factor that scales an order
-out of the float range, such as ``1e200``) and an allocation that runs
-out of memory, such as the time grid of a huge ``--grid``; each prints a
+compile diagnostics, such as couplings so large that a sample of H is
+not finite, a tone of norm ``1e308``) and for output paths that cannot
+be written (``--out`` or ``--csv`` naming a directory or a file in a
+missing directory, both naming the same file, or either naming the model
+file, is refused before anything is computed), 3 for numerical-guard
+failures: any ``errors.NumericalGuardError`` (such as the term budget,
+the power cap, the dimension cap, the quadrature refinement budget,
+couplings so large that a series coefficient is not finite, such as a
+tone of norm ``1e200``, or a ``--sweep`` factor that scales an order out
+of the float range, such as ``1e200``) and an allocation that runs out
+of memory, such as the time grid of a huge ``--grid``; each prints a
 one-line message. A usage error is
 an option that does not parse, or whose value the library refuses: each
 option takes the check of the ``run_report`` keyword of its name

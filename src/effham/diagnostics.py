@@ -334,17 +334,18 @@ def run_report(
 ) -> Report:
     """Run the full diagnostic pipeline for one model.
 
-    ``model_path_or_name`` is a ``.ham`` file path, a bare zoo name, or
-    ``builtin:NAME``. Returns the :class:`Report`; :meth:`Report.write`
-    writes its JSON and CSV files. ``orders``, ``tmax``, ``grid`` and
-    ``sweep`` that their ``OPTION_CHECKS`` refuse raise
-    :class:`OperatorValueError` before the model is loaded; a finite sweep
-    factor that scales some order out of the float range raises
-    :class:`SweepOverflowError`, which names the factor and the order.
-    ``tol_zero`` reaches both the frequency report and the secular
-    extraction; thresholds that :func:`~effham.model.check_thresholds`
-    refuses raise :class:`OperatorValueError` from
-    :func:`frequency_report`, before any build.
+    ``model_path_or_name`` is ``builtin:NAME`` for a zoo model; any other
+    string, a bare zoo name too, is the path of a ``.ham`` file. Returns
+    the :class:`Report`; :meth:`Report.write` writes its JSON and CSV
+    files. ``orders``, ``tmax``, ``grid`` and ``sweep`` that their
+    ``OPTION_CHECKS`` refuse raise :class:`OperatorValueError` before the
+    model is loaded; a finite sweep factor that scales some order out of
+    the float range raises :class:`SweepOverflowError`, which names the
+    factor and the order. ``tol_zero`` reaches both the frequency report
+    and the secular extraction; thresholds that
+    :func:`~effham.model.check_thresholds` refuses raise
+    :class:`OperatorValueError` from :func:`frequency_report`, before any
+    build.
 
     Every order comes from one :func:`~effham.builder.heff_secular` call
     over the tuple of orders, which builds one definite and one indefinite
@@ -376,8 +377,6 @@ def run_report(
     source = model_path_or_name
     if source.startswith("builtin:"):
         H = make_model(source[len("builtin:"):])
-    elif source in _ZOO:
-        H = make_model(source)
     else:
         from .dsl import load_model
 

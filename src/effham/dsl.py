@@ -679,7 +679,10 @@ class _Compiler:
                     t.line,
                 )
             tones.append(ToneTerm(value, omega))
-        return MultiToneHamiltonian(tones)
+        try:
+            return MultiToneHamiltonian(tones)
+        except OperatorValueError as exc:
+            raise ModelCompileError(str(exc)) from None
 
     def eval(self, expr):
         # names hold checked values; every other value is checked where it

@@ -59,7 +59,10 @@ class MultiToneHamiltonian:
     tones:
         Sequence of ``(h, omega)`` pairs or :class:`ToneTerm` instances;
         must be nonempty and share one dimension, and every ``omega``
-        must pass :func:`check_carrier`.
+        must pass :func:`check_carrier`. The couplings must keep every
+        sample of H finite: :class:`OperatorValueError` refuses them when
+        the entrywise sum of ``|h_m + h_m^dag|`` and ``|h_m - h_m^dag|``
+        over the tones, taken on real and imaginary parts, is not finite.
     """
 
     __slots__ = ("dim", "tones", "_omegas", "_stack")
@@ -83,11 +86,16 @@ class MultiToneHamiltonian:
 
         # Hermitian rows [h_m + h_m^dag ; i (h_m - h_m^dag)], each stored as
         # the (real, imaginary) pairs of its d * d entries, so that a sample
-        # is a real matrix product
+        # is a real matrix product. As |cos| and |sin| are at most 1, the sum
+        # of |rows| bounds every part of every sample.
         omegas = np.array([t.omega for t in terms], dtype=float)
-        stack = np.stack([t.h + t.h.conj().T for t in terms]
-                         + [1j * (t.h - t.h.conj().T) for t in terms])
-        stack = stack.reshape(2 * len(terms), dim * dim).view(float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = np.stack([t.h + t.h.conj().T for t in terms]
+                             + [1j * (t.h - t.h.conj().T) for t in terms])
+            stack = stack.reshape(2 * len(terms), dim * dim).view(float)
+            bound = np.abs(stack).sum(axis=0)
+        if not np.isfinite(bound).all():
+            raise OperatorValueError("the couplings are so large that a sample of H is not finite")
         omegas.setflags(write=False)
         stack.setflags(write=False)
 

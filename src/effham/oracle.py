@@ -582,7 +582,7 @@ def quad_oracle(H, n, t, tol: float,
     def result(values: dict[int, np.ndarray]):
         values = {k: values[k] for k in orders}  # ascending, not in convergence order
         if scalar:
-            values = {k: None if v is None else v[0] for k, v in values.items()}
+            values = {k: v[0] for k, v in values.items()}
         return values[orders[0]] if single else values
 
     T = float(times.max())

@@ -4,14 +4,16 @@ The class of scalar functions spanned by such monomials is closed under
 multiplication, differentiation and definite integration from 0, which is
 what makes closed-form construction of nested time-ordered integrals
 possible. A :class:`TonePoly` is always held in canonical form: terms
-sorted by (frequency, power), frequencies within ``tol_zero`` of each
+sorted by (frequency, power), frequencies within ``TOL_ZERO`` of each
 other merged (and snapped to exactly 0.0 near zero), and coefficients
-below ``drop_tol`` relative to the largest one pruned.
+below ``DROP_TOL`` relative to the largest one pruned. Both are module
+constants: every constructor, product, sum, integral and derivative
+canonicalizes with the same two.
 
 Canonical terms are never canonicalized again. ``TonePoly._of`` takes
 terms that are canonical already, as they are. The constructor snaps its
 input triples (nonzero coefficients made complex, frequencies within
-``tol_zero`` of 0 set to 0.0) and a product snaps each product triple as
+``TOL_ZERO`` of 0 set to 0.0) and a product snaps each product triple as
 it forms it; either then canonicalizes once. The by-parts integral and
 the derivative are each one loop over the terms. For a one-term
 polynomial whose frequency is 0.0 or farther than ``TOL_ZERO`` from 0
@@ -31,7 +33,7 @@ import numpy as np
 from .errors import PowerCapError
 
 #: Frequencies closer than this (rad per unit time) count as equal; in
-#: particular, anything within tol_zero of 0 is treated as zero frequency.
+#: particular, anything within TOL_ZERO of 0 is treated as zero frequency.
 TOL_ZERO = 1e-9
 
 #: Relative coefficient threshold below which cancelled terms are pruned.
@@ -60,12 +62,11 @@ _new_mono = tuple.__new__
 _BY_KEY = itemgetter(0, 1)
 
 
-def _canonicalize(snapped: list[tuple[float, int, complex]], tol_zero: float,
-                  drop_tol: float) -> tuple[ToneMono, ...]:
+def _canonicalize(snapped: list[tuple[float, int, complex]]) -> tuple[ToneMono, ...]:
     """Canonical terms of snapped ``(freq, power, coeff)`` triples, as
     :meth:`TonePoly.__init__` and :meth:`TonePoly.__mul__` form them: each
     coefficient nonzero and complex, each frequency a float snapped to 0.0
-    within ``tol_zero`` of 0. One sort by (frequency, power), then one pass
+    within ``TOL_ZERO`` of 0. One sort by (frequency, power), then one pass
     that clusters and sums."""
     if not snapped:
         return ()
@@ -79,7 +80,7 @@ def _canonicalize(snapped: list[tuple[float, int, complex]], tol_zero: float,
     regroup = False
     for freq, power, coeff in snapped:
         if freq != cluster_freq:
-            if freq - cluster_freq > tol_zero:
+            if freq - cluster_freq > TOL_ZERO:
                 cluster_freq = freq
             else:
                 regroup = True
@@ -89,7 +90,7 @@ def _canonicalize(snapped: list[tuple[float, int, complex]], tol_zero: float,
     max_mag = max(map(abs, merged.values()))
     if max_mag == 0.0:
         return ()
-    floor = drop_tol * max_mag
+    floor = DROP_TOL * max_mag
     items = sorted(merged.items()) if regroup else merged.items()
     return tuple([_new_mono(ToneMono, (coeff, power, freq))
                   for (freq, power), coeff in items if abs(coeff) > floor])
@@ -106,12 +107,10 @@ class TonePoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[tuple[complex, int, float]] = (), *,
-                 tol_zero: float = TOL_ZERO,
-                 drop_tol: float = DROP_TOL):
-        snapped = [(0.0 if abs(freq) <= tol_zero else float(freq), int(power), complex(coeff))
+    def __init__(self, terms: Iterable[tuple[complex, int, float]] = ()):
+        snapped = [(0.0 if abs(freq) <= TOL_ZERO else float(freq), int(power), complex(coeff))
                    for coeff, power, freq in terms if coeff != 0]
-        object.__setattr__(self, "terms", _canonicalize(snapped, tol_zero, drop_tol))
+        object.__setattr__(self, "terms", _canonicalize(snapped))
         for m in self.terms:
             if m.power > POWER_CAP:
                 raise PowerCapError(f"power {m.power} exceeds cap {POWER_CAP}")
@@ -208,7 +207,7 @@ class TonePoly:
             return TonePoly._of(_canonicalize(
                 [(0.0 if abs(f) <= TOL_ZERO else f, p1 + p2, c)
                  for c1, p1, f1 in self.terms for c2, p2, f2 in other.terms
-                 if (c := c1 * c2) != 0 for f in (f1 + f2,)], TOL_ZERO, DROP_TOL))
+                 if (c := c1 * c2) != 0 for f in (f1 + f2,)]))
         z = complex(other)
         return TonePoly([(c * z, p, f) for c, p, f in self.terms])
 
@@ -316,8 +315,7 @@ def _integral_table(k: int, freq: float) -> tuple[list[tuple[complex, int]], com
     return osc, const
 
 
-def poly_allclose(p: TonePoly, q: TonePoly, rtol: float = 1e-11,
-                  tol_zero: float = TOL_ZERO) -> bool:
+def poly_allclose(p: TonePoly, q: TonePoly, rtol: float = 1e-11) -> bool:
     """Coefficient-level comparison of two canonical polynomials.
 
     The residual of ``p - q`` is measured against the largest coefficient
@@ -326,6 +324,5 @@ def poly_allclose(p: TonePoly, q: TonePoly, rtol: float = 1e-11,
     scale = max(p.max_abs_coeff(), q.max_abs_coeff())
     if scale == 0.0:
         return True
-    diff = TonePoly(p.terms + tuple((-c, k, f) for c, k, f in q.terms),
-                    tol_zero=tol_zero, drop_tol=0.0)
+    diff = TonePoly(p.terms + tuple((-c, k, f) for c, k, f in q.terms))
     return diff.max_abs_coeff() <= rtol * scale

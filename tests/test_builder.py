@@ -91,12 +91,6 @@ def test_heff2_rwa_rejects_degenerate_frequencies():
         heff2_rwa(H)
 
 
-def test_heff2_rwa_accepts_precomputed_report():
-    H = make_model("raman_lambda")
-    report = frequency_report(H)
-    assert np.allclose(heff2_rwa(H, report), heff2_rwa(H))
-
-
 def test_heff2_secular_matches_rwa_when_distinct():
     for name in ("jc_detuned", "raman_lambda", "noncommuting_two_tone"):
         H = make_model(name)

@@ -42,6 +42,21 @@ def test_missing_file_exits_2(capsys):
     assert "model error" in capsys.readouterr().err
 
 
+def test_couplings_whose_samples_overflow_exit_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "big.ham"
+    path.write_text("space q 2\ntone 1e308 * sx(q) omega = 1\n")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "effham: model error: the couplings are so large that a sample of H is not finite\n")
+
+
+def test_a_zoo_name_without_builtin_is_a_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["report", "jc_detuned"]) == 2
+    assert capsys.readouterr().err == (
+        "effham: model error: cannot read 'jc_detuned': No such file or directory\n")
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ham"
     bad.write_text("space q 2\ntone sx(q) omega = -3.0\n")

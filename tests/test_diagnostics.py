@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -221,8 +222,15 @@ def test_eq6_gap_grid_rejects_bad_times_before_any_build(ts):
 DEMO_MODELS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "models"
 
 
+def test_a_bare_string_is_a_path_even_when_it_names_a_zoo_model(tmp_path, monkeypatch):
+    shutil.copy(DEMO_MODELS / "driven_qutrit.ham", tmp_path / "raman_lambda")
+    monkeypatch.chdir(tmp_path)
+    assert run_report("raman_lambda", grid=8).omegas == (2.0, 3.3)
+    assert run_report("builtin:raman_lambda", grid=8).omegas == (1.0, 1.3)
+
+
 def test_report_scalar_identity_gap_column():
-    rep = run_report("scalar_single_tone", grid=16)
+    rep = run_report("builtin:scalar_single_tone", grid=16)
     assert rep.eq6.max() <= 1e-12
     # single-tone model: no pair gap; JSON must stay finite (null, not inf)
     data = json.loads(rep.to_json())
@@ -230,7 +238,7 @@ def test_report_scalar_identity_gap_column():
 
 
 def test_report_noncommuting_order3():
-    rep = run_report("noncommuting_two_tone", orders=(2, 3), grid=32)
+    rep = run_report("builtin:noncommuting_two_tone", orders=(2, 3), grid=32)
     rec3 = [r for r in rep.orders if r.order == 3][0]
     assert rec3.hermiticity_defect_grid.max() > 1e-3
     assert rec3.secular_hermiticity_defect < 1e-10
@@ -239,7 +247,7 @@ def test_report_noncommuting_order3():
 
 
 def test_report_sweep_slope():
-    rep = run_report("noncommuting_two_tone", orders=(2,), grid=8,
+    rep = run_report("builtin:noncommuting_two_tone", orders=(2,), grid=8,
                      sweep=(0.4, 0.2, 0.1))
     lams = np.array(rep.sweep["lambdas"])
     defects = np.array(
@@ -250,7 +258,7 @@ def test_report_sweep_slope():
 
 
 def test_report_sweep_hermiticity_scaling():
-    rep = run_report("noncommuting_two_tone", orders=(2, 3), grid=16,
+    rep = run_report("builtin:noncommuting_two_tone", orders=(2, 3), grid=16,
                      sweep=(0.4, 0.2, 0.1))
     for idx, n in enumerate(rep.options["orders"]):
         lams = np.array(rep.sweep["lambdas"])
@@ -262,8 +270,8 @@ def test_report_sweep_hermiticity_scaling():
 
 
 def test_report_deterministic_apart_from_timestamp():
-    a = run_report("raman_lambda", grid=12).as_dict()
-    b = run_report("raman_lambda", grid=12).as_dict()
+    a = run_report("builtin:raman_lambda", grid=12).as_dict()
+    b = run_report("builtin:raman_lambda", grid=12).as_dict()
     a.pop("generated_at")
     b.pop("generated_at")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
@@ -272,7 +280,7 @@ def test_report_deterministic_apart_from_timestamp():
 def test_report_json_and_csv_files(tmp_path):
     out = tmp_path / "report.json"
     csv_file = tmp_path / "series.csv"
-    rep = run_report("commuting_diag", grid=8)
+    rep = run_report("builtin:commuting_diag", grid=8)
     rep.write(str(out), str(csv_file))
     data = json.loads(out.read_text())
     assert data["schema"] == 1
@@ -286,7 +294,7 @@ def test_report_json_and_csv_files(tmp_path):
 
 
 def test_report_grids_strictly_increasing():
-    rep = run_report("scalar_single_tone", grid=8)
+    rep = run_report("builtin:scalar_single_tone", grid=8)
     assert np.all(np.diff(rep.time_grid) > 0)
 
 
@@ -438,7 +446,7 @@ def test_report_builds_one_definite_and_one_indefinite_chain(orders, products, m
 
     monkeypatch.setattr(OperatorSeries, "__mul__", counting_mul)
     monkeypatch.setattr(OperatorSeries, "integrate_from_zero", counting_integrate)
-    run_report("raman_lambda", orders=orders, grid=8)
+    run_report("builtin:raman_lambda", orders=orders, grid=8)
     N = max(orders)
     assert calls["mul"] == 2 * (N - 1) + 4 == products
     assert calls["integrate"] == 2 * N + 3

@@ -51,6 +51,25 @@ def test_accepts_largest_carrier_whose_sums_stay_finite():
     assert all(math.isfinite(s.value) for s in frequency_report(H).three_sum_classes)
 
 
+def test_accepts_couplings_whose_samples_stay_finite():
+    # h + h^dag reaches the largest float exactly, and a sample stays below it
+    H = MultiToneHamiltonian([(math.nextafter(math.inf, 0) / 2 * sigma_x(), 1.0)])
+    assert np.isfinite(H.evaluate_grid(np.linspace(0.0, 7.0, 29))).all()
+    assert np.isfinite(MultiToneHamiltonian([(1e300 * sigma_x(), 1.0)]).evaluate(0.0)).all()
+
+
+@pytest.mark.parametrize("tones", [
+    [(1e308 * sigma_x(), 1.0)],
+    [(math.nextafter(math.nextafter(math.inf, 0) / 2, math.inf) * sigma_x(), 1.0)],
+    [(0.9e308 * sigma_plus(), 1.0), (0.9e308 * sigma_plus(), 2.0)],
+])
+def test_refuses_couplings_whose_samples_overflow(tones):
+    # under the warnings-as-errors filter, so no numpy warning comes first
+    with pytest.raises(OperatorValueError, match="^the couplings are so large that a sample of H "
+                                                 "is not finite$"):
+        MultiToneHamiltonian(tones)
+
+
 def test_requires_nonempty_tones():
     with pytest.raises(OperatorValueError):
         MultiToneHamiltonian([])

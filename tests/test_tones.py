@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from effham import POWER_CAP, TOL_ZERO, PowerCapError, ToneMono, TonePoly, poly_allclose
-from effham.tones import _integral_table
+from effham.tones import DROP_TOL, _integral_table
 
 
 def random_poly(rng, n_terms=10, max_power=3, freq_scale=5.0, coeff_scale=10.0):
@@ -293,11 +293,10 @@ def test_canonicalize_matches_reference(rng):
     for trial in range(300):
         terms = edge_terms(rng, int(rng.integers(0, 14)))
         rng.shuffle(terms)
-        for drop_tol in (1e-14, 0.0, 0.3):
-            expected = reference_canonicalize(terms, TOL_ZERO, drop_tol)
-            got = TonePoly(terms, drop_tol=drop_tol).terms
-            assert got == expected, trial
-            assert [type(c) for m in got for c in m] == [type(c) for m in expected for c in m]
+        expected = reference_canonicalize(terms, TOL_ZERO, DROP_TOL)
+        got = TonePoly(terms).terms
+        assert got == expected, trial
+        assert [type(c) for m in got for c in m] == [type(c) for m in expected for c in m]
 
 
 def test_canonicalize_matches_reference_on_random_polys(rng):
@@ -458,21 +457,6 @@ def test_one_term_route_edge_cases():
     # a key just outside TOL_ZERO of 0 keeps its own frequency
     assert {m.freq for m in TonePoly.exponential(1.5 * TOL_ZERO).integrate_from_zero().terms} == {
         0.0, 1.5 * TOL_ZERO}
-
-
-@pytest.mark.parametrize("freq", [0.5 * TOL_ZERO, -0.5 * TOL_ZERO, TOL_ZERO, -TOL_ZERO])
-def test_one_term_within_tol_zero_still_snaps(freq):
-    # a finer tol_zero keeps a frequency the default would snap; the calculus
-    # canonicalizes with the default, so its result sits at exactly 0.0
-    for power in range(POWER_CAP + 1):
-        p = TonePoly([ToneMono(2.0 - 1j, power, freq)], tol_zero=1e-12)
-        assert p.terms[0].freq == freq
-        for op, ref in ((TonePoly.integrate_from_zero, reference_integrate),
-                        (TonePoly.derivative, reference_derivative)):
-            got = outcome(op, p)
-            assert got == outcome(ref, p), (op.__name__, power)
-            if got and got[0] != "PowerCapError":
-                assert {m.freq for m in op(p).terms} == {0.0}
 
 
 # ----------------------------------------------------------------------
