@@ -1,7 +1,7 @@
 """Closed-form effective Hamiltonians and time-ordered propagator terms.
 
-Every closed form here comes from one Dyson recursion (:func:`_chain`,
-one :func:`_dyson_step` per order); no other module runs it:
+Every closed form here comes from one Dyson recursion, whose loop is
+:func:`_chain` (one step per order); no other module runs it:
 
     U_0 = I,    U_k(t) = (1/(i*hbar)) * int_0^t H(t') U_{k-1}(t') dt',
 
@@ -84,40 +84,28 @@ def _drop_lower_limit_constants(I: OperatorSeries) -> OperatorSeries:
     return OperatorSeries._of(I.dim, I.freqs[keep], I.powers[keep], I.coeffs[keep])
 
 
-def _dyson_step(heff: OperatorSeries, table: dict,
-                indefinite: bool = False) -> OperatorSeries:
-    """One step of the Dyson recursion: ``U_n = (1/(i*hbar)) int_0^t Heff_n``.
-
-    ``heff`` is the order-n integrand ``Heff_n = H * U_{n-1}`` (``H`` itself
-    at n = 1) and ``table`` the build's by-parts table (see
-    :meth:`OperatorSeries.integrate_from_zero`). If ``indefinite``, the
-    integral drops its lower-limit constants.
-    """
-    integral = heff.integrate_from_zero(table=table)
-    if indefinite:
-        integral = _drop_lower_limit_constants(integral)
-    return integral.scale(_STEP)
-
-
 def _chain(S: OperatorSeries, N: int, indefinite: bool = False,
            table: dict | None = None) -> tuple[list[OperatorSeries], list[OperatorSeries]]:
     """Integrands ``[Heff_1, ..., Heff_N]`` and terms ``[U_1, ..., U_N]``.
 
-    ``Heff_1 = S``, ``U_k = _dyson_step(Heff_k)`` and ``Heff_k = S * U_(k-1)``,
-    with every integral from 0. The chain makes N - 1 products and N
-    integrals. If ``indefinite``, every integral drops its lower-limit
-    constants and the terms stop at ``U_(N-1)``: only the integrands of that
-    frame are read, so it makes N - 1 integrals. The integrals share
-    ``table`` (a new one by default), so each distinct key is integrated
-    once per build.
+    One step of the Dyson recursion per order: ``U_k = (1/(i*hbar)) int_0^t
+    Heff_k`` and ``Heff_(k+1) = S * U_k``, from ``Heff_1 = S``. The chain
+    makes N - 1 products and N integrals. If ``indefinite``, every integral
+    drops its lower-limit constants and the terms stop at ``U_(N-1)``: only
+    the integrands of that frame are read, so it makes N - 1 integrals. The
+    integrals share ``table`` (a new one by default; see
+    :meth:`OperatorSeries.integrate_from_zero`), so each distinct key is
+    integrated once per build.
     """
     table = {} if table is None else table
     heffs, terms = [S], []
-    for _ in range(N - 1):
-        terms.append(_dyson_step(heffs[-1], table, indefinite))
-        heffs.append(S * terms[-1])
-    if not indefinite:
-        terms.append(_dyson_step(heffs[-1], table))
+    for k in range(N - 1 if indefinite else N):
+        integral = heffs[-1].integrate_from_zero(table=table)
+        if indefinite:
+            integral = _drop_lower_limit_constants(integral)
+        terms.append(integral.scale(_STEP))
+        if k < N - 1:
+            heffs.append(S * terms[-1])
     return heffs, terms
 
 

@@ -4,7 +4,8 @@ Exit codes: 0 on success, 2 for usage errors, for model problems (an
 unknown ``builtin:`` name, a model path that cannot be read, such as a
 missing file or a directory, a file that is not UTF-8 text, parse or
 compile diagnostics, such as couplings so large that a sample of H is
-not finite, a tone of norm ``1e308``) and for output paths that cannot
+not finite, a tone of norm ``1e308``, or a carrier at or below
+``TOL_ZERO``, such as ``omega = 1e-300``) and for output paths that cannot
 be written (``--out`` or ``--csv`` naming a directory or a file in a
 missing directory, both naming the same file, or either naming the model
 file, is refused before anything is computed), 3 for numerical-guard
@@ -144,15 +145,7 @@ def main(argv: list[str] | None = None) -> int:
             return _fail("output error", f"{option} {path!r} names the model file "
                                          f"{args.model!r}", 2)
     try:
-        report = run_report(
-            args.model,
-            orders=args.orders,
-            tmax=args.tmax,
-            grid=args.grid,
-            sweep=args.sweep,
-            tol_zero=args.tol_zero,
-            gap_min=args.gap_min,
-        )
+        report = run_report(args.model, **{key: getattr(args, key) for key in OPTION_CHECKS})
     except ModelError as exc:
         return _fail("model error", str(exc), 2)
     except OSError as exc:  # the model file is the only thing run_report reads

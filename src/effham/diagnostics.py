@@ -16,6 +16,7 @@ produce byte-identical JSON apart from the timestamp field.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -25,6 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import builder
+from .dsl import load_model
 from .errors import (
     SweepOverflowError,
     UnknownModelError,
@@ -46,7 +48,6 @@ from .model import (
 )
 from .operators import annihilate, projector, sigma_plus, sigma_z, tensor_product
 from .oracle import quad_oracle
-from .series import OperatorSeries
 from .tones import TOL_ZERO
 
 SCHEMA_VERSION = 1
@@ -71,14 +72,6 @@ OPTION_CHECKS = {
 # reordering identity
 
 
-def _identity_sides(H: MultiToneHamiltonian) -> tuple[OperatorSeries, OperatorSeries]:
-    # left: H * II[H H] = (i*hbar)**2 Heff_3; right: the reordered product
-    S = H.to_operator_series()
-    left = builder.heff_n_timedep(H, 3).scale(-HBAR ** 2)
-    right = (S.integrate_from_zero() * S).integrate_from_zero() * S
-    return left, right
-
-
 def eq6_gap(H: MultiToneHamiltonian, t: float) -> float:
     """Frobenius gap of the third-order reordering identity at time t.
 
@@ -93,7 +86,10 @@ def eq6_gap_grid(H: MultiToneHamiltonian, ts) -> np.ndarray:
     """Vectorized :func:`eq6_gap` over a time grid, a 1-D sequence of
     finite times, checked before any series is built."""
     ts = check_times("time grid", ts)
-    left, right = _identity_sides(H)
+    # left: H * II[H H] = (i*hbar)**2 Heff_3; right: the reordered product
+    S = H.to_operator_series()
+    left = builder.heff_n_timedep(H, 3).scale(-HBAR ** 2)
+    right = (S.integrate_from_zero() * S).integrate_from_zero() * S
     diff = left.evaluate_grid(ts) - right.evaluate_grid(ts)
     return np.linalg.norm(diff, axis=(1, 2))
 
@@ -136,13 +132,8 @@ def scalar_single_tone(g: float = 1.0, omega: float = 1.0) -> MultiToneHamiltoni
     return MultiToneHamiltonian([ToneTerm(np.array([[g]], dtype=complex), omega)])
 
 
-_ZOO = {
-    "jc_detuned": jc_detuned,
-    "raman_lambda": raman_lambda,
-    "commuting_diag": commuting_diag,
-    "noncommuting_two_tone": noncommuting_two_tone,
-    "scalar_single_tone": scalar_single_tone,
-}
+_ZOO = {f.__name__: f for f in (jc_detuned, raman_lambda, commuting_diag,
+                                 noncommuting_two_tone, scalar_single_tone)}
 
 ZOO_NAMES = tuple(sorted(_ZOO))
 
@@ -252,20 +243,13 @@ class Report:
 
     def csv_rows(self) -> list[list]:
         """Time series table: t, per-order defect columns, then the identity gap."""
-        header: list = ["t"]
+        columns = [("t", self.time_grid)]
         for rec in self.orders:
-            header.append(f"hermiticity_defect_order{rec.order}")
-            header.append(f"dyson_unitarity_defect_order{rec.order}")
-        header.append("eq6_gap")
-        rows: list[list] = [header]
-        for i, t in enumerate(self.time_grid):
-            row: list = [float(t)]
-            for rec in self.orders:
-                row.append(float(rec.hermiticity_defect_grid[i]))
-                row.append(float(rec.dyson_unitarity_grid[i]))
-            row.append(float(self.eq6[i]))
-            rows.append(row)
-        return rows
+            columns.append((f"hermiticity_defect_order{rec.order}", rec.hermiticity_defect_grid))
+            columns.append((f"dyson_unitarity_defect_order{rec.order}", rec.dyson_unitarity_grid))
+        columns.append(("eq6_gap", self.eq6))
+        names, values = zip(*columns)
+        return [list(names)] + [[float(x) for x in row] for row in zip(*values)]
 
     def write(self, json_path: str | None = None, csv_path: str | None = None) -> None:
         """Write the JSON report and the CSV time series to the paths given."""
@@ -274,10 +258,8 @@ class Report:
                 fh.write(self.to_json())
                 fh.write("\n")
         if csv_path:
-            import csv as _csv
-
             with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-                _csv.writer(fh).writerows(self.csv_rows())
+                csv.writer(fh).writerows(self.csv_rows())
 
 
 def _unitarity_of_partial_sums(terms, orders: tuple[int, ...]) -> dict[int, np.ndarray]:
@@ -378,8 +360,6 @@ def run_report(
     if source.startswith("builtin:"):
         H = make_model(source[len("builtin:"):])
     else:
-        from .dsl import load_model
-
         H = load_model(source)
 
     # linspace ends on its stop exactly, so ts[-1] is the given tmax

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -106,6 +107,14 @@ _MAX_EXPR_DEPTH = 200
 
 #: Binary operators by precedence level, the loosest first.
 _LEVELS = ("+-", "*")
+
+#: Each binary operator: its arithmetic when a scalar takes part, its
+#: arithmetic on two matrices, and the verb of its dimension diagnostics.
+_BINARY = {
+    "+": (operator.add, operator.add, "add"),
+    "-": (operator.sub, operator.sub, "add"),
+    "*": (operator.mul, operator.matmul, "multiply"),
+}
 
 
 # ----------------------------------------------------------------------
@@ -509,9 +518,8 @@ def _eval_scalar(expr, params: dict[str, float]) -> complex:
     if isinstance(expr, Neg):
         return -_eval_scalar(expr.operand, params)
     if isinstance(expr, BinOp):
-        a = _eval_scalar(expr.left, params)
-        b = _eval_scalar(expr.right, params)
-        return a * b if expr.op == "*" else a + b if expr.op == "+" else a - b
+        return _BINARY[expr.op][0](_eval_scalar(expr.left, params),
+                                   _eval_scalar(expr.right, params))
     raise ModelValidationError(
         "expected a scalar expression (numbers and params only)",
         getattr(expr, "line", None),
@@ -756,33 +764,25 @@ class _Compiler:
     def eval_binop(self, expr: BinOp):
         a = self.eval(expr.left)
         b = self.eval(expr.right)
+        mixed_op, matrix_op, verb = _BINARY[expr.op]
         a_mat = isinstance(a, np.ndarray)
         b_mat = isinstance(b, np.ndarray)
-        if expr.op == "*":
-            if a_mat and b_mat:
-                if a.shape != b.shape:
-                    raise ModelCompileError(
-                        f"cannot multiply operators of dimensions {a.shape[0]} "
-                        f"and {b.shape[0]}",
-                        expr.line,
-                        expr.col,
-                    )
-                return a @ b
-            return a * b
-        # + or -
-        if a_mat != b_mat:
+        if a_mat and b_mat:
+            if a.shape != b.shape:
+                raise ModelCompileError(
+                    f"cannot {verb} operators of dimensions {a.shape[0]} and {b.shape[0]}",
+                    expr.line,
+                    expr.col,
+                )
+            return matrix_op(a, b)
+        # a scalar scales an operator but is not added to one
+        if a_mat != b_mat and verb == "add":
             raise ModelCompileError(
                 "cannot add a scalar and an operator (wrap scalars with id(...))",
                 expr.line,
                 expr.col,
             )
-        if a_mat and a.shape != b.shape:
-            raise ModelCompileError(
-                f"cannot add operators of dimensions {a.shape[0]} and {b.shape[0]}",
-                expr.line,
-                expr.col,
-            )
-        return a + b if expr.op == "+" else a - b
+        return mixed_op(a, b)
 
 
 def compile_model(ast: ModelSpecAst) -> MultiToneHamiltonian:

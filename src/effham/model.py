@@ -191,9 +191,14 @@ class FrequencyReport:
 
 def check_carrier(value) -> float:
     """``value`` as a ``float`` if it is a carrier frequency: a finite real
-    number > 0 whose ``MAX_ORDER``-fold sum is finite, so that no sum of
-    carriers the builders or the frequency report form overflows."""
+    number > ``TOL_ZERO`` whose ``MAX_ORDER``-fold sum is finite. The series
+    would snap a carrier at or below ``TOL_ZERO`` to frequency 0, so the
+    closed forms and the oracles would describe different models; and no
+    sum of carriers the builders or the frequency report form overflows."""
     omega = float(check_real("tone frequency", value, 0.0, strict=True))
+    if omega <= TOL_ZERO:
+        raise OperatorValueError(f"tone frequency must be > TOL_ZERO ({TOL_ZERO:g}), below "
+                                 f"which a frequency counts as 0, got {omega!r}")
     if not math.isfinite(MAX_ORDER * omega):
         raise OperatorValueError(
             f"tone frequency {omega:g} is too large: a sum of {MAX_ORDER} "

@@ -50,6 +50,21 @@ def test_couplings_whose_samples_overflow_exit_2_with_one_line(tmp_path, capsys)
         "effham: model error: the couplings are so large that a sample of H is not finite\n")
 
 
+@pytest.mark.parametrize("spaces, tone, omega", [
+    ("space s 2\n", "sx(s)", "5e-324"),
+    ("space s1 2\nspace s2 2\n", "sm(s2)", "1e-300"),
+])
+def test_carrier_at_or_below_tol_zero_exits_2_with_one_line(spaces, tone, omega, tmp_path,
+                                                            capsys):
+    path = tmp_path / "carrier.ham"
+    path.write_text(f"{spaces}tone {tone} omega = {omega}\n")
+    assert main(["report", str(path)]) == 2
+    line = spaces.count("\n") + 1
+    assert _one_line(capsys) == (f"effham: model error: {line}:0: tone frequency must be "
+                                 f"> TOL_ZERO (1e-09), below which a frequency counts as 0, "
+                                 f"got {omega}")
+
+
 def test_a_zoo_name_without_builtin_is_a_path(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["report", "jc_detuned"]) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from effham import (
+    TOL_ZERO,
     ZOO_NAMES,
     DimensionMismatchError,
     MultiToneHamiltonian,
@@ -43,6 +44,18 @@ def test_refuses_carrier_whose_sums_overflow(omega):
     match = "overflow" if math.isfinite(omega) else "finite real number > 0, got inf"
     with pytest.raises(OperatorValueError, match=match):
         MultiToneHamiltonian([(sigma_x(), omega)])
+
+
+@pytest.mark.parametrize("omega", [TOL_ZERO, 5e-324])
+def test_refuses_carrier_at_or_below_tol_zero(omega):
+    # the series would snap such a carrier to frequency 0, the oracles would not
+    with pytest.raises(OperatorValueError, match=r"> TOL_ZERO \(1e-09\)"):
+        MultiToneHamiltonian([(sigma_x(), omega)])
+
+
+def test_accepts_smallest_carrier_above_tol_zero():
+    omega = np.nextafter(TOL_ZERO, 1)
+    assert MultiToneHamiltonian([(sigma_x(), omega)]).omegas == (omega,)
 
 
 def test_accepts_largest_carrier_whose_sums_stay_finite():
