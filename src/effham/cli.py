@@ -10,7 +10,8 @@ be written (``--out`` or ``--csv`` naming a directory or a file in a
 missing directory, both naming the same file, or either naming the model
 file, is refused before anything is computed), 3 for numerical-guard
 failures: any ``errors.NumericalGuardError`` (such as the term budget,
-the power cap, the dimension cap, the quadrature refinement budget,
+the power cap, the dimension cap, the quadrature refinement budget, a
+quadrature whose nested chain overflows, such as at a ``--tmax`` of 1e300,
 couplings so large that a series coefficient is not finite, such as a
 tone of norm ``1e200``, or a ``--sweep`` factor that scales an order out
 of the float range, such as ``1e200``) and an allocation that runs out
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import re
 import sys
@@ -61,7 +63,10 @@ def _numbers(convert):
     return lambda text: tuple(convert(x) for x in text.split(","))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``effham`` parser, built once per process: parsing leaves it
+    unchanged, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="effham",
         description="Closed-form effective Hamiltonians for multi-tone models "

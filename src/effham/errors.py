@@ -70,7 +70,8 @@ class FrequencyConditionError(EffhamError):
 
 
 class QuadratureError(NumericalGuardError):
-    """Quadrature refinement budget exhausted before reaching tolerance.
+    """Quadrature refinement budget exhausted before reaching tolerance,
+    or a nested chain that overflowed, which no finer grid brings back.
 
     Carries the best available estimate in ``best``.
     """

@@ -21,41 +21,56 @@ fine and coarse maps, so that the step-halving estimate is read off that
 difference rather than off a subtraction of two nearly equal products.
 Each block's node is folded into the running one by the same rule.
 
-Each block is split into the invariant sectors of its own samples: the
-connected components of the union over its samples of ``H != 0``, made
-symmetric. No sample couples two sectors, so no step map does either, and
-the block's maps are computed on a zero-padded ``(b, b)`` stack of the
-sectors, ``b`` the largest sector, and scattered back into ``(d, d)``. An
-idle level, a lone level with no diagonal entry in any sample, is left out
-of the stack: it never moves, so its rows and columns of every step map
-are those of the identity, and its quadrature values zero, as the scatter
-gives them. The sectors are read off the samples rather than off a
-model's tone matrices, so the split is exact for any grid function,
-series and duck-typed operators included. One object, ``_SectorStage``,
-holds the split for a whole run of either oracle: it finds the sectors
-again only when a stack's pattern differs from the previous stack's,
-gathers the stack into them and scatters values back, and passes stacks
-that run unsplit through unchanged. A model that conserves a quantum
-number, such as the excitation number of the Jaynes-Cummings model
-(dimension 10, sectors 1, 1, 2, 2, 2, 2, the two lone levels idle), then
-multiplies a stack of four 2x2 blocks instead of 10x10 ones.
+Each block is split into invariant sectors: the connected components of
+the entries of H that are nonzero in some sample, made symmetric. No
+sample couples two sectors, so no step map does either, and the block's
+maps are computed on a zero-padded ``(b, b)`` stack of the sectors, ``b``
+the largest sector, and scattered back into ``(d, d)``. An idle level, a
+lone level with no diagonal entry in any sample, is left out of the
+stack: it never moves, so its rows and columns of every step map are
+those of the identity, and its quadrature values zero, as the scatter
+gives them. One object, ``_SectorStage``, holds the split for a whole run
+of either oracle. A model that conserves a quantum number, such as the
+excitation number of the Jaynes-Cummings model (dimension 10, sectors 1,
+1, 2, 2, 2, 2, the two lone levels idle), then multiplies a stack of four
+2x2 blocks instead of 10x10 ones.
+
+The split comes from one of two routes that share the split rule, the
+scatter, the finiteness check and the maps. A
+:class:`MultiToneHamiltonian` or :class:`OperatorSeries` declares its
+``support``, the entries nonzero in some sample. When the support splits,
+the stage takes the split from it once per run, and both oracles sample
+each RK4 block and each quadrature level's new midpoints at the sector
+entries only (``evaluate_grid(ts, index)``), with no pattern scan and no
+gather. Any other grid function, and a support that does not split, takes
+the sampled route: the stage reads the nonzero pattern of each stack of
+samples, which makes the split exact for any grid function, finds the
+sectors again only when the pattern changes, and gathers the stack into
+them. On a Jaynes-Cummings block of 1025 samples (one BLAS thread)
+sampling its 16 sector entries takes about 50 us against 160 us for all
+100, and laying them into the stack 22 us against 120 us for the gather;
+the run at t = 400 (25,600 steps) peaks at 1.02 MiB in tracemalloc
+against 1.85 MiB.
 
 Both oracles refuse samples of H that are not all finite, with
 :class:`OperatorValueError` naming the first such time, rather than
-return NaNs. The RK4 checks each block's gathered stack, not its raw
-samples: a non-finite entry is nonzero, so it lies in a sector, or the
-block runs unsplit and the stack is the samples. On the Jaynes-Cummings
-model the check on the ``(1025, 4, 2, 2)`` stack of a block takes 37 us,
-against 166 us on the ``(1025, 10, 10)`` samples (one BLAS thread). The
-quadrature checks each level's new samples before its chain runs.
+return NaNs. The RK4 checks what it multiplies, the sampled sector
+entries or the gathered stack. Either holds every nonzero entry, and an
+entry outside a support is finite wherever those inside are (a model's is
+``0 * cos + 0 * sin``, a series' shares their envelopes). On the
+Jaynes-Cummings model the check on the ``(1025, 4, 2, 2)`` stack of a
+block takes 37 us, against 166 us on the ``(1025, 10, 10)`` samples (one
+BLAS thread). The quadrature checks each level's new samples before its
+chain runs.
 
 Blocks up to 3x3 are multiplied as a sum of outer products over the inner
 index, not by ``np.matmul``, whose cost per matrix hardly falls below
 4x4. On a 2-vCPU VM with one BLAS thread, on stacks of 3072 complex
 matrices, ``np.matmul`` took 0.46/0.50/0.50/0.64/1.06 us per matrix at
 b = 2/3/4/6/10 and the sum 0.17/0.40/0.69/2.0/10.0 us, both measured on
-C-ordered stacks. The gather's fancy index lays its stack out with time
-as the fastest axis, and that layout is what makes the sum cheap there:
+C-ordered stacks. Every sector stack has time as its fastest axis (the
+fancy index that builds it on either route lays it out so), and that
+layout is what makes the sum cheap there:
 on a C-ordered copy of the same stack the Jaynes-Cummings RK4 at t = 400
 (25,600 steps) took 0.27 s instead of 0.18 s. The split pays only with
 that cheap product: a block runs unsplit when it has a single sector,
@@ -109,6 +124,7 @@ giving the same doubles as the whole chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -291,40 +307,100 @@ def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
         labels = new
 
 
+def _split(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(rows, cols, valid)`` of the sector stack of a ``(d, d)`` nonzero
+    pattern, or ``None`` when it runs unsplit (see :class:`_SectorStage`).
+
+    Each is ``(S, b, b)``: the row and column of ``(d, d)`` that each entry
+    of the zero-padded stack of the ``S`` sectors holds, ``b`` the largest,
+    and whether it holds one rather than padding.
+    """
+    sectors = _sectors(pattern)
+    b = max(map(len, sectors))
+    if len(sectors) == 1 or b > _SMALL_PRODUCT:
+        return None
+    # an idle level never moves; if all are, the stack has no sectors
+    sectors = [s for s in sectors if len(s) > 1 or pattern[s[0], s[0]]]
+    index = np.zeros((len(sectors), b), dtype=int)
+    valid = np.zeros((len(sectors), b), dtype=bool)
+    for k, s in enumerate(sectors):
+        index[k, :len(s)] = s
+        valid[k, :len(s)] = True
+    return (np.broadcast_to(index[:, :, None], (len(sectors), b, b)),
+            np.broadcast_to(index[:, None, :], (len(sectors), b, b)),
+            valid[:, :, None] & valid[:, None, :])
+
+
+@functools.lru_cache(maxsize=64)
+def _support_split(support: bytes, d: int):
+    # the split of a declared (d, d) support, or None: a pure function of
+    # it, kept so that an operand whose support does not split pays for the
+    # sector search once, not on every call
+    pattern = np.frombuffer(support, dtype=bool).reshape(d, d)
+    split = _split(pattern)
+    if split is None:
+        return None
+    rows, cols, valid = split
+    index = (rows * d + cols)[valid]
+    # the column of the sampled entries that each stack entry holds
+    column = np.zeros(valid.shape, dtype=np.intp)
+    column[valid] = np.arange(len(index))
+    for array in (valid, index, column):
+        array.setflags(write=False)
+    return pattern, split, index, column
+
+
 class _SectorStage:
     """The invariant-sector split of the successive sample stacks of one
     run, as both oracles take it (see the module docstring).
 
-    :meth:`gather` reads the nonzero pattern of a C-contiguous complex
-    ``(n, d, d)`` stack (an entry with a nonzero real or imaginary part in
-    any sample) and finds the split again only when the pattern differs
-    from the last stack's. The split pays only where the sectors take the
-    cheap product of :func:`_mul`, so the samples split when they have more
-    than one sector and none larger than ``_SMALL_PRODUCT``. Then
-    :meth:`gather` returns a new zero-padded ``(n, S, b, b)`` stack of the
-    ``S`` sectors, ``b`` the largest, and :meth:`scatter` puts values of
-    those sectors back into ``(d, d)``, zeros elsewhere; otherwise both
-    return their input unchanged. The stack leaves out idle levels (lone
-    levels whose diagonal entry is zero in every sample); when every level
-    is idle it has no sectors, and whatever is computed on it scatters to
-    zeros. Its fancy index gives it time as the fastest axis (strides
-    ``(16, ...)``), which is what makes :func:`_mul`'s sum of outer
-    products cheap on it.
+    A pattern splits when it has more than one sector and none larger than
+    ``_SMALL_PRODUCT``, since only then do the sectors take the cheap
+    product of :func:`_mul`. The stack of a split is ``(n, S, b, b)``, the
+    ``S`` sectors zero-padded to the largest, ``b``, without idle levels
+    (lone levels whose diagonal entry is zero in every sample; with no
+    sectors left, everything scatters to zeros), and with time as the
+    fastest axis (strides ``(16, ...)``). :meth:`scatter` puts values of
+    those sectors back into ``(d, d)``, zeros elsewhere.
+
+    With a ``support`` that splits, :attr:`index` holds the flat positions
+    ``row * d + col`` of the sector entries and :meth:`stack` lays the
+    values sampled there into the stack. Otherwise :attr:`index` is
+    ``None``, and :meth:`gather` reads the nonzero pattern of a
+    C-contiguous complex ``(n, d, d)`` stack, splits it again only when the
+    pattern differs from the last one, and returns a new sector stack, or
+    its input unchanged when the pattern does not split, as :meth:`scatter`
+    then does too.
     """
 
-    def __init__(self):
-        self.pattern = None
-        self.valid = None
+    def __init__(self, support=None):
+        self.pattern = self.valid = self.index = None
+        if support is not None:
+            support = np.asarray(support, dtype=bool)
+            found = _support_split(support.tobytes(), len(support))
+            if found is not None:
+                self.pattern, (self.rows, self.cols, self.valid), self.index, self.column = found
+
+    def sample(self, grid_eval, ts) -> np.ndarray:
+        # every entry, or the sector entries alone when the support splits
+        return grid_eval(ts) if self.index is None else grid_eval(ts, self.index)
 
     def gather(self, A: np.ndarray) -> np.ndarray:
         d = A.shape[-1]
         pattern = np.any(A.view(A.real.dtype), axis=0).reshape(d, d, 2).any(axis=2)
         if self.pattern is None or not np.array_equal(pattern, self.pattern):
             self.pattern = pattern
-            self._split(_sectors(pattern))
+            self.rows, self.cols, self.valid = _split(pattern) or (None, None, None)
         if self.valid is None:
             return A
         stack = A[:, self.rows, self.cols]
+        stack[:, ~self.valid] = 0
+        return stack
+
+    def stack(self, values: np.ndarray) -> np.ndarray:
+        # the sector stack of the (n, k) values at ``index``, laid out as
+        # the gather lays out its own, by a fancy index over the columns
+        stack = np.asarray(values, dtype=complex)[:, self.column]
         stack[:, ~self.valid] = 0
         return stack
 
@@ -337,22 +413,6 @@ class _SectorStage:
         out[..., self.rows[self.valid], self.cols[self.valid]] = X[..., self.valid]
         return out
 
-    def _split(self, sectors: list[np.ndarray]) -> None:
-        b = max(map(len, sectors))
-        self.valid = None
-        if len(sectors) == 1 or b > _SMALL_PRODUCT:
-            return
-        # an idle level never moves; if all are, the stack has no sectors
-        sectors = [s for s in sectors if len(s) > 1 or self.pattern[s[0], s[0]]]
-        index = np.zeros((len(sectors), b), dtype=int)
-        valid = np.zeros((len(sectors), b), dtype=bool)
-        for k, s in enumerate(sectors):
-            index[k, :len(s)] = s
-            valid[k, :len(s)] = True
-        self.rows = np.broadcast_to(index[:, :, None], (len(sectors), b, b))
-        self.cols = np.broadcast_to(index[:, None, :], (len(sectors), b, b))
-        self.valid = valid[:, :, None] & valid[:, None, :]
-
 
 def _not_finite(kind: str, times: np.ndarray, samples: np.ndarray) -> str:
     # axis 0 is time, so the first non-finite entry is at the first such time
@@ -360,40 +420,47 @@ def _not_finite(kind: str, times: np.ndarray, samples: np.ndarray) -> str:
     return f"H is not finite at {kind} time {float(times[first])!r}"
 
 
-def _rk4_pair(grid_eval, dim: int, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _rk4_pair(op, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     # Fine (``2 * steps``) RK4 map of dU/dt = -i H U and its difference from
     # the coarse (``steps``) map, both fed from one sampling of H per block,
-    # each block split into the invariant sectors of its own samples (see
-    # the module docstring).
+    # each block split into the invariant sectors of the operand's support
+    # or of its own samples (see the module docstring).
     h = t / (2 * steps)
-    G = E = np.zeros((dim, dim), dtype=complex)
-    sectors = _SectorStage()
+    G = E = np.zeros((op.dim, op.dim), dtype=complex)
+    sectors = _SectorStage(getattr(op, "support", None))
     for c0 in range(0, steps, _RK4_BLOCK):
         c1 = min(steps, c0 + _RK4_BLOCK)
         times = (h / 2) * (4 * c0 + np.arange(4 * (c1 - c0) + 1))
-        A = np.ascontiguousarray(grid_eval(times), dtype=complex)
-        S = sectors.gather(A)
-        # a non-finite entry is nonzero, so it lies in a sector (or S is A)
-        if not np.isfinite(S).all():
-            raise OperatorValueError(_not_finite("propagation", times, A))
-        # -i S, in place on a stack the gather made; the caller's samples
-        # are never written to, so unsplit ones are scaled into a copy
-        A = np.multiply(S, -1j, out=None if S is A else S)
-        del S  # the samples are not held while the block's maps are formed
+        A = sectors.sample(op.evaluate_grid, times)
+        if sectors.index is not None:
+            if not np.isfinite(A).all():
+                raise OperatorValueError(_not_finite("propagation", times, A))
+            # -i H, in place on a new stack; the samples die here
+            A = sectors.stack(A)
+            A *= -1j
+        else:
+            A = np.ascontiguousarray(A, dtype=complex)
+            S = sectors.gather(A)
+            # a non-finite entry is nonzero, so it lies in a sector (or S is A)
+            if not np.isfinite(S).all():
+                raise OperatorValueError(_not_finite("propagation", times, A))
+            # -i S, in place on a stack the gather made; the caller's samples
+            # are never written to, so unsplit ones are scaled into a copy
+            A = np.multiply(S, -1j, out=None if S is A else S)
+            del S  # the samples are not held while the block's maps are formed
         G, E = _join(G, E, *map(sectors.scatter, _block_maps(A, h)))
     G[np.diag_indices_from(G)] += 1
     return G, E
 
 
-def _propagate(grid_eval, dim: int, t: float, steps: int | None,
-               max_omega: float) -> PropagationResult:
+def _propagate(op, t: float, steps: int | None, max_omega: float) -> PropagationResult:
     t = float(check_real("propagation time", t, 0.0))
     if steps is None:
         steps = default_step_count(max_omega, t)
     steps = check_integer("steps", steps, 16, MAX_RK4_STEPS)
     if t == 0.0:
-        return PropagationResult(np.eye(dim, dtype=complex), steps, 0.0)
-    fine, difference = _rk4_pair(grid_eval, dim, t, steps)
+        return PropagationResult(np.eye(op.dim, dtype=complex), steps, 0.0)
+    fine, difference = _rk4_pair(op, t, steps)
     return PropagationResult(fine, steps, float(np.linalg.norm(difference)))
 
 
@@ -406,9 +473,10 @@ def propagate_exact(H, t: float, steps: int | None = None) -> PropagationResult:
     sampled, here and in :func:`propagate_series`. A block whose samples
     of H are not all finite raises :class:`OperatorValueError`, naming the
     first such time, before its maps are formed; the check reads the
-    gathered stack, which holds every nonzero entry.
+    sampled sector entries or the gathered stack, either of which holds
+    every nonzero entry.
     """
-    return _propagate(H.evaluate_grid, H.dim, t, steps, H.max_omega)
+    return _propagate(H, t, steps, H.max_omega)
 
 
 def propagate_series(S, t: float, steps: int | None = None) -> PropagationResult:
@@ -418,7 +486,7 @@ def propagate_series(S, t: float, steps: int | None = None) -> PropagationResult
     by design.
     """
     max_freq = float(np.abs(S.freqs).max(initial=0.0))
-    return _propagate(S.evaluate_grid, S.dim, t, steps, max(1.0, max_freq))
+    return _propagate(S, t, steps, max(1.0, max_freq))
 
 
 def fidelity_distance(U: np.ndarray, V: np.ndarray) -> float:
@@ -481,7 +549,7 @@ def _nested_values(Hs: np.ndarray, orders: list[int], h: float,
     # order's chain. The chain runs on what ``sectors`` gathers, as the RK4
     # does, and only the read-out nodes are scattered back. The highest
     # order's last step is taken at the nodes alone (module docstring).
-    Hs = sectors.gather(Hs)
+    Hs = sectors.gather(Hs) if sectors.index is None else sectors.stack(Hs)
     A = Hs
     factor = 1 + 0j
     out = {}
@@ -571,7 +639,12 @@ def quad_oracle(H, n, t, tol: float,
     ``best`` holds the best estimate, or for a tuple of orders the best
     estimate of every order, in the shape of the result, and its message
     states, for each order that did not converge, its last successive
-    change and the grid it was measured on.
+    change and the grid it was measured on. It raises one as well, with
+    ``best`` set the same way from that level's values, at the first level
+    where an order's values, or their change from the level before, are
+    not finite, naming those orders and the level: the samples are finite,
+    so the nested chain has overflowed, and no finer grid brings it back.
+    The chain runs with numpy's overflow and invalid-value warnings off.
     """
     single = not isinstance(n, (tuple, list))
     orders = check_orders((n,) if single else n, MAX_QUAD_ORDER)
@@ -595,7 +668,7 @@ def quad_oracle(H, n, t, tol: float,
     prev: dict[int, np.ndarray] = {}
     changes: dict[int, float] = {}
     samples = None
-    sectors = _SectorStage()
+    sectors = _SectorStage(getattr(H, "support", None))
     points = _BASE_POINTS
     while points <= max_points:
         # node 2j of this level's grid is node j of the last one, the same
@@ -603,20 +676,36 @@ def quad_oracle(H, n, t, tol: float,
         ts = np.arange(points + 1) * (T / points)
         ts[-1] = T
         new_ts = ts if samples is None else ts[1::2]
-        new = H.evaluate_grid(new_ts)
+        new = sectors.sample(H.evaluate_grid, new_ts)
         if not np.isfinite(new).all():
             raise OperatorValueError(_not_finite("quadrature", new_ts, new))
         if samples is None:
             samples = np.ascontiguousarray(new, dtype=complex)
         else:
             samples = _refined(samples, new)
-        vals = _nested_values(samples, [k for k in orders if k not in done], T / points,
-                              sectors, nodes * (points // _BASE_POINTS))
-        for k, val in vals.items():
-            if k in prev:
-                changes[k] = _change(val, prev[k])
-                if changes[k] < tol:
-                    done[k] = val
+        # the samples are finite, so a value or a change that is not is an
+        # overflow of the nested chain, which no finer grid brings back;
+        # values that are not finite make their change so as well
+        overflow = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _nested_values(samples, [k for k in orders if k not in done], T / points,
+                                  sectors, nodes * (points // _BASE_POINTS))
+            for k, val in vals.items():
+                if k in prev:
+                    changes[k] = _change(val, prev[k])
+                    if changes[k] < tol:
+                        done[k] = val
+                    elif not changes[k] < math.inf:
+                        overflow[k] = f"last change {changes[k]:.2g}"
+                elif not np.isfinite(val).all():
+                    overflow[k] = "values not finite"
+        if overflow:
+            why = "; ".join(f"order {k}: {reason}" for k, reason in overflow.items())
+            raise QuadratureError(
+                f"quadrature of order {', '.join(map(str, overflow))} is not finite "
+                f"at {points} points ({why})",
+                best=result({k: done[k] if k in done else vals[k] for k in orders}),
+            )
         if len(done) == len(orders):
             return result(done)
         prev = vals

@@ -309,14 +309,29 @@ class OperatorSeries:
         """Value at ``t``: the one-row case of :meth:`evaluate_grid`."""
         return self.evaluate_grid(t)[0]
 
-    def evaluate_grid(self, ts) -> np.ndarray:
+    def evaluate_grid(self, ts, index=None) -> np.ndarray:
         """Value at each time of ``ts`` (any shape, flattened, as the model
-        takes it), in shape (size, dim, dim)."""
+        takes it), in shape (size, dim, dim).
+
+        ``index``, a 1-D array of flat positions ``row * dim + col``, gives
+        those entries only, in shape (size, len(index)): those columns of
+        the whole values."""
         ts = np.asarray(ts, dtype=float).ravel()
         envelopes = np.exp(1j * np.outer(ts, self.freqs)) * ts[:, None] ** self.powers
         # tensordot's own product on the (K, d * d) view, without its overhead
         d, K = self.dim, len(self.coeffs)
-        return np.dot(envelopes, self.coeffs.reshape(K, d * d)).reshape(-1, d, d)
+        values = np.dot(envelopes, self.coeffs.reshape(K, d * d))
+        # the product over the given columns alone would run other complex
+        # BLAS kernels, whose sums differ in the last bits
+        return values.reshape(-1, d, d) if index is None else values[:, index]
+
+    @property
+    def support(self) -> np.ndarray:
+        """``(dim, dim)`` boolean array of the entries that are nonzero in
+        some value: those with a nonzero coefficient at some key. An entry
+        outside it is zero at every time, and shares its envelopes with the
+        entries inside it."""
+        return np.any(self.coeffs != 0, axis=0)
 
     def secular_series(self, tol_zero: float = TOL_ZERO) -> "OperatorSeries":
         """Sub-series with zero-frequency envelopes only."""

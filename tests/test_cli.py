@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -452,3 +456,29 @@ def test_carrier_whose_sums_overflow_exits_2_with_one_line(omega, tmp_path, caps
     assert main(["report", str(path)]) == 2
     line = _one_line(capsys)
     assert line.startswith("effham: model error: ") and "overflow" in line
+
+
+def test_the_parser_is_built_once_per_process():
+    assert effham.cli.build_parser() is effham.cli.build_parser()
+
+
+def _report_json(text):
+    data = json.loads(text)
+    data.pop("generated_at")
+    return data
+
+
+def test_in_process_reports_share_the_parser_and_no_option(capsys):
+    # a run with every option set, then one with none: each writes what a
+    # fresh process writes for its arguments
+    full = ["report", "builtin:noncommuting_two_tone", "--grid", "8", "--orders", "2,3,4",
+            "--tmax", "3.5", "--sweep", "0.5,0.25", "--tol-zero", "1e-10", "--gap-min", "1e-2"]
+    bare = ["report", "builtin:noncommuting_two_tone"]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (full, bare):
+        assert main(argv) == 0
+        fresh = subprocess.run([sys.executable, "-m", "effham.cli", *argv], capture_output=True,
+                               text=True, timeout=120, check=True, env=env)
+        assert _report_json(capsys.readouterr().out) == _report_json(fresh.stdout)

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import re
 from itertools import combinations_with_replacement, product
 
@@ -13,12 +14,16 @@ from effham import (
     OperatorValueError,
     commutation_probe,
     frequency_report,
+    heff_n_timedep,
     hermiticity_defect,
     make_model,
     sigma_plus,
     sigma_x,
     sigma_z,
 )
+from effham.dsl import load_model
+
+from conftest import random_generic
 
 
 def scalar_two_tone():
@@ -172,6 +177,57 @@ def test_evaluate_is_the_one_row_grid(rng):
         assert np.array_equal(H.evaluate(t), H.evaluate_grid(t)[0])
         assert np.array_equal(H.evaluate(t), H.evaluate_grid([t])[0])
         assert np.array_equal(S.evaluate(t), S.evaluate_grid(t)[0])
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BUNDLED = ([pytest.param(lambda name=name: make_model(name), id=name) for name in ZOO_NAMES]
+           + [pytest.param(lambda path=path: load_model(path), id=path.name)
+              for path in sorted((ROOT / "demos" / "models").glob("*.ham"))
+              + sorted((ROOT / "tests" / "data").glob("*.ham"))])
+
+
+def _generic_d6t3():
+    rng = np.random.default_rng(6)
+    return MultiToneHamiltonian([(random_generic(rng, 6, 0.4), w) for w in (1.3, 2.1, 3.7)])
+
+
+@pytest.mark.parametrize("make", BUNDLED + [pytest.param(_generic_d6t3, id="d6t3")])
+def test_sampling_given_entries_gives_the_dense_doubles(make):
+    # the model and its series of orders 1 to 4, at every entry, a random
+    # subset, one entry and none
+    H = make()
+    rng = np.random.default_rng(H.dim)
+    ts = np.linspace(0.0, 10.0 / H.min_omega, 1025)
+    d2 = H.dim * H.dim
+    indexes = [np.arange(d2), np.sort(rng.choice(d2, size=max(1, d2 // 3), replace=False)),
+               np.array([d2 - 1]), np.array([], dtype=int)]
+    for op in [H, H.to_operator_series()] + [heff_n_timedep(H, n) for n in (2, 3, 4)]:
+        dense = op.evaluate_grid(ts).reshape(len(ts), d2)
+        for index in indexes:
+            values = op.evaluate_grid(ts, index)
+            assert values.shape == (len(ts), len(index)) and values.dtype == complex
+            assert values.tobytes() == dense[:, index].tobytes()
+
+
+@pytest.mark.parametrize("make", BUNDLED)
+def test_support_is_the_union_of_the_sample_patterns(make):
+    H = make()
+    ts = np.linspace(0.0, 10.0 / H.min_omega, 1025)
+    union = np.any(H.evaluate_grid(ts) != 0, axis=0)
+    assert H.support.shape == (H.dim, H.dim) and H.support.dtype == bool
+    assert np.array_equal(H.support, union)
+    S = H.to_operator_series()
+    assert np.array_equal(S.support, np.any(S.evaluate_grid(ts) != 0, axis=0))
+    assert np.array_equal(S.support, union)
+
+
+def test_support_leaves_out_what_no_tone_touches():
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 1] = 0.4
+    H = MultiToneHamiltonian([(h, 1.5), (0.2 * np.diag([0.0, 0.0, 1.0]), 2.5)])
+    expected = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=bool)
+    assert np.array_equal(H.support, expected)
+    assert np.array_equal(H.to_operator_series().support, expected)
 
 
 def test_model_is_immutable_and_shows_its_carriers():

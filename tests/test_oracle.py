@@ -13,11 +13,13 @@ from effham import (
     OperatorSeries,
     OperatorValueError,
     QuadratureError,
+    TonePoly,
     ZOO_NAMES,
     commutation_probe,
     fidelity_distance,
     heff3_timedep,
     heff_n_timedep,
+    heff_secular,
     make_model,
     matrix_exponential,
     propagate_exact,
@@ -138,11 +140,11 @@ class _CountingOperator:
     def __getattr__(self, name):
         return getattr(self.op, name)
 
-    def evaluate_grid(self, ts):
+    def evaluate_grid(self, ts, *index):
         self.points += len(ts)
         self.grids.append(len(ts))
         self.times.append(np.array(ts, dtype=float))
-        return self.op.evaluate_grid(ts)
+        return self.op.evaluate_grid(ts, *index)
 
 
 def test_propagate_exact_matches_reference_loop_generic_tail_block(rng):
@@ -1259,3 +1261,122 @@ def test_quad_oracle_keys_its_values_in_ascending_order():
     with pytest.raises(QuadratureError) as err:
         quad_oracle(H, (4, 2, 3), 10.0 / H.min_omega, 1e-9, max_points=2048)
     assert list(err.value.best) == [2, 3, 4]
+
+
+# ----------------------------------------------------------------------
+# the sector split from a declared support
+
+
+class _NoSupport:
+    """The same operand behind a grid function that declares no support,
+    so the oracles take the split from its samples."""
+
+    def __init__(self, op):
+        self.op, self.dim = op, op.dim
+        self.max_omega = getattr(op, "max_omega", None)
+        self.freqs = getattr(op, "freqs", None)
+
+    def evaluate_grid(self, ts):
+        return self.op.evaluate_grid(ts)
+
+
+class _RecordingIndex(_CountingOperator):
+    """Counts the points, as its base does, and records each ``index``."""
+
+    def __init__(self, op):
+        super().__init__(op)
+        self.indexes = []
+
+    def evaluate_grid(self, ts, *index):
+        self.indexes.append(index[0] if index else None)
+        return super().evaluate_grid(ts, *index)
+
+
+def _jc_secular():
+    return OperatorSeries.constant(heff_secular(jc_detuned(g=0.05), 2).secular)
+
+
+SUPPORTED = {
+    "jc": lambda: jc_detuned(g=0.05),
+    "commuting_diag": lambda: make_model("commuting_diag"),
+    "qubit_cavity": lambda: load_model(pathlib.Path(__file__).parent / "data" / "qubit_cavity.ham"),
+    "jc_secular": _jc_secular,
+}
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_support_and_sampled_routes_give_the_same_bits(name, monkeypatch):
+    op = SUPPORTED[name]()
+    assert oracle._SectorStage(op.support).index is not None
+    propagate = propagate_series if isinstance(op, OperatorSeries) else propagate_exact
+    splits = _record_splits(monkeypatch)
+    # 1000 coarse steps: three whole blocks and a shorter tail
+    t, steps = 30.0, 1000
+    probe = _RecordingIndex(op)
+    res = propagate(probe, t, steps=steps)
+    assert not splits  # no pattern scan, no gather
+    ref = propagate(_NoSupport(op), t, steps=steps)
+    assert splits and all(splits)
+    assert res.U.tobytes() == ref.U.tobytes() and res.est_error == ref.est_error
+    assert len(probe.indexes) == math.ceil(steps / oracle._RK4_BLOCK)
+    assert all(index is probe.indexes[0] for index in probe.indexes)
+    assert probe.points <= 4 * steps + math.ceil(steps / oracle._RK4_BLOCK)
+    # the quadrature's levels, sampled at the sector entries only
+    splits.clear()
+    probe = _RecordingIndex(op)
+    vals = quad_oracle(probe, (2, 3, 4), _eighths(3.0), 1e-9)
+    assert not splits and len(probe.indexes) > 1
+    assert all(index is probe.indexes[0] for index in probe.indexes)
+    ref_probe = _CountingOperator(_NoSupport(op))
+    ref = quad_oracle(ref_probe, (2, 3, 4), _eighths(3.0), 1e-9)
+    assert splits and all(splits) and probe.grids == ref_probe.grids
+    for n in (2, 3, 4):
+        assert vals[n].tobytes() == ref[n].tobytes()
+
+
+def test_a_support_that_does_not_split_takes_the_sampled_route(rng):
+    # one sector, or sectors larger than 3x3: the index is never passed
+    for op in (make_model("raman_lambda"), _two_4x4_sectors(rng), make_model("scalar_single_tone")):
+        assert oracle._SectorStage(op.support).index is None
+        probe = _RecordingIndex(op)
+        propagate_exact(probe, 1.0, steps=300)
+        quad_oracle(probe, 2, 1.0, 1e-9)
+        assert probe.indexes and not any(index is not None for index in probe.indexes)
+
+
+def test_the_support_route_refuses_non_finite_samples_at_the_first_such_time():
+    # t * omega overflows to inf within the run: cos and sin of it are NaN,
+    # and every entry is, the supported ones and the others alike
+    H = MultiToneHamiltonian([(np.diag([0.3, -0.2]), 10.0)])
+    S = OperatorSeries(2, [(np.diag([1.0, 0.0]), TonePoly.exponential(0.0, power=5)),
+                           (np.diag([0.0, 0.5]), TonePoly.constant(1.0))])
+    for op in (H, S):
+        assert oracle._SectorStage(op.support).index is not None
+    for propagate, op, t in ((propagate_exact, H, 1e308), (propagate_series, S, 1e70)):
+        # sampling overflows, on either route, before the oracle sees it
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OperatorValueError, match="not finite at propagation") as err:
+                propagate(op, t, steps=16)
+            with pytest.raises(OperatorValueError) as ref:
+                propagate(_NoSupport(op), t, steps=16)
+        assert str(err.value) == str(ref.value)
+
+
+def test_quad_oracle_stops_at_the_first_level_whose_chain_is_not_finite():
+    # the samples are finite, the nested chain overflows: order 3 at the
+    # first level, order 2's change at the second; no finer grid helps
+    H, H2 = (_CountingOperator(make_model("raman_lambda")) for _ in range(2))
+    ts = np.linspace(1e300 / 8, 1e300, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=r"^quadrature of order 3 is not finite "
+                                                  r"at 256 points \(order 3: values not finite\)$") as err:
+            quad_oracle(H, (2, 3), ts, 1e-9)
+        with pytest.raises(QuadratureError, match=r"^quadrature of order 2 is not finite at 512 "
+                                                  r"points \(order 2: last change inf\)$"):
+            quad_oracle(H2, 2, ts, 1e-9)
+    assert H.points == oracle._BASE_POINTS + 1
+    assert H2.points == 2 * oracle._BASE_POINTS + 1
+    best = err.value.best
+    assert sorted(best) == [2, 3] and all(v.shape == (8, 3, 3) for v in best.values())
+    assert np.isfinite(best[2]).all() and not np.isfinite(best[3]).all()
