@@ -154,6 +154,19 @@ MAX_RK4_STEPS = 1 << 24
 #: Refinement cap for the nested quadrature (grid points per level).
 MAX_QUAD_POINTS = 1 << 21
 
+#: Byte budget of one quadrature level, checked before the level is sampled.
+QUAD_BYTE_BUDGET = 256 << 20
+
+#: Projected peak bytes of a quadrature level per grid point and per entry
+#: of its stack (``d * d`` unless a declared support splits, the sector
+#: stack's ``S * b * b`` then): the largest tracemalloc peak per point and
+#: entry measured at 2^13 and 2^15 points, 104.7 B, rounded up. That is
+#: jc_detuned (four 2x2 sectors) and a model of two 3x3 blocks, at orders
+#: 2..6. Dense models took 72-90 B (d = 6 and 3, orders 2..6; 40 B at order
+#: 2 alone), split models of 1x1 to 3x3 sectors 73-94 B, and grid functions
+#: with no support at most 37 B per dense entry.
+_QUAD_BYTES_PER_ENTRY = 112
+
 #: Highest order the nested quadrature evaluates: the builders' top order,
 #: written here again so that the oracle imports nothing from them.
 MAX_QUAD_ORDER = 6
@@ -645,6 +658,13 @@ def quad_oracle(H, n, t, tol: float,
     not finite, naming those orders and the level: the samples are finite,
     so the nested chain has overflowed, and no finer grid brings it back.
     The chain runs with numpy's overflow and invalid-value warnings off.
+    Before a level is sampled, its peak bytes are projected as
+    ``(points + 1) * entries * _QUAD_BYTES_PER_ENTRY``, with ``entries``
+    the stack's per point (``d * d``, or the sector stack's when a declared
+    support splits); past :data:`QUAD_BYTE_BUDGET` it raises
+    :class:`QuadratureError` naming the level's points, the projection and
+    the budget, with ``best`` from the last finished level (``None`` before
+    the first).
     """
     single = not isinstance(n, (tuple, list))
     orders = check_orders((n,) if single else n, MAX_QUAD_ORDER)
@@ -669,8 +689,21 @@ def quad_oracle(H, n, t, tol: float,
     changes: dict[int, float] = {}
     samples = None
     sectors = _SectorStage(getattr(H, "support", None))
+    entries = H.dim * H.dim if sectors.index is None else sectors.valid.size
+
+    def last_best():
+        # every order's value at the last finished level, if there is one
+        return result({k: done[k] if k in done else prev[k] for k in orders}) if prev else None
+
     points = _BASE_POINTS
     while points <= max_points:
+        need = (points + 1) * entries * _QUAD_BYTES_PER_ENTRY
+        if need > QUAD_BYTE_BUDGET:
+            raise QuadratureError(
+                f"quadrature level of {points} points would take about {need} bytes, "
+                f"over the budget of {QUAD_BYTE_BUDGET} bytes",
+                best=last_best(),
+            )
         # node 2j of this level's grid is node j of the last one, the same
         # double, so only the midpoints are new
         ts = np.arange(points + 1) * (T / points)
@@ -710,7 +743,6 @@ def quad_oracle(H, n, t, tol: float,
             return result(done)
         prev = vals
         points *= 2
-    best = {k: done[k] if k in done else prev[k] for k in orders}
     # an order not done ran at every level, so its last change is the finest's
     missing = [k for k in orders if k not in done]
     why = "; ".join(f"order {k}: last change {changes[k]:.2g} at {points // 2} points"
@@ -718,5 +750,5 @@ def quad_oracle(H, n, t, tol: float,
     raise QuadratureError(
         f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol} "
         f"within {max_points} points ({why})",
-        best=result(best),
+        best=last_best(),
     )

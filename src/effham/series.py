@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, OperatorValueError, SeriesOverflowError,
                      TermBudgetError)
-from .tones import DROP_TOL, TOL_ZERO, ToneMono, TonePoly
+from .tones import DROP_TOL, TOL_ZERO, ToneMono, TonePoly, _keyed_index, _new_mono
 
 #: Default budget for stored keys and for the key pairs of one product.
 MAX_TERMS = 2_000_000
@@ -90,7 +90,7 @@ def _key_poly(freqs, powers) -> TonePoly:
 def _unit_keys(freqs: np.ndarray, powers: np.ndarray) -> TonePoly:
     """Unit-coefficient polynomial of a series' own keys, which are
     canonical already and so are not canonicalized again."""
-    return TonePoly._of(tuple([ToneMono(_ONE, k, f)
+    return TonePoly._of(tuple([_new_mono(ToneMono, (_ONE, k, f))
                                for f, k in zip(freqs.tolist(), powers.tolist())]))
 
 
@@ -98,12 +98,22 @@ def _sum_keys(dim: int, key_freqs: np.ndarray, key_powers: np.ndarray, index, ma
     """``(freqs, powers, coeffs)`` of the keys ``key_freqs``/``key_powers``,
     each the sum of the ``mats[i]`` with ``index[i]`` at it, in input order;
     keys that cancel below ``DROP_TOL`` of the largest are dropped. A
-    coefficient that is not finite raises :class:`SeriesOverflowError`."""
+    coefficient that is not finite raises :class:`SeriesOverflowError`.
+
+    The index is flat: entry ``j`` of ``mats[i]`` goes to position
+    ``index[i] * d**2 + j`` of the raveled coefficients, since numpy's fast
+    indexed ``ufunc.at`` loop takes only a 1-D operand with one 1-D index;
+    a ``(K, d**2)`` operand takes the generic loop, about 4 times slower at
+    420 monomials into 154 keys at d = 6, though a few microseconds faster
+    below about ten monomials. The sums are those of the 2-D form, in the
+    same order: each entry adds its monomials in input order, from 0."""
     _check_budget(len(key_freqs), "series keys")
-    coeffs = np.zeros((len(key_freqs), dim * dim), dtype=complex)
+    size = dim * dim
+    coeffs = np.zeros((len(key_freqs), size), dtype=complex)
+    flat = (np.asarray(index, dtype=np.intp)[:, None] * size + np.arange(size)).ravel()
     # an overflow shows as a norm that is not finite, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(coeffs, index, np.reshape(mats, (-1, dim * dim)))
+        np.add.at(coeffs.reshape(-1), flat, np.reshape(mats, -1))  # a view: coeffs is contiguous
         norms = np.linalg.norm(coeffs, axis=1)
     top = norms.max(initial=0.0)
     if not top < np.inf:
@@ -123,9 +133,7 @@ def _gather(dim: int, freqs, powers, mats, keys: TonePoly | None = None):
     ``keys`` (default: their key polynomial)."""
     if keys is None:
         keys = _key_poly(freqs, powers)
-    return _sum_keys(dim, np.array([m.freq for m in keys.terms], dtype=float),
-                     np.array([m.power for m in keys.terms], dtype=int),
-                     keys.term_index(freqs, powers), mats)
+    return _sum_keys(dim, *_keyed_index(keys.terms, freqs, powers), mats)
 
 
 def _group(dim: int, freqs: np.ndarray, powers: np.ndarray, mats: np.ndarray):

@@ -177,12 +177,7 @@ class TonePoly:
         """Positions in :attr:`terms` that the monomials at ``freqs``/``powers``
         (those this polynomial was built from, default tolerances) merged into:
         a snapped frequency joins the largest cluster representative not above it."""
-        rep = np.array([m.freq for m in self.terms])
-        cluster = np.concatenate(([0], np.cumsum(np.diff(rep) != 0)))
-        codes = cluster * (POWER_CAP + 1) + np.array([m.power for m in self.terms])
-        f = np.asarray(freqs, dtype=float)
-        last = np.searchsorted(rep, np.where(np.abs(f) <= TOL_ZERO, 0.0, f), side="right") - 1
-        return np.searchsorted(codes, cluster[last] * (POWER_CAP + 1) + np.asarray(powers))
+        return _keyed_index(self.terms, freqs, powers)[2]
 
     # ------------------------------------------------------------------
     # algebra
@@ -313,6 +308,20 @@ def _integral_table(k: int, freq: float) -> tuple[list[tuple[complex, int]], com
         osc.append((1.0 / iw, j))
         const = -(j / iw) * const
     return osc, const
+
+
+def _keyed_index(terms: tuple[ToneMono, ...], freqs, powers):
+    """``(key_freqs, key_powers, index)``: the frequencies (float) and powers
+    (int) of the canonical ``terms``, and :meth:`TonePoly.term_index` of the
+    monomials at ``freqs``/``powers``, reading the terms once."""
+    rep = np.array([m.freq for m in terms], dtype=float)
+    key_powers = np.array([m.power for m in terms], dtype=int)
+    cluster = np.concatenate(([0], np.cumsum(np.diff(rep) != 0)))
+    codes = cluster * (POWER_CAP + 1) + key_powers
+    f = np.asarray(freqs, dtype=float)
+    last = np.searchsorted(rep, np.where(np.abs(f) <= TOL_ZERO, 0.0, f), side="right") - 1
+    return rep, key_powers, np.searchsorted(
+        codes, cluster[last] * (POWER_CAP + 1) + np.asarray(powers))
 
 
 def poly_allclose(p: TonePoly, q: TonePoly, rtol: float = 1e-11) -> bool:

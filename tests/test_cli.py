@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import effham.cli
-from effham import OperatorValueError, errors, run_report
+from effham import OperatorValueError, errors, oracle, run_report
 from effham.cli import main
 
 
@@ -67,6 +69,27 @@ def test_carrier_at_or_below_tol_zero_exits_2_with_one_line(spaces, tone, omega,
     assert _one_line(capsys) == (f"effham: model error: {line}:0: tone frequency must be "
                                  f"> TOL_ZERO (1e-09), below which a frequency counts as 0, "
                                  f"got {omega}")
+
+
+def test_a_quadrature_level_over_the_byte_budget_exits_3_with_one_line(tmp_path, capsys):
+    # at carrier 1e-7 the default horizon 10/omega is 1e8, where order-3
+    # values cannot meet the absolute quadrature tolerance: the byte budget,
+    # not the 2^21-point cap, ends the refinement
+    path = tmp_path / "slow.ham"
+    path.write_text("space s0 2\nspace s1 3\ntone sz(s0) omega = 1e-7\n")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["report", str(path)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    line = _one_line(capsys)
+    assert line.startswith("effham: numerical guard: quadrature level of ")
+    assert line.endswith(f" bytes, over the budget of {oracle.QUAD_BYTE_BUDGET} bytes")
+    assert elapsed < 2.0 and peak < oracle.QUAD_BYTE_BUDGET
 
 
 def test_a_zoo_name_without_builtin_is_a_path(tmp_path, monkeypatch, capsys):

@@ -863,6 +863,33 @@ def test_quad_oracle_budget_error_carries_best_estimate():
     assert err.value.best.shape == (2, 2)
 
 
+def test_quad_oracle_refuses_a_level_over_the_byte_budget_before_sampling_it(monkeypatch):
+    # a budget that admits the 512-point level and not the 1024-point one
+    # ends where a 512-point cap ends, with the same best estimate
+    H = _CountingOperator(make_model("noncommuting_two_tone"))
+    need = 1025 * 4 * oracle._QUAD_BYTES_PER_ENTRY
+    monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", need - 1)
+    with pytest.raises(QuadratureError) as err:
+        quad_oracle(H, (2, 3), 4.0, 1e-12)
+    assert str(err.value) == (f"quadrature level of 1024 points would take about {need} bytes, "
+                              f"over the budget of {need - 1} bytes")
+    assert H.grids == [257, 256]
+    with pytest.raises(QuadratureError) as cap:
+        quad_oracle(H.op, (2, 3), 4.0, 1e-12, max_points=512)
+    assert all(np.array_equal(err.value.best[k], cap.value.best[k]) for k in (2, 3))
+
+
+def test_quad_oracle_budget_counts_the_sector_stack_of_a_declared_split(monkeypatch):
+    # jc's support splits into four 2x2 sectors: 16 entries per point, not
+    # 100; a budget below the first level samples nothing and has no best
+    H = _CountingOperator(jc_detuned())
+    monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", 1)
+    with pytest.raises(QuadratureError, match=f"about {257 * 16 * oracle._QUAD_BYTES_PER_ENTRY} "
+                                              "bytes") as err:
+        quad_oracle(H, 2, [1.0, 2.0], 1e-9)
+    assert err.value.best is None and H.points == 0
+
+
 def test_quad_oracle_agrees_with_builders_across_orders(rng):
     H = MultiToneHamiltonian([(0.3 * sigma_plus(), 2.0), (0.2 * sigma_z(), 5.5)])
     for n in (2, 3, 4):

@@ -212,6 +212,76 @@ def reference_termwise(S, op):
     return OperatorSeries._of(S.dim, *series._gather(S.dim, freqs, powers, mats))
 
 
+def reference_sum_keys(dim, key_freqs, key_powers, index, mats):
+    """The grouping the flat scatter replaced, one ``np.add.at`` on the 2-D
+    ``(K, d * d)`` coefficients, kept verbatim as the reference."""
+    series._check_budget(len(key_freqs), "series keys")
+    coeffs = np.zeros((len(key_freqs), dim * dim), dtype=complex)
+    # an overflow shows as a norm that is not finite, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(coeffs, index, np.reshape(mats, (-1, dim * dim)))
+        norms = np.linalg.norm(coeffs, axis=1)
+    top = norms.max(initial=0.0)
+    if not top < np.inf:
+        # squared entries overflow: take the norms of the coefficients
+        # divided by their largest real or imaginary part, if all are finite
+        if not np.isfinite(coeffs).all():
+            raise SeriesOverflowError(series._NOT_FINITE)
+        norms = np.linalg.norm(coeffs / np.abs(coeffs.view(float)).max(), axis=1)
+        top = norms.max()
+    keep = norms > tones.DROP_TOL * top
+    return key_freqs[keep], key_powers[keep], coeffs[keep].reshape(-1, dim, dim)
+
+
+def grouping_case(rng, dim, keys, monomials, scale=1.0):
+    """Keys, an index with repeats that leaves keys empty when there are
+    fewer monomials than keys, and complex matrices of mixed magnitudes."""
+    index = rng.integers(0, keys, monomials) if keys else np.zeros(0, dtype=np.intp)
+    mats = (rng.standard_normal((monomials, dim, dim))
+            + 1j * rng.standard_normal((monomials, dim, dim)))
+    mats *= scale * 10.0 ** rng.integers(-6, 3, (monomials, 1, 1))
+    return (np.sort(rng.uniform(-5, 5, keys)), rng.integers(0, 6, keys), index, mats)
+
+
+def assert_same_grouping(dim, *case):
+    got = series._sum_keys(dim, *case)
+    want = reference_sum_keys(dim, *case)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 10])
+def test_flat_scatter_groups_as_the_2d_add_at(rng, dim):
+    for keys, monomials in [(1, 1), (5, 3), (8, 8), (20, 42), (154, 420), (4, 0), (0, 0)]:
+        case = grouping_case(rng, dim, keys, monomials)
+        freqs, powers, coeffs = assert_same_grouping(dim, *case)
+        assert len(freqs) == len(np.unique(case[2]))  # keys with no monomial are dropped
+    # the list of matrices the constructor passes, and the int index of term_index
+    _, _, index, mats = grouping_case(rng, dim, 6, 30)
+    assert_same_grouping(dim, np.arange(6.0), np.zeros(6, dtype=int), index.tolist(), list(mats))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_flat_scatter_keeps_the_drop_the_rescaled_norms_and_the_overflow(rng, dim):
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    # key 1 cancels below DROP_TOL of key 0, key 2 exactly
+    mats = np.stack([A, A, -A * (1 + 2.0 ** -50), 1e-3 * A, -1e-3 * A])
+    index = np.array([0, 1, 1, 2, 2])
+    freqs, _, _ = assert_same_grouping(dim, np.arange(3.0), np.zeros(3, dtype=int), index, mats)
+    assert freqs.tolist() == [0.0]
+    # entries whose squares overflow take the rescaled norms
+    case = grouping_case(rng, dim, 10, 40, scale=1e200)
+    with np.errstate(over="ignore"):
+        assert not np.linalg.norm(case[3].reshape(len(case[3]), -1), axis=1).max() < np.inf
+    assert_same_grouping(dim, *case)
+    # a sum past the float range raises, in both
+    big = np.full((2, dim, dim), 1e308 + 1e308j)
+    for route in (series._sum_keys, reference_sum_keys):
+        with pytest.raises(SeriesOverflowError):
+            route(dim, np.zeros(1), np.zeros(1, dtype=int), np.zeros(2, dtype=np.intp), big)
+
+
 def assert_identical(S, R):
     for name in ("freqs", "powers", "coeffs"):
         a, b = getattr(S, name), getattr(R, name)
