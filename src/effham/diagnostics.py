@@ -8,20 +8,25 @@ propagator expansion, the gap of the operator-reordering identity
 
     H(t) * II[H(t1) H(t2)]  vs  II[H(t2) H(t1)] * H(t)
 
-(where II denotes the nested integral over 0 <= t2 <= t1 <= t), residuals
-of the closed forms against the independent quadrature oracle, and
-coupling-scaling sweeps. Reports are deterministic: identical inputs
-produce byte-identical JSON apart from the timestamp field.
+(where II denotes the nested integral over 0 <= t2 <= t1 <= t; as every
+sample of H is Hermitian, the right side is the adjoint of the left, so
+the gap is the anti-Hermitian part of ``Heff_3``), residuals of the closed
+forms against the independent quadrature oracle, and coupling-scaling
+sweeps. Reports are deterministic: identical inputs produce
+byte-identical JSON apart from the timestamp field. A report writes its
+JSON and CSV files with one emitter, which formats each time-series float
+once for both and gives the bytes of ``json.dumps(..., indent=2,
+sort_keys=True, allow_nan=False)`` and of ``csv.writer``.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -77,6 +82,9 @@ def eq6_gap(H: MultiToneHamiltonian, t: float) -> float:
 
     Zero for commuting families; strictly positive whenever moving H(t)
     from the left of the double integral to the right actually matters.
+    As every sample of H is Hermitian, the gap is ``hbar**2`` times the
+    anti-Hermitian part of ``Heff_3(t)`` (see :func:`eq6_gap_grid`), so it
+    vanishes exactly where ``Heff_3`` is Hermitian.
     ``t`` must be a finite real number (:class:`OperatorValueError`).
     """
     return float(eq6_gap_grid(H, [check_real("time", t)])[0])
@@ -84,14 +92,19 @@ def eq6_gap(H: MultiToneHamiltonian, t: float) -> float:
 
 def eq6_gap_grid(H: MultiToneHamiltonian, ts) -> np.ndarray:
     """Vectorized :func:`eq6_gap` over a time grid, a 1-D sequence of
-    finite times, checked before any series is built."""
+    finite times, checked before any series is built.
+
+    The left side ``L = H * II[H H]`` is ``(i*hbar)**2 Heff_3``. Every
+    sample of H is Hermitian, so the reordered product ``II[H(t2) H(t1)] *
+    H`` is the adjoint ``L^dag``, and the gap is ``||L - L^dag||`` at each
+    time: one ``Heff_3`` build (2 series products and 2 integrals) and one
+    grid evaluation. The report builds ``Heff_3`` here once more instead of
+    reading it off its own chain, which keeps this function on the
+    report's route to the builder.
+    """
     ts = check_times("time grid", ts)
-    # left: H * II[H H] = (i*hbar)**2 Heff_3; right: the reordered product
-    S = H.to_operator_series()
-    left = builder.heff_n_timedep(H, 3).scale(-HBAR ** 2)
-    right = (S.integrate_from_zero() * S).integrate_from_zero() * S
-    diff = left.evaluate_grid(ts) - right.evaluate_grid(ts)
-    return np.linalg.norm(diff, axis=(1, 2))
+    L = builder.heff_n_timedep(H, 3).scale(-HBAR ** 2).evaluate_grid(ts)
+    return np.linalg.norm(L - L.conj().swapaxes(1, 2), axis=(1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +187,100 @@ class OrderRecord:
     secular_hermiticity_defect: float
 
 
+class _Column:
+    """One time-series column of a report: its CSV header, its values as
+    Python floats and their ``float.__repr__`` texts, which the JSON and
+    the CSV both write."""
+
+    def __init__(self, name: str, values: np.ndarray):
+        self.name = name
+        self.values = values.tolist()
+        self.texts = list(map(float.__repr__, self.values))
+
+
+def _float_text(x: float) -> str:
+    """``x`` as json writes it; a non-finite ``x`` raises json's ValueError."""
+    if not math.isfinite(x):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    return float.__repr__(x)
+
+
+def _scalar_text(x) -> str:
+    """A leaf of a JSON tree as json writes it, tested in json's order."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float_text(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _emit_floats(values: list, texts: list[str], newline: str, out: list[str]) -> None:
+    """Append a list of floats, given with their texts, as one string."""
+    if not all(map(math.isfinite, values)):
+        _float_text(next(x for x in values if not math.isfinite(x)))
+    inner = newline + "  "
+    out.append("[" + inner + ("," + inner).join(texts) + newline + "]" if texts else "[]")
+
+
+def _emit(node, newline: str, out: list[str]) -> None:
+    """Append the text of ``node`` to ``out``; ``newline`` starts the line
+    of its closing bracket."""
+    if isinstance(node, _Column):
+        _emit_floats(node.values, node.texts, newline, out)
+    elif isinstance(node, (list, tuple)):
+        try:
+            texts = list(map(float.__repr__, node))
+        except TypeError:  # an item that is not a float
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in node:
+                out.append(sep)
+                _emit(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+        else:
+            _emit_floats(node, texts, newline, out)
+    elif isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(node):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _emit(node[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_scalar_text(node))
+
+
+def _json_text(tree) -> str:
+    """``json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)``, byte
+    for byte, with each list of floats written by one join.
+
+    ``tree`` holds dicts with string keys, lists, tuples, strings, ints,
+    bools, ``None``, floats (float subclasses too, written by
+    ``float.__repr__`` as json writes them) and report columns, whose floats
+    are formatted already. A non-finite float raises json's
+    ``ValueError``; any other value, or a key that is not a string, raises
+    ``TypeError``.
+    """
+    out: list[str] = []
+    _emit(tree, "\n", out)
+    return "".join(out)
+
+
 @dataclass(frozen=True)
 class Report:
     model_digest: str
@@ -189,8 +296,23 @@ class Report:
     options: dict
     generated_at: str = field(default="", compare=False)
 
-    def as_dict(self) -> dict:
-        """JSON-ready representation (deterministic apart from the timestamp)."""
+    @functools.cached_property
+    def _columns(self) -> tuple[_Column, ...]:
+        """The time series in CSV order: ``t``, the two defect grids of each
+        order, then the identity gap. Each float is formatted here, once per
+        report, for both files."""
+        columns = [_Column("t", self.time_grid)]
+        for rec in self.orders:
+            columns.append(_Column(f"hermiticity_defect_order{rec.order}",
+                                   rec.hermiticity_defect_grid))
+            columns.append(_Column(f"dyson_unitarity_defect_order{rec.order}",
+                                   rec.dyson_unitarity_grid))
+        columns.append(_Column("eq6_gap", self.eq6))
+        return tuple(columns)
+
+    def _tree(self, series) -> dict:
+        """The report as a JSON tree, with ``series[i]`` standing for the
+        values of column ``i`` of :attr:`_columns`."""
         freq = self.frequency
         return {
             "schema": SCHEMA_VERSION,
@@ -219,7 +341,7 @@ class Report:
                     for s in freq.three_sum_classes
                 ],
             },
-            "time_grid": self.time_grid.tolist(),
+            "time_grid": series[0],
             "orders": [
                 {
                     "order": rec.order,
@@ -227,39 +349,46 @@ class Report:
                     "secular_im": rec.secular.imag.tolist(),
                     "secular_growth_flag": rec.secular_growth_flag,
                     "secular_hermiticity_defect": rec.secular_hermiticity_defect,
-                    "hermiticity_defect": rec.hermiticity_defect_grid.tolist(),
-                    "dyson_unitarity_defect": rec.dyson_unitarity_grid.tolist(),
+                    "hermiticity_defect": series[2 * i + 1],
+                    "dyson_unitarity_defect": series[2 * i + 2],
                 }
-                for rec in self.orders
+                for i, rec in enumerate(self.orders)
             ],
-            "eq6_gap": self.eq6.tolist(),
+            "eq6_gap": series[-1],
             "oracle_residuals": list(self.oracle_residuals),
             "sweep": self.sweep,
         }
 
+    def as_dict(self) -> dict:
+        """JSON-ready representation (deterministic apart from the timestamp)."""
+        return self._tree([list(col.values) for col in self._columns])
+
     def to_json(self) -> str:
-        # allow_nan=False enforces the every-numeric-field-finite invariant
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True, allow_nan=False)
+        """``json.dumps(self.as_dict(), indent=2, sort_keys=True,
+        allow_nan=False)``, written by :func:`_json_text`; a non-finite
+        field raises json's ``ValueError``."""
+        return _json_text(self._tree(self._columns))
 
     def csv_rows(self) -> list[list]:
         """Time series table: t, per-order defect columns, then the identity gap."""
-        columns = [("t", self.time_grid)]
-        for rec in self.orders:
-            columns.append((f"hermiticity_defect_order{rec.order}", rec.hermiticity_defect_grid))
-            columns.append((f"dyson_unitarity_defect_order{rec.order}", rec.dyson_unitarity_grid))
-        columns.append(("eq6_gap", self.eq6))
-        names, values = zip(*columns)
-        return [list(names)] + [[float(x) for x in row] for row in zip(*values)]
+        columns = self._columns
+        return [[col.name for col in columns]] + [list(row) for row in
+                                                   zip(*(col.values for col in columns))]
 
     def write(self, json_path: str | None = None, csv_path: str | None = None) -> None:
-        """Write the JSON report and the CSV time series to the paths given."""
+        """Write the JSON report and the CSV time series to the paths given.
+        The CSV holds the bytes ``csv.writer`` writes for :meth:`csv_rows`:
+        comma-separated, ``\\r\\n`` line ends, floats by ``float.__repr__``."""
         if json_path:
             with open(json_path, "w", encoding="utf-8") as fh:
                 fh.write(self.to_json())
                 fh.write("\n")
         if csv_path:
+            columns = self._columns
+            lines = [",".join(col.name for col in columns)]
+            lines += map(",".join, zip(*(col.texts for col in columns)))
             with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(self.csv_rows())
+                fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _unitarity_of_partial_sums(terms, orders: tuple[int, ...]) -> dict[int, np.ndarray]:
@@ -333,10 +462,10 @@ def run_report(
     over the tuple of orders, which builds one definite and one indefinite
     Dyson chain up to the highest order N; the propagator terms
     ``U_1 .. U_N`` are the ``dyson_terms`` of the top order's result. A
-    report at top order N thus makes ``2 (N - 1) + 4`` series products and
-    ``2 N + 3`` integrals, whichever orders up to N it lists: ``2 (N - 1)``
-    products and ``2 N - 1`` integrals for the two chains, and 4 of each
-    for the reordering-identity gap. The sweep
+    report at top order N thus makes ``2 (N - 1) + 2`` series products and
+    ``2 N + 1`` integrals, whichever orders up to N it lists: ``2 (N - 1)``
+    products and ``2 N - 1`` integrals for the two chains, and 2 of each
+    for the ``Heff_3`` of the reordering-identity gap. The sweep
     is derived from them by homogeneity,
     ``Heff_n(lam H) = lam^n Heff_n(H)`` and ``U_k(lam H) = lam^k U_k(H)``:
     row ``lam`` holds, per order n, the largest Hermiticity defect of

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -505,3 +506,15 @@ def test_in_process_reports_share_the_parser_and_no_option(capsys):
         fresh = subprocess.run([sys.executable, "-m", "effham.cli", *argv], capture_output=True,
                                text=True, timeout=120, check=True, env=env)
         assert _report_json(capsys.readouterr().out) == _report_json(fresh.stdout)
+
+
+@pytest.mark.parametrize("options", [[], ["--orders", "2,3,4", "--sweep", "0.4,0.2,0.1"]])
+def test_report_stdout_equals_the_out_file(options, tmp_path, capsys):
+    argv = ["report", "builtin:noncommuting_two_tone", *options]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    written = (tmp_path / "r.json").read_bytes()
+    generated_at = re.compile(rb'^\s*"generated_at": .*\n', re.MULTILINE)
+    assert generated_at.subn(b"", printed)[1] == 1
+    assert generated_at.sub(b"", printed) == generated_at.sub(b"", written)

@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 import pathlib
@@ -8,7 +11,9 @@ import pytest
 
 import effham.builder
 import effham.diagnostics
+from conftest import random_generic
 from effham import (
+    HBAR,
     ModelError,
     MultiToneHamiltonian,
     OperatorSeries,
@@ -426,12 +431,13 @@ def test_report_rejects_bad_options_before_loading(options):
         run_report("no_such_file.ham", **options)
 
 
-@pytest.mark.parametrize("orders, products", [((2, 3), 8), ((2, 3, 4), 10),
-                                              ((2, 3, 4, 5, 6), 14), ((2, 4), 10), ((4,), 10)])
+@pytest.mark.parametrize("orders, products", [((2, 3), 6), ((2, 3, 4), 8),
+                                              ((2, 3, 4, 5, 6), 12), ((2, 4), 8), ((4,), 8)])
 def test_report_builds_one_definite_and_one_indefinite_chain(orders, products, monkeypatch):
     # 2 (N - 1) products and 2 N - 1 integrals for the two chains up to the
-    # top order N, whichever orders below N are listed, and 4 of each for the
-    # reordering-identity gap; the propagator terms come off the definite chain
+    # top order N, whichever orders below N are listed, and 2 of each for the
+    # Heff_3 of the reordering-identity gap; the propagator terms come off
+    # the definite chain
     calls = {"mul": 0, "integrate": 0}
     multiply = OperatorSeries.__mul__
     integrate = OperatorSeries.integrate_from_zero
@@ -448,8 +454,8 @@ def test_report_builds_one_definite_and_one_indefinite_chain(orders, products, m
     monkeypatch.setattr(OperatorSeries, "integrate_from_zero", counting_integrate)
     run_report("builtin:raman_lambda", orders=orders, grid=8)
     N = max(orders)
-    assert calls["mul"] == 2 * (N - 1) + 4 == products
-    assert calls["integrate"] == 2 * N + 3
+    assert calls["mul"] == 2 * (N - 1) + 2 == products
+    assert calls["integrate"] == 2 * N + 1
 
 
 @pytest.mark.parametrize("source", REPORT_SOURCES)
@@ -472,3 +478,140 @@ def test_report_rejects_bad_thresholds_before_any_build(name, value, monkeypatch
     monkeypatch.setattr(effham.builder, "_chain", no_build)
     with pytest.raises(OperatorValueError, match=f"{name} must be a finite real number >= 0"):
         run_report("builtin:jc_detuned", grid=8, **{name: value})
+
+
+# ----------------------------------------------------------------------
+# reordering identity against its references
+
+
+def _bundled_model(source):
+    if source.startswith("builtin:"):
+        return make_model(source[len("builtin:"):])
+    return load_model(source)
+
+
+def _generic_model(seed, dim):
+    rng = np.random.default_rng(seed)
+    return MultiToneHamiltonian([(random_generic(rng, dim, 0.3), float(rng.uniform(0.5, 8.0)))
+                                 for _ in range(3)])
+
+
+GAP_MODELS = ([pytest.param(lambda source=source: _bundled_model(source), id=source)
+               for source in BUNDLED_SOURCES]
+              + [pytest.param(lambda seed=seed, dim=dim: _generic_model(seed, dim),
+                              id=f"generic-seed{seed}-d{dim}")
+                 for seed, dim in ((1, 3), (2, 6), (3, 6))])
+
+
+def reordered_product_gap(H, ts):
+    """The gap with the reordered product ``II[H(t2) H(t1)] * H`` built as a
+    series of its own, the reference for :func:`eq6_gap_grid`. Returns the
+    gap and the norm of the left side ``L = H * II[H H]`` at each time."""
+    S = H.to_operator_series()
+    left = heff_n_timedep(H, 3).scale(-HBAR ** 2).evaluate_grid(ts)
+    right = ((S.integrate_from_zero() * S).integrate_from_zero() * S).evaluate_grid(ts)
+    return np.linalg.norm(left - right, axis=(1, 2)), np.linalg.norm(left, axis=(1, 2))
+
+
+@pytest.mark.parametrize("model", GAP_MODELS)
+def test_eq6_gap_equals_the_reordered_product(model):
+    H = model()
+    ts = default_time_grid(H, 32)
+    ref, norm_left = reordered_product_gap(H, ts)
+    assert np.all(np.abs(eq6_gap_grid(H, ts) - ref) <= 1e-13 * np.maximum(1.0, norm_left))
+
+
+@pytest.mark.parametrize("model", GAP_MODELS)
+def test_eq6_gap_is_the_anti_hermitian_part_of_heff3(model):
+    # the Reply's identity: the reordering identity holds exactly where
+    # Heff_3 is Hermitian
+    H = model()
+    ts = default_time_grid(H, 32)
+    V = heff_secular(H, 3, time_grid=ts).grid_values
+    expected = HBAR ** 2 * np.linalg.norm(V - V.conj().swapaxes(1, 2), axis=(1, 2))
+    np.testing.assert_allclose(eq6_gap_grid(H, ts), expected, rtol=1e-15, atol=1e-300)
+
+
+# ----------------------------------------------------------------------
+# report serialization against json.dumps and csv.writer
+
+
+def _json_dumps(tree):
+    return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _csv_writer_bytes(rows):
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("options", [{}, {"orders": (2, 3, 4), "sweep": (0.4, 0.2, 0.1)}],
+                         ids=["default", "orders234-sweep"])
+@pytest.mark.parametrize("source", BUNDLED_SOURCES)
+def test_report_files_equal_json_dumps_and_csv_writer(source, options, tmp_path):
+    rep = run_report(source, **options)
+    ref = _json_dumps(rep.as_dict())
+    assert rep.to_json() == ref
+    rep.write(str(tmp_path / "r.json"), str(tmp_path / "r.csv"))
+    assert (tmp_path / "r.json").read_bytes() == (ref + "\n").encode("utf-8")
+    assert (tmp_path / "r.csv").read_bytes() == _csv_writer_bytes(rep.csv_rows())
+
+
+SYNTHETIC_TREES = [
+    {"plain": "text", "non-ascii": "Grüße ħω → ∞ \"quoted\" \\ \n\t\x00", "ключ": ["é", 1]},
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[], {}], "d": [[[]]], "e": {"f": {"g": {}}}},
+    {"int": 3, "negative": -7, "big": 2 ** 70, "true": True, "false": False, "none": None,
+     "mixed": [1, 2.5, True, None, "x", False, 0]},
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-7,
+     1e16, 0.1, 1.0],
+    {"floats": [np.float64(0.1), 2.0, np.float64(-0.0)], "one": np.float64(3.5)},
+    {"z": [{"b": 1, "a": [0.5, 1.25]}, [[1.0, 2.0], [3.0]]], "a": ("tuple", (1.0, 2.0))},
+    1.5,
+    "top",
+    None,
+    7,
+]
+
+
+@pytest.mark.parametrize("tree", SYNTHETIC_TREES)
+def test_json_emitter_equals_json_dumps_on_synthetic_trees(tree):
+    assert effham.diagnostics._json_text(tree) == _json_dumps(tree)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+@pytest.mark.parametrize("place", [lambda x: x, lambda x: [1.0, x, math.nan],
+                                   lambda x: {"b": [x], "a": [1, "s", -x]},
+                                   lambda x: [[0.5], {"k": x}]])
+def test_json_emitter_refuses_non_finite_floats_as_json_does(bad, place):
+    tree = place(bad)
+    with pytest.raises(ValueError) as ref:
+        _json_dumps(tree)
+    with pytest.raises(ValueError) as got:
+        effham.diagnostics._json_text(tree)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("tree", [[np.int64(1)], {"a": np.bool_(True)}, [1.0, {1j}]])
+def test_json_emitter_refuses_what_json_refuses(tree):
+    with pytest.raises(TypeError):
+        _json_dumps(tree)
+    with pytest.raises(TypeError):
+        effham.diagnostics._json_text(tree)
+
+
+def test_a_non_finite_time_series_value_raises_json_s_error(tmp_path):
+    rep = run_report("builtin:noncommuting_two_tone", grid=8)
+    eq6 = rep.eq6.copy()
+    eq6[3] = math.inf
+    bad = dataclasses.replace(rep, eq6=eq6)
+    with pytest.raises(ValueError) as ref:
+        _json_dumps(bad.as_dict())
+    with pytest.raises(ValueError) as got:
+        bad.to_json()
+    assert str(got.value) == str(ref.value)
+    # the CSV alone still writes what csv.writer writes
+    bad.write(csv_path=str(tmp_path / "r.csv"))
+    assert (tmp_path / "r.csv").read_bytes() == _csv_writer_bytes(bad.csv_rows())
