@@ -21,6 +21,7 @@ sort_keys=True, allow_nan=False)`` and of ``csv.writer``.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import math
@@ -255,8 +256,7 @@ def _emit(node, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(node):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            # a key that is not a str raises TypeError here
             out.append(sep + encode_basestring_ascii(key) + ": ")
             _emit(node[key], inner, out)
             sep = "," + inner
@@ -360,8 +360,9 @@ class Report:
         }
 
     def as_dict(self) -> dict:
-        """JSON-ready representation (deterministic apart from the timestamp)."""
-        return self._tree([list(col.values) for col in self._columns])
+        """JSON-ready representation (deterministic apart from the timestamp),
+        a new tree on every call: editing it leaves the report unchanged."""
+        return copy.deepcopy(self._tree([list(col.values) for col in self._columns]))
 
     def to_json(self) -> str:
         """``json.dumps(self.as_dict(), indent=2, sort_keys=True,

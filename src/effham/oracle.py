@@ -35,33 +35,38 @@ excitation number of the Jaynes-Cummings model (dimension 10, sectors 1,
 1, 2, 2, 2, 2, the two lone levels idle), then multiplies a stack of four
 2x2 blocks instead of 10x10 ones.
 
-The split comes from one of two routes that share the split rule, the
-scatter, the finiteness check and the maps. A
-:class:`MultiToneHamiltonian` or :class:`OperatorSeries` declares its
-``support``, the entries nonzero in some sample. When the support splits,
-the stage takes the split from it once per run, and both oracles sample
-each RK4 block and each quadrature level's new midpoints at the sector
-entries only (``evaluate_grid(ts, index)``), with no pattern scan and no
-gather. Any other grid function, and a support that does not split, takes
-the sampled route: the stage reads the nonzero pattern of each stack of
-samples, which makes the split exact for any grid function, finds the
-sectors again only when the pattern changes, and gathers the stack into
-them. On a Jaynes-Cummings block of 1025 samples (one BLAS thread)
-sampling its 16 sector entries takes about 50 us against 160 us for all
-100, and laying them into the stack 22 us against 120 us for the gather;
-the run at t = 400 (25,600 steps) peaks at 1.02 MiB in tracemalloc
-against 1.85 MiB.
+The split comes from one of two routes, which differ only in where it
+comes from: the split rule, the stack, the scatter, the finiteness check
+and the maps are shared. A :class:`MultiToneHamiltonian` or
+:class:`OperatorSeries` declares its ``support``, the entries nonzero in
+some sample, and a declared support decides the split once per run, split
+or not. When it splits, both oracles sample each RK4 block and each
+quadrature level's new midpoints at the sector entries only
+(``evaluate_grid(ts, index)``); when it does not, they sample every entry
+and run unsplit. Neither reads the pattern of the samples, so a model
+whose samples cancel on an entry of its support runs as its support
+splits. Only a grid function that declares no support is scanned: the
+stage reads the nonzero pattern of each stack of its samples, which makes
+the split exact for any grid function, and finds the sectors again only
+when the pattern changes. On either route the stack is one fancy index
+over the flattened columns of the samples, and the scatter writes the
+flat positions ``row * d + col`` back. On a Jaynes-Cummings block of 1025
+samples (one BLAS thread) sampling its 16 sector entries takes about
+50 us against 160 us for all 100, and laying them into the stack 20 us
+against 110 us for scanning and stacking the whole samples; the run at
+t = 400 (25,600 steps) peaks at 1.02 MiB in tracemalloc against 1.85 MiB.
 
 Both oracles refuse samples of H that are not all finite, with
 :class:`OperatorValueError` naming the first such time, rather than
-return NaNs. The RK4 checks what it multiplies, the sampled sector
-entries or the gathered stack. Either holds every nonzero entry, and an
-entry outside a support is finite wherever those inside are (a model's is
-``0 * cos + 0 * sin``, a series' shares their envelopes). On the
-Jaynes-Cummings model the check on the ``(1025, 4, 2, 2)`` stack of a
-block takes 37 us, against 166 us on the ``(1025, 10, 10)`` samples (one
-BLAS thread). The quadrature checks each level's new samples before its
-chain runs.
+return NaNs; one helper makes the check for both. The RK4 checks the
+stack it multiplies, after stacking, which is cheapest for a grid function
+with no support, whose stack is smaller than its samples. The stack holds
+every sampled nonzero entry, and an entry outside a support is finite
+wherever those inside are (a model's is ``0 * cos + 0 * sin``, a series'
+shares their envelopes). On the Jaynes-Cummings model the check on the
+``(1025, 4, 2, 2)`` stack of a block takes 37 us, against 166 us on the
+``(1025, 10, 10)`` samples (one BLAS thread). The quadrature checks each
+level's new samples before its chain runs.
 
 Blocks up to 3x3 are multiplied as a sum of outer products over the inner
 index, not by ``np.matmul``, whose cost per matrix hardly falls below
@@ -69,14 +74,14 @@ index, not by ``np.matmul``, whose cost per matrix hardly falls below
 matrices, ``np.matmul`` took 0.46/0.50/0.50/0.64/1.06 us per matrix at
 b = 2/3/4/6/10 and the sum 0.17/0.40/0.69/2.0/10.0 us, both measured on
 C-ordered stacks. Every sector stack has time as its fastest axis (the
-fancy index that builds it on either route lays it out so), and that
-layout is what makes the sum cheap there:
-on a C-ordered copy of the same stack the Jaynes-Cummings RK4 at t = 400
-(25,600 steps) took 0.27 s instead of 0.18 s. The split pays only with
-that cheap product: a block runs unsplit when it has a single sector,
-idle levels counted, or a sector larger than 3. Split, sectors 5, 1 took
-2.5 times and sectors 4, 4 1.5 times as long as unsplit, since a padded
-stack of S sectors costs S products under ``np.matmul``.
+one fancy index that builds it lays it out so), and that layout is what
+makes the sum cheap there: on a C-ordered copy of the same stack the
+Jaynes-Cummings RK4 at t = 400 (25,600 steps) took 0.27 s instead of
+0.18 s. The split pays only with that cheap product: a support, or a
+stack of a grid function with none, runs unsplit when it has a single
+sector, idle levels counted, or a sector larger than 3. Split, sectors
+5, 1 took 2.5 times and sectors 4, 4 1.5 times as long as unsplit, since
+a padded stack of S sectors costs S products under ``np.matmul``.
 
 The quadrature path (:func:`quad_oracle`) evaluates the interaction
 Hamiltonian directly on refined uniform grids and builds the nested
@@ -320,13 +325,13 @@ def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
         labels = new
 
 
-def _split(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``(rows, cols, valid)`` of the sector stack of a ``(d, d)`` nonzero
+def _split(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(flat, valid)`` of the sector stack of a ``(d, d)`` nonzero
     pattern, or ``None`` when it runs unsplit (see :class:`_SectorStage`).
 
-    Each is ``(S, b, b)``: the row and column of ``(d, d)`` that each entry
-    of the zero-padded stack of the ``S`` sectors holds, ``b`` the largest,
-    and whether it holds one rather than padding.
+    Both are ``(S, b, b)``: the flat position ``row * d + col`` of ``(d, d)``
+    that each entry of the zero-padded stack of the ``S`` sectors holds,
+    ``b`` the largest, and whether it holds one rather than padding.
     """
     sectors = _sectors(pattern)
     b = max(map(len, sectors))
@@ -339,33 +344,31 @@ def _split(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     for k, s in enumerate(sectors):
         index[k, :len(s)] = s
         valid[k, :len(s)] = True
-    return (np.broadcast_to(index[:, :, None], (len(sectors), b, b)),
-            np.broadcast_to(index[:, None, :], (len(sectors), b, b)),
+    return (index[:, :, None] * len(pattern) + index[:, None, :],
             valid[:, :, None] & valid[:, None, :])
 
 
 @functools.lru_cache(maxsize=64)
 def _support_split(support: bytes, d: int):
-    # the split of a declared (d, d) support, or None: a pure function of
-    # it, kept so that an operand whose support does not split pays for the
-    # sector search once, not on every call
-    pattern = np.frombuffer(support, dtype=bool).reshape(d, d)
-    split = _split(pattern)
-    if split is None:
-        return None
-    rows, cols, valid = split
-    index = (rows * d + cols)[valid]
-    # the column of the sampled entries that each stack entry holds
-    column = np.zeros(valid.shape, dtype=np.intp)
-    column[valid] = np.arange(len(index))
-    for array in (valid, index, column):
+    # ``(valid, index, columns)`` of a declared (d, d) support, all None when
+    # it does not split: a pure function of it, kept so that an operand pays
+    # for the sector search once. ``index`` holds the flat positions that
+    # are sampled, ``columns`` the column of those samples that each stack
+    # entry holds.
+    flat, valid = _split(np.frombuffer(support, dtype=bool).reshape(d, d)) or (None, None)
+    if valid is None:
+        return None, None, None
+    index = flat[valid]
+    columns = np.zeros(valid.shape, dtype=np.intp)
+    columns[valid] = np.arange(len(index))
+    for array in (valid, index, columns):
         array.setflags(write=False)
-    return pattern, split, index, column
+    return valid, index, columns
 
 
 class _SectorStage:
     """The invariant-sector split of the successive sample stacks of one
-    run, as both oracles take it (see the module docstring).
+    run of either oracle on the operand ``op`` (see the module docstring).
 
     A pattern splits when it has more than one sector and none larger than
     ``_SMALL_PRODUCT``, since only then do the sectors take the cheap
@@ -373,47 +376,48 @@ class _SectorStage:
     ``S`` sectors zero-padded to the largest, ``b``, without idle levels
     (lone levels whose diagonal entry is zero in every sample; with no
     sectors left, everything scatters to zeros), and with time as the
-    fastest axis (strides ``(16, ...)``). :meth:`scatter` puts values of
-    those sectors back into ``(d, d)``, zeros elsewhere.
+    fastest axis (strides ``(16, ...)``).
 
-    With a ``support`` that splits, :attr:`index` holds the flat positions
-    ``row * d + col`` of the sector entries and :meth:`stack` lays the
-    values sampled there into the stack. Otherwise :attr:`index` is
-    ``None``, and :meth:`gather` reads the nonzero pattern of a
-    C-contiguous complex ``(n, d, d)`` stack, splits it again only when the
-    pattern differs from the last one, and returns a new sector stack, or
-    its input unchanged when the pattern does not split, as :meth:`scatter`
-    then does too.
+    A declared ``support`` decides the split once per run, split or not.
+    When it splits, :meth:`sample` takes the flat positions ``row * d +
+    col`` of the sector entries alone, :attr:`index`; otherwise it takes
+    every entry. Only an operand that declares no support is scanned:
+    :meth:`stack` reads the nonzero pattern of each stack of its samples
+    and splits again only when the pattern differs from the last one.
+    Either way :meth:`stack` lays the ``(n, ...)`` samples, read as
+    complex, into the sector stack by one fancy index over their flattened
+    columns, and :meth:`scatter` writes values of the sectors back to their
+    flat positions in ``(d, d)``, zeros elsewhere. Unsplit, :meth:`stack`
+    returns the C-contiguous complex samples, the input itself if it is
+    one, and :meth:`scatter` its input.
     """
 
-    def __init__(self, support=None):
-        self.pattern = self.valid = self.index = None
-        if support is not None:
-            support = np.asarray(support, dtype=bool)
-            found = _support_split(support.tobytes(), len(support))
-            if found is not None:
-                self.pattern, (self.rows, self.cols, self.valid), self.index, self.column = found
+    def __init__(self, op):
+        self.evaluate_grid, self.dim = op.evaluate_grid, op.dim
+        support = getattr(op, "support", None)
+        self.scan, self.pattern = support is None, None
+        self.valid = self.index = self.columns = None
+        if not self.scan:
+            self.valid, self.index, self.columns = _support_split(
+                np.asarray(support, dtype=bool).tobytes(), self.dim)
+        self.targets = self.index  # the flat positions that scatter writes
+        # stack entries per point, as the quadrature's byte budget counts them
+        self.entries = self.dim * self.dim if self.index is None else self.valid.size
 
-    def sample(self, grid_eval, ts) -> np.ndarray:
-        # every entry, or the sector entries alone when the support splits
-        return grid_eval(ts) if self.index is None else grid_eval(ts, self.index)
+    def sample(self, ts) -> np.ndarray:
+        return self.evaluate_grid(ts) if self.index is None else self.evaluate_grid(ts, self.index)
 
-    def gather(self, A: np.ndarray) -> np.ndarray:
-        d = A.shape[-1]
-        pattern = np.any(A.view(A.real.dtype), axis=0).reshape(d, d, 2).any(axis=2)
-        if self.pattern is None or not np.array_equal(pattern, self.pattern):
-            self.pattern = pattern
-            self.rows, self.cols, self.valid = _split(pattern) or (None, None, None)
+    def stack(self, A) -> np.ndarray:
+        A = np.ascontiguousarray(A, dtype=complex)
+        if self.scan:
+            pattern = np.any(A.view(float), axis=0).reshape(self.dim, self.dim, 2).any(axis=2)
+            if self.pattern is None or not np.array_equal(pattern, self.pattern):
+                self.pattern = pattern
+                self.columns, self.valid = _split(pattern) or (None, None)
+                self.targets = None if self.valid is None else self.columns[self.valid]
         if self.valid is None:
             return A
-        stack = A[:, self.rows, self.cols]
-        stack[:, ~self.valid] = 0
-        return stack
-
-    def stack(self, values: np.ndarray) -> np.ndarray:
-        # the sector stack of the (n, k) values at ``index``, laid out as
-        # the gather lays out its own, by a fancy index over the columns
-        stack = np.asarray(values, dtype=complex)[:, self.column]
+        stack = A.reshape(len(A), -1)[:, self.columns]
         stack[:, ~self.valid] = 0
         return stack
 
@@ -421,16 +425,16 @@ class _SectorStage:
         # X is (..., S, b, b); any leading axes are kept
         if self.valid is None:
             return X
-        d = len(self.pattern)
-        out = np.zeros(X.shape[:-3] + (d, d), dtype=X.dtype)
-        out[..., self.rows[self.valid], self.cols[self.valid]] = X[..., self.valid]
-        return out
+        out = np.zeros(X.shape[:-3] + (self.dim * self.dim,), dtype=X.dtype)
+        out[..., self.targets] = X[..., self.valid]
+        return out.reshape(X.shape[:-3] + (self.dim, self.dim))
 
 
-def _not_finite(kind: str, times: np.ndarray, samples: np.ndarray) -> str:
+def _check_finite(kind: str, times: np.ndarray, samples: np.ndarray) -> None:
     # axis 0 is time, so the first non-finite entry is at the first such time
-    first = np.argwhere(~np.isfinite(samples))[0, 0]
-    return f"H is not finite at {kind} time {float(times[first])!r}"
+    if not np.isfinite(samples).all():
+        first = np.argwhere(~np.isfinite(samples))[0, 0]
+        raise OperatorValueError(f"H is not finite at {kind} time {float(times[first])!r}")
 
 
 def _rk4_pair(op, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -440,27 +444,18 @@ def _rk4_pair(op, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     # or of its own samples (see the module docstring).
     h = t / (2 * steps)
     G = E = np.zeros((op.dim, op.dim), dtype=complex)
-    sectors = _SectorStage(getattr(op, "support", None))
+    sectors = _SectorStage(op)
     for c0 in range(0, steps, _RK4_BLOCK):
         c1 = min(steps, c0 + _RK4_BLOCK)
         times = (h / 2) * (4 * c0 + np.arange(4 * (c1 - c0) + 1))
-        A = sectors.sample(op.evaluate_grid, times)
-        if sectors.index is not None:
-            if not np.isfinite(A).all():
-                raise OperatorValueError(_not_finite("propagation", times, A))
-            # -i H, in place on a new stack; the samples die here
-            A = sectors.stack(A)
-            A *= -1j
-        else:
-            A = np.ascontiguousarray(A, dtype=complex)
-            S = sectors.gather(A)
-            # a non-finite entry is nonzero, so it lies in a sector (or S is A)
-            if not np.isfinite(S).all():
-                raise OperatorValueError(_not_finite("propagation", times, A))
-            # -i S, in place on a stack the gather made; the caller's samples
-            # are never written to, so unsplit ones are scaled into a copy
-            A = np.multiply(S, -1j, out=None if S is A else S)
-            del S  # the samples are not held while the block's maps are formed
+        A = sectors.sample(times)
+        S = sectors.stack(A)
+        # a non-finite entry is nonzero, so it lies in the stack
+        _check_finite("propagation", times, S)
+        # -i H, in place on a stack the stage made; the caller's samples are
+        # never written to, so unsplit ones are scaled into a copy
+        A = np.multiply(S, -1j, out=None if S is A else S)
+        del S  # the samples are not held while the block's maps are formed
         G, E = _join(G, E, *map(sectors.scatter, _block_maps(A, h)))
     G[np.diag_indices_from(G)] += 1
     return G, E
@@ -485,9 +480,11 @@ def propagate_exact(H, t: float, steps: int | None = None) -> PropagationResult:
     :func:`default_step_count` included; both are checked before H is
     sampled, here and in :func:`propagate_series`. A block whose samples
     of H are not all finite raises :class:`OperatorValueError`, naming the
-    first such time, before its maps are formed; the check reads the
-    sampled sector entries or the gathered stack, either of which holds
-    every nonzero entry.
+    first such time, before its maps are formed; the check reads the stack
+    the block is multiplied on, which holds every nonzero entry. A declared
+    ``support`` of H decides the split into sectors, split or not; only a
+    grid function with none is split by the pattern of its samples (module
+    docstring).
     """
     return _propagate(H, t, steps, H.max_omega)
 
@@ -557,12 +554,12 @@ def _refined(samples: np.ndarray, midpoints) -> np.ndarray:
 def _nested_values(Hs: np.ndarray, orders: list[int], h: float,
                    sectors: _SectorStage, nodes: np.ndarray) -> dict[int, np.ndarray]:
     # Order-k values for each k in ``orders`` from one level's samples ``Hs``
-    # (complex, step ``h``, never written to), read at the even grid indices
+    # (step ``h``, never written to), read at the even grid indices
     # ``nodes``: the chain of order k is the first k - 1 steps of the highest
-    # order's chain. The chain runs on what ``sectors`` gathers, as the RK4
+    # order's chain. The chain runs on the stack of ``sectors``, as the RK4
     # does, and only the read-out nodes are scattered back. The highest
     # order's last step is taken at the nodes alone (module docstring).
-    Hs = sectors.gather(Hs) if sectors.index is None else sectors.stack(Hs)
+    Hs = sectors.stack(Hs)
     A = Hs
     factor = 1 + 0j
     out = {}
@@ -664,7 +661,9 @@ def quad_oracle(H, n, t, tol: float,
     support splits); past :data:`QUAD_BYTE_BUDGET` it raises
     :class:`QuadratureError` naming the level's points, the projection and
     the budget, with ``best`` from the last finished level (``None`` before
-    the first).
+    the first). As in the RK4, a declared ``support`` of H decides the
+    split into sectors, split or not, and only a grid function with none is
+    split by the pattern of each level's samples.
     """
     single = not isinstance(n, (tuple, list))
     orders = check_orders((n,) if single else n, MAX_QUAD_ORDER)
@@ -688,8 +687,7 @@ def quad_oracle(H, n, t, tol: float,
     prev: dict[int, np.ndarray] = {}
     changes: dict[int, float] = {}
     samples = None
-    sectors = _SectorStage(getattr(H, "support", None))
-    entries = H.dim * H.dim if sectors.index is None else sectors.valid.size
+    sectors = _SectorStage(H)
 
     def last_best():
         # every order's value at the last finished level, if there is one
@@ -697,7 +695,7 @@ def quad_oracle(H, n, t, tol: float,
 
     points = _BASE_POINTS
     while points <= max_points:
-        need = (points + 1) * entries * _QUAD_BYTES_PER_ENTRY
+        need = (points + 1) * sectors.entries * _QUAD_BYTES_PER_ENTRY
         if need > QUAD_BYTE_BUDGET:
             raise QuadratureError(
                 f"quadrature level of {points} points would take about {need} bytes, "
@@ -709,13 +707,9 @@ def quad_oracle(H, n, t, tol: float,
         ts = np.arange(points + 1) * (T / points)
         ts[-1] = T
         new_ts = ts if samples is None else ts[1::2]
-        new = sectors.sample(H.evaluate_grid, new_ts)
-        if not np.isfinite(new).all():
-            raise OperatorValueError(_not_finite("quadrature", new_ts, new))
-        if samples is None:
-            samples = np.ascontiguousarray(new, dtype=complex)
-        else:
-            samples = _refined(samples, new)
+        new = sectors.sample(new_ts)
+        _check_finite("quadrature", new_ts, new)
+        samples = new if samples is None else _refined(samples, new)
         # the samples are finite, so a value or a change that is not is an
         # overflow of the nested chain, which no finer grid brings back;
         # values that are not finite make their change so as well

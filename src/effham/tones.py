@@ -173,12 +173,6 @@ class TonePoly:
     def max_abs_coeff(self) -> float:
         return max((abs(m.coeff) for m in self.terms), default=0.0)
 
-    def term_index(self, freqs, powers) -> np.ndarray:
-        """Positions in :attr:`terms` that the monomials at ``freqs``/``powers``
-        (those this polynomial was built from, default tolerances) merged into:
-        a snapped frequency joins the largest cluster representative not above it."""
-        return _keyed_index(self.terms, freqs, powers)[2]
-
     # ------------------------------------------------------------------
     # algebra
     def __add__(self, other: "TonePoly") -> "TonePoly":
@@ -312,8 +306,10 @@ def _integral_table(k: int, freq: float) -> tuple[list[tuple[complex, int]], com
 
 def _keyed_index(terms: tuple[ToneMono, ...], freqs, powers):
     """``(key_freqs, key_powers, index)``: the frequencies (float) and powers
-    (int) of the canonical ``terms``, and :meth:`TonePoly.term_index` of the
-    monomials at ``freqs``/``powers``, reading the terms once."""
+    (int) of the canonical ``terms``, and the positions in ``terms`` that the
+    monomials at ``freqs``/``powers`` (those the terms were built from,
+    default tolerances) merged into, reading the terms once: a snapped
+    frequency joins the largest cluster representative not above it."""
     rep = np.array([m.freq for m in terms], dtype=float)
     key_powers = np.array([m.power for m in terms], dtype=int)
     cluster = np.concatenate(([0], np.cumsum(np.diff(rep) != 0)))

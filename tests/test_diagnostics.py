@@ -282,6 +282,19 @@ def test_report_deterministic_apart_from_timestamp():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_as_dict_hands_out_a_tree_whose_edits_leave_the_report_unchanged():
+    rep = run_report("builtin:raman_lambda", grid=12, sweep=(0.4, 0.2))
+    text, tree = rep.to_json(), rep.as_dict()
+    for edit in (lambda d: d["options"].update(grid=999),
+                 lambda d: d["options"]["orders"].append(7),
+                 lambda d: d["sweep"]["lambdas"].append(9.0),
+                 lambda d: d["sweep"]["rows"][0].update({"lambda": 9.0}),
+                 lambda d: d["oracle_residuals"][0].update(residual=-1.0)):
+        edit(rep.as_dict())
+        assert rep.to_json() == text and rep.as_dict() == tree
+    assert rep.options["grid"] == 12 and rep.oracle_residuals[0]["residual"] >= 0.0
+
+
 def test_report_json_and_csv_files(tmp_path):
     out = tmp_path / "report.json"
     csv_file = tmp_path / "series.csv"
@@ -579,6 +592,13 @@ SYNTHETIC_TREES = [
 @pytest.mark.parametrize("tree", SYNTHETIC_TREES)
 def test_json_emitter_equals_json_dumps_on_synthetic_trees(tree):
     assert effham.diagnostics._json_text(tree) == _json_dumps(tree)
+
+
+def test_json_emitter_refuses_a_key_that_is_not_a_str():
+    # json.dumps writes {"1": 2}; a report's keys are all strings, and the
+    # emitter's string encoder refuses any other
+    with pytest.raises(TypeError):
+        effham.diagnostics._json_text({1: 2})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])

@@ -15,7 +15,7 @@ from effham.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos" / "models").glob("*.ham"))
-CLOSED_FORM_ROWS, ORACLE_ROWS = 179, 121
+CLOSED_FORM_ROWS, ORACLE_ROWS = 179, 210
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,12 @@ def test_oracle_digests_cover_every_oracle_output_and_hash_it_up_to_the_sign_of_
     quad = [["quad", name, f"t{t}", f"o{n}"]
             for name in list(ZOO_NAMES) + [path.stem for path in DEMOS]
             for t in ("0.5", "1", "5") for n in range(2, 7)]
-    assert [row[:-1] for row in rows] == rk4 + quad
+    # the same operands again through a grid function with no support
+    scan = [["scan", kind, name, part]
+            for kind, name in [("exact", "jc"), ("series", "jc_secular_o2")]
+            + [("exact", z) for z in ZOO_NAMES] for part in ("U", "est_error")]
+    scan += [["scan", *row] for row in quad[:len(ZOO_NAMES) * 15]]
+    assert [row[:-1] for row in rows] == rk4 + quad + scan
     assert len({row[-1] for row in rows[:len(rk4):2]}) == len(rk4) // 2
 
     # the first zoo model's U, hashed here; a negative zero hashes as +0.0

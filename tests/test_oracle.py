@@ -208,18 +208,20 @@ def _two_4x4_sectors(rng):
 
 
 def _record_splits(monkeypatch):
-    """List that gets, for every stack the oracles gather, whether it was
-    split, i.e. whether the gather returned a new stack."""
-    splits = []
-    gather = oracle._SectorStage.gather
+    """Two lists that get, for every stack the oracles lay out, whether it
+    was split: ``scanned`` for an operand with no support, whose stacks are
+    split by their own pattern, and ``declared`` for one whose declared
+    support decided the split."""
+    scanned, declared = [], []
+    stack = oracle._SectorStage.stack
 
     def recording(self, A):
-        stack = gather(self, A)
-        splits.append(stack is not A)
-        return stack
+        out = stack(self, A)
+        (scanned if self.scan else declared).append(self.valid is not None)
+        return out
 
-    monkeypatch.setattr(oracle._SectorStage, "gather", recording)
-    return splits
+    monkeypatch.setattr(oracle._SectorStage, "stack", recording)
+    return scanned, declared
 
 
 def test_sector_stage_splits_jc_only_into_sectors_up_to_3x3(rng):
@@ -227,9 +229,12 @@ def test_sector_stage_splits_jc_only_into_sectors_up_to_3x3(rng):
     for H, split in [(jc_detuned(g=0.05), True), (_two_4x4_sectors(rng), False),
                      (_generic_three_tone(rng), False)]:
         A = np.ascontiguousarray(H.evaluate_grid(ts))
-        sectors = oracle._SectorStage()
-        stack = sectors.gather(A)
+        sectors = oracle._SectorStage(_NoSupport(H))
+        stack = sectors.stack(A)
         assert (stack is not A) == split
+        # the declared support gives the same stack from the entries it samples
+        declared = oracle._SectorStage(H)
+        assert declared.stack(declared.sample(ts)).tobytes() == stack.tobytes()
         if split:
             # the doublets only: levels 4 and 5 are idle and left out
             assert stack.shape == (len(ts), 4, 2, 2)
@@ -290,13 +295,29 @@ class _DetunedLoneLevel:
 @pytest.mark.parametrize("eps", [0.0, 0.7])
 def test_a_lone_level_with_a_diagonal_entry_is_kept(eps):
     op = _DetunedLoneLevel(eps)
-    stack = oracle._SectorStage().gather(op.evaluate_grid(np.linspace(0.0, 1.0, 5)))
+    stack = oracle._SectorStage(op).stack(op.evaluate_grid(np.linspace(0.0, 1.0, 5)))
     assert stack.shape == (5, 1 if eps == 0.0 else 2, 2, 2)
     t = 3.0
     res = propagate_exact(op, t, steps=512)
     assert res.est_error > 0.0
     assert abs(res.U[2, 2] - np.exp(-1j * eps * t)) <= res.est_error
     _assert_matches_reference(res, op, t, 512)
+
+
+def test_the_padding_of_a_sector_stack_is_zero_on_either_route():
+    # a lone level 0 with a diagonal entry, and a pair: the padding of the
+    # lone level's sector reads entry (0, 0) on the scanned route and the
+    # first sampled entry on the declared one, neither of them zero
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 0], h[1, 2] = 0.3, 0.4
+    H = MultiToneHamiltonian([(h, 1.3)])
+    ts = np.linspace(0.0, 1.0, 5)
+    for op in (H, _NoSupport(H)):
+        sectors = oracle._SectorStage(op)
+        stack = sectors.stack(sectors.sample(ts))
+        assert stack.shape == (5, 2, 2, 2) and not stack[:, ~sectors.valid].any()
+        assert np.array_equal(sectors.scatter(stack), H.evaluate_grid(ts))
+        _assert_matches_reference(propagate_exact(op, 3.0, steps=512), op, 3.0, 512)
 
 
 class _Zero:
@@ -324,7 +345,7 @@ class _SwitchedIdleCoupling(_Zero):
 
 def test_oracles_of_a_vanishing_block_give_the_identity_and_zero():
     # every level idle: the stack has no sectors
-    assert oracle._SectorStage().gather(np.zeros((2, 4, 4), dtype=complex)).shape == (2, 0, 1, 1)
+    assert oracle._SectorStage(_Zero()).stack(np.zeros((2, 4, 4))).shape == (2, 0, 1, 1)
     res = propagate_exact(_Zero(), 2.0, steps=3 * oracle._RK4_BLOCK)
     assert np.array_equal(res.U, np.eye(4)) and res.est_error == 0.0
     for val in quad_oracle(_Zero(), (2, 3, 6), [1.0, 2.0], 1e-9).values():
@@ -339,11 +360,18 @@ def test_oracles_of_a_vanishing_block_give_the_identity_and_zero():
 
 
 def test_propagate_exact_runs_sectors_larger_than_3x3_unsplit(rng, monkeypatch):
-    # a padded stack of 4x4 sectors would cost one np.matmul per sector
+    # a padded stack of 4x4 sectors would cost one np.matmul per sector:
+    # the declared support runs unsplit with no scan, the same operand with
+    # no support is scanned and runs unsplit
     H = _two_4x4_sectors(rng)
-    splits = _record_splits(monkeypatch)
-    _assert_matches_reference(propagate_exact(H, 1.5, steps=300), H, 1.5, 300)
-    assert splits and not any(splits)
+    scanned, declared = _record_splits(monkeypatch)
+    res = propagate_exact(H, 1.5, steps=300)
+    assert not scanned and declared and not any(declared)
+    _assert_matches_reference(res, H, 1.5, 300)
+    declared.clear()
+    ref = propagate_exact(_NoSupport(H), 1.5, steps=300)
+    assert not declared and scanned and not any(scanned)
+    assert res.U.tobytes() == ref.U.tobytes() and res.est_error == ref.est_error
 
 
 class _SwitchedCoupling:
@@ -638,8 +666,8 @@ def _reference_mul(X, Y):
 def _quad_reference_values(H, orders, T, points, nodes):
     ts = np.linspace(0.0, T, points + 1)
     h = T / points
-    sectors = oracle._SectorStage()
-    Hs = sectors.gather(np.ascontiguousarray(H.evaluate_grid(ts), dtype=complex))
+    sectors = oracle._SectorStage(_NoSupport(H))
+    Hs = sectors.stack(H.evaluate_grid(ts))
     A = Hs
     factor = 1 + 0j
     out = {}
@@ -1115,12 +1143,17 @@ def test_quad_oracle_refuses_non_finite_samples_at_the_level_that_meets_them():
 
 
 def test_quad_oracle_runs_sectors_larger_than_3x3_unsplit(rng, monkeypatch):
+    # unsplit with no scan on the declared support, scanned with none
     H = _two_4x4_sectors(rng)
-    splits = _record_splits(monkeypatch)
+    scanned, declared = _record_splits(monkeypatch)
     ts = _eighths(1.5)
     vals = quad_oracle(H, (2, 3, 4), ts, 1e-9)
-    assert splits and not any(splits)
+    assert not scanned and declared and not any(declared)
+    declared.clear()
+    ref = quad_oracle(_NoSupport(H), (2, 3, 4), ts, 1e-9)
+    assert not declared and scanned and not any(scanned)
     for n in (2, 3, 4):
+        assert vals[n].tobytes() == ref[n].tobytes()
         closed = heff_n_timedep(H, n)
         for t, val in zip(ts, vals[n]):
             assert np.linalg.norm(val - closed.evaluate(t)) < 1e-8
@@ -1334,41 +1367,46 @@ SUPPORTED = {
 @pytest.mark.parametrize("name", SUPPORTED)
 def test_support_and_sampled_routes_give_the_same_bits(name, monkeypatch):
     op = SUPPORTED[name]()
-    assert oracle._SectorStage(op.support).index is not None
+    assert oracle._SectorStage(op).index is not None
     propagate = propagate_series if isinstance(op, OperatorSeries) else propagate_exact
-    splits = _record_splits(monkeypatch)
+    scanned, declared = _record_splits(monkeypatch)
     # 1000 coarse steps: three whole blocks and a shorter tail
     t, steps = 30.0, 1000
     probe = _RecordingIndex(op)
     res = propagate(probe, t, steps=steps)
-    assert not splits  # no pattern scan, no gather
+    assert not scanned and declared and all(declared)  # no pattern scan
     ref = propagate(_NoSupport(op), t, steps=steps)
-    assert splits and all(splits)
+    assert scanned and all(scanned)
     assert res.U.tobytes() == ref.U.tobytes() and res.est_error == ref.est_error
     assert len(probe.indexes) == math.ceil(steps / oracle._RK4_BLOCK)
     assert all(index is probe.indexes[0] for index in probe.indexes)
     assert probe.points <= 4 * steps + math.ceil(steps / oracle._RK4_BLOCK)
     # the quadrature's levels, sampled at the sector entries only
-    splits.clear()
+    scanned.clear()
     probe = _RecordingIndex(op)
     vals = quad_oracle(probe, (2, 3, 4), _eighths(3.0), 1e-9)
-    assert not splits and len(probe.indexes) > 1
+    assert not scanned and len(probe.indexes) > 1
     assert all(index is probe.indexes[0] for index in probe.indexes)
     ref_probe = _CountingOperator(_NoSupport(op))
     ref = quad_oracle(ref_probe, (2, 3, 4), _eighths(3.0), 1e-9)
-    assert splits and all(splits) and probe.grids == ref_probe.grids
+    assert scanned and all(scanned) and probe.grids == ref_probe.grids
     for n in (2, 3, 4):
         assert vals[n].tobytes() == ref[n].tobytes()
 
 
-def test_a_support_that_does_not_split_takes_the_sampled_route(rng):
-    # one sector, or sectors larger than 3x3: the index is never passed
+def test_a_support_that_does_not_split_runs_unsplit_without_a_scan(rng, monkeypatch):
+    # one sector, or sectors larger than 3x3: the support decides once that
+    # every block and level runs unsplit, no stack is scanned, and the
+    # index is never passed
+    scanned, declared = _record_splits(monkeypatch)
     for op in (make_model("raman_lambda"), _two_4x4_sectors(rng), make_model("scalar_single_tone")):
-        assert oracle._SectorStage(op.support).index is None
+        stage = oracle._SectorStage(op)
+        assert stage.index is None and stage.valid is None and not stage.scan
         probe = _RecordingIndex(op)
         propagate_exact(probe, 1.0, steps=300)
         quad_oracle(probe, 2, 1.0, 1e-9)
         assert probe.indexes and not any(index is not None for index in probe.indexes)
+    assert not scanned and declared and not any(declared)
 
 
 def test_the_support_route_refuses_non_finite_samples_at_the_first_such_time():
@@ -1378,7 +1416,7 @@ def test_the_support_route_refuses_non_finite_samples_at_the_first_such_time():
     S = OperatorSeries(2, [(np.diag([1.0, 0.0]), TonePoly.exponential(0.0, power=5)),
                            (np.diag([0.0, 0.5]), TonePoly.constant(1.0))])
     for op in (H, S):
-        assert oracle._SectorStage(op.support).index is not None
+        assert oracle._SectorStage(op).index is not None
     for propagate, op, t in ((propagate_exact, H, 1e308), (propagate_series, S, 1e70)):
         # sampling overflows, on either route, before the oracle sees it
         with np.errstate(over="ignore", invalid="ignore"):

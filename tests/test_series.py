@@ -202,7 +202,8 @@ def test_term_budget_rejects_bad_value(monkeypatch, raw):
 
 def reference_termwise(S, op):
     """The route exact grouping replaced: every output monomial re-clustered
-    through ``_key_poly`` and ``term_index``, kept verbatim as the reference."""
+    through ``_key_poly`` and the key index of ``_keyed_index``, kept
+    verbatim as the reference."""
     freqs, powers, mats = [], [], []
     for f, k, C in zip(S.freqs, S.powers, S.coeffs):
         for m in op(TonePoly.exponential(f, 1.0, k)).terms:
@@ -257,7 +258,8 @@ def test_flat_scatter_groups_as_the_2d_add_at(rng, dim):
         case = grouping_case(rng, dim, keys, monomials)
         freqs, powers, coeffs = assert_same_grouping(dim, *case)
         assert len(freqs) == len(np.unique(case[2]))  # keys with no monomial are dropped
-    # the list of matrices the constructor passes, and the int index of term_index
+    # the list of matrices the constructor passes, and an int index as
+    # _keyed_index gives it
     _, _, index, mats = grouping_case(rng, dim, 6, 30)
     assert_same_grouping(dim, np.arange(6.0), np.zeros(6, dtype=int), index.tolist(), list(mats))
 

@@ -29,7 +29,11 @@ report's residual block:
   each of the 5 zoo models at t = 1 with the default step count;
 * ``quad <model> t<t> o<n>``: one ``quad_oracle`` call for orders 2..6 at
   each of t = 0.5, 1 and 5, tolerance 1e-9, on the 5 zoo models and the
-  ``.ham`` files of ``demos/models``.
+  ``.ham`` files of ``demos/models``;
+* ``scan ...``: the rows of jc, ``jc_secular_o2``, the 5 zoo models' RK4
+  and the zoo models' quadrature once more, each operand behind a grid
+  function that declares no ``support``, so that the oracles split each
+  stack of its samples by the stack's own nonzero pattern.
 
 Report outputs: ``effham.cli.main`` runs ``effham report`` in-process on
 the 5 zoo models and the ``.ham`` files of ``demos/models``, each with the
@@ -112,6 +116,24 @@ def generic_model(rng, dim: int, tones: int) -> MultiToneHamiltonian:
             return H
 
 
+class NoSupport:
+    """The operand behind a grid function that declares no support."""
+
+    def __init__(self, op):
+        self.op, self.dim = op, op.dim
+        self.max_omega = getattr(op, "max_omega", None)
+        self.freqs = getattr(op, "freqs", None)
+
+    def evaluate_grid(self, ts):
+        return self.op.evaluate_grid(ts)
+
+
+def quad_rows(tag: str, H) -> None:
+    for t in (0.5, 1.0, 5.0):
+        for n, value in sorted(quad_oracle(H, ORDERS, t, 1e-9).items()):
+            print(f"{tag} t{t:g} o{n} {digest(value + 0.0)}")
+
+
 def show(tag: str, res) -> None:
     for part in ("U", "est_error"):
         print(f"{tag} {part} {digest(getattr(res, part) + 0.0)}")
@@ -146,11 +168,16 @@ show("series jc_secular_o2", propagate_series(secular, t_star, steps=1_600))
 models = {name: make_model(name) for name in ZOO_NAMES}
 for name, H in models.items():
     show(f"exact {name}", propagate_exact(H, 1.0))
-models.update((path.stem, load_model(path)) for path in DEMOS)
 for name, H in models.items():
-    for t in (0.5, 1.0, 5.0):
-        for n, value in sorted(quad_oracle(H, ORDERS, t, 1e-9).items()):
-            print(f"quad {name} t{t:g} o{n} {digest(value + 0.0)}")
+    quad_rows(f"quad {name}", H)
+for path in DEMOS:
+    quad_rows(f"quad {path.stem}", load_model(path))
+show("scan exact jc", propagate_exact(NoSupport(jc), t_star, steps=25_600))
+show("scan series jc_secular_o2", propagate_series(NoSupport(secular), t_star, steps=1_600))
+for name, H in models.items():
+    show(f"scan exact {name}", propagate_exact(NoSupport(H), 1.0))
+for name, H in models.items():
+    quad_rows(f"scan quad {name}", NoSupport(H))
 
 # reports: the JSON without generated_at, and the CSV
 with tempfile.TemporaryDirectory() as work:
