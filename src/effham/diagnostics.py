@@ -474,10 +474,10 @@ def run_report(
     ``I + sum_{k<=n} lam^k U_k(1)``. The quadrature residuals of every
     listed order, at the 8 times ``j * tmax / 8``, come from one
     :func:`quad_oracle` call at tolerance ``QUAD_TOL``: one refinement on
-    ``[0, tmax]`` whose chain holds every residual time as an even level-0
-    node (``256 / 8 = 32`` intervals apart). Since that grid spans ``[0, tmax]``
-    and not ``[0, t]``, a reference value is not bit-identical to that of a
-    call at its time alone; the residuals agree with such calls to well
+    ``[0, tmax]`` whose panels end at every residual time, each gap of
+    ``tmax / 8`` cut into the same number of panels. Since the panels
+    depend on all 8 times, a reference value is not bit-identical to that
+    of a call at its time alone; the residuals agree with such calls to well
     below the quadrature tolerance.
     """
     orders = OPTION_CHECKS["orders"](orders)

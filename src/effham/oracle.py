@@ -22,51 +22,44 @@ difference rather than off a subtraction of two nearly equal products.
 Each block's node is folded into the running one by the same rule.
 
 Each block is split into invariant sectors: the connected components of
-the entries of H that are nonzero in some sample, made symmetric. No
-sample couples two sectors, so no step map does either, and the block's
-maps are computed on a zero-padded ``(b, b)`` stack of the sectors, ``b``
-the largest sector, and scattered back into ``(d, d)``. An idle level, a
-lone level with no diagonal entry in any sample, is left out of the
-stack: it never moves, so its rows and columns of every step map are
-those of the identity, and its quadrature values zero, as the scatter
-gives them. One object, ``_SectorStage``, holds the split for a whole run
-of either oracle. A model that conserves a quantum number, such as the
-excitation number of the Jaynes-Cummings model (dimension 10, sectors 1,
-1, 2, 2, 2, 2, the two lone levels idle), then multiplies a stack of four
-2x2 blocks instead of 10x10 ones.
+the entries of H's declared ``support``, made symmetric. No sample couples
+two sectors, so no step map does either, and the block's maps are computed
+on a zero-padded ``(b, b)`` stack of the sectors, ``b`` the largest sector,
+and scattered back into ``(d, d)``. An idle level, a lone level with no
+diagonal entry in the support, is left out of the stack: it never moves, so
+its rows and columns of every step map are those of the identity, and its
+quadrature values zero, as the scatter gives them. One object,
+``_SectorStage``, holds the split for a whole run of either oracle. A model
+that conserves a quantum number, such as the excitation number of the
+Jaynes-Cummings model (dimension 10, sectors 1, 1, 2, 2, 2, 2, the two lone
+levels idle), then multiplies a stack of four 2x2 blocks instead of 10x10
+ones.
 
-The split comes from one of two routes, which differ only in where it
-comes from: the split rule, the stack, the scatter, the finiteness check
-and the maps are shared. A :class:`MultiToneHamiltonian` or
-:class:`OperatorSeries` declares its ``support``, the entries nonzero in
-some sample, and a declared support decides the split once per run, split
-or not. When it splits, both oracles sample each RK4 block and each
-quadrature level's new midpoints at the sector entries only
+A :class:`MultiToneHamiltonian` or :class:`OperatorSeries` declares its
+``support``, the entries nonzero in some sample, and the support decides
+the split once per run, split or not. When it splits, both oracles sample
+each RK4 block and each quadrature level at the sector entries only
 (``evaluate_grid(ts, index)``); when it does not, they sample every entry
-and run unsplit. Neither reads the pattern of the samples, so a model
-whose samples cancel on an entry of its support runs as its support
-splits. Only a grid function that declares no support is scanned: the
-stage reads the nonzero pattern of each stack of its samples, which makes
-the split exact for any grid function, and finds the sectors again only
-when the pattern changes. On either route the stack is one fancy index
-over the flattened columns of the samples, and the scatter writes the
-flat positions ``row * d + col`` back. On a Jaynes-Cummings block of 1025
-samples (one BLAS thread) sampling its 16 sector entries takes about
-50 us against 160 us for all 100, and laying them into the stack 20 us
-against 110 us for scanning and stacking the whole samples; the run at
-t = 400 (25,600 steps) peaks at 1.02 MiB in tracemalloc against 1.85 MiB.
+and run unsplit. Neither reads which entries of the samples are nonzero, so
+a model whose samples cancel on an entry of its support runs as its
+support splits. A grid function that declares no support runs unsplit.
+The stack is one fancy index over the sampled columns, and the scatter
+writes the flat positions ``row * d + col`` back. On a Jaynes-Cummings block of 1025 samples (one
+BLAS thread) sampling its 16 sector entries takes about 50 us against 160
+us for all 100, and laying them into the stack 20 us; the run at t = 400
+(25,600 steps) peaks at 1.02 MiB in tracemalloc against 1.85 MiB for
+stacking the whole samples.
 
 Both oracles refuse samples of H that are not all finite, with
 :class:`OperatorValueError` naming the first such time, rather than
 return NaNs; one helper makes the check for both. The RK4 checks the
-stack it multiplies, after stacking, which is cheapest for a grid function
-with no support, whose stack is smaller than its samples. The stack holds
-every sampled nonzero entry, and an entry outside a support is finite
-wherever those inside are (a model's is ``0 * cos + 0 * sin``, a series'
-shares their envelopes). On the Jaynes-Cummings model the check on the
-``(1025, 4, 2, 2)`` stack of a block takes 37 us, against 166 us on the
-``(1025, 10, 10)`` samples (one BLAS thread). The quadrature checks each
-level's new samples before its chain runs.
+stack it multiplies, after stacking. The stack holds every sampled nonzero
+entry, and an entry outside a support is finite wherever those inside are
+(a model's is ``0 * cos + 0 * sin``, a series' shares their envelopes). On
+the Jaynes-Cummings model the check on the ``(1025, 4, 2, 2)`` stack of a
+block takes 37 us, against 166 us on the ``(1025, 10, 10)`` samples (one
+BLAS thread). The quadrature checks each level's samples before its chain
+runs.
 
 Blocks up to 3x3 are multiplied as a sum of outer products over the inner
 index, not by ``np.matmul``, whose cost per matrix hardly falls below
@@ -77,54 +70,45 @@ C-ordered stacks. Every sector stack has time as its fastest axis (the
 one fancy index that builds it lays it out so), and that layout is what
 makes the sum cheap there: on a C-ordered copy of the same stack the
 Jaynes-Cummings RK4 at t = 400 (25,600 steps) took 0.27 s instead of
-0.18 s. The split pays only with that cheap product: a support, or a
-stack of a grid function with none, runs unsplit when it has a single
-sector, idle levels counted, or a sector larger than 3. Split, sectors
-5, 1 took 2.5 times and sectors 4, 4 1.5 times as long as unsplit, since
-a padded stack of S sectors costs S products under ``np.matmul``.
+0.18 s. The split pays only with that cheap product: a support runs
+unsplit when it has a single sector, idle levels counted, or a sector
+larger than 3. Split, sectors 5, 1 took 2.5 times and sectors 4, 4 1.5
+times as long as unsplit, since a padded stack of S sectors costs S
+products under ``np.matmul``.
 
 The quadrature path (:func:`quad_oracle`) evaluates the interaction
-Hamiltonian directly on refined uniform grids and builds the nested
-integrals with a fourth-order cumulative Simpson rule, one refinement for
-any set of orders 2..6 and any list of times. A cumulative integral and a
-product with H keep the sectors of H's samples, so each level's samples go
-through the same sector stage as an RK4 block's, with products by
-:func:`_mul` either way, and only the values at the read-out times are
-scattered back into ``(d, d)``. The Jaynes-Cummings chain then multiplies
-2x2 blocks and the dense zoo models of dimension 2 and 3 take the sum of
-outer products. The samples are read as complex, so a grid function may
-return real ones, and neither oracle writes to them. The cumulative chain
-on ``[0, T]``, ``T`` the largest time, holds every time that is an even
-node of the 256-interval level-0 grid (``t / T * 256`` an even integer,
-e.g. ``j * T / 8``), and every later level keeps those nodes, so all such
-times are read off one chain. Values at a time below ``T`` then come from
-a grid on ``[0, T]`` rather than ``[0, t]`` and are not bit-identical to
-those of a call at that time alone. The quadrature must not touch the
-closed-form machinery, since its whole value is independence from it.
+Hamiltonian directly at the nodes of Chebyshev panels and builds the nested
+integrals with one spectral rule (Clenshaw & Curtis, Numer. Math. 2, 197
+(1960); Greengard, SIAM J. Numer. Anal. 28, 1071 (1991)), for any set of
+orders 2..6 and any list of times. The panel edges are 0 and every distinct
+read-out time; level L cuts each gap between them into ``2**L`` equal
+panels, and each panel takes the 17 Chebyshev-Lobatto nodes of degree 16.
+One ``17 x 17`` matrix, built once from the Chebyshev integration
+recurrence with numpy alone, gives the running integral of a panel's
+samples from its start to each of its nodes, exact for polynomials of
+degree 16; the panel totals are carried across as a cumulative offset.
+Every read-out time is the last node of a panel, so each time is read at
+itself, and all of them off one chain: a value depends on the whole list
+of distinct times, not on its order or repeats, and is not bit-identical
+to that of a call at its time alone. The samples are smooth, so the error
+falls geometrically with the panel width: on the zoo models of dimension up
+to 8 at orders 2..6 and t = 0.5, 1, 2 and 5, the values agree with the
+closed forms to 3.8e-13 relative at tolerance 1e-9, where the composite
+Simpson refinement that this rule replaced stopped at 5.8e-11.
 
-The levels share their samples. Node ``2j`` of the grid of ``2p``
-intervals and node ``j`` of the grid of ``p`` intervals are the same
-double, ``j * fl(T / p)``, since halving is exact, so each level after the
-first samples H only at its ``p`` new midpoints and interleaves them with
-the kept samples: the stack equals that of sampling the whole grid, and
-every level still calls ``evaluate_grid`` once. The refinement then
-samples ``256 * 2**k + 1`` points up to level k instead of about twice as
-many. The grid ``j * fl(T / p)``, its last node set to ``T``, is numpy's
-``linspace`` formula for start 0.0, written out to skip its overhead.
-While a level is interleaved, memory holds the previous stack and the new
-one. The values are those of sampling each level whole as long as the
-grid function returns for each time the same value whatever batch of
-more than one time it comes in, as :class:`MultiToneHamiltonian` does;
-one whose values depend on the batch may differ in the last bits. A batch
-of one time is another case: the model's one-row product may differ in
-the last bits from that row of a larger batch, but no level samples
-fewer than 256 times.
-
-The highest order is read at its read-out nodes only, so its last step is
-taken there alone: its Simpson pair sums are accumulated up to the last
-read-out node, the same sequential prefix sums that the whole cumulative
-integral takes there, and only the read-out samples of H multiply them,
-giving the same doubles as the whole chain.
+A cumulative integral and a product with H keep the sectors of H's
+samples, so each level's samples go through the same sector stage as an
+RK4 block's, with products by :func:`_mul` either way, and only the values
+at the read-out times are scattered back into ``(d, d)``. The
+Jaynes-Cummings chain then multiplies 2x2 blocks and the dense zoo models
+of dimension 2 and 3 take the sum of outer products. The running integral
+is one ``np.matmul`` over the nodes of every panel at once, which on a
+sector stack (time its fastest axis) is a BLAS product per stack entry.
+The samples are read as complex, so a grid function may return real ones,
+and neither oracle writes to them. Each level samples H anew, in one
+``evaluate_grid`` call: the nodes of a panel are not those of its halves.
+The quadrature must not touch the closed-form machinery, since its whole
+value is independence from it.
 """
 
 from __future__ import annotations
@@ -156,21 +140,20 @@ STEPS_PER_UNIT = 4096
 #: work; a carrier of 1e300 would ask for a count of 304 digits at t = 1.
 MAX_RK4_STEPS = 1 << 24
 
-#: Refinement cap for the nested quadrature (grid points per level).
+#: Cap on the nodes of one level of the nested quadrature.
 MAX_QUAD_POINTS = 1 << 21
 
 #: Byte budget of one quadrature level, checked before the level is sampled.
 QUAD_BYTE_BUDGET = 256 << 20
 
-#: Projected peak bytes of a quadrature level per grid point and per entry
-#: of its stack (``d * d`` unless a declared support splits, the sector
-#: stack's ``S * b * b`` then): the largest tracemalloc peak per point and
-#: entry measured at 2^13 and 2^15 points, 104.7 B, rounded up. That is
-#: jc_detuned (four 2x2 sectors) and a model of two 3x3 blocks, at orders
-#: 2..6. Dense models took 72-90 B (d = 6 and 3, orders 2..6; 40 B at order
-#: 2 alone), split models of 1x1 to 3x3 sectors 73-94 B, and grid functions
-#: with no support at most 37 B per dense entry.
-_QUAD_BYTES_PER_ENTRY = 112
+#: Projected peak bytes of a quadrature level per node and per entry of its
+#: stack (``d * d`` unless a declared support splits, the sector stack's
+#: ``S * b * b`` then): the largest tracemalloc peak per node and entry
+#: measured at 8,704 and 34,816 nodes, orders 2..6, 96.9 B, rounded up. That
+#: is jc_detuned (four 2x2 sectors); a model of two 3x3 blocks took 96.7 B,
+#: dense models 82-85 B at d = 3 and 64 B at d = 6, and every model 48-81 B
+#: at order 2 alone.
+_QUAD_BYTES_PER_ENTRY = 100
 
 #: Highest order the nested quadrature evaluates: the builders' top order,
 #: written here again so that the oracle imports nothing from them.
@@ -187,17 +170,14 @@ MAX_QUAD_ORDER = 6
 #: machine's noise.
 _RK4_BLOCK = 256
 
+#: Polynomial degree p of a quadrature panel, which takes the p + 1
+#: Chebyshev-Lobatto nodes.
+_PANEL_DEGREE = 16
+
 #: Largest block size that :func:`_mul` multiplies as a sum of outer
 #: products instead of by ``np.matmul``: the measured crossover (see the
 #: module docstring).
 _SMALL_PRODUCT = 3
-
-#: Intervals of the coarsest quadrature grid; each refinement doubles them.
-_BASE_POINTS = 256
-
-#: How far, in level-0 intervals, a listed time may sit from its grid node.
-_NODE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PropagationResult:
@@ -304,17 +284,17 @@ def _block_maps(A: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return G[0], E[0]
 
 
-def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
-    """Invariant sectors of a ``(d, d)`` boolean pattern of nonzero entries.
+def _sectors(mask: np.ndarray) -> list[np.ndarray]:
+    """Invariant sectors of a ``(d, d)`` boolean mask of nonzero entries.
 
-    A sector is a connected component of ``pattern | pattern.T``, given as
+    A sector is a connected component of ``mask | mask.T``, given as
     its sorted indices; sectors are ordered by their first index. Each
     index takes the least label among itself and its neighbours, then the
     label of its label, until no label changes; each index is then
     labelled with the first index of its sector.
     """
-    d = len(pattern)
-    linked = pattern | pattern.T | np.eye(d, dtype=bool)
+    d = len(mask)
+    linked = mask | mask.T | np.eye(d, dtype=bool)
     labels = np.arange(d)
     while True:
         new = np.where(linked, labels, d).min(axis=1)
@@ -325,40 +305,29 @@ def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
         labels = new
 
 
-def _split(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(flat, valid)`` of the sector stack of a ``(d, d)`` nonzero
-    pattern, or ``None`` when it runs unsplit (see :class:`_SectorStage`).
-
-    Both are ``(S, b, b)``: the flat position ``row * d + col`` of ``(d, d)``
-    that each entry of the zero-padded stack of the ``S`` sectors holds,
-    ``b`` the largest, and whether it holds one rather than padding.
-    """
-    sectors = _sectors(pattern)
-    b = max(map(len, sectors))
-    if len(sectors) == 1 or b > _SMALL_PRODUCT:
-        return None
-    # an idle level never moves; if all are, the stack has no sectors
-    sectors = [s for s in sectors if len(s) > 1 or pattern[s[0], s[0]]]
-    index = np.zeros((len(sectors), b), dtype=int)
-    valid = np.zeros((len(sectors), b), dtype=bool)
-    for k, s in enumerate(sectors):
-        index[k, :len(s)] = s
-        valid[k, :len(s)] = True
-    return (index[:, :, None] * len(pattern) + index[:, None, :],
-            valid[:, :, None] & valid[:, None, :])
-
-
 @functools.lru_cache(maxsize=64)
 def _support_split(support: bytes, d: int):
     # ``(valid, index, columns)`` of a declared (d, d) support, all None when
-    # it does not split: a pure function of it, kept so that an operand pays
-    # for the sector search once. ``index`` holds the flat positions that
-    # are sampled, ``columns`` the column of those samples that each stack
-    # entry holds.
-    flat, valid = _split(np.frombuffer(support, dtype=bool).reshape(d, d)) or (None, None)
-    if valid is None:
+    # it does not split (see :class:`_SectorStage`): a pure function of it,
+    # kept so that an operand pays for the sector search once. ``valid`` is
+    # (S, b, b), whether each entry of the zero-padded stack of the S
+    # sectors, b the largest, holds one rather than padding; ``index`` holds
+    # the flat positions ``row * d + col`` that are sampled, and ``columns``
+    # the column of those samples that each stack entry holds.
+    mask = np.frombuffer(support, dtype=bool).reshape(d, d)
+    sectors = _sectors(mask)
+    b = max(map(len, sectors))
+    if len(sectors) == 1 or b > _SMALL_PRODUCT:
         return None, None, None
-    index = flat[valid]
+    # an idle level never moves; if all are, the stack has no sectors
+    sectors = [s for s in sectors if len(s) > 1 or mask[s[0], s[0]]]
+    rows = np.zeros((len(sectors), b), dtype=int)
+    held = np.zeros((len(sectors), b), dtype=bool)
+    for k, s in enumerate(sectors):
+        rows[k, :len(s)] = s
+        held[k, :len(s)] = True
+    valid = held[:, :, None] & held[:, None, :]
+    index = (rows[:, :, None] * d + rows[:, None, :])[valid]
     columns = np.zeros(valid.shape, dtype=np.intp)
     columns[valid] = np.arange(len(index))
     for array in (valid, index, columns):
@@ -367,40 +336,34 @@ def _support_split(support: bytes, d: int):
 
 
 class _SectorStage:
-    """The invariant-sector split of the successive sample stacks of one
-    run of either oracle on the operand ``op`` (see the module docstring).
+    """The invariant-sector split of the sample stacks of one run of either
+    oracle on the operand ``op`` (see the module docstring).
 
-    A pattern splits when it has more than one sector and none larger than
-    ``_SMALL_PRODUCT``, since only then do the sectors take the cheap
-    product of :func:`_mul`. The stack of a split is ``(n, S, b, b)``, the
-    ``S`` sectors zero-padded to the largest, ``b``, without idle levels
-    (lone levels whose diagonal entry is zero in every sample; with no
-    sectors left, everything scatters to zeros), and with time as the
-    fastest axis (strides ``(16, ...)``).
-
-    A declared ``support`` decides the split once per run, split or not.
-    When it splits, :meth:`sample` takes the flat positions ``row * d +
-    col`` of the sector entries alone, :attr:`index`; otherwise it takes
-    every entry. Only an operand that declares no support is scanned:
-    :meth:`stack` reads the nonzero pattern of each stack of its samples
-    and splits again only when the pattern differs from the last one.
-    Either way :meth:`stack` lays the ``(n, ...)`` samples, read as
-    complex, into the sector stack by one fancy index over their flattened
-    columns, and :meth:`scatter` writes values of the sectors back to their
-    flat positions in ``(d, d)``, zeros elsewhere. Unsplit, :meth:`stack`
-    returns the C-contiguous complex samples, the input itself if it is
-    one, and :meth:`scatter` its input.
+    A declared ``support`` decides the split once per run. It splits when
+    it has more than one sector and none larger than ``_SMALL_PRODUCT``,
+    since only then do the sectors take the cheap product of :func:`_mul`.
+    The stack of a split is ``(n, S, b, b)``, the ``S`` sectors zero-padded
+    to the largest, ``b``, without idle levels (lone levels with no
+    diagonal entry in the support; with no sectors left, everything scatters
+    to zeros), and with time as the fastest axis (strides ``(16, ...)``).
+    :meth:`sample` then takes the flat positions ``row * d + col`` of the
+    sector entries alone, :attr:`index`, :meth:`stack` lays those ``(n,
+    len(index))`` samples, read as complex, into the sector stack by one
+    fancy index, and :meth:`scatter` writes values of the sectors back to
+    their flat positions in ``(d, d)``, zeros elsewhere. A support that
+    does not split, or an operand that declares none, runs unsplit:
+    :meth:`sample` takes every entry, :meth:`stack` returns the C-contiguous
+    complex samples, the input itself if it is one, and :meth:`scatter` its
+    input.
     """
 
     def __init__(self, op):
         self.evaluate_grid, self.dim = op.evaluate_grid, op.dim
         support = getattr(op, "support", None)
-        self.scan, self.pattern = support is None, None
         self.valid = self.index = self.columns = None
-        if not self.scan:
+        if support is not None:
             self.valid, self.index, self.columns = _support_split(
                 np.asarray(support, dtype=bool).tobytes(), self.dim)
-        self.targets = self.index  # the flat positions that scatter writes
         # stack entries per point, as the quadrature's byte budget counts them
         self.entries = self.dim * self.dim if self.index is None else self.valid.size
 
@@ -409,15 +372,9 @@ class _SectorStage:
 
     def stack(self, A) -> np.ndarray:
         A = np.ascontiguousarray(A, dtype=complex)
-        if self.scan:
-            pattern = np.any(A.view(float), axis=0).reshape(self.dim, self.dim, 2).any(axis=2)
-            if self.pattern is None or not np.array_equal(pattern, self.pattern):
-                self.pattern = pattern
-                self.columns, self.valid = _split(pattern) or (None, None)
-                self.targets = None if self.valid is None else self.columns[self.valid]
         if self.valid is None:
             return A
-        stack = A.reshape(len(A), -1)[:, self.columns]
+        stack = A[:, self.columns]
         stack[:, ~self.valid] = 0
         return stack
 
@@ -426,7 +383,7 @@ class _SectorStage:
         if self.valid is None:
             return X
         out = np.zeros(X.shape[:-3] + (self.dim * self.dim,), dtype=X.dtype)
-        out[..., self.targets] = X[..., self.valid]
+        out[..., self.index] = X[..., self.valid]
         return out.reshape(X.shape[:-3] + (self.dim, self.dim))
 
 
@@ -441,7 +398,7 @@ def _rk4_pair(op, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     # Fine (``2 * steps``) RK4 map of dU/dt = -i H U and its difference from
     # the coarse (``steps``) map, both fed from one sampling of H per block,
     # each block split into the invariant sectors of the operand's support
-    # or of its own samples (see the module docstring).
+    # (see the module docstring).
     h = t / (2 * steps)
     G = E = np.zeros((op.dim, op.dim), dtype=complex)
     sectors = _SectorStage(op)
@@ -482,9 +439,8 @@ def propagate_exact(H, t: float, steps: int | None = None) -> PropagationResult:
     of H are not all finite raises :class:`OperatorValueError`, naming the
     first such time, before its maps are formed; the check reads the stack
     the block is multiplied on, which holds every nonzero entry. A declared
-    ``support`` of H decides the split into sectors, split or not; only a
-    grid function with none is split by the pattern of its samples (module
-    docstring).
+    ``support`` of H decides the split into sectors, split or not; a grid
+    function with none runs unsplit (module docstring).
     """
     return _propagate(H, t, steps, H.max_omega)
 
@@ -520,59 +476,59 @@ def fidelity_distance(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.linalg.norm(U - V)) / math.sqrt(U.shape[0])
 
 
-def _simpson_pairs(F: np.ndarray, h: float) -> np.ndarray:
-    """Simpson integral of uniform samples F (step h, axis 0) over each
-    pair of intervals ``[2j, 2j + 2]``."""
-    return (h / 3.0) * (F[0:-2:2] + 4.0 * F[1:-1:2] + F[2::2])
+def _panel_rule(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``p + 1`` Chebyshev-Lobatto nodes ``u`` of ``[0, 1]``, ascending,
+    and the ``(p + 1, p + 1)`` matrix ``W`` with ``W @ f`` the integral from
+    0 to each node of the degree-p interpolant of the samples ``f``.
 
-
-def _cumulative_simpson(F: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order cumulative integral of uniform samples F along axis 0.
-
-    Even prefixes use composite Simpson pairs; odd prefixes add the
-    integral of the quadratic through the enclosing three samples, which
-    keeps the even chain independent of the odd corrections.
+    The samples go to Chebyshev coefficients ``a_k`` by a discrete cosine
+    transform, the antiderivative's are ``(a_{k-1} - a_{k+1}) / 2k`` (with
+    ``a_0`` counted twice for ``k = 1``) plus the constant that makes it
+    vanish at the first node, and those are evaluated at the nodes.
     """
-    out = np.zeros_like(F)
-    out[2::2] = np.cumsum(_simpson_pairs(F, h), axis=0)
-    out[1::2] = out[0:-2:2] + (h / 12.0) * (
-        5.0 * F[0:-2:2] + 8.0 * F[1:-1:2] - F[2::2]
-    )
-    return out
+    theta = np.pi * np.arange(p, -1, -1) / p  # nodes cos(theta) of [-1, 1], ascending
+    T = np.cos(np.outer(theta, np.arange(p + 2)))  # T_k at each node, k = 0..p+1
+    a = np.zeros((p + 3, p + 1))
+    a[:p + 1] = T[:, :p + 1].T * (2.0 / p)
+    a[:, [0, p]] *= 0.5
+    a[[0, p]] *= 0.5
+    b = np.zeros((p + 2, p + 1))
+    b[1:] = (a[:-2] - a[2:]) / (2.0 * np.arange(1, p + 2))[:, None]
+    b[1] += a[0] / 2
+    b[0] = -T[0, 1:] @ b[1:]  # T_k(-1) = (-1)^k
+    W = (T @ b) / 2  # on [0, 1]
+    W[0] = 0.0
+    return np.sin(np.pi * np.arange(p + 1) / (2 * p)) ** 2, W
 
 
-def _refined(samples: np.ndarray, midpoints) -> np.ndarray:
-    """The ``(2p + 1, d, d)`` sample stack of the next level: the ``p + 1``
-    samples of this level on its even rows, the ``p`` new midpoint samples
-    on its odd rows."""
-    stack = np.empty((2 * len(samples) - 1,) + samples.shape[1:], dtype=complex)
-    stack[0::2] = samples
-    stack[1::2] = midpoints
-    return stack
+_NODES, _PANEL = _panel_rule(_PANEL_DEGREE)
 
 
-def _nested_values(Hs: np.ndarray, orders: list[int], h: float,
-                   sectors: _SectorStage, nodes: np.ndarray) -> dict[int, np.ndarray]:
-    # Order-k values for each k in ``orders`` from one level's samples ``Hs``
-    # (step ``h``, never written to), read at the even grid indices
-    # ``nodes``: the chain of order k is the first k - 1 steps of the highest
-    # order's chain. The chain runs on the stack of ``sectors``, as the RK4
-    # does, and only the read-out nodes are scattered back. The highest
-    # order's last step is taken at the nodes alone (module docstring).
-    Hs = sectors.stack(Hs)
+def _running_integral(F: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    # Integral from 0 to every node of samples F, (M, p + 1, ...) on M panels
+    # of the given widths (never written to): each panel's running integral
+    # is one product with _PANEL over its nodes, and the panel totals are
+    # carried across as a cumulative offset.
+    I = np.moveaxis(np.matmul(np.moveaxis(F, (0, 1), (-2, -1)), _PANEL.T), (-2, -1), (0, 1))
+    I *= widths.reshape((-1,) + (1,) * (I.ndim - 1))
+    I[1:] += np.cumsum(I[:-1, -1], axis=0)[:, None]
+    return I
+
+
+def _nested_values(Hs: np.ndarray, orders: list[int], widths: np.ndarray,
+                   sectors: _SectorStage, at) -> dict[int, np.ndarray]:
+    # Order-k values for each k in ``orders`` from one level's sector stack
+    # ``Hs`` (M panels of p + 1 nodes, never written to), read at the nodes
+    # ``at``: the chain of order k is the first k - 1 steps of the highest
+    # order's chain. Only the read-out nodes are scattered back.
     A = Hs
     factor = 1 + 0j
     out = {}
-    top = max(orders)
-    for k in range(2, top):
-        A = _mul(Hs, _cumulative_simpson(A, h))
+    for k in range(2, max(orders) + 1):
+        A = _mul(Hs, _running_integral(A, widths))
         factor *= -1j
         if k in orders:
-            out[k] = sectors.scatter(factor * A[nodes])
-    # the integral at the even nodes up to the last read-out node
-    even = np.zeros((nodes.max() // 2 + 1,) + A.shape[1:], dtype=complex)
-    np.cumsum(_simpson_pairs(A[:nodes.max() + 1], h), axis=0, out=even[1:])
-    out[top] = sectors.scatter(factor * -1j * _mul(Hs[nodes], even[nodes // 2]))
+            out[k] = sectors.scatter(factor * A[at])
     return out
 
 
@@ -585,90 +541,68 @@ def _change(val: np.ndarray, prev: np.ndarray) -> float:
 def _check_times(t) -> tuple[np.ndarray, bool]:
     """Times as a 1-D array, and whether ``t`` was one number.
 
-    Every time must be finite and >= 0. A sequence must also be non-empty
-    and its times on even nodes of the level-0 grid on ``[0, max(t)]``.
+    Every time must be finite and >= 0, and a sequence non-empty.
     """
     if np.ndim(t) == 0:
         return np.array([float(check_real("quadrature time", t, 0.0))]), True
     times = check_times("quadrature times", t, 0.0)
     if times.size == 0:
         raise OperatorValueError("quad_oracle needs at least one time")
-    T = times.max()
-    if T > 0:
-        ratio = times / T * _BASE_POINTS
-        off = np.abs(ratio - 2.0 * np.rint(ratio / 2.0)) > _NODE_TOL
-        if off.any():
-            raise OperatorValueError(
-                f"quadrature time {times[off][0]} is not an even node of the "
-                f"{_BASE_POINTS}-interval grid on [0, {T}]")
     return times, False
 
 
-def quad_oracle(H, n, t, tol: float,
-                max_points: int = MAX_QUAD_POINTS):
-    """Order-n effective term by nested grid quadrature, no closed forms.
+def quad_oracle(H, n, t, tol: float):
+    """Order-n effective term by nested quadrature on Chebyshev panels, no
+    closed forms.
 
-    Grids are refined by doubling until two successive refinements agree
-    to ``tol`` in Frobenius norm. ``n`` is one order, which gives its
-    value, or a tuple of orders, which gives ``{order: value}`` keyed in
-    ascending order, whatever order the orders converge in. All orders
-    share one refinement: each level samples H once and runs one
-    nested chain up to the highest order not yet converged, and each order
-    is frozen at the level where its own successive values agree, so its
-    value is the same as that of a call for that order alone. The last
-    step of the highest order is integrated only up to the last read-out
-    node and multiplied by H only at the read-out nodes, with the same
-    doubles as the whole chain read there. The first
-    level samples its 257 grid points; each later level samples only its
-    new midpoints and keeps the previous level's samples as its even nodes
-    (during the interleave both stacks are held). For a grid function whose
-    value at a time depends on the other times in its batch, the values may
-    differ in the last bits from sampling each grid whole.
+    The panel edges are 0 and every distinct time; level L cuts each gap
+    between them into ``2**L`` equal panels of 17 Chebyshev-Lobatto nodes
+    (module docstring), and the levels run until two successive ones agree
+    to ``tol`` in Frobenius norm. ``n`` is one order, which gives its value,
+    or a tuple of orders, which gives ``{order: value}`` keyed in ascending
+    order, whatever order the orders converge in. All orders share one
+    refinement: each level samples H once, in one ``evaluate_grid`` call,
+    and runs one nested chain up to the highest order not yet converged,
+    and each order is frozen at the level where its own successive values
+    agree, so its value is the same as that of a call for that order alone.
 
     ``t`` is one time, which gives a ``(d, d)`` matrix per order, or a 1-D
     sequence of times, which gives a ``(len(t), d, d)`` stack per order.
-    A sequence runs one refinement on ``[0, T]`` with ``T = max(t)`` and
-    reads every time off the same chain; an order is frozen at the level
-    where its values agree at every time. Each time must be >= 0 and lie on
-    an even node of the level-0 grid, i.e. ``t / T * 256`` must be an even
-    integer to within rounding (``j * T / 8`` qualifies), and a time of 0
-    gives a zero matrix. The grid then spans ``[0, T]`` and not
-    ``[0, t]``, so a value is not bit-identical to that of a call at its
-    time alone; a one-element sequence is, since there ``T = t``. Bad
-    orders (anything but an integer in 2..6: ``2.0`` and ``True`` are
-    refused, numpy integers accepted), tolerances and times raise
-    :class:`OperatorValueError` before H is sampled. ``tol`` must be a
-    finite real number >= 1e-12: NaN would never agree and run the whole
-    refinement, infinity would accept the first level, and ``None`` or a
-    ``bool`` is refused as well. ``max_points`` must be an integer >= 512
-    (a ``bool`` is refused), since convergence needs the 256- and 512-point
-    levels; a smaller cap is refused before H is sampled too. A level whose
-    new samples of H are not all finite raises :class:`OperatorValueError`,
-    naming the first such time, before its chain runs. Raises
-    :class:`QuadratureError` if the refinement cap is reached first; its
-    ``best`` holds the best estimate, or for a tuple of orders the best
-    estimate of every order, in the shape of the result, and its message
+    Each time must be >= 0, in any order and with repeats, and a time of 0
+    gives a zero matrix. Every time is the end of a panel and is read off
+    the same chain; an order is frozen at the level where its values agree
+    at every time. A value depends on the distinct times of the list, so it
+    is not bit-identical to that of a call at its time alone; a one-element
+    sequence is. Bad orders (anything but an integer in 2..6: ``2.0`` and
+    ``True`` are refused, numpy integers accepted), tolerances and times
+    raise :class:`OperatorValueError` before H is sampled. ``tol`` must be
+    a finite real number >= 1e-12: NaN would never agree and run every
+    level, infinity would accept the first, and ``None`` or a ``bool`` is
+    refused as well. A level whose samples of H are not all finite raises
+    :class:`OperatorValueError`, naming the first such time, before its
+    chain runs. Raises :class:`QuadratureError` if the next level would
+    have more than :data:`MAX_QUAD_POINTS` nodes first; its ``best`` holds
+    the last level's estimate (``None`` before the first), or for a tuple
+    of orders every order's, in the shape of the result, and its message
     states, for each order that did not converge, its last successive
-    change and the grid it was measured on. It raises one as well, with
+    change and the level it was measured on. It raises one as well, with
     ``best`` set the same way from that level's values, at the first level
     where an order's values, or their change from the level before, are
     not finite, naming those orders and the level: the samples are finite,
-    so the nested chain has overflowed, and no finer grid brings it back.
+    so the nested chain has overflowed, and no finer level brings it back.
     The chain runs with numpy's overflow and invalid-value warnings off.
     Before a level is sampled, its peak bytes are projected as
-    ``(points + 1) * entries * _QUAD_BYTES_PER_ENTRY``, with ``entries``
-    the stack's per point (``d * d``, or the sector stack's when a declared
+    ``nodes * entries * _QUAD_BYTES_PER_ENTRY``, with ``entries`` the
+    stack's per node (``d * d``, or the sector stack's when a declared
     support splits); past :data:`QUAD_BYTE_BUDGET` it raises
-    :class:`QuadratureError` naming the level's points, the projection and
-    the budget, with ``best`` from the last finished level (``None`` before
-    the first). As in the RK4, a declared ``support`` of H decides the
-    split into sectors, split or not, and only a grid function with none is
-    split by the pattern of each level's samples.
+    :class:`QuadratureError` naming the level's nodes, the projection and
+    the budget, with ``best`` from the last finished level. As in the RK4,
+    a declared ``support`` of H decides the split into sectors, split or
+    not, and a grid function with none runs unsplit.
     """
     single = not isinstance(n, (tuple, list))
     orders = check_orders((n,) if single else n, MAX_QUAD_ORDER)
     check_real("tolerance", tol, 1e-12)
-    max_points = check_integer("max_points", max_points, 2 * _BASE_POINTS)
     times, scalar = _check_times(t)
 
     def result(values: dict[int, np.ndarray]):
@@ -681,42 +615,46 @@ def quad_oracle(H, n, t, tol: float,
     if T == 0.0:
         return result({k: np.zeros((times.size, H.dim, H.dim), dtype=complex)
                        for k in orders})
-    # level-0 node of each time; a scalar time is the last node
-    nodes = np.rint(times / T * _BASE_POINTS).astype(int)
+    # the panel edges: 0 and every distinct time, each time the end of its gap
+    ordered = np.sort(times)
+    ends = ordered[np.diff(ordered, prepend=0.0) > 0]
+    starts = np.concatenate(([0.0], ends[:-1]))
+    gap = np.searchsorted(ends, times)
+    positive = times > 0
     done: dict[int, np.ndarray] = {}
     prev: dict[int, np.ndarray] = {}
     changes: dict[int, float] = {}
-    samples = None
     sectors = _SectorStage(H)
 
     def last_best():
         # every order's value at the last finished level, if there is one
         return result({k: done[k] if k in done else prev[k] for k in orders}) if prev else None
 
-    points = _BASE_POINTS
-    while points <= max_points:
-        need = (points + 1) * sectors.entries * _QUAD_BYTES_PER_ENTRY
+    panels = 1  # per gap
+    while (points := len(ends) * panels * len(_NODES)) <= MAX_QUAD_POINTS:
+        need = points * sectors.entries * _QUAD_BYTES_PER_ENTRY
         if need > QUAD_BYTE_BUDGET:
             raise QuadratureError(
                 f"quadrature level of {points} points would take about {need} bytes, "
                 f"over the budget of {QUAD_BYTE_BUDGET} bytes",
                 best=last_best(),
             )
-        # node 2j of this level's grid is node j of the last one, the same
-        # double, so only the midpoints are new
-        ts = np.arange(points + 1) * (T / points)
-        ts[-1] = T
-        new_ts = ts if samples is None else ts[1::2]
-        new = sectors.sample(new_ts)
-        _check_finite("quadrature", new_ts, new)
-        samples = new if samples is None else _refined(samples, new)
+        left = (starts[:, None] + (ends - starts)[:, None] * (np.arange(panels) / panels)).ravel()
+        right = np.append(left[1:], T)
+        ts = left[:, None] + (right - left)[:, None] * _NODES
+        ts[:, -1] = right
+        new = sectors.sample(ts.ravel())
+        _check_finite("quadrature", ts.ravel(), new)
+        Hs = sectors.stack(new)
+        # a time is the last node of its gap's last panel; 0 is the first node
+        at = (np.where(positive, (gap + 1) * panels - 1, 0), np.where(positive, len(_NODES) - 1, 0))
         # the samples are finite, so a value or a change that is not is an
-        # overflow of the nested chain, which no finer grid brings back;
+        # overflow of the nested chain, which no finer level brings back;
         # values that are not finite make their change so as well
         overflow = {}
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _nested_values(samples, [k for k in orders if k not in done], T / points,
-                                  sectors, nodes * (points // _BASE_POINTS))
+            vals = _nested_values(Hs.reshape(ts.shape + Hs.shape[1:]),
+                                  [k for k in orders if k not in done], right - left, sectors, at)
             for k, val in vals.items():
                 if k in prev:
                     changes[k] = _change(val, prev[k])
@@ -735,14 +673,14 @@ def quad_oracle(H, n, t, tol: float,
             )
         if len(done) == len(orders):
             return result(done)
-        prev = vals
-        points *= 2
+        prev, last = vals, points
+        panels *= 2
     # an order not done ran at every level, so its last change is the finest's
     missing = [k for k in orders if k not in done]
-    why = "; ".join(f"order {k}: last change {changes[k]:.2g} at {points // 2} points"
-                    for k in missing)
+    why = "; ".join(f"order {k}: last change {changes[k]:.2g} at {last} points"
+                    for k in missing if k in changes)
     raise QuadratureError(
         f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol} "
-        f"within {max_points} points ({why})",
+        f"within {MAX_QUAD_POINTS} points" + (f" ({why})" if why else ""),
         best=last_best(),
     )

@@ -297,3 +297,26 @@ def test_criterion_12_top_orders_match_quadrature():
         worst < 1e-8,
         f"worst Frobenius residual {worst:.3e}, bound 1e-8",
     )
+
+
+def test_criterion_13_quadrature_reaches_the_closed_forms_to_1e_11():
+    # criteria 8 and 12's set-up at every order 2..6; the bound, relative to
+    # max(1, ||closed||), was fixed before the first run
+    worst = 0.0
+    for name in ZOO_NAMES:
+        H = make_model(name)
+        if H.dim > 8:
+            continue
+        for n in (2, 3, 4, 5, 6):
+            series = heff_n_timedep(H, n)
+            for t in (0.5, 1.0, 2.0, 5.0):
+                closed = series.evaluate(t)
+                residual = float(np.linalg.norm(closed - quad_oracle(H, n, t, 1e-9)))
+                worst = max(worst, residual / max(1.0, float(np.linalg.norm(closed))))
+    _criterion(
+        13,
+        "the independent nested quadrature reaches the closed forms to 1e-11 at "
+        "orders 2..6",
+        worst <= 1e-11,
+        f"worst residual relative to max(1, ||closed||) {worst:.3e}, bound 1e-11",
+    )

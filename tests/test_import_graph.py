@@ -1,6 +1,7 @@
 """The import graph stays lean: only ``matrix_exponential`` loads scipy, and
 no report, RK4 or closed-form build loads ``numpy.ma`` (which ``np.unique``
-imports, at about 0.9 MB of resident memory).
+imports, at about 0.9 MB of resident memory) or ``numpy.polynomial`` (about
+0.9 MB and 3 ms to import; the quadrature builds its panel matrix without it).
 
 The check runs in a fresh interpreter, because the test session itself has
 scipy loaded already (``test_tones.py`` uses ``scipy.integrate``).
@@ -37,6 +38,7 @@ _SCRIPT = textwrap.dedent("""
     assert effham.heff_n_timedep(H, 5).dim == H.dim
     assert scipy_modules() == [], scipy_modules()
     assert "numpy.ma" not in sys.modules
+    assert "numpy.polynomial" not in sys.modules
 
     U = effham.matrix_exponential(np.diag([0.0, 1j * np.pi]))
     assert np.allclose(U, np.diag([1.0, -1.0]), atol=1e-14), U

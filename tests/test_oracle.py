@@ -147,6 +147,32 @@ class _CountingOperator:
         return self.op.evaluate_grid(ts, *index)
 
 
+class _NoSupport:
+    """The same operand behind a grid function that declares no support,
+    so the oracles run it unsplit."""
+
+    def __init__(self, op):
+        self.op, self.dim = op, op.dim
+        self.max_omega = getattr(op, "max_omega", None)
+        self.freqs = getattr(op, "freqs", None)
+
+    def evaluate_grid(self, ts):
+        return self.op.evaluate_grid(ts)
+
+
+class _WithSupport(_NoSupport):
+    """The same operand declaring ``support``: asked for the flat positions
+    ``index``, it returns those columns of its whole samples."""
+
+    def __init__(self, op, support):
+        super().__init__(op)
+        self.support = np.asarray(support, dtype=bool)
+
+    def evaluate_grid(self, ts, *index):
+        samples = self.op.evaluate_grid(ts)
+        return samples if not index else samples.reshape(len(samples), -1)[:, index[0]]
+
+
 def test_propagate_exact_matches_reference_loop_generic_tail_block(rng):
     # 1000 coarse steps is not a multiple of the block, so a short tail runs
     H = MultiToneHamiltonian(
@@ -208,20 +234,17 @@ def _two_4x4_sectors(rng):
 
 
 def _record_splits(monkeypatch):
-    """Two lists that get, for every stack the oracles lay out, whether it
-    was split: ``scanned`` for an operand with no support, whose stacks are
-    split by their own pattern, and ``declared`` for one whose declared
-    support decided the split."""
-    scanned, declared = [], []
+    """A list that gets, for every stack the oracles lay out, whether its
+    operand's declared support split it."""
+    splits = []
     stack = oracle._SectorStage.stack
 
     def recording(self, A):
-        out = stack(self, A)
-        (scanned if self.scan else declared).append(self.valid is not None)
-        return out
+        splits.append(self.valid is not None)
+        return stack(self, A)
 
     monkeypatch.setattr(oracle._SectorStage, "stack", recording)
-    return scanned, declared
+    return splits
 
 
 def test_sector_stage_splits_jc_only_into_sectors_up_to_3x3(rng):
@@ -229,18 +252,18 @@ def test_sector_stage_splits_jc_only_into_sectors_up_to_3x3(rng):
     for H, split in [(jc_detuned(g=0.05), True), (_two_4x4_sectors(rng), False),
                      (_generic_three_tone(rng), False)]:
         A = np.ascontiguousarray(H.evaluate_grid(ts))
-        sectors = oracle._SectorStage(_NoSupport(H))
-        stack = sectors.stack(A)
-        assert (stack is not A) == split
-        # the declared support gives the same stack from the entries it samples
-        declared = oracle._SectorStage(H)
-        assert declared.stack(declared.sample(ts)).tobytes() == stack.tobytes()
+        sectors = oracle._SectorStage(H)
+        assert (sectors.valid is not None) == split
+        stack = sectors.stack(sectors.sample(ts))
         if split:
             # the doublets only: levels 4 and 5 are idle and left out
             assert stack.shape == (len(ts), 4, 2, 2)
             assert np.array_equal(sectors.scatter(stack), A)
         else:
-            assert sectors.scatter(stack) is stack
+            assert np.array_equal(stack, A) and sectors.scatter(stack) is stack
+        # an operand that declares no support runs unsplit
+        bare = oracle._SectorStage(_NoSupport(H))
+        assert bare.valid is None and bare.index is None and bare.stack(A) is A
 
 
 def _jc_with_idle_level():
@@ -276,7 +299,8 @@ def test_propagate_exact_leaves_idle_levels_of_jc_at_the_identity():
 
 
 class _DetunedLoneLevel:
-    """A driven pair of levels and a lone level of constant energy ``eps``."""
+    """A driven pair of levels and a lone level of constant energy ``eps``;
+    its support holds the lone level's diagonal entry when ``eps`` is not 0."""
 
     dim = 3
     max_omega = 1.3
@@ -294,8 +318,10 @@ class _DetunedLoneLevel:
 
 @pytest.mark.parametrize("eps", [0.0, 0.7])
 def test_a_lone_level_with_a_diagonal_entry_is_kept(eps):
-    op = _DetunedLoneLevel(eps)
-    stack = oracle._SectorStage(op).stack(op.evaluate_grid(np.linspace(0.0, 1.0, 5)))
+    support = [[False, True, False], [True, False, False], [False, False, eps != 0.0]]
+    op = _WithSupport(_DetunedLoneLevel(eps), support)
+    sectors = oracle._SectorStage(op)
+    stack = sectors.stack(sectors.sample(np.linspace(0.0, 1.0, 5)))
     assert stack.shape == (5, 1 if eps == 0.0 else 2, 2, 2)
     t = 3.0
     res = propagate_exact(op, t, steps=512)
@@ -304,20 +330,23 @@ def test_a_lone_level_with_a_diagonal_entry_is_kept(eps):
     _assert_matches_reference(res, op, t, 512)
 
 
-def test_the_padding_of_a_sector_stack_is_zero_on_either_route():
+def test_the_padding_of_a_sector_stack_is_zero():
     # a lone level 0 with a diagonal entry, and a pair: the padding of the
-    # lone level's sector reads entry (0, 0) on the scanned route and the
-    # first sampled entry on the declared one, neither of them zero
+    # lone level's sector reads the first sampled entry, (0, 0), which is
+    # not zero
     h = np.zeros((3, 3), dtype=complex)
     h[0, 0], h[1, 2] = 0.3, 0.4
     H = MultiToneHamiltonian([(h, 1.3)])
     ts = np.linspace(0.0, 1.0, 5)
-    for op in (H, _NoSupport(H)):
-        sectors = oracle._SectorStage(op)
-        stack = sectors.stack(sectors.sample(ts))
-        assert stack.shape == (5, 2, 2, 2) and not stack[:, ~sectors.valid].any()
-        assert np.array_equal(sectors.scatter(stack), H.evaluate_grid(ts))
-        _assert_matches_reference(propagate_exact(op, 3.0, steps=512), op, 3.0, 512)
+    sectors = oracle._SectorStage(H)
+    stack = sectors.stack(sectors.sample(ts))
+    assert stack.shape == (5, 2, 2, 2) and not stack[:, ~sectors.valid].any()
+    assert np.array_equal(sectors.scatter(stack), H.evaluate_grid(ts))
+    _assert_matches_reference(propagate_exact(H, 3.0, steps=512), H, 3.0, 512)
+    vals = quad_oracle(H, (2, 3), [1.0, 3.0], 1e-9)
+    ref = quad_oracle(_NoSupport(H), (2, 3), [1.0, 3.0], 1e-9)
+    for n in (2, 3):
+        assert np.linalg.norm(vals[n] - ref[n]) <= 1e-13 * np.linalg.norm(ref[n])
 
 
 class _Zero:
@@ -344,15 +373,20 @@ class _SwitchedIdleCoupling(_Zero):
 
 
 def test_oracles_of_a_vanishing_block_give_the_identity_and_zero():
-    # every level idle: the stack has no sectors
-    assert oracle._SectorStage(_Zero()).stack(np.zeros((2, 4, 4))).shape == (2, 0, 1, 1)
-    res = propagate_exact(_Zero(), 2.0, steps=3 * oracle._RK4_BLOCK)
-    assert np.array_equal(res.U, np.eye(4)) and res.est_error == 0.0
-    for val in quad_oracle(_Zero(), (2, 3, 6), [1.0, 2.0], 1e-9).values():
-        assert val.shape == (2, 4, 4) and not val.any()
-    # the first block vanishes, the later ones couple levels 0 and 1
+    # every level idle in an empty support: the stack has no sectors
+    zero = _WithSupport(_Zero(), np.zeros((4, 4)))
+    assert oracle._SectorStage(zero).stack(zero.evaluate_grid([0.0, 1.0], [])).shape == (2, 0, 1, 1)
+    for op in (zero, _Zero()):
+        res = propagate_exact(op, 2.0, steps=3 * oracle._RK4_BLOCK)
+        assert np.array_equal(res.U, np.eye(4)) and res.est_error == 0.0
+        for val in quad_oracle(op, (2, 3, 6), [1.0, 2.0], 1e-9).values():
+            assert val.shape == (2, 4, 4) and not val.any()
+    # the first block vanishes, the later ones couple levels 0 and 1, the
+    # one sector of the support
     steps, t = 3 * oracle._RK4_BLOCK, 2.0
-    op = _SwitchedIdleCoupling(t_on=1.1 * t / 3)
+    coupling = np.zeros((4, 4), dtype=bool)
+    coupling[0, 1] = coupling[1, 0] = True
+    op = _WithSupport(_SwitchedIdleCoupling(t_on=1.1 * t / 3), coupling)
     res = propagate_exact(op, t, steps=steps)
     assert np.array_equal(res.U[2:], np.eye(4)[2:])
     assert np.array_equal(res.U[:, 2:], np.eye(4)[:, 2:])
@@ -361,16 +395,13 @@ def test_oracles_of_a_vanishing_block_give_the_identity_and_zero():
 
 def test_propagate_exact_runs_sectors_larger_than_3x3_unsplit(rng, monkeypatch):
     # a padded stack of 4x4 sectors would cost one np.matmul per sector:
-    # the declared support runs unsplit with no scan, the same operand with
-    # no support is scanned and runs unsplit
+    # the declared support runs unsplit, as the same operand with none does
     H = _two_4x4_sectors(rng)
-    scanned, declared = _record_splits(monkeypatch)
+    splits = _record_splits(monkeypatch)
     res = propagate_exact(H, 1.5, steps=300)
-    assert not scanned and declared and not any(declared)
+    assert splits and not any(splits)
     _assert_matches_reference(res, H, 1.5, 300)
-    declared.clear()
     ref = propagate_exact(_NoSupport(H), 1.5, steps=300)
-    assert not declared and scanned and not any(scanned)
     assert res.U.tobytes() == ref.U.tobytes() and res.est_error == ref.est_error
 
 
@@ -393,13 +424,16 @@ class _SwitchedCoupling:
         return H
 
 
-def test_propagate_exact_matches_reference_loop_when_sectors_change():
-    # the first block has four lone levels; from the second block on the
-    # coupling joins them into two pairs, so the sectors are found again
+def test_propagate_exact_matches_reference_loop_when_the_samples_fill_the_support_late():
+    # the first block's samples are diagonal; from the second block on the
+    # coupling joins the levels into the two pairs of the declared support,
+    # which splits every block alike
     steps, t = 3 * oracle._RK4_BLOCK, 2.0
     op = _SwitchedCoupling(t_on=1.1 * t / 3)
     assert _sector_sizes(op, [0.0, t / 3]) == [1, 1, 1, 1]
     assert _sector_sizes(op, [0.0, t]) == [2, 2]
+    op = _WithSupport(op, np.any(op.evaluate_grid([0.0, t]) != 0, axis=0))
+    assert oracle._SectorStage(op).valid.shape == (2, 2, 2)
     _assert_matches_reference(propagate_exact(op, t, steps=steps), op, t, steps)
 
 
@@ -435,18 +469,19 @@ class _RealPart:
 
 
 class _CachedSamples:
-    """Returns one cached array per distinct time grid, as a memoised grid
-    function would, and keeps a pristine copy of each to compare against."""
+    """Returns one cached array per distinct time grid and index, as a
+    memoised grid function would, and keeps a pristine copy of each to
+    compare against; it declares the support of ``op``."""
 
     def __init__(self, op):
         self.op = op
-        self.dim, self.max_omega = op.dim, op.max_omega
+        self.dim, self.max_omega, self.support = op.dim, op.max_omega, op.support
         self.cache = {}
 
-    def evaluate_grid(self, ts):
-        key = np.asarray(ts, dtype=float).tobytes()
+    def evaluate_grid(self, ts, *index):
+        key = (np.asarray(ts, dtype=float).tobytes(),) + tuple(i.tobytes() for i in index)
         if key not in self.cache:
-            samples = self.op.evaluate_grid(ts)
+            samples = self.op.evaluate_grid(ts, *index)
             self.cache[key] = (samples, samples.copy())
         return self.cache[key][0]
 
@@ -639,192 +674,40 @@ def test_propagate_series_nonhermitian_generator_nonunitary():
 # nested quadrature
 
 
-# Refinement that sampled every level's whole grid and ran every order's
-# chain on all of it, kept as the reference (with a fresh sector stage per
-# level); the oracle samples only each level's new midpoints and takes the
-# highest order at its read-out nodes alone. The reference has its own
-# copies of the cumulative Simpson rule and of the batched product, so a
-# defect in the oracle's helpers cannot pass unseen.
-def _reference_cumulative_simpson(F, h):
-    out = np.zeros_like(F)
-    out[2::2] = np.cumsum((h / 3.0) * (F[0:-2:2] + 4.0 * F[1:-1:2] + F[2::2]), axis=0)
-    out[1::2] = out[0:-2:2] + (h / 12.0) * (5.0 * F[0:-2:2] + 8.0 * F[1:-1:2] - F[2::2])
-    return out
+def test_panel_rule_integrates_polynomials_to_the_rounding_floor():
+    # the p + 1 Chebyshev-Lobatto nodes of [0, 1], ascending, ends exact,
+    # and a running integral exact for every degree up to p
+    u, W = oracle._NODES, oracle._PANEL
+    p = len(u) - 1
+    assert u[0] == 0.0 and u[-1] == 1.0 and np.all(np.diff(u) > 0)
+    assert np.abs(u - (1 - np.cos(np.pi * np.arange(p + 1) / p)) / 2).max() <= 2e-16
+    assert not W[0].any()
+    for k in range(p + 1):
+        assert np.abs(W @ u**k - u**(k + 1) / (k + 1)).max() <= 1e-15
 
 
-def _reference_mul(X, Y):
-    # a sum of outer products over the inner index up to 3x3, np.matmul above
-    b = X.shape[-1]
-    if b > 3:
-        return np.matmul(X, Y)
-    Z = X[..., :, :1] * Y[..., :1, :]
-    for j in range(1, b):
-        Z += X[..., :, j:j + 1] * Y[..., j:j + 1, :]
-    return Z
-
-
-def _quad_reference_values(H, orders, T, points, nodes):
-    ts = np.linspace(0.0, T, points + 1)
-    h = T / points
-    sectors = oracle._SectorStage(_NoSupport(H))
-    Hs = sectors.stack(H.evaluate_grid(ts))
-    A = Hs
-    factor = 1 + 0j
-    out = {}
-    for k in range(2, max(orders) + 1):
-        A = _reference_mul(Hs, _reference_cumulative_simpson(A, h))
-        factor *= -1j
-        if k in orders:
-            val = factor * A[nodes]
-            out[k] = sectors.scatter(val)
-    return out
-
-
-def _quad_reference(H, n, t, tol, max_points=oracle.MAX_QUAD_POINTS):
-    single = not isinstance(n, (tuple, list))
-    orders = sorted({int(k) for k in ((n,) if single else n)})
-    times, scalar = oracle._check_times(t)
-
-    def result(values):
-        if scalar:
-            values = {k: None if v is None else v[0] for k, v in values.items()}
-        return values[orders[0]] if single else values
-
-    T = float(times.max())
-    if T == 0.0:
-        return result({k: np.zeros((times.size, H.dim, H.dim), dtype=complex)
-                       for k in orders})
-    nodes = np.rint(times / T * oracle._BASE_POINTS).astype(int)
-    done, prev, changes = {}, {}, {}
-    points = oracle._BASE_POINTS
-    while points <= max_points:
-        vals = _quad_reference_values(H, [k for k in orders if k not in done], T, points,
-                                      nodes * (points // oracle._BASE_POINTS))
-        for k, val in vals.items():
-            if k in prev:
-                changes[k] = oracle._change(val, prev[k])
-                if changes[k] < tol:
-                    done[k] = val
-        if len(done) == len(orders):
-            return result(done)
-        prev = vals
-        points *= 2
-    best = {k: done[k] if k in done else prev[k] for k in orders}
-    missing = [k for k in orders if k not in done]
-    why = "; ".join(f"order {k}: last change {changes[k]:.2g} at {points // 2} points"
-                    for k in missing)
-    raise QuadratureError(
-        f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol} "
-        f"within {max_points} points ({why})",
-        best=result(best),
-    )
-
-
-DEMO_MODELS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "models"
-QUAD_MODELS = (
-    [pytest.param(lambda name=name: make_model(name), id=name) for name in ZOO_NAMES]
-    + [pytest.param(lambda path=path: load_model(path), id=path.name)
-       for path in sorted(DEMO_MODELS.glob("*.ham"))]
-)
-
-
-def _assert_same_values(got, ref):
-    if isinstance(ref, dict):
-        assert sorted(got) == sorted(ref)
-        pairs = [(got[k], ref[k]) for k in ref]
-    else:
-        pairs = [(got, ref)]
-    for x, y in pairs:
-        assert x.shape == y.shape and np.array_equal(x, y)
-
-
-@pytest.mark.parametrize("make", QUAD_MODELS)
-def test_quad_oracle_equals_full_grid_reference(make):
-    # the midpoint refinement feeds the chain the same doubles as sampling
-    # each level's whole grid did, and the highest order's prefix sums at
-    # its nodes are those of its whole cumulative integral, so every value
-    # is bit-identical; jc's chain runs split into its sectors, the other
-    # models' unsplit. The last read-out set holds node 0 and a repeated time.
-    H = make()
-    T = 10.0 / H.min_omega
-    times = [0.5, 1.0, 2.0, 5.0, T, np.linspace(T / 8, T, 8), [0.0, T / 8, T / 8, T]]
-    for n in (2, 3, 4, (2, 3, 4)):
-        for t in times:
-            _assert_same_values(quad_oracle(H, n, t, 1e-9), _quad_reference(H, n, t, 1e-9))
-
-
-@pytest.mark.parametrize("max_points", [512, 2048])
-@pytest.mark.parametrize("n", [3, (2, 3, 4)])
-def test_quad_oracle_budget_error_equals_full_grid_reference(max_points, n):
-    H = make_model("commuting_diag")
-    for t in (10.0 / H.min_omega, _eighths(10.0 / H.min_omega)):
-        with pytest.raises(QuadratureError) as err:
-            quad_oracle(H, n, t, 1e-9, max_points=max_points)
-        with pytest.raises(QuadratureError) as ref:
-            _quad_reference(H, n, t, 1e-9, max_points=max_points)
-        assert str(err.value) == str(ref.value)
-        _assert_same_values(err.value.best, ref.value.best)
-
-
-class _MidpointCoupling:
-    """Two pairs of levels coupled only away from the nodes of the level-0
-    grid on ``[0, T]``: that grid's samples are diagonal, later levels' not."""
-
-    dim = 4
-    max_omega = 1.7
-
-    def __init__(self, T):
-        self.T = T
-
-    def evaluate_grid(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        r = ts / self.T * oracle._BASE_POINTS
-        H = np.zeros((len(ts), 4, 4), dtype=complex)
-        H[:, range(4), range(4)] = [0.3, -0.2, 0.5, 0.1]
-        on = 0.4 * np.cos(1.7 * ts) * (np.abs(r - np.rint(r)) > 0.25)
-        for i, j in ((0, 1), (2, 3)):
-            H[:, i, j] = H[:, j, i] = on
-        return H
-
-
-def test_quad_oracle_finds_the_sectors_again_when_a_level_couples_them():
-    # level 0 splits into four lone levels, level 1 into two pairs
-    T = 2.0
-    op = _MidpointCoupling(T)
-    assert _sector_sizes(op, np.linspace(0.0, T, 257)) == [1, 1, 1, 1]
-    assert _sector_sizes(op, np.linspace(0.0, T, 513)) == [2, 2]
-    with pytest.raises(QuadratureError) as err:
-        quad_oracle(op, (2, 3, 4), _eighths(T), 1e-12, max_points=2048)
-    with pytest.raises(QuadratureError) as ref:
-        _quad_reference(op, (2, 3, 4), _eighths(T), 1e-12, max_points=2048)
-    assert str(err.value) == str(ref.value)
-    _assert_same_values(err.value.best, ref.value.best)
-
-
-def _schedule(levels):
-    # points sampled per level: the whole level-0 grid, then the midpoints
-    return [oracle._BASE_POINTS + 1] + [oracle._BASE_POINTS * 2 ** (k - 1)
-                                        for k in range(1, levels)]
-
-
-def _finest(grids):
-    # intervals of the finest grid reached by a run that sampled ``grids``
-    assert grids == _schedule(len(grids))
-    return oracle._BASE_POINTS * 2 ** (len(grids) - 1)
-
-
-@pytest.mark.parametrize("T", [10 / 0.3, 7.77, 1e-6])
-def test_quad_oracle_samples_each_grid_point_once(T):
-    # a carrier far above the level-0 grid's resolution and a tolerance out
-    # of reach run every level up to the cap; H scales with 1 / T
+def test_quad_oracle_cuts_each_gap_between_times_into_equal_panels(monkeypatch):
+    # a carrier far above the first levels' resolution runs every level up
+    # to the cap; the panel edges are 0 and the times, each level halves the
+    # panels of the one before, and every time is the last node of a panel
+    T = 7.77
+    times = [T, T / 3, T / 3, 0.0]
     H = _CountingOperator(MultiToneHamiltonian([(0.5 / T * sigma_plus(), 300.0 / T)]))
-    with pytest.raises(QuadratureError):
-        quad_oracle(H, (2, 3, 4), T, 1e-12, max_points=4096)
-    assert H.grids == _schedule(5)
-    for k in range(len(H.times)):
-        sampled = np.sort(np.concatenate(H.times[:k + 1]))
-        grid = np.linspace(0.0, T, oracle._BASE_POINTS * 2**k + 1)
-        assert sampled.tobytes() == grid.tobytes()
+    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 2 * 17 * 8)
+    with pytest.raises(QuadratureError, match="within 272 points"):
+        quad_oracle(H, (2, 3, 4), times, 1e-12)
+    assert H.grids == [2 * 17 * 2**level for level in range(4)]
+    u = oracle._NODES
+    for level, ts in enumerate(H.times):
+        panels = ts.reshape(-1, len(u))
+        left, right = panels[:, 0], panels[:, -1]
+        assert left[0] == 0.0 and np.array_equal(left[1:], right[:-1])
+        edges = right[2**level - 1::2**level]
+        assert edges.tolist() == [T / 3, T]
+        widths = right - left
+        per_gap = widths.reshape(2, -1)
+        assert np.allclose(per_gap, per_gap[:, :1], rtol=1e-13, atol=0)
+        assert np.allclose(panels, left[:, None] + widths[:, None] * u, rtol=1e-15, atol=0)
 
 
 def test_quad_oracle_zero_time():
@@ -864,55 +747,41 @@ def test_quad_oracle_rejects_bad_tolerance_before_sampling(tol):
     assert H.points == 0
 
 
-@pytest.mark.parametrize("max_points", [100, 256, 511, 2.0, True])
-def test_quad_oracle_rejects_impossible_max_points_before_sampling(max_points):
-    # convergence needs two levels, 256 and 512 points
-    H = _CountingOperator(make_model("raman_lambda"))
-    with pytest.raises(OperatorValueError, match="max_points"):
-        quad_oracle(H, 2, 1.0, 1e-9, max_points=max_points)
-    with pytest.raises(OperatorValueError, match="max_points"):
-        quad_oracle(H, (2, 3), [0.5, 1.0], 1e-9, max_points=max_points)
-    assert H.points == 0
-
-
-@pytest.mark.parametrize("max_points", [512, np.int64(512)])
-def test_quad_oracle_accepts_two_level_max_points(max_points):
-    H = _CountingOperator(make_model("raman_lambda"))
-    value = quad_oracle(H, 2, 1.0, 1e-6, max_points=max_points)
-    assert np.array_equal(value, quad_oracle(H.op, 2, 1.0, 1e-6))
-    assert H.grids == [257, 256]
-
-
-def test_quad_oracle_budget_error_carries_best_estimate():
+def test_quad_oracle_budget_error_carries_best_estimate(monkeypatch):
+    # order 3 needs five levels here; a cap of two stops it
     H = make_model("noncommuting_two_tone")
+    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 34)
     with pytest.raises(QuadratureError) as err:
-        quad_oracle(H, 3, 4.0, 1e-12, max_points=512)
+        quad_oracle(H, 3, 4.0, 1e-12)
     assert err.value.best is not None
     assert err.value.best.shape == (2, 2)
 
 
 def test_quad_oracle_refuses_a_level_over_the_byte_budget_before_sampling_it(monkeypatch):
-    # a budget that admits the 512-point level and not the 1024-point one
-    # ends where a 512-point cap ends, with the same best estimate
+    # a budget that admits the 34-point level and not the 68-point one
+    # ends where a 34-point cap ends, with the same best estimate
     H = _CountingOperator(make_model("noncommuting_two_tone"))
-    need = 1025 * 4 * oracle._QUAD_BYTES_PER_ENTRY
+    need = 68 * 4 * oracle._QUAD_BYTES_PER_ENTRY
     monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", need - 1)
     with pytest.raises(QuadratureError) as err:
         quad_oracle(H, (2, 3), 4.0, 1e-12)
-    assert str(err.value) == (f"quadrature level of 1024 points would take about {need} bytes, "
+    assert str(err.value) == (f"quadrature level of 68 points would take about {need} bytes, "
                               f"over the budget of {need - 1} bytes")
-    assert H.grids == [257, 256]
+    assert H.grids == [17, 34]
+    monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", need)
+    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 34)
     with pytest.raises(QuadratureError) as cap:
-        quad_oracle(H.op, (2, 3), 4.0, 1e-12, max_points=512)
+        quad_oracle(H.op, (2, 3), 4.0, 1e-12)
     assert all(np.array_equal(err.value.best[k], cap.value.best[k]) for k in (2, 3))
 
 
 def test_quad_oracle_budget_counts_the_sector_stack_of_a_declared_split(monkeypatch):
     # jc's support splits into four 2x2 sectors: 16 entries per point, not
-    # 100; a budget below the first level samples nothing and has no best
+    # 100; a budget below the first level, two panels of 17 nodes, samples
+    # nothing and has no best
     H = _CountingOperator(jc_detuned())
     monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", 1)
-    with pytest.raises(QuadratureError, match=f"about {257 * 16 * oracle._QUAD_BYTES_PER_ENTRY} "
+    with pytest.raises(QuadratureError, match=f"about {34 * 16 * oracle._QUAD_BYTES_PER_ENTRY} "
                                               "bytes") as err:
         quad_oracle(H, 2, [1.0, 2.0], 1e-9)
     assert err.value.best is None and H.points == 0
@@ -939,27 +808,33 @@ def test_quad_oracle_shares_no_code_with_tone_calculus():
         assert "builder" not in line
 
 
+def _levels(grids):
+    # levels run by a call at one time that sampled ``grids``
+    assert grids == [17 * 2**level for level in range(len(grids))]
+    return len(grids)
+
+
 @pytest.mark.parametrize("name", ["commuting_diag", "scalar_single_tone", "noncommuting_two_tone"])
 def test_quad_oracle_tuple_equals_single_order_calls(name):
     H = make_model(name)
     t = 10.0 / H.min_omega
-    finest = {}
+    levels = {}
     singles = {}
     for n in (2, 3, 4):
         probe = _CountingOperator(H)
         singles[n] = quad_oracle(probe, n, t, 1e-9)
-        finest[n] = _finest(probe.grids)
-    # the orders converge at different levels (2048/4096/4096 points on
-    # commuting_diag, 2048/2048/4096 on scalar_single_tone, 1024/1024/512
-    # on noncommuting_two_tone), so some are frozen while others refine
-    assert len(set(finest.values())) > 1
+        levels[n] = _levels(probe.grids)
+    # the orders converge at different levels (3/4/4 on commuting_diag,
+    # 2/3/4 on scalar_single_tone, 3/4/4 on noncommuting_two_tone), so some
+    # are frozen while others refine
+    assert len(set(levels.values())) > 1
     probe = _CountingOperator(H)
     both = quad_oracle(probe, (4, 2, 3, 2), t, 1e-9)
     assert sorted(both) == [2, 3, 4]
     for n in (2, 3, 4):
         assert np.array_equal(both[n], singles[n])
     # one sampling of H per level, up to the finest level any order needs
-    assert _finest(probe.grids) == max(finest.values())
+    assert _levels(probe.grids) == max(levels.values())
 
 
 def test_quad_oracle_tuple_generic_model(rng):
@@ -1014,23 +889,23 @@ def test_quad_oracle_accepts_numpy_integer_orders():
     assert sorted(vals) == [2, 4] and all(type(k) is int for k in vals)
 
 
-def test_quad_oracle_tuple_budget_error_carries_best_estimates():
-    # commuting_diag at t = 10 needs 2048 points for order 2 and 4096 for
-    # orders 3 and 4, so a cap of 2048 stops orders 3 and 4 only
+def test_quad_oracle_tuple_budget_error_carries_best_estimates(monkeypatch):
+    # commuting_diag at t = 10 needs 68 points for order 2 and 136 for
+    # orders 3 and 4, so a cap of 68 stops orders 3 and 4 only
     H = make_model("commuting_diag")
     t = 10.0 / H.min_omega
+    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 68)
     with pytest.raises(QuadratureError, match="order 3, 4") as err:
-        quad_oracle(H, (2, 3, 4), t, 1e-9, max_points=2048)
+        quad_oracle(H, (2, 3, 4), t, 1e-9)
     best = err.value.best
     assert sorted(best) == [2, 3, 4]
-    assert np.array_equal(best[2], quad_oracle(H, 2, t, 1e-9, max_points=2048))
+    assert np.array_equal(best[2], quad_oracle(H, 2, t, 1e-9))
     for n in (3, 4):
         with pytest.raises(QuadratureError) as single:
-            quad_oracle(H, n, t, 1e-9, max_points=2048)
+            quad_oracle(H, n, t, 1e-9)
         assert np.array_equal(best[n], single.value.best)
 
 
-# times j * T / 8 are even nodes of the level-0 grid on [0, T]
 def _eighths(T):
     return [j * T / 8 for j in range(1, 9)]
 
@@ -1059,7 +934,7 @@ def test_quad_oracle_times_match_closed_forms(name):
     probe = _CountingOperator(H)
     vals = quad_oracle(probe, (2, 3, 4), ts, 1e-9)
     # one sampling of H per level, all times read off the same chain
-    assert probe.grids == _schedule(len(probe.grids))
+    assert probe.grids == [8 * 17 * 2**level for level in range(len(probe.grids))]
     for n in (2, 3, 4):
         assert vals[n].shape == (8, H.dim, H.dim)
         closed = heff_n_timedep(H, n)
@@ -1130,28 +1005,29 @@ class _InfiniteAfter:
 
 
 def test_quad_oracle_refuses_non_finite_samples_at_the_level_that_meets_them():
-    # on the level-0 grid: refused before any chain, at the first such time
+    # on the level-0 panel: refused before any chain, at the first such node
+    first = float(oracle._NODES[oracle._NODES > 0.5][0])
     op = _InfiniteAfter(lambda ts: ts > 0.5)
-    with pytest.raises(OperatorValueError, match=r"not finite at quadrature time 0\.50390625$"):
+    with pytest.raises(OperatorValueError, match=re.escape(f"not finite at quadrature time {first!r}")):
         quad_oracle(op, 2, 1.0, 1e-9)
-    assert op.points <= oracle._BASE_POINTS + 1
-    # only on the new midpoints of level 1: refused there
-    op = _InfiniteAfter(lambda ts: np.abs(ts * 256 - np.rint(ts * 256)) > 0.25)
-    with pytest.raises(OperatorValueError, match=r"time 0\.001953125$"):
+    assert op.points == 17
+    # between 0.5 and level 0's next node: refused at level 1, whose second
+    # panel starts at 0.5
+    window = (0.5, first)
+    op = _InfiniteAfter(lambda ts: (ts > window[0]) & (ts < window[1]))
+    with pytest.raises(OperatorValueError, match=re.escape(f"time {0.5 + 0.5 * float(oracle._NODES[1])!r}")):
         quad_oracle(op, (2, 3), 1.0, 1e-9)
-    assert op.points == 2 * oracle._BASE_POINTS + 1
+    assert op.points == 17 + 34
 
 
 def test_quad_oracle_runs_sectors_larger_than_3x3_unsplit(rng, monkeypatch):
-    # unsplit with no scan on the declared support, scanned with none
+    # unsplit on the declared support, as the same operand with none runs
     H = _two_4x4_sectors(rng)
-    scanned, declared = _record_splits(monkeypatch)
+    splits = _record_splits(monkeypatch)
     ts = _eighths(1.5)
     vals = quad_oracle(H, (2, 3, 4), ts, 1e-9)
-    assert not scanned and declared and not any(declared)
-    declared.clear()
+    assert splits and not any(splits)
     ref = quad_oracle(_NoSupport(H), (2, 3, 4), ts, 1e-9)
-    assert not declared and scanned and not any(scanned)
     for n in (2, 3, 4):
         assert vals[n].tobytes() == ref[n].tobytes()
         closed = heff_n_timedep(H, n)
@@ -1175,22 +1051,29 @@ def test_small_product_matches_matmul(rng, b):
         assert np.linalg.norm(Z - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
-def test_quad_oracle_budget_error_states_the_last_change():
-    # commuting_diag at t = 10 needs 4096 points for orders 3 and 4
+def test_quad_oracle_budget_error_states_the_last_change(monkeypatch):
+    # commuting_diag at t = 10 needs 136 points for orders 3 and 4
     H = make_model("commuting_diag")
     tol = 1e-9
+    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 68)
     with pytest.raises(QuadratureError, match="order 3, 4") as err:
-        quad_oracle(H, (2, 3, 4), 10.0 / H.min_omega, tol, max_points=2048)
+        quad_oracle(H, (2, 3, 4), 10.0 / H.min_omega, tol)
     stated = re.findall(r"order (\d): last change (\S+) at (\d+) points", str(err.value))
     assert [int(k) for k, _, _ in stated] == [3, 4]
     for _, change, points in stated:
         assert float(change) > tol
-        assert int(points) == 2048
+        assert int(points) == 68
+    # a cap that admits one level measures no change; best is that level's
+    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 17)
+    with pytest.raises(QuadratureError) as err:
+        quad_oracle(H, (2, 3), 1.0, tol)
+    assert str(err.value) == "quadrature of order 2, 3 did not reach tol=1e-09 within 17 points"
+    assert sorted(err.value.best) == [2, 3]
 
 
 @pytest.mark.parametrize("ts", [
-    [], [0.3, 1.0], [1.0 / 256, 1.0], [-0.5, 1.0], [-1.0], [0.5, math.nan], [[0.5, 1.0]],
-    [False, True], ["0.5", "1.0"], [0.5, True],
+    [], [-0.5, 1.0], [-1.0], [0.5, math.nan], [[0.5, 1.0]], [False, True], ["0.5", "1.0"],
+    [0.5, True],
 ])
 def test_quad_oracle_rejects_bad_times_before_sampling(ts):
     H = _CountingOperator(make_model("noncommuting_two_tone"))
@@ -1201,12 +1084,21 @@ def test_quad_oracle_rejects_bad_times_before_sampling(ts):
     assert H.points == 0
 
 
-def test_quad_oracle_accepts_nodes_within_rounding():
-    # 0.1 * 3 is 0.30000000000000004, 2 * T / 8 only to rounding
-    H = make_model("noncommuting_two_tone")
-    T = 1.2
-    vals = quad_oracle(H, 2, [0.1 * 3, T], 1e-9)
-    assert vals.shape == (2, 2, 2)
+@pytest.mark.parametrize("name", ["jc", "dense3"])
+def test_quad_oracle_reads_any_list_of_times(rng, name):
+    # every time is a panel edge, so any list is read at its own times; an
+    # unsorted list or one with a repeated time gives the values of the
+    # sorted list at each of its times
+    H = _oracle_models(rng)[name]
+    ts = [0.3, 1.7, math.pi, 4.2, 7.77]
+    vals = quad_oracle(H, (2, 3, 4, 5, 6), ts, 1e-9)
+    for n, val in vals.items():
+        closed = heff_n_timedep(H, n).evaluate_grid(ts)
+        assert np.linalg.norm(val - closed, axis=(1, 2)).max() <= 1e-11
+    shuffled = [4.2, 0.3, 7.77, 4.2, math.pi, 1.7, 0.3]
+    other = quad_oracle(H, (2, 3, 4, 5, 6), shuffled, 1e-9)
+    for n, val in other.items():
+        assert np.array_equal(val, vals[n][[ts.index(t) for t in shuffled]])
 
 
 def test_quad_oracle_zero_in_list_gives_zero_matrix():
@@ -1228,17 +1120,19 @@ def test_quad_oracle_all_zero_times():
     assert H.points == 0
 
 
-def test_quad_oracle_times_budget_error_carries_stacks():
+def test_quad_oracle_times_budget_error_carries_stacks(monkeypatch):
     H = make_model("commuting_diag")
     ts = _eighths(10.0 / H.min_omega)
-    with pytest.raises(QuadratureError, match="order 3, 4") as err:
-        quad_oracle(H, (2, 3, 4), ts, 1e-9, max_points=2048)
+    # a cap of one level: best holds that level's values
+    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 8 * 17)
+    with pytest.raises(QuadratureError, match="order 2, 3, 4") as err:
+        quad_oracle(H, (2, 3, 4), ts, 1e-9)
     best = err.value.best
     assert sorted(best) == [2, 3, 4]
     for n in (2, 3, 4):
         assert best[n].shape == (8, 2, 2)
     with pytest.raises(QuadratureError) as err:
-        quad_oracle(H, 3, ts, 1e-9, max_points=512)
+        quad_oracle(H, 3, ts, 1e-9)
     assert err.value.best.shape == (8, 2, 2)
 
 
@@ -1282,9 +1176,10 @@ def test_fidelity_distance_passes_non_finite_entries_through():
 class _CouplingInfiniteAfter:
     """A grid function whose coupling of levels ``dim - 2`` and ``dim - 1``
     is ``inf`` itself (no numpy overflow) after t = 0.5; it duck-types both
-    a model (``max_omega``) and a series (``freqs``). At ``dim`` 2 the
-    block runs unsplit; at ``dim`` 4, with levels 0 and 1 coupled too, it
-    splits into two 2x2 sectors."""
+    a model (``max_omega``) and a series (``freqs``). It declares no
+    support and runs unsplit; at ``dim`` 4, with levels 0 and 1 coupled
+    too, the test declares its support, which splits into two 2x2
+    sectors."""
 
     max_omega = 1.0
     freqs = np.array([1.0])
@@ -1304,40 +1199,32 @@ class _CouplingInfiniteAfter:
 @pytest.mark.parametrize("propagate", [propagate_exact, propagate_series])
 def test_rk4_refuses_non_finite_samples_at_the_first_such_time(propagate, dim):
     # once the NaNs of inf * 0 flowed into U, with est_error nan
+    op = _CouplingInfiniteAfter(dim)
+    if dim == 4:
+        op = _WithSupport(op, np.abs(op.evaluate_grid([0.0])[0]) > 0)
+        assert oracle._SectorStage(op).valid.shape == (2, 2, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OperatorValueError,
                            match=r"^H is not finite at propagation time 0\.50390625$"):
-            propagate(_CouplingInfiniteAfter(dim), 1.0, steps=64)
+            propagate(op, 1.0, steps=64)
 
 
-def test_quad_oracle_keys_its_values_in_ascending_order():
+def test_quad_oracle_keys_its_values_in_ascending_order(monkeypatch):
     # order 6 converges first here, and once came first in the dict
     H = make_model("noncommuting_two_tone")
     assert list(quad_oracle(H, (2, 3, 4, 5, 6), 5.0, 1e-9)) == [2, 3, 4, 5, 6]
     assert list(quad_oracle(H, (6, 2, 4), [2.5, 5.0], 1e-9)) == [2, 4, 6]
-    # commuting_diag at t = 10 stops orders 3 and 4 at a cap of 2048 points
+    # commuting_diag at t = 10 stops orders 3 and 4 at a cap of 68 points
     H = make_model("commuting_diag")
+    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 68)
     with pytest.raises(QuadratureError) as err:
-        quad_oracle(H, (4, 2, 3), 10.0 / H.min_omega, 1e-9, max_points=2048)
+        quad_oracle(H, (4, 2, 3), 10.0 / H.min_omega, 1e-9)
     assert list(err.value.best) == [2, 3, 4]
 
 
 # ----------------------------------------------------------------------
 # the sector split from a declared support
-
-
-class _NoSupport:
-    """The same operand behind a grid function that declares no support,
-    so the oracles take the split from its samples."""
-
-    def __init__(self, op):
-        self.op, self.dim = op, op.dim
-        self.max_omega = getattr(op, "max_omega", None)
-        self.freqs = getattr(op, "freqs", None)
-
-    def evaluate_grid(self, ts):
-        return self.op.evaluate_grid(ts)
 
 
 class _RecordingIndex(_CountingOperator):
@@ -1365,48 +1252,65 @@ SUPPORTED = {
 
 
 @pytest.mark.parametrize("name", SUPPORTED)
-def test_support_and_sampled_routes_give_the_same_bits(name, monkeypatch):
+def test_sector_entries_give_the_bits_of_the_whole_samples(name, monkeypatch):
+    # sampling the sector entries alone gives the bits of taking them from
+    # the whole samples, block by block and level by level
     op = SUPPORTED[name]()
     assert oracle._SectorStage(op).index is not None
     propagate = propagate_series if isinstance(op, OperatorSeries) else propagate_exact
-    scanned, declared = _record_splits(monkeypatch)
+    splits = _record_splits(monkeypatch)
     # 1000 coarse steps: three whole blocks and a shorter tail
     t, steps = 30.0, 1000
     probe = _RecordingIndex(op)
     res = propagate(probe, t, steps=steps)
-    assert not scanned and declared and all(declared)  # no pattern scan
-    ref = propagate(_NoSupport(op), t, steps=steps)
-    assert scanned and all(scanned)
+    assert splits and all(splits)
+    ref = propagate(_WithSupport(op, op.support), t, steps=steps)
     assert res.U.tobytes() == ref.U.tobytes() and res.est_error == ref.est_error
     assert len(probe.indexes) == math.ceil(steps / oracle._RK4_BLOCK)
     assert all(index is probe.indexes[0] for index in probe.indexes)
     assert probe.points <= 4 * steps + math.ceil(steps / oracle._RK4_BLOCK)
     # the quadrature's levels, sampled at the sector entries only
-    scanned.clear()
     probe = _RecordingIndex(op)
     vals = quad_oracle(probe, (2, 3, 4), _eighths(3.0), 1e-9)
-    assert not scanned and len(probe.indexes) > 1
+    assert len(probe.indexes) > 1
     assert all(index is probe.indexes[0] for index in probe.indexes)
-    ref_probe = _CountingOperator(_NoSupport(op))
+    ref_probe = _CountingOperator(_WithSupport(op, op.support))
     ref = quad_oracle(ref_probe, (2, 3, 4), _eighths(3.0), 1e-9)
-    assert scanned and all(scanned) and probe.grids == ref_probe.grids
+    assert probe.grids == ref_probe.grids
     for n in (2, 3, 4):
         assert vals[n].tobytes() == ref[n].tobytes()
 
 
-def test_a_support_that_does_not_split_runs_unsplit_without_a_scan(rng, monkeypatch):
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_an_operand_with_no_support_runs_unsplit(name, monkeypatch):
+    # no stack is split and no index is passed; the values agree with the
+    # split run's to rounding
+    op = SUPPORTED[name]()
+    propagate = propagate_series if isinstance(op, OperatorSeries) else propagate_exact
+    splits = _record_splits(monkeypatch)
+    probe = _RecordingIndex(_NoSupport(op))
+    res = propagate(probe, 30.0, steps=300)
+    vals = quad_oracle(probe, (2, 3, 4), _eighths(3.0), 1e-9)
+    assert splits and not any(splits)
+    assert probe.indexes and not any(index is not None for index in probe.indexes)
+    ref = propagate(op, 30.0, steps=300)
+    assert np.linalg.norm(res.U - ref.U) <= 1e-12 * np.linalg.norm(ref.U)
+    for n, val in quad_oracle(op, (2, 3, 4), _eighths(3.0), 1e-9).items():
+        assert np.linalg.norm(vals[n] - val) <= 1e-12 * max(1.0, np.linalg.norm(val))
+
+
+def test_a_support_that_does_not_split_runs_unsplit(rng, monkeypatch):
     # one sector, or sectors larger than 3x3: the support decides once that
-    # every block and level runs unsplit, no stack is scanned, and the
-    # index is never passed
-    scanned, declared = _record_splits(monkeypatch)
+    # every block and level runs unsplit, and the index is never passed
+    splits = _record_splits(monkeypatch)
     for op in (make_model("raman_lambda"), _two_4x4_sectors(rng), make_model("scalar_single_tone")):
         stage = oracle._SectorStage(op)
-        assert stage.index is None and stage.valid is None and not stage.scan
+        assert stage.index is None and stage.valid is None
         probe = _RecordingIndex(op)
         propagate_exact(probe, 1.0, steps=300)
         quad_oracle(probe, 2, 1.0, 1e-9)
         assert probe.indexes and not any(index is not None for index in probe.indexes)
-    assert not scanned and declared and not any(declared)
+    assert splits and not any(splits)
 
 
 def test_the_support_route_refuses_non_finite_samples_at_the_first_such_time():
@@ -1435,13 +1339,13 @@ def test_quad_oracle_stops_at_the_first_level_whose_chain_is_not_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError, match=r"^quadrature of order 3 is not finite "
-                                                  r"at 256 points \(order 3: values not finite\)$") as err:
+                                                  r"at 136 points \(order 3: values not finite\)$") as err:
             quad_oracle(H, (2, 3), ts, 1e-9)
-        with pytest.raises(QuadratureError, match=r"^quadrature of order 2 is not finite at 512 "
+        with pytest.raises(QuadratureError, match=r"^quadrature of order 2 is not finite at 272 "
                                                   r"points \(order 2: last change inf\)$"):
             quad_oracle(H2, 2, ts, 1e-9)
-    assert H.points == oracle._BASE_POINTS + 1
-    assert H2.points == 2 * oracle._BASE_POINTS + 1
+    assert H.points == 8 * 17
+    assert H2.points == 8 * 17 + 2 * 8 * 17
     best = err.value.best
     assert sorted(best) == [2, 3] and all(v.shape == (8, 3, 3) for v in best.values())
     assert np.isfinite(best[2]).all() and not np.isfinite(best[3]).all()
