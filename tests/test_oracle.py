@@ -710,6 +710,136 @@ def test_quad_oracle_cuts_each_gap_between_times_into_equal_panels(monkeypatch):
         assert np.allclose(panels, left[:, None] + widths[:, None] * u, rtol=1e-15, atol=0)
 
 
+def _quad_reference(H, n, t, tol):
+    # the panel rule written out plainly: each level's panels built gap by
+    # gap, H sampled whole (no sectors), and every order's nested chain
+    # integrated one panel at a time with the panel matrix
+    single = not isinstance(n, (tuple, list))
+    orders = sorted({int(k) for k in ((n,) if single else n)})
+    times, scalar = oracle._check_times(t)
+
+    def result(values):
+        if scalar:
+            values = {k: v[0] for k, v in values.items()}
+        return values[orders[0]] if single else values
+
+    zeros = np.zeros((times.size, H.dim, H.dim), dtype=complex)
+    ends = sorted({float(x) for x in times if x > 0})
+    if not ends:
+        return result({k: zeros for k in orders})
+    u, W = oracle._NODES, oracle._PANEL
+    done, prev, changes = {}, {}, {}
+    panels, last = 1, None
+    while (points := len(ends) * panels * len(u)) <= oracle.MAX_QUAD_POINTS:
+        left, start = [], 0.0
+        for end in ends:
+            left += [start + (end - start) * j / panels for j in range(panels)]
+            start = end
+        right = left[1:] + [ends[-1]]
+        nodes = np.array([[a + (b - a) * x for x in u[:-1]] + [b] for a, b in zip(left, right)])
+        Hs = H.evaluate_grid(nodes.ravel()).reshape(nodes.shape + (H.dim, H.dim))
+        A, vals = Hs, {}
+        for k in range(2, max(orders) + 1):
+            I, offset = np.empty_like(A), 0.0
+            for m in range(len(left)):
+                I[m] = offset + (right[m] - left[m]) * np.einsum("ij,jab->iab", W, A[m])
+                offset = I[m, -1]
+            A = Hs @ I
+            val = zeros.copy()
+            for i, x in enumerate(times):
+                if x > 0:
+                    val[i] = (-1j) ** (k - 1) * A[(ends.index(x) + 1) * panels - 1, -1]
+            vals[k] = val
+        for k in orders:
+            if k in done:
+                continue
+            if k in prev:
+                changes[k] = max(np.linalg.norm(v - p) for v, p in zip(vals[k], prev[k]))
+                if changes[k] < tol:
+                    done[k] = vals[k]
+        if len(done) == len(orders):
+            return result(done)
+        prev, last = vals, points
+        panels *= 2
+    missing = [k for k in orders if k not in done]
+    why = "; ".join(f"order {k}: last change {changes[k]:.2g} at {last} points"
+                    for k in missing if k in changes)
+    raise QuadratureError(
+        f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol} "
+        f"within {oracle.MAX_QUAD_POINTS} points" + (f" ({why})" if why else ""),
+        best=result({k: done[k] if k in done else prev[k] for k in orders}) if prev else None,
+    )
+
+
+DEMO_MODELS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "models"
+QUAD_MODELS = (
+    [pytest.param(lambda name=name: make_model(name), id=name) for name in ZOO_NAMES]
+    + [pytest.param(lambda path=path: load_model(path), id=path.name)
+       for path in sorted(DEMO_MODELS.glob("*.ham"))]
+)
+
+
+def _assert_close_values(got, ref, rtol=1e-12):
+    if isinstance(ref, dict):
+        assert list(got) == sorted(ref)
+        pairs = [(got[k], ref[k]) for k in ref]
+    else:
+        pairs = [(got, ref)]
+    for x, y in pairs:
+        assert x.shape == y.shape
+        assert np.linalg.norm(x - y) <= rtol * max(1.0, np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("make", QUAD_MODELS)
+def test_quad_oracle_equals_full_grid_reference(make):
+    # the batched panels, the cumulative offset and (on jc) the sector split
+    # give the values of the plain panel-by-panel rule up to rounding, at one
+    # time, at several, and at a list holding 0 and a repeated time
+    H = make()
+    T = 10.0 / H.min_omega
+    times = [0.5, 1.0, 2.0, 5.0, T, np.linspace(T / 8, T, 8), [0.0, T / 8, T / 8, T]]
+    for n in (2, 3, 4, (2, 3, 4)):
+        for t in times:
+            _assert_close_values(quad_oracle(H, n, t, 1e-9), _quad_reference(H, n, t, 1e-9))
+
+
+@pytest.mark.parametrize("max_points", [512, 2048])
+@pytest.mark.parametrize("n", [3, (2, 3, 4)])
+def test_quad_oracle_budget_error_equals_full_grid_reference(monkeypatch, max_points, n):
+    # a carrier of 3000 / T runs every level up to the cap; the message names
+    # the same last changes and levels, and best holds the same estimates
+    T = 7.77
+    H = MultiToneHamiltonian([(0.5 / T * sigma_plus(), 3000.0 / T)])
+    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", max_points)
+    for t in (T, _eighths(T)):
+        with pytest.raises(QuadratureError) as err:
+            quad_oracle(H, n, t, 1e-9)
+        with pytest.raises(QuadratureError) as ref:
+            _quad_reference(H, n, t, 1e-9)
+        assert str(err.value) == str(ref.value)
+        _assert_close_values(err.value.best, ref.value.best)
+
+
+@pytest.mark.parametrize("T", [10 / 0.3, 7.77, 1e-6])
+def test_quad_oracle_is_invariant_under_a_change_of_time_unit(T):
+    # H(t) = h(t / T) / T: every order's value is 1 / T times that of the
+    # T = 1 run, so at a tolerance of tol / T each level samples that run's
+    # nodes scaled by T and the same levels run
+    def scaled(T):
+        return _CountingOperator(MultiToneHamiltonian([(0.5 / T * sigma_plus(), 300.0 / T),
+                                                       (0.2 / T * sigma_z(), 7.0 / T)]))
+
+    unit, H = scaled(1.0), scaled(T)
+    ts = [T / 3, T, T / 3, 0.0]
+    ref = quad_oracle(unit, (2, 3, 4), [1 / 3, 1.0, 1 / 3, 0.0], 1e-10)
+    got = quad_oracle(H, (2, 3, 4), ts, 1e-10 / T)
+    assert H.grids == unit.grids
+    for a, b in zip(H.times, unit.times):
+        assert np.abs(a / T - b).max() <= 4e-16
+    for k in (2, 3, 4):
+        assert np.linalg.norm(T * got[k] - ref[k]) <= 1e-11 * np.linalg.norm(ref[k])
+
+
 def test_quad_oracle_zero_time():
     H = make_model("noncommuting_two_tone")
     assert np.array_equal(quad_oracle(H, 2, 0.0, 1e-9), np.zeros((2, 2)))
@@ -1073,7 +1203,7 @@ def test_quad_oracle_budget_error_states_the_last_change(monkeypatch):
 
 @pytest.mark.parametrize("ts", [
     [], [-0.5, 1.0], [-1.0], [0.5, math.nan], [[0.5, 1.0]], [False, True], ["0.5", "1.0"],
-    [0.5, True],
+    [0.5, True], [0.5, math.inf], [0.5, 1j],
 ])
 def test_quad_oracle_rejects_bad_times_before_sampling(ts):
     H = _CountingOperator(make_model("noncommuting_two_tone"))
@@ -1099,6 +1229,18 @@ def test_quad_oracle_reads_any_list_of_times(rng, name):
     other = quad_oracle(H, (2, 3, 4, 5, 6), shuffled, 1e-9)
     for n, val in other.items():
         assert np.array_equal(val, vals[n][[ts.index(t) for t in shuffled]])
+
+
+def test_quad_oracle_accepts_nodes_within_rounding():
+    # 0.1 * 3 is 0.30000000000000004: two distinct times 5.6e-17 apart make
+    # a gap of that width, and the values on either side of it agree
+    H = make_model("noncommuting_two_tone")
+    vals = quad_oracle(H, (2, 3), [0.3, 0.1 * 3, 1.2], 1e-9)
+    alone = quad_oracle(H, (2, 3), [0.3, 1.2], 1e-9)
+    for k in (2, 3):
+        assert vals[k].shape == (3, 2, 2)
+        assert np.linalg.norm(vals[k][1] - vals[k][0]) <= 1e-14 * np.linalg.norm(vals[k][0])
+        _assert_close_values(vals[k][[0, 2]], alone[k], rtol=1e-9)
 
 
 def test_quad_oracle_zero_in_list_gives_zero_matrix():
