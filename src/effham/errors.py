@@ -70,8 +70,9 @@ class FrequencyConditionError(EffhamError):
 
 
 class QuadratureError(NumericalGuardError):
-    """Quadrature refinement budget exhausted before reaching tolerance,
-    or a nested chain that overflowed, which no finer grid brings back.
+    """Quadrature refinement whose next level would pass the byte budget
+    before reaching tolerance, or a nested chain that overflowed, which no
+    finer grid brings back.
 
     Carries the best available estimate in ``best``.
     """

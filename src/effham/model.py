@@ -148,7 +148,11 @@ class MultiToneHamiltonian:
         bundled model and for random ones up to dimension 9, but a product
         of more than 192 float columns may round some in the last bit."""
         wt = np.outer(np.asarray(ts, dtype=float), self._omegas)
-        trig = np.hstack((np.cos(wt), np.sin(wt)))
+        # filled in place: hstack would hold cos, sin and their copy at once
+        m = len(self._omegas)
+        trig = np.empty((len(wt), 2 * m))
+        np.cos(wt, out=trig[:, :m])
+        np.sin(wt, out=trig[:, m:])
         if index is None:
             return np.dot(trig, self._stack).view(complex).reshape(-1, self.dim, self.dim)
         rows = self._stack.reshape(len(self._stack), -1, 2)[:, index]

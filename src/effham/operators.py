@@ -31,15 +31,18 @@ def _dim(dim, low: int = 1) -> int:
 
 
 def as_operator(entries, name: str = "operator") -> Operator:
-    """Coerce ``entries`` to a validated square complex matrix.
+    """A fresh C-ordered complex copy of ``entries``: a square matrix of
+    dimension >= 1 with finite entries.
 
-    Raises :class:`OperatorValueError` for non-square layouts or
-    non-finite entries.
+    Raises :class:`OperatorValueError` for any other layout or for
+    non-finite entries. The copy shares no memory with ``entries``, so
+    later writes to either do not reach the other.
     """
-    A = np.asarray(entries, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise OperatorValueError(f"{name} must be a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.view(float))):
+    A = np.array(entries, dtype=complex, order="C")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        raise OperatorValueError(
+            f"{name} must be a square matrix of dimension >= 1, got shape {A.shape}")
+    if not np.isfinite(A).all():
         raise OperatorValueError(f"{name} has non-finite entries")
     return A
 

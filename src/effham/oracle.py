@@ -140,10 +140,8 @@ STEPS_PER_UNIT = 4096
 #: work; a carrier of 1e300 would ask for a count of 304 digits at t = 1.
 MAX_RK4_STEPS = 1 << 24
 
-#: Cap on the nodes of one level of the nested quadrature.
-MAX_QUAD_POINTS = 1 << 21
-
-#: Byte budget of one quadrature level, checked before the level is sampled.
+#: Byte budget of one quadrature level, checked before the level is
+#: sampled: the one rule that ends a refinement that has not converged.
 QUAD_BYTE_BUDGET = 256 << 20
 
 #: Projected peak bytes of a quadrature level per node and per entry of its
@@ -580,25 +578,26 @@ def quad_oracle(H, n, t, tol: float):
     level, infinity would accept the first, and ``None`` or a ``bool`` is
     refused as well. A level whose samples of H are not all finite raises
     :class:`OperatorValueError`, naming the first such time, before its
-    chain runs. Raises :class:`QuadratureError` if the next level would
-    have more than :data:`MAX_QUAD_POINTS` nodes first; its ``best`` holds
-    the last level's estimate (``None`` before the first), or for a tuple
-    of orders every order's, in the shape of the result, and its message
-    states, for each order that did not converge, its last successive
-    change and the level it was measured on. It raises one as well, with
-    ``best`` set the same way from that level's values, at the first level
-    where an order's values, or their change from the level before, are
-    not finite, naming those orders and the level: the samples are finite,
-    so the nested chain has overflowed, and no finer level brings it back.
-    The chain runs with numpy's overflow and invalid-value warnings off.
-    Before a level is sampled, its peak bytes are projected as
-    ``nodes * entries * _QUAD_BYTES_PER_ENTRY``, with ``entries`` the
-    stack's per node (``d * d``, or the sector stack's when a declared
-    support splits); past :data:`QUAD_BYTE_BUDGET` it raises
-    :class:`QuadratureError` naming the level's nodes, the projection and
-    the budget, with ``best`` from the last finished level. As in the RK4,
-    a declared ``support`` of H decides the split into sectors, split or
-    not, and a grid function with none runs unsplit.
+    chain runs.
+
+    One budget ends a refinement that has not converged. Before a level is
+    sampled, its peak bytes are projected as ``nodes * entries *
+    _QUAD_BYTES_PER_ENTRY``, with ``entries`` the stack's per node (``d *
+    d``, or the sector stack's when a declared support splits); past
+    :data:`QUAD_BYTE_BUDGET` it raises :class:`QuadratureError`. Its
+    message states, for each order that did not converge, its last
+    successive change and the nodes of the level it was measured on, then
+    the tolerance, the refused level's nodes, the projection and the
+    budget; its ``best`` holds the last finished level's estimate (``None``
+    before the first), or for a tuple of orders every order's, in the shape
+    of the result. It raises one as well, with ``best`` set the same way
+    from that level's values, at the first level where an order's values,
+    or their change from the level before, are not finite, naming those
+    orders and the level: the samples are finite, so the nested chain has
+    overflowed, and no finer level brings it back. The chain runs with
+    numpy's overflow and invalid-value warnings off. As in the RK4, a
+    declared ``support`` of H decides the split into sectors, split or not,
+    and a grid function with none runs unsplit.
     """
     single = not isinstance(n, (tuple, list))
     orders = check_orders((n,) if single else n, MAX_QUAD_ORDER)
@@ -626,18 +625,22 @@ def quad_oracle(H, n, t, tol: float):
     changes: dict[int, float] = {}
     sectors = _SectorStage(H)
 
-    def last_best():
-        # every order's value at the last finished level, if there is one
-        return result({k: done[k] if k in done else prev[k] for k in orders}) if prev else None
-
     panels = 1  # per gap
-    while (points := len(ends) * panels * len(_NODES)) <= MAX_QUAD_POINTS:
+    while True:
+        points = len(ends) * panels * len(_NODES)
         need = points * sectors.entries * _QUAD_BYTES_PER_ENTRY
         if need > QUAD_BYTE_BUDGET:
+            # an order not done ran at every level, so its last change is
+            # that of the last finished level, of half this level's nodes
+            missing = [k for k in orders if k not in done]
+            why = "; ".join(f"order {k}: last change {changes[k]:.2g} at {points // 2} points"
+                            for k in missing if k in changes)
             raise QuadratureError(
-                f"quadrature level of {points} points would take about {need} bytes, "
+                f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol}"
+                + (f" ({why})" if why else "")
+                + f": a level of {points} points would take about {need} bytes, "
                 f"over the budget of {QUAD_BYTE_BUDGET} bytes",
-                best=last_best(),
+                best=result({**prev, **done}) if prev else None,
             )
         left = (starts[:, None] + (ends - starts)[:, None] * (np.arange(panels) / panels)).ravel()
         right = np.append(left[1:], T)
@@ -669,18 +672,9 @@ def quad_oracle(H, n, t, tol: float):
             raise QuadratureError(
                 f"quadrature of order {', '.join(map(str, overflow))} is not finite "
                 f"at {points} points ({why})",
-                best=result({k: done[k] if k in done else vals[k] for k in orders}),
+                best=result({**vals, **done}),
             )
         if len(done) == len(orders):
             return result(done)
-        prev, last = vals, points
+        prev = vals
         panels *= 2
-    # an order not done ran at every level, so its last change is the finest's
-    missing = [k for k in orders if k not in done]
-    why = "; ".join(f"order {k}: last change {changes[k]:.2g} at {last} points"
-                    for k in missing if k in changes)
-    raise QuadratureError(
-        f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol} "
-        f"within {MAX_QUAD_POINTS} points" + (f" ({why})" if why else ""),
-        best=last_best(),
-    )

@@ -42,7 +42,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (DimensionMismatchError, OperatorValueError, SeriesOverflowError,
-                     TermBudgetError)
+                     TermBudgetError, check_integer)
 from .tones import DROP_TOL, TOL_ZERO, ToneMono, TonePoly, _keyed_index, _new_mono
 
 #: Default budget for stored keys and for the key pairs of one product.
@@ -164,12 +164,15 @@ class _KeyView(Sequence):
 
 
 class OperatorSeries:
-    """Immutable operator-valued function of time."""
+    """Immutable operator-valued function of time.
+
+    ``dim`` is an integer >= 1, by the rule of :func:`errors.check_integer`.
+    """
 
     __slots__ = ("dim", "freqs", "powers", "coeffs")
 
     def __init__(self, dim: int, entries: Iterable[tuple[np.ndarray, TonePoly]] = ()):
-        dim = int(dim)
+        dim = check_integer("dim", dim, 1)
         freqs, powers, mats = [], [], []
         for A, p in entries:
             A = np.asarray(A, dtype=complex)

@@ -74,8 +74,8 @@ def test_carrier_at_or_below_tol_zero_exits_2_with_one_line(spaces, tone, omega,
 
 def test_a_quadrature_level_over_the_byte_budget_exits_3_with_one_line(tmp_path, capsys):
     # at carrier 1e-7 the default horizon 10/omega is 1e8, where order-3
-    # values cannot meet the absolute quadrature tolerance: the byte budget,
-    # not the 2^21-point cap, ends the refinement
+    # values cannot meet the absolute quadrature tolerance: the byte budget
+    # ends the refinement, naming each order's last change
     path = tmp_path / "slow.ham"
     path.write_text("space s0 2\nspace s1 3\ntone sz(s0) omega = 1e-7\n")
     tracemalloc.start()
@@ -88,7 +88,9 @@ def test_a_quadrature_level_over_the_byte_budget_exits_3_with_one_line(tmp_path,
         tracemalloc.stop()
     assert code == 3
     line = _one_line(capsys)
-    assert line.startswith("effham: numerical guard: quadrature level of ")
+    assert line.startswith("effham: numerical guard: quadrature of order 2, 3 did not reach "
+                           "tol=1e-09 (order 2: last change ")
+    assert " at 278528 points): a level of 557056 points would take about " in line
     assert line.endswith(f" bytes, over the budget of {oracle.QUAD_BYTE_BUDGET} bytes")
     assert elapsed < 2.0 and peak < oracle.QUAD_BYTE_BUDGET
 

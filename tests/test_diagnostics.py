@@ -224,7 +224,15 @@ def test_eq6_gap_grid_rejects_bad_times_before_any_build(ts):
 # ----------------------------------------------------------------------
 # report runner
 
-DEMO_MODELS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "models"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMO_MODELS = ROOT / "demos" / "models"
+
+
+def _source_id(source):
+    # a file's id is its path from the repo root, the same in every checkout
+    if source.startswith("builtin:"):
+        return source
+    return pathlib.Path(source).relative_to(ROOT).as_posix()
 
 
 def test_a_bare_string_is_a_path_even_when_it_names_a_zoo_model(tmp_path, monkeypatch):
@@ -373,7 +381,7 @@ REPORT_SOURCES = ([f"builtin:{name}" for name in sorted(ZOO_NAMES)]
                   + [str(DEMO_MODELS / f) for f in ("driven_qutrit.ham", "two_mode_exchange.ham")])
 
 
-@pytest.mark.parametrize("source", REPORT_SOURCES)
+@pytest.mark.parametrize("source", REPORT_SOURCES, ids=_source_id)
 def test_report_reads_all_residual_times_off_one_quadrature(source, monkeypatch):
     calls = []
 
@@ -407,7 +415,7 @@ BUNDLED_SOURCES = REPORT_SOURCES + sorted(
     str(path) for path in (pathlib.Path(__file__).resolve().parent / "data").glob("*.ham"))
 
 
-@pytest.mark.parametrize("source", BUNDLED_SOURCES)
+@pytest.mark.parametrize("source", BUNDLED_SOURCES, ids=_source_id)
 def test_report_checks_every_order_against_the_quadrature(source):
     # the oracle takes the builders' orders 2..6, so no order goes unchecked
     rep = run_report(source, orders=(2, 3, 4, 5, 6))
@@ -417,7 +425,7 @@ def test_report_checks_every_order_against_the_quadrature(source):
     assert max(r["residual"] for r in rows) < 1e-8
 
 
-@pytest.mark.parametrize("source", REPORT_SOURCES)
+@pytest.mark.parametrize("source", REPORT_SOURCES, ids=_source_id)
 def test_report_defect_grids_equal_a_fresh_evaluation(source):
     # the report takes the grid values heff_secular computed; evaluate again
     if source.startswith("builtin:"):
@@ -471,7 +479,7 @@ def test_report_builds_one_definite_and_one_indefinite_chain(orders, products, m
     assert calls["integrate"] == 2 * N + 1
 
 
-@pytest.mark.parametrize("source", REPORT_SOURCES)
+@pytest.mark.parametrize("source", REPORT_SOURCES, ids=_source_id)
 def test_report_fills_in_the_orders_it_does_not_report(source):
     # orders 2,4 need U_3, which the report reads off the chain up to order 4
     full = run_report(source, orders=(2, 3, 4), grid=16, sweep=(0.4, -0.2)).as_dict()
@@ -509,7 +517,7 @@ def _generic_model(seed, dim):
                                  for _ in range(3)])
 
 
-GAP_MODELS = ([pytest.param(lambda source=source: _bundled_model(source), id=source)
+GAP_MODELS = ([pytest.param(lambda source=source: _bundled_model(source), id=_source_id(source))
                for source in BUNDLED_SOURCES]
               + [pytest.param(lambda seed=seed, dim=dim: _generic_model(seed, dim),
                               id=f"generic-seed{seed}-d{dim}")
@@ -561,7 +569,7 @@ def _csv_writer_bytes(rows):
 
 @pytest.mark.parametrize("options", [{}, {"orders": (2, 3, 4), "sweep": (0.4, 0.2, 0.1)}],
                          ids=["default", "orders234-sweep"])
-@pytest.mark.parametrize("source", BUNDLED_SOURCES)
+@pytest.mark.parametrize("source", BUNDLED_SOURCES, ids=_source_id)
 def test_report_files_equal_json_dumps_and_csv_writer(source, options, tmp_path):
     rep = run_report(source, **options)
     ref = _json_dumps(rep.as_dict())

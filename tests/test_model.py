@@ -17,6 +17,7 @@ from effham import (
     heff_n_timedep,
     hermiticity_defect,
     make_model,
+    quad_oracle,
     sigma_plus,
     sigma_x,
     sigma_z,
@@ -91,6 +92,33 @@ def test_refuses_couplings_whose_samples_overflow(tones):
 def test_requires_nonempty_tones():
     with pytest.raises(OperatorValueError):
         MultiToneHamiltonian([])
+
+
+def test_refuses_an_empty_tone():
+    with pytest.raises(OperatorValueError, match=r"^tone operator must be a square matrix of "
+                                                 r"dimension >= 1, got shape \(0, 0\)$"):
+        MultiToneHamiltonian([(np.zeros((0, 0)), 1.0)])
+
+
+def test_a_tone_is_a_copy_the_caller_cannot_change():
+    # the caller's matrix stays writable and unshared: writing to it after
+    # construction leaves the tones and the sampled rows describing one model
+    h = 0.5 * sigma_plus().astype(complex)
+    H = MultiToneHamiltonian([(h, 1.0)])
+    assert h.flags.writeable and not np.shares_memory(h, H.tones[0].h)
+    assert not H.tones[0].h.flags.writeable
+    h[0, 1] = 5
+    assert H.tones[0].h[0, 1] == 0.5
+    assert np.linalg.norm(heff_n_timedep(H, 2).evaluate(1.0) - quad_oracle(H, 2, 1.0, 1e-9)) < 1e-8
+
+
+def test_accepts_a_tone_whose_last_axis_is_not_contiguous():
+    h = (1j * sigma_plus()).T
+    assert not h.flags.c_contiguous
+    H = MultiToneHamiltonian([(h, 1.0)])
+    ref = MultiToneHamiltonian([(np.ascontiguousarray(h), 1.0)])
+    ts = np.linspace(0.0, 3.0, 7)
+    assert np.array_equal(H.evaluate_grid(ts), ref.evaluate_grid(ts))
 
 
 def test_requires_matching_dimensions():

@@ -180,3 +180,32 @@ def test_as_operator_validation():
         as_operator([[1, 2, 3]])
     with pytest.raises(OperatorValueError):
         as_operator([[np.inf, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("entries", [np.zeros((0, 0)), [[]], np.zeros((0, 0), dtype=complex)])
+def test_as_operator_refuses_an_empty_matrix(entries):
+    with pytest.raises(OperatorValueError, match=r"dimension >= 1, got shape \(\d, 0\)$"):
+        as_operator(entries)
+
+
+@pytest.mark.parametrize("entries", [[[1, 2j], [np.nan, 0]], [[1, 2j], [complex(0, np.inf), 0]]])
+def test_as_operator_refuses_non_finite_complex_entries(entries):
+    with pytest.raises(OperatorValueError, match="^operator has non-finite entries$"):
+        as_operator(entries)
+    with pytest.raises(OperatorValueError, match="^operator has non-finite entries$"):
+        as_operator(np.array(entries).T)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (1j * sigma_plus()).T,
+    lambda: np.arange(16.0).reshape(4, 4)[::2, ::2],
+    lambda: np.asfortranarray(sigma_y(3)),
+    lambda: sigma_y(),
+    lambda: [[1, 2], [3, 4]],
+], ids=["transposed", "strided", "fortran", "complex", "nested-list"])
+def test_as_operator_returns_a_fresh_c_ordered_complex_copy(make):
+    entries = make()
+    A = as_operator(entries)
+    assert A.dtype == complex and A.flags.c_contiguous and A.flags.writeable
+    assert np.array_equal(A, np.asarray(entries))
+    assert not np.shares_memory(A, np.asarray(entries))

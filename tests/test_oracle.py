@@ -686,15 +686,22 @@ def test_panel_rule_integrates_polynomials_to_the_rounding_floor():
         assert np.abs(W @ u**k - u**(k + 1) / (k + 1)).max() <= 1e-15
 
 
+def _admit(monkeypatch, H, points):
+    # a byte budget that admits a quadrature level of ``points`` nodes of
+    # H's stack and refuses one of twice as many
+    need = points * oracle._SectorStage(H).entries * oracle._QUAD_BYTES_PER_ENTRY
+    monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", need)
+
+
 def test_quad_oracle_cuts_each_gap_between_times_into_equal_panels(monkeypatch):
     # a carrier far above the first levels' resolution runs every level up
-    # to the cap; the panel edges are 0 and the times, each level halves the
-    # panels of the one before, and every time is the last node of a panel
+    # to the budget; the panel edges are 0 and the times, each level halves
+    # the panels of the one before, and every time is the last node of a panel
     T = 7.77
     times = [T, T / 3, T / 3, 0.0]
     H = _CountingOperator(MultiToneHamiltonian([(0.5 / T * sigma_plus(), 300.0 / T)]))
-    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 2 * 17 * 8)
-    with pytest.raises(QuadratureError, match="within 272 points"):
+    _admit(monkeypatch, H, 2 * 17 * 8)
+    with pytest.raises(QuadratureError, match="a level of 544 points"):
         quad_oracle(H, (2, 3, 4), times, 1e-12)
     assert H.grids == [2 * 17 * 2**level for level in range(4)]
     u = oracle._NODES
@@ -728,9 +735,15 @@ def _quad_reference(H, n, t, tol):
     if not ends:
         return result({k: zeros for k in orders})
     u, W = oracle._NODES, oracle._PANEL
+    # the byte budget counts the entries of the oracle's stack per node
+    entries = oracle._SectorStage(H).entries
     done, prev, changes = {}, {}, {}
     panels, last = 1, None
-    while (points := len(ends) * panels * len(u)) <= oracle.MAX_QUAD_POINTS:
+    while True:
+        points = len(ends) * panels * len(u)
+        need = points * entries * oracle._QUAD_BYTES_PER_ENTRY
+        if need > oracle.QUAD_BYTE_BUDGET:
+            break
         left, start = [], 0.0
         for end in ends:
             left += [start + (end - start) * j / panels for j in range(panels)]
@@ -765,8 +778,10 @@ def _quad_reference(H, n, t, tol):
     why = "; ".join(f"order {k}: last change {changes[k]:.2g} at {last} points"
                     for k in missing if k in changes)
     raise QuadratureError(
-        f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol} "
-        f"within {oracle.MAX_QUAD_POINTS} points" + (f" ({why})" if why else ""),
+        f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol}"
+        + (f" ({why})" if why else "")
+        + f": a level of {points} points would take about {need} bytes, "
+        f"over the budget of {oracle.QUAD_BYTE_BUDGET} bytes",
         best=result({k: done[k] if k in done else prev[k] for k in orders}) if prev else None,
     )
 
@@ -806,11 +821,12 @@ def test_quad_oracle_equals_full_grid_reference(make):
 @pytest.mark.parametrize("max_points", [512, 2048])
 @pytest.mark.parametrize("n", [3, (2, 3, 4)])
 def test_quad_oracle_budget_error_equals_full_grid_reference(monkeypatch, max_points, n):
-    # a carrier of 3000 / T runs every level up to the cap; the message names
-    # the same last changes and levels, and best holds the same estimates
+    # a carrier of 3000 / T runs every level up to a budget of max_points
+    # nodes; the message names the same last changes, levels and bytes, and
+    # best holds the same estimates
     T = 7.77
     H = MultiToneHamiltonian([(0.5 / T * sigma_plus(), 3000.0 / T)])
-    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", max_points)
+    _admit(monkeypatch, H, max_points)
     for t in (T, _eighths(T)):
         with pytest.raises(QuadratureError) as err:
             quad_oracle(H, n, t, 1e-9)
@@ -878,9 +894,9 @@ def test_quad_oracle_rejects_bad_tolerance_before_sampling(tol):
 
 
 def test_quad_oracle_budget_error_carries_best_estimate(monkeypatch):
-    # order 3 needs five levels here; a cap of two stops it
+    # order 3 needs five levels here; a budget of two stops it
     H = make_model("noncommuting_two_tone")
-    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 34)
+    _admit(monkeypatch, H, 34)
     with pytest.raises(QuadratureError) as err:
         quad_oracle(H, 3, 4.0, 1e-12)
     assert err.value.best is not None
@@ -888,21 +904,55 @@ def test_quad_oracle_budget_error_carries_best_estimate(monkeypatch):
 
 
 def test_quad_oracle_refuses_a_level_over_the_byte_budget_before_sampling_it(monkeypatch):
-    # a budget that admits the 34-point level and not the 68-point one
-    # ends where a 34-point cap ends, with the same best estimate
+    # a budget one byte short of the 68-point level samples the 17- and
+    # 34-point levels only and ends where the smallest budget that admits
+    # 34 points ends, with the same message and best estimate; a budget of
+    # exactly the 68-point level's bytes samples it
     H = _CountingOperator(make_model("noncommuting_two_tone"))
     need = 68 * 4 * oracle._QUAD_BYTES_PER_ENTRY
     monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", need - 1)
     with pytest.raises(QuadratureError) as err:
         quad_oracle(H, (2, 3), 4.0, 1e-12)
-    assert str(err.value) == (f"quadrature level of 68 points would take about {need} bytes, "
-                              f"over the budget of {need - 1} bytes")
+    assert re.fullmatch(r"quadrature of order 2, 3 did not reach tol=1e-12 "
+                        r"\(order 2: last change \S+ at 34 points; "
+                        r"order 3: last change \S+ at 34 points\): "
+                        rf"a level of 68 points would take about {need} bytes, "
+                        rf"over the budget of {need - 1} bytes", str(err.value))
     assert H.grids == [17, 34]
-    monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", need)
-    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 34)
-    with pytest.raises(QuadratureError) as cap:
+    _admit(monkeypatch, H, 34)
+    with pytest.raises(QuadratureError) as least:
         quad_oracle(H.op, (2, 3), 4.0, 1e-12)
-    assert all(np.array_equal(err.value.best[k], cap.value.best[k]) for k in (2, 3))
+    assert str(least.value) == str(err.value).replace(f"{need - 1} bytes", f"{need // 2} bytes")
+    assert all(np.array_equal(err.value.best[k], least.value.best[k]) for k in (2, 3))
+    monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", need)
+    with pytest.raises(QuadratureError, match="a level of 136 points"):
+        quad_oracle(H, (2, 3), 4.0, 1e-12)
+    assert H.grids == [17, 34, 17, 34, 68]
+
+
+def test_quad_oracle_budget_refusal_names_each_unconverged_order():
+    # a dense 2x2 tone at carrier 1e7: no level the default budget admits
+    # resolves t = 1 to 1e-12, and the one refusal states each order's last
+    # change at the last finished level, then the level it refuses, its
+    # bytes and the budget; best holds the last finished level's values
+    H = MultiToneHamiltonian([(0.5 * sigma_plus(), 1e7)])
+    per_node = 4 * oracle._QUAD_BYTES_PER_ENTRY
+    points = 17
+    while points * per_node <= oracle.QUAD_BYTE_BUDGET:
+        points *= 2
+    with pytest.raises(QuadratureError) as err:
+        quad_oracle(H, (2, 3), 1.0, 1e-12)
+    stated = re.fullmatch(r"quadrature of order 2, 3 did not reach tol=1e-12 "
+                          r"\(order 2: last change (\S+) at (\d+) points; "
+                          r"order 3: last change (\S+) at (\d+) points\): "
+                          rf"a level of {points} points would take about {points * per_node} "
+                          rf"bytes, over the budget of {oracle.QUAD_BYTE_BUDGET} bytes",
+                          str(err.value))
+    assert stated is not None
+    assert all(float(change) > 1e-12 for change in stated.groups()[::2])
+    assert all(int(nodes) == points // 2 for nodes in stated.groups()[1::2])
+    assert sorted(err.value.best) == [2, 3]
+    assert all(v.shape == (2, 2) and np.isfinite(v).all() for v in err.value.best.values())
 
 
 def test_quad_oracle_budget_counts_the_sector_stack_of_a_declared_split(monkeypatch):
@@ -1021,10 +1071,10 @@ def test_quad_oracle_accepts_numpy_integer_orders():
 
 def test_quad_oracle_tuple_budget_error_carries_best_estimates(monkeypatch):
     # commuting_diag at t = 10 needs 68 points for order 2 and 136 for
-    # orders 3 and 4, so a cap of 68 stops orders 3 and 4 only
+    # orders 3 and 4, so a budget of 68 points stops orders 3 and 4 only
     H = make_model("commuting_diag")
     t = 10.0 / H.min_omega
-    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 68)
+    _admit(monkeypatch, H, 68)
     with pytest.raises(QuadratureError, match="order 3, 4") as err:
         quad_oracle(H, (2, 3, 4), t, 1e-9)
     best = err.value.best
@@ -1185,7 +1235,7 @@ def test_quad_oracle_budget_error_states_the_last_change(monkeypatch):
     # commuting_diag at t = 10 needs 136 points for orders 3 and 4
     H = make_model("commuting_diag")
     tol = 1e-9
-    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 68)
+    _admit(monkeypatch, H, 68)
     with pytest.raises(QuadratureError, match="order 3, 4") as err:
         quad_oracle(H, (2, 3, 4), 10.0 / H.min_omega, tol)
     stated = re.findall(r"order (\d): last change (\S+) at (\d+) points", str(err.value))
@@ -1193,11 +1243,14 @@ def test_quad_oracle_budget_error_states_the_last_change(monkeypatch):
     for _, change, points in stated:
         assert float(change) > tol
         assert int(points) == 68
-    # a cap that admits one level measures no change; best is that level's
-    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 17)
+    # a budget that admits one level measures no change; best is that level's
+    _admit(monkeypatch, H, 17)
     with pytest.raises(QuadratureError) as err:
         quad_oracle(H, (2, 3), 1.0, tol)
-    assert str(err.value) == "quadrature of order 2, 3 did not reach tol=1e-09 within 17 points"
+    budget = oracle.QUAD_BYTE_BUDGET
+    assert str(err.value) == ("quadrature of order 2, 3 did not reach tol=1e-09: a level of 34 "
+                              f"points would take about {2 * budget} bytes, "
+                              f"over the budget of {budget} bytes")
     assert sorted(err.value.best) == [2, 3]
 
 
@@ -1265,8 +1318,8 @@ def test_quad_oracle_all_zero_times():
 def test_quad_oracle_times_budget_error_carries_stacks(monkeypatch):
     H = make_model("commuting_diag")
     ts = _eighths(10.0 / H.min_omega)
-    # a cap of one level: best holds that level's values
-    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 8 * 17)
+    # a budget of one level: best holds that level's values
+    _admit(monkeypatch, H, 8 * 17)
     with pytest.raises(QuadratureError, match="order 2, 3, 4") as err:
         quad_oracle(H, (2, 3, 4), ts, 1e-9)
     best = err.value.best
@@ -1357,9 +1410,9 @@ def test_quad_oracle_keys_its_values_in_ascending_order(monkeypatch):
     H = make_model("noncommuting_two_tone")
     assert list(quad_oracle(H, (2, 3, 4, 5, 6), 5.0, 1e-9)) == [2, 3, 4, 5, 6]
     assert list(quad_oracle(H, (6, 2, 4), [2.5, 5.0], 1e-9)) == [2, 4, 6]
-    # commuting_diag at t = 10 stops orders 3 and 4 at a cap of 68 points
+    # commuting_diag at t = 10 stops orders 3 and 4 at a budget of 68 points
     H = make_model("commuting_diag")
-    monkeypatch.setattr(oracle, "MAX_QUAD_POINTS", 68)
+    _admit(monkeypatch, H, 68)
     with pytest.raises(QuadratureError) as err:
         quad_oracle(H, (4, 2, 3), 10.0 / H.min_omega, 1e-9)
     assert list(err.value.best) == [2, 3, 4]

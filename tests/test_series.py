@@ -107,6 +107,17 @@ def test_zero_entries_dropped():
     assert S.is_zero
 
 
+@pytest.mark.parametrize("dim", [-1, 0, "3", True, 2.5, None])
+def test_series_dimension_is_an_integer_of_at_least_one(dim):
+    with pytest.raises(OperatorValueError, match=r"^dim must be an integer >= 1, got "):
+        OperatorSeries(dim)
+
+
+def test_series_dimension_accepts_numpy_integers():
+    S = OperatorSeries(np.int64(2), [(sigma_x(), TonePoly.constant(1.0))])
+    assert type(S.dim) is int and S.dim == 2
+
+
 def test_dimension_checked():
     with pytest.raises(DimensionMismatchError):
         OperatorSeries(3, [(sigma_x(), TonePoly.constant(1.0))])
