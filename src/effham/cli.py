@@ -9,8 +9,9 @@ not finite, a tone of norm ``1e308``, or a carrier at or below
 be written (``--out`` or ``--csv`` naming a directory or a file in a
 missing directory, both naming the same file, or either naming the model
 file, is refused before anything is computed), 3 for numerical-guard
-failures: any ``errors.NumericalGuardError`` (such as the term budget,
-the power cap, the dimension cap, the quadrature refinement budget, a
+failures: any ``errors.NumericalGuardError`` (such as a series product or
+integral, or a quadrature level, whose projected bytes pass
+``errors.BYTE_BUDGET``, the power cap, the dimension cap, a
 quadrature whose nested chain overflows, such as at a ``--tmax`` of 1e300,
 couplings so large that a series coefficient is not finite, such as a
 tone of norm ``1e200``, or a ``--sweep`` factor that scales an order out
@@ -23,9 +24,8 @@ option takes the check of the ``run_report`` keyword of its name
 together take ``model.check_thresholds``; README's "Argument rules" table
 lists the rules. argparse prints the usage and a one-line message before
 anything is computed. A sweep list may start with a negative factor in
-either form, ``--sweep -0.3,0.2`` or ``--sweep=-0.3,0.2``.
-``EFFHAM_MAX_TERMS`` overrides the term budget (series keys, and key
-pairs per product); a value that is not an integer >= 1 exits 3 as well.
+either form, ``--sweep -0.3,0.2`` or ``--sweep=-0.3,0.2``. No
+environment variable changes a run.
 """
 
 from __future__ import annotations

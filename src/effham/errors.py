@@ -17,6 +17,12 @@ import numbers
 
 import numpy as np
 
+#: The package's one budget, in bytes: a series product or integral, or a
+#: quadrature level, whose projected peak would pass it is refused before it
+#: allocates. Stages read it as ``errors.BYTE_BUDGET`` at call time, so that
+#: one assignment moves every stage.
+BYTE_BUDGET = 256 << 20
+
 
 class EffhamError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,13 +51,10 @@ class PowerCapError(NumericalGuardError):
 
 
 class TermBudgetError(NumericalGuardError):
-    """A series operation would exceed the term budget.
-
-    The budget bounds the ``(frequency, power)`` keys a series stores and
-    the key pairs one product forms (checked before it allocates). It
-    defaults to 2_000_000; ``EFFHAM_MAX_TERMS`` overrides it, and a value
-    that is not an integer >= 1 raises this error too.
-    """
+    """A series product, integral or derivative whose monomials would pass
+    :data:`BYTE_BUDGET`, checked on their projected bytes before they are
+    formed. The message names the count and the stage, the dimension, the
+    projection and the budget."""
 
 
 class SweepOverflowError(NumericalGuardError):
@@ -70,7 +73,7 @@ class FrequencyConditionError(EffhamError):
 
 
 class QuadratureError(NumericalGuardError):
-    """Quadrature refinement whose next level would pass the byte budget
+    """Quadrature refinement whose next level would pass :data:`BYTE_BUDGET`
     before reaching tolerance, or a nested chain that overflowed, which no
     finer grid brings back.
 

@@ -70,7 +70,7 @@ class MultiToneHamiltonian:
     inside it is zero at every time only where tones at one carrier cancel.
     """
 
-    __slots__ = ("dim", "tones", "support", "_omegas", "_stack")
+    __slots__ = ("dim", "tones", "support", "_omegas", "_stack", "_sample_bytes")
 
     def __init__(self, tones: Sequence[ToneTerm | tuple]):
         terms = []
@@ -111,6 +111,9 @@ class MultiToneHamiltonian:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "_omegas", omegas)
         object.__setattr__(self, "_stack", stack)
+        # bytes per time that evaluate_grid holds besides its output: the
+        # (n, M) phases and the (n, 2M) cos/sin block
+        object.__setattr__(self, "_sample_bytes", 24 * len(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiToneHamiltonian is immutable")

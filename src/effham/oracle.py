@@ -119,6 +119,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import (
     DimensionMismatchError,
     OperatorValueError,
@@ -139,10 +140,6 @@ STEPS_PER_UNIT = 4096
 #: (2-vCPU VM, one BLAS thread), so the cap is about 2.5 minutes of its
 #: work; a carrier of 1e300 would ask for a count of 304 digits at t = 1.
 MAX_RK4_STEPS = 1 << 24
-
-#: Byte budget of one quadrature level, checked before the level is
-#: sampled: the one rule that ends a refinement that has not converged.
-QUAD_BYTE_BUDGET = 256 << 20
 
 #: Projected peak bytes of a quadrature level per node and per entry of its
 #: stack (``d * d`` unless a declared support splits, the sector stack's
@@ -362,8 +359,10 @@ class _SectorStage:
         if support is not None:
             self.valid, self.index, self.columns = _support_split(
                 np.asarray(support, dtype=bool).tobytes(), self.dim)
-        # stack entries per point, as the quadrature's byte budget counts them
-        self.entries = self.dim * self.dim if self.index is None else self.valid.size
+        # projected peak bytes per quadrature node: the stack's entries, and
+        # what the operand's own sampling holds, if it states that
+        entries = self.dim * self.dim if self.index is None else self.valid.size
+        self.node_bytes = entries * _QUAD_BYTES_PER_ENTRY + getattr(op, "_sample_bytes", 0)
 
     def sample(self, ts) -> np.ndarray:
         return self.evaluate_grid(ts) if self.index is None else self.evaluate_grid(ts, self.index)
@@ -581,10 +580,13 @@ def quad_oracle(H, n, t, tol: float):
     chain runs.
 
     One budget ends a refinement that has not converged. Before a level is
-    sampled, its peak bytes are projected as ``nodes * entries *
-    _QUAD_BYTES_PER_ENTRY``, with ``entries`` the stack's per node (``d *
-    d``, or the sector stack's when a declared support splits); past
-    :data:`QUAD_BYTE_BUDGET` it raises :class:`QuadratureError`. Its
+    sampled, its peak bytes are projected as ``nodes * (entries *
+    _QUAD_BYTES_PER_ENTRY + sample)``, with ``entries`` the stack's per node
+    (``d * d``, or the sector stack's when a declared support splits) and
+    ``sample`` the bytes per node the operand's own sampling holds, as its
+    ``_sample_bytes`` states (a model's ``(n, M)`` phases and ``(n, 2M)``
+    cos/sin block, 24 B per carrier; 0 for an operand that states none);
+    past ``errors.BYTE_BUDGET`` it raises :class:`QuadratureError`. Its
     message states, for each order that did not converge, its last
     successive change and the nodes of the level it was measured on, then
     the tolerance, the refused level's nodes, the projection and the
@@ -628,8 +630,8 @@ def quad_oracle(H, n, t, tol: float):
     panels = 1  # per gap
     while True:
         points = len(ends) * panels * len(_NODES)
-        need = points * sectors.entries * _QUAD_BYTES_PER_ENTRY
-        if need > QUAD_BYTE_BUDGET:
+        need = points * sectors.node_bytes
+        if need > errors.BYTE_BUDGET:
             # an order not done ran at every level, so its last change is
             # that of the last finished level, of half this level's nodes
             missing = [k for k in orders if k not in done]
@@ -639,7 +641,7 @@ def quad_oracle(H, n, t, tol: float):
                 f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol}"
                 + (f" ({why})" if why else "")
                 + f": a level of {points} points would take about {need} bytes, "
-                f"over the budget of {QUAD_BYTE_BUDGET} bytes",
+                f"over the budget of {errors.BYTE_BUDGET} bytes",
                 best=result({**prev, **done}) if prev else None,
             )
         left = (starts[:, None] + (ends - starts)[:, None] * (np.arange(panels) / panels)).ravel()

@@ -29,24 +29,37 @@ A coefficient that is not finite, after a sum, a product or :meth:`OperatorSerie
 raises :class:`SeriesOverflowError`; an entry matrix with a non-finite entry
 (NaN or infinite) raises :class:`OperatorValueError`, by the rule of
 :func:`~effham.operators.as_operator`.
-Stored keys and the key pairs of one product are guarded by a budget
-(default 2_000_000, overridable via ``EFFHAM_MAX_TERMS``).
+A product's key pairs and an integral's or a derivative's monomials are
+the only allocations that can outgrow their operands: before either is
+formed, its projected bytes are checked against ``errors.BYTE_BUDGET``, and
+past it :class:`TermBudgetError` is raised. A sum or a constructor holds no
+more than its inputs.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from typing import Iterable
 
 import numpy as np
 
+from . import errors
 from .errors import (DimensionMismatchError, OperatorValueError, SeriesOverflowError,
                      TermBudgetError, check_integer)
 from .tones import DROP_TOL, TOL_ZERO, ToneMono, TonePoly, _keyed_index, _new_mono
 
-#: Default budget for stored keys and for the key pairs of one product.
-MAX_TERMS = 2_000_000
+#: Projected peak bytes of a series product, integral or derivative: per
+#: formed monomial (a key pair of a product), ``_SERIES_BYTES_PER_ENTRY``
+#: per matrix entry and ``_SERIES_BYTES_PER_MONOMIAL`` of bookkeeping (the
+#: Python keys, the key table and the frequency, power and index arrays),
+#: both from tracemalloc peaks, rounded up. Per entry, 51.3 B: a product of
+#: 40 x 40 keys whose pairs all stay apart at d = 8 (the pairs' matrices, the
+#: summed keys and the norms' temporary, 16 B each), 48.8 B at d = 16. Per
+#: monomial, the largest peak less ``d * d * 52`` at d = 1 to 8, 449 B: a
+#: derivative of 176,000 keys into one monomial each at d = 1; a product's
+#: pairs took at most 285 B and an integral's monomials 315 B.
+_SERIES_BYTES_PER_ENTRY = 52
+_SERIES_BYTES_PER_MONOMIAL = 480
 
 # A unit coefficient as a canonical term holds it: complex.
 _ONE = 1 + 0j
@@ -55,30 +68,17 @@ _NOT_FINITE = ("a series coefficient is not finite: the couplings drive a sum, "
                "product or multiple of series out of the float range")
 
 
-def term_budget() -> int:
-    """Active budget: ``EFFHAM_MAX_TERMS`` if set, else :data:`MAX_TERMS`.
-
-    Raises :class:`TermBudgetError` if the variable is not an integer >= 1.
-    """
-    raw = os.environ.get("EFFHAM_MAX_TERMS")
-    if raw is None:
-        return MAX_TERMS
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise TermBudgetError(f"EFFHAM_MAX_TERMS must be an integer >= 1, got {raw!r}")
-    return budget
+def _series_bytes(count: int, dim: int) -> int:
+    """Projected peak bytes of forming ``count`` monomials of dimension ``dim``."""
+    return count * (dim * dim * _SERIES_BYTES_PER_ENTRY + _SERIES_BYTES_PER_MONOMIAL)
 
 
-def _check_budget(count: int, what: str) -> None:
-    budget = term_budget()
-    if count > budget:
-        raise TermBudgetError(
-            f"{what} ({count}) exceeds the budget ({budget}); "
-            "raise EFFHAM_MAX_TERMS to override"
-        )
+def _check_bytes(count: int, what: str, dim: int) -> None:
+    """Refuse ``count`` monomials (``what``) of dimension ``dim`` whose
+    projected bytes pass ``errors.BYTE_BUDGET``, before they are formed."""
+    if (need := _series_bytes(count, dim)) > errors.BYTE_BUDGET:
+        raise TermBudgetError(f"{count} {what} at dim {dim} would take about {need} bytes, "
+                              f"over the budget of {errors.BYTE_BUDGET} bytes")
 
 
 def _key_poly(freqs, powers) -> TonePoly:
@@ -107,13 +107,15 @@ def _sum_keys(dim: int, key_freqs: np.ndarray, key_powers: np.ndarray, index, ma
     420 monomials into 154 keys at d = 6, though a few microseconds faster
     below about ten monomials. The sums are those of the 2-D form, in the
     same order: each entry adds its monomials in input order, from 0."""
-    _check_budget(len(key_freqs), "series keys")
     size = dim * dim
     coeffs = np.zeros((len(key_freqs), size), dtype=complex)
-    flat = (np.asarray(index, dtype=np.intp)[:, None] * size + np.arange(size)).ravel()
     # an overflow shows as a norm that is not finite, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(coeffs.reshape(-1), flat, np.reshape(mats, -1))  # a view: coeffs is contiguous
+        # coeffs is contiguous, so its reshape is a view; the flat index is
+        # a temporary, freed before the norms take their own
+        np.add.at(coeffs.reshape(-1),
+                  (np.asarray(index, dtype=np.intp)[:, None] * size + np.arange(size)).ravel(),
+                  np.reshape(mats, -1))
         norms = np.linalg.norm(coeffs, axis=1)
     top = norms.max(initial=0.0)
     if not top < np.inf:
@@ -269,7 +271,7 @@ class OperatorSeries:
             raise DimensionMismatchError(
                 f"cannot multiply series of dims {self.dim} and {other.dim}"
             )
-        _check_budget(self.term_count * other.term_count, "series product key pairs")
+        _check_bytes(self.term_count * other.term_count, "key pairs of a product", self.dim)
         keys = _unit_keys(self.freqs, self.powers) * _unit_keys(other.freqs, other.powers)
         return OperatorSeries._of(self.dim, *_gather(
             self.dim,
@@ -297,6 +299,7 @@ class OperatorSeries:
                 terms = table[key] = op(TonePoly._of((ToneMono(_ONE, k, f),))).terms
             monos += terms
             counts.append(len(terms))
+        _check_bytes(len(monos), f"monomials of {op.__name__}", self.dim)
         scalars, powers, freqs = zip(*monos) if monos else ((), (), ())
         mats = (np.array(scalars, dtype=complex)[:, None, None]
                 * np.repeat(self.coeffs, counts, axis=0))

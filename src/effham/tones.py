@@ -25,12 +25,13 @@ tuple in one pass, not canonicalized.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import PowerCapError
+from .errors import OperatorValueError, PowerCapError, elide
 
 #: Frequencies closer than this (rad per unit time) count as equal; in
 #: particular, anything within TOL_ZERO of 0 is treated as zero frequency.
@@ -108,8 +109,16 @@ class TonePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[complex, int, float]] = ()):
+        """Canonical polynomial of ``(coeff, power, freq)`` terms. A nonzero
+        term whose coefficient or frequency is not finite, or whose power is
+        negative, raises :class:`OperatorValueError`."""
         snapped = [(0.0 if abs(freq) <= TOL_ZERO else float(freq), int(power), complex(coeff))
                    for coeff, power, freq in terms if coeff != 0]
+        for freq, power, coeff in snapped:
+            if not (isfinite(coeff) and isfinite(freq) and power >= 0):
+                raise OperatorValueError("a tone term (coeff, power, freq) must have a finite "
+                                         f"coeff and freq and a power >= 0, got "
+                                         f"{elide((coeff, power, freq))}")
         object.__setattr__(self, "terms", _canonicalize(snapped))
         for m in self.terms:
             if m.power > POWER_CAP:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import effham.builder
+from effham import errors, series
 from effham import (
     MAX_ORDER,
     FrequencyConditionError,
@@ -168,8 +169,11 @@ def test_zero_model_gives_zero_series():
 
 
 def test_term_budget_guard_applies(monkeypatch):
-    monkeypatch.setenv("EFFHAM_MAX_TERMS", "50")
-    with pytest.raises(TermBudgetError):
+    # a byte budget of 50 monomials at d = 2 admits orders 2 and 3 and
+    # refuses order 4's 88 key pairs before they are formed
+    monkeypatch.setattr(errors, "BYTE_BUDGET", series._series_bytes(50, 2))
+    assert heff_n_timedep(NONCOMM, 3).term_count == 21
+    with pytest.raises(TermBudgetError, match="^88 key pairs of a product at dim 2 "):
         heff_n_timedep(NONCOMM, 4)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import effham.cli
-from effham import OperatorValueError, errors, oracle, run_report
+from effham import OperatorValueError, errors, run_report, series
 from effham.cli import main
 
 
@@ -91,8 +91,8 @@ def test_a_quadrature_level_over_the_byte_budget_exits_3_with_one_line(tmp_path,
     assert line.startswith("effham: numerical guard: quadrature of order 2, 3 did not reach "
                            "tol=1e-09 (order 2: last change ")
     assert " at 278528 points): a level of 557056 points would take about " in line
-    assert line.endswith(f" bytes, over the budget of {oracle.QUAD_BYTE_BUDGET} bytes")
-    assert elapsed < 2.0 and peak < oracle.QUAD_BYTE_BUDGET
+    assert line.endswith(f" bytes, over the budget of {errors.BYTE_BUDGET} bytes")
+    assert elapsed < 2.0 and peak < errors.BYTE_BUDGET
 
 
 def test_a_zoo_name_without_builtin_is_a_path(tmp_path, monkeypatch, capsys):
@@ -127,17 +127,14 @@ def test_long_value_is_cut_from_the_one_line_diagnostic(tmp_path, capsys, text, 
 
 
 def test_guard_error_exits_3(monkeypatch, capsys):
-    monkeypatch.setenv("EFFHAM_MAX_TERMS", "20")
+    # the byte budget refuses the build's first integral, 4 keys of 2
+    # by-parts monomials each, before anything of the report is written
+    need = series._series_bytes(8, 2)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need - 1)
     assert main(["report", "builtin:noncommuting_two_tone", "--grid", "8"]) == 3
-    assert "numerical guard" in capsys.readouterr().err
-
-
-def test_bad_term_budget_exits_3(monkeypatch, capsys):
-    monkeypatch.setenv("EFFHAM_MAX_TERMS", "abc")
-    assert main(["report", "builtin:scalar_single_tone", "--grid", "8"]) == 3
-    err = capsys.readouterr().err
-    assert "numerical guard" in err and "'abc'" in err
-    assert len(err.strip().splitlines()) == 1
+    assert _one_line(capsys) == ("effham: numerical guard: 8 monomials of integrate_from_zero "
+                                 f"at dim 2 would take about {need} bytes, "
+                                 f"over the budget of {need - 1} bytes")
 
 
 def test_sweep_option(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from effham import (
     sigma_z,
     unitarity_defect,
 )
-from effham import oracle
+from effham import errors, oracle
 from effham.diagnostics import jc_detuned
 from effham.dsl import load_model
 
@@ -689,8 +690,7 @@ def test_panel_rule_integrates_polynomials_to_the_rounding_floor():
 def _admit(monkeypatch, H, points):
     # a byte budget that admits a quadrature level of ``points`` nodes of
     # H's stack and refuses one of twice as many
-    need = points * oracle._SectorStage(H).entries * oracle._QUAD_BYTES_PER_ENTRY
-    monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", need)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", points * oracle._SectorStage(H).node_bytes)
 
 
 def test_quad_oracle_cuts_each_gap_between_times_into_equal_panels(monkeypatch):
@@ -735,14 +735,14 @@ def _quad_reference(H, n, t, tol):
     if not ends:
         return result({k: zeros for k in orders})
     u, W = oracle._NODES, oracle._PANEL
-    # the byte budget counts the entries of the oracle's stack per node
-    entries = oracle._SectorStage(H).entries
+    # the byte budget projects the oracle's stack and sampling per node
+    sectors = oracle._SectorStage(H)
     done, prev, changes = {}, {}, {}
     panels, last = 1, None
     while True:
         points = len(ends) * panels * len(u)
-        need = points * entries * oracle._QUAD_BYTES_PER_ENTRY
-        if need > oracle.QUAD_BYTE_BUDGET:
+        need = points * sectors.node_bytes
+        if need > errors.BYTE_BUDGET:
             break
         left, start = [], 0.0
         for end in ends:
@@ -781,7 +781,7 @@ def _quad_reference(H, n, t, tol):
         f"quadrature of order {', '.join(map(str, missing))} did not reach tol={tol}"
         + (f" ({why})" if why else "")
         + f": a level of {points} points would take about {need} bytes, "
-        f"over the budget of {oracle.QUAD_BYTE_BUDGET} bytes",
+        f"over the budget of {errors.BYTE_BUDGET} bytes",
         best=result({k: done[k] if k in done else prev[k] for k in orders}) if prev else None,
     )
 
@@ -909,8 +909,8 @@ def test_quad_oracle_refuses_a_level_over_the_byte_budget_before_sampling_it(mon
     # 34 points ends, with the same message and best estimate; a budget of
     # exactly the 68-point level's bytes samples it
     H = _CountingOperator(make_model("noncommuting_two_tone"))
-    need = 68 * 4 * oracle._QUAD_BYTES_PER_ENTRY
-    monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", need - 1)
+    need = 68 * oracle._SectorStage(H).node_bytes
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need - 1)
     with pytest.raises(QuadratureError) as err:
         quad_oracle(H, (2, 3), 4.0, 1e-12)
     assert re.fullmatch(r"quadrature of order 2, 3 did not reach tol=1e-12 "
@@ -924,7 +924,7 @@ def test_quad_oracle_refuses_a_level_over_the_byte_budget_before_sampling_it(mon
         quad_oracle(H.op, (2, 3), 4.0, 1e-12)
     assert str(least.value) == str(err.value).replace(f"{need - 1} bytes", f"{need // 2} bytes")
     assert all(np.array_equal(err.value.best[k], least.value.best[k]) for k in (2, 3))
-    monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", need)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need)
     with pytest.raises(QuadratureError, match="a level of 136 points"):
         quad_oracle(H, (2, 3), 4.0, 1e-12)
     assert H.grids == [17, 34, 17, 34, 68]
@@ -936,9 +936,10 @@ def test_quad_oracle_budget_refusal_names_each_unconverged_order():
     # change at the last finished level, then the level it refuses, its
     # bytes and the budget; best holds the last finished level's values
     H = MultiToneHamiltonian([(0.5 * sigma_plus(), 1e7)])
-    per_node = 4 * oracle._QUAD_BYTES_PER_ENTRY
+    per_node = 4 * oracle._QUAD_BYTES_PER_ENTRY + 24
+    assert oracle._SectorStage(H).node_bytes == per_node
     points = 17
-    while points * per_node <= oracle.QUAD_BYTE_BUDGET:
+    while points * per_node <= errors.BYTE_BUDGET:
         points *= 2
     with pytest.raises(QuadratureError) as err:
         quad_oracle(H, (2, 3), 1.0, 1e-12)
@@ -946,7 +947,7 @@ def test_quad_oracle_budget_refusal_names_each_unconverged_order():
                           r"\(order 2: last change (\S+) at (\d+) points; "
                           r"order 3: last change (\S+) at (\d+) points\): "
                           rf"a level of {points} points would take about {points * per_node} "
-                          rf"bytes, over the budget of {oracle.QUAD_BYTE_BUDGET} bytes",
+                          rf"bytes, over the budget of {errors.BYTE_BUDGET} bytes",
                           str(err.value))
     assert stated is not None
     assert all(float(change) > 1e-12 for change in stated.groups()[::2])
@@ -957,14 +958,34 @@ def test_quad_oracle_budget_refusal_names_each_unconverged_order():
 
 def test_quad_oracle_budget_counts_the_sector_stack_of_a_declared_split(monkeypatch):
     # jc's support splits into four 2x2 sectors: 16 entries per point, not
-    # 100; a budget below the first level, two panels of 17 nodes, samples
-    # nothing and has no best
+    # 100, besides its one carrier's sampling; a budget below the first
+    # level, two panels of 17 nodes, samples nothing and has no best
     H = _CountingOperator(jc_detuned())
-    monkeypatch.setattr(oracle, "QUAD_BYTE_BUDGET", 1)
-    with pytest.raises(QuadratureError, match=f"about {34 * 16 * oracle._QUAD_BYTES_PER_ENTRY} "
-                                              "bytes") as err:
+    assert len(H.omegas) == 1
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 1)
+    need = 34 * (16 * oracle._QUAD_BYTES_PER_ENTRY + 24)
+    with pytest.raises(QuadratureError, match=f"about {need} bytes") as err:
         quad_oracle(H, 2, [1.0, 2.0], 1e-9)
     assert err.value.best is None and H.points == 0
+
+
+def test_quad_oracle_budget_counts_a_models_sampling_block(monkeypatch):
+    # six carriers on a scalar model: the phases and the cos/sin block of its
+    # sampling, 144 bytes per node, outweigh its one stack entry; counted in
+    # the projection, they keep the peak up to the refusal within the budget
+    H = MultiToneHamiltonian([(np.array([[0.1 * (k + 1)]]), 1e7 * (1 + 0.13 * k))
+                              for k in range(6)])
+    assert oracle._SectorStage(H).node_bytes == oracle._QUAD_BYTES_PER_ENTRY + 6 * 24
+    budget = 16 << 20
+    monkeypatch.setattr(errors, "BYTE_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match=f"over the budget of {budget} bytes"):
+            quad_oracle(H, (2, 3, 4, 5, 6), 1.0, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 def test_quad_oracle_agrees_with_builders_across_orders(rng):
@@ -1247,7 +1268,7 @@ def test_quad_oracle_budget_error_states_the_last_change(monkeypatch):
     _admit(monkeypatch, H, 17)
     with pytest.raises(QuadratureError) as err:
         quad_oracle(H, (2, 3), 1.0, tol)
-    budget = oracle.QUAD_BYTE_BUDGET
+    budget = errors.BYTE_BUDGET
     assert str(err.value) == ("quadrature of order 2, 3 did not reach tol=1e-09: a level of 34 "
                               f"points would take about {2 * budget} bytes, "
                               f"over the budget of {budget} bytes")

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from effham import series, tones
+from effham import errors, series, tones
 from effham import (
     DimensionMismatchError,
     MultiToneHamiltonian,
@@ -183,28 +184,32 @@ def test_series_residual_detects_difference():
     assert r > 1e-4 * scale
 
 
-def test_term_budget_guard(monkeypatch):
-    monkeypatch.setenv("EFFHAM_MAX_TERMS", "3")
-    with pytest.raises(TermBudgetError):
-        OperatorSeries(
-            2, [(sigma_x(), TonePoly.exponential(float(k))) for k in range(1, 5)]
-        )
+def _must_not_run(monkeypatch, name):
+    # numpy's ``name`` fails the test if anything calls it
+    def ran(*args, **kwargs):
+        raise AssertionError(f"np.{name} ran")
+
+    monkeypatch.setattr(np, name, ran)
 
 
 def test_term_budget_guard_on_product(monkeypatch):
+    # 4 x 4 key pairs at d = 2: a byte budget one byte below their
+    # projection refuses the product before np.einsum forms them, and a
+    # budget of exactly the projection admits it
     A = OperatorSeries(
         2, [(sigma_x(), TonePoly.exponential(float(k))) for k in range(1, 5)]
     )
-    monkeypatch.setenv("EFFHAM_MAX_TERMS", "3")
-    with pytest.raises(TermBudgetError):
+    need = series._series_bytes(16, 2)
+    einsum = np.einsum
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need - 1)
+    _must_not_run(monkeypatch, "einsum")
+    with pytest.raises(TermBudgetError) as err:
         _ = A * A
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
-def test_term_budget_rejects_bad_value(monkeypatch, raw):
-    monkeypatch.setenv("EFFHAM_MAX_TERMS", raw)
-    with pytest.raises(TermBudgetError, match=repr(raw)):
-        two_entry_series()
+    assert str(err.value) == (f"16 key pairs of a product at dim 2 would take about "
+                              f"{need} bytes, over the budget of {need - 1} bytes")
+    monkeypatch.setattr(np, "einsum", einsum)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", need)
+    assert (A * A).term_count == 7
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +232,6 @@ def reference_termwise(S, op):
 def reference_sum_keys(dim, key_freqs, key_powers, index, mats):
     """The grouping the flat scatter replaced, one ``np.add.at`` on the 2-D
     ``(K, d * d)`` coefficients, kept verbatim as the reference."""
-    series._check_budget(len(key_freqs), "series keys")
     coeffs = np.zeros((len(key_freqs), dim * dim), dtype=complex)
     # an overflow shows as a norm that is not finite, checked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -323,10 +327,44 @@ def test_integral_and_derivative_match_reference_route(rng):
 
 
 def test_integral_keeps_the_term_budget(monkeypatch):
+    # t**2 e^{it} integrates to 3 oscillating monomials and a constant, and
+    # differentiates to 2 monomials: a byte budget one byte below their
+    # projection refuses each before np.repeat forms their matrices
     S = OperatorSeries(2, [(sigma_x(), TonePoly.exponential(1.0, power=2))])
-    monkeypatch.setenv("EFFHAM_MAX_TERMS", "3")
-    with pytest.raises(TermBudgetError, match="series keys"):
+    monkeypatch.setattr(errors, "BYTE_BUDGET", series._series_bytes(4, 2) - 1)
+    _must_not_run(monkeypatch, "repeat")
+    with pytest.raises(TermBudgetError, match="^4 monomials of integrate_from_zero at dim 2 "
+                                              "would take about "):
         S.integrate_from_zero()
+    monkeypatch.setattr(errors, "BYTE_BUDGET", series._series_bytes(2, 2) - 1)
+    with pytest.raises(TermBudgetError, match="^2 monomials of derivative at dim 2 "):
+        S.derivative()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 12])
+def test_product_and_integral_peaks_stay_within_their_projection(rng, dim):
+    # a product of 40 x 40 keys whose 1,600 pairs all stay apart, an
+    # integral of 800 keys into 1,600 monomials (801 keys, the constants
+    # merged) and a derivative of 1,600 keys into one monomial each: the
+    # tracemalloc peak of each stage is at most its projection, at the small
+    # dimensions, where the keys' bookkeeping outweighs the matrices, as at
+    # the large ones
+    def series_at(freqs):
+        return OperatorSeries(dim, [(rng.normal(size=(dim, dim)) + 0j, TonePoly.exponential(f))
+                                    for f in freqs])
+
+    S, T = series_at(range(1, 41)), series_at(range(100, 4100, 100))
+    U, V = series_at(np.arange(1, 801) * 0.5), series_at(np.arange(1, 1601) * 0.5)
+    assert (S * T).term_count == 1600
+    for stage, keys in [(lambda: S * T, 1600), (U.integrate_from_zero, 801),
+                        (V.derivative, 1600)]:
+        tracemalloc.start()
+        try:
+            assert stage().term_count == keys
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= series._series_bytes(1600, dim)
 
 
 def test_canonical_keys_are_not_canonicalized_again(rng, monkeypatch):
@@ -473,6 +511,13 @@ def test_unit_scales_keep_every_coefficient_finite():
                            np.array([[[complex(big, -big), 0], [big, 1j * big]]]))
     for z in (complex(0.0, -1.0), -1.0, 1.0, 0.5j):
         assert np.isfinite(S.scale(z).coeffs).all()
+
+
+def test_a_series_of_a_non_finite_tone_is_refused():
+    # a NaN carrier once gave freqs == [nan] and lost the key at 1.0
+    with pytest.raises(OperatorValueError, match="must have a finite coeff and freq"):
+        OperatorSeries(2, [(sigma_z(), TonePoly.exponential(math.nan)),
+                           (sigma_x(), TonePoly.exponential(1.0))])
 
 
 def test_an_infinite_entry_matrix_is_refused_before_it_is_used():

@@ -1,8 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from effham import POWER_CAP, TOL_ZERO, PowerCapError, ToneMono, TonePoly, poly_allclose
+from effham import (POWER_CAP, TOL_ZERO, OperatorValueError, PowerCapError, ToneMono, TonePoly,
+                    poly_allclose)
 from effham.tones import DROP_TOL, _integral_table
 
 
@@ -225,6 +229,23 @@ def test_deterministic_ordering(rng):
 def test_power_cap_enforced():
     with pytest.raises(PowerCapError):
         TonePoly([ToneMono(1.0, POWER_CAP + 1, 0.0)])
+
+
+@pytest.mark.parametrize("make, term", [
+    # each of these was once accepted: the valid term swallowed into a NaN
+    # frequency, the polynomial zero, or a negative power kept
+    (lambda: TonePoly([(1, 0, math.nan), (2, 0, 1.0)]), "((1+0j), 0, nan)"),
+    (lambda: TonePoly([(math.inf, 0, 1.0), (2, 0, 3.0)]), "((inf+0j), 0, 1.0)"),
+    (lambda: TonePoly([(2, 0, 3.0), (complex(1, -math.inf), 0, 1.0)]), "((1-infj), 0, 1.0)"),
+    (lambda: TonePoly.exponential(1.0, coeff=math.nan), "((nan+0j), 0, 1.0)"),
+    (lambda: TonePoly.exponential(math.inf), "((1+0j), 0, inf)"),
+    (lambda: TonePoly.exponential(1.0, power=-1), "((1+0j), -1, 1.0)"),
+])
+def test_constructor_refuses_terms_outside_the_function_class(make, term):
+    with pytest.raises(OperatorValueError, match=re.escape(
+            "a tone term (coeff, power, freq) must have a finite coeff and freq and a "
+            f"power >= 0, got {term}")):
+        make()
 
 
 # ----------------------------------------------------------------------
