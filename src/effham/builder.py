@@ -39,7 +39,10 @@ silently folded into a "time-independent" Hamiltonian.
 The propagator terms ``U_1 .. U_n`` of the definite chain ride along on
 each :class:`EffectiveOrderResult` as ``dyson_terms``, equal key for key to
 :func:`dyson_terms`, so a caller that needs both the effective orders and
-the propagator (the report) runs the recursion once.
+the propagator (the report) runs the recursion once. The builders build
+series and measure nothing: the Hermiticity and unitarity defects on a
+time grid are taken by :func:`~effham.diagnostics.run_report`, which
+evaluates each order's series there once.
 
 A build does each key's scalar work once. It converts the model to its
 series once (:func:`dyson_terms` and :func:`dyson_term` take a model or
@@ -56,8 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrequencyConditionError, check_integer, check_orders, check_real, check_times
-from .metrics import hermiticity_defect
+from .errors import FrequencyConditionError, check_integer, check_orders, check_real
 from .model import (
     HBAR,
     MAX_ORDER,
@@ -171,10 +173,6 @@ class EffectiveOrderResult:
     well as the full sum: the flag is never raised at order 3, and at
     order 5 only when some signed three-carrier sum vanishes.
 
-    ``grid_values`` holds ``series`` evaluated on the time grid, and
-    ``hermiticity_defect_grid`` its Hermiticity defect at each grid point,
-    so callers that need either do not evaluate the series again.
-
     ``dyson_terms`` holds the propagator terms ``(U_1, ..., U_n)``, with
     ``U_k = (1/(i*hbar)) int_0^t Heff_k`` taken from the same definite
     chain as ``series``, and equal key for key to
@@ -186,9 +184,6 @@ class EffectiveOrderResult:
     series: OperatorSeries
     secular: np.ndarray
     secular_growth_flag: bool
-    max_hermiticity_defect_on_grid: float
-    grid_values: np.ndarray
-    hermiticity_defect_grid: np.ndarray
     dyson_terms: tuple[OperatorSeries, ...]
 
 
@@ -199,9 +194,7 @@ def default_time_grid(H: MultiToneHamiltonian, points: int = 64) -> np.ndarray:
     return np.linspace(0.0, 10.0 / H.min_omega, points)
 
 
-def heff_secular(H: MultiToneHamiltonian, n,
-                 tol_zero: float = TOL_ZERO,
-                 time_grid: np.ndarray | None = None,
+def heff_secular(H: MultiToneHamiltonian, n, tol_zero: float = TOL_ZERO
                  ) -> EffectiveOrderResult | dict[int, EffectiveOrderResult]:
     """Order-n series plus its secular (non-oscillating, non-growing) part.
 
@@ -218,32 +211,25 @@ def heff_secular(H: MultiToneHamiltonian, n,
     come only from three-carrier sums that the frequency report classes as
     "zero". A result does not depend on the other orders asked for.
 
-    The Hermiticity defect of the full time-dependent series is measured on
-    ``time_grid``, a finite 1-D sequence of times (default: 64 points over
-    [0, 10 / min carrier]); the values and the per-point defects are kept
-    on the result. Bad orders and grids, and a ``tol_zero`` that is negative
-    or not finite, raise :class:`OperatorValueError` before any build.
+    It builds and evaluates nothing else: a caller that measures ``series``
+    on a time grid, as :func:`~effham.diagnostics.run_report` does,
+    evaluates it there. Bad orders, and a ``tol_zero`` that is negative or
+    not finite, raise :class:`OperatorValueError` before any build.
     """
     single = not isinstance(n, (tuple, list))
     orders = check_orders((n,) if single else n, MAX_ORDER)
     check_threshold("tol_zero", tol_zero)
-    ts = default_time_grid(H) if time_grid is None else check_times("time grid", time_grid)
     S, table = H.to_operator_series(), {}
     heffs, terms = _chain(S, orders[-1], table=table)
     terms = tuple(terms)
     averaged, _ = _chain(S, orders[-1], indefinite=True, table=table)
     results = {}
     for k in orders:
-        values = heffs[k - 1].evaluate_grid(ts)
-        defects = hermiticity_defect(values)
         results[k] = EffectiveOrderResult(
             order=k,
             series=heffs[k - 1],
             secular=averaged[k - 1].constant_part(tol_zero),
             secular_growth_flag=averaged[k - 1].has_secular_growth(tol_zero),
-            max_hermiticity_defect_on_grid=float(defects.max(initial=0.0)),
-            grid_values=values,
-            hermiticity_defect_grid=defects,
             dyson_terms=terms[:k],
         )
     return results[orders[0]] if single else results

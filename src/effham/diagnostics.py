@@ -34,6 +34,7 @@ import numpy as np
 from . import builder
 from .dsl import load_model
 from .errors import (
+    SeriesOverflowError,
     SweepOverflowError,
     UnknownModelError,
     check_integer,
@@ -407,11 +408,12 @@ def _unitarity_of_partial_sums(terms, orders: tuple[int, ...]) -> dict[int, np.n
     return out
 
 
-def _sweep_row(lam: float, results, at_one, orders: tuple[int, ...]) -> list[dict]:
+def _sweep_row(lam: float, values, at_one, orders: tuple[int, ...]) -> list[dict]:
     """The sweep cells of factor ``lam``: per order n, the largest
-    Hermiticity defect of ``lam^n Heff_n`` on the grid and the unitarity
-    defect of ``I + sum_{k<=n} lam^k U_k(1)``, with ``at_one`` holding the
-    values ``U_k(1)``. Raises :class:`SweepOverflowError` at the first order
+    Hermiticity defect of ``lam^n Heff_n`` on the grid, whose values
+    ``values[n]`` holds, and the unitarity defect of
+    ``I + sum_{k<=n} lam^k U_k(1)``, with ``at_one`` holding the values
+    ``U_k(1)``. Raises :class:`SweepOverflowError` at the first order
     whose cell is not finite."""
     # an overflow, of a power of lam too, shows as a non-finite defect
     # below, so numpy need not warn
@@ -420,7 +422,7 @@ def _sweep_row(lam: float, results, at_one, orders: tuple[int, ...]) -> list[dic
             [np.float64(lam) ** k * U for k, U in enumerate(at_one, start=1)], orders)
         cells = []
         for n in orders:
-            scaled = np.float64(lam) ** n * results[n].grid_values
+            scaled = np.float64(lam) ** n * values[n]
             herm = float(hermiticity_defect(scaled).max(initial=0.0))
             if not (math.isfinite(herm) and math.isfinite(unitarity[n])):
                 raise SweepOverflowError(
@@ -466,7 +468,14 @@ def run_report(
     report at top order N thus makes ``2 (N - 1) + 2`` series products and
     ``2 N + 1`` integrals, whichever orders up to N it lists: ``2 (N - 1)``
     products and ``2 N - 1`` integrals for the two chains, and 2 of each
-    for the ``Heff_3`` of the reordering-identity gap. The sweep
+    for the ``Heff_3`` of the reordering-identity gap. The builder
+    measures nothing: this function evaluates each listed order's series
+    once on the time grid and takes the Hermiticity defects, and the
+    sweep's, from those values. The Hermiticity and Dyson unitarity defects
+    and the reordering-identity gap are taken under one overflow rule: one
+    that is not finite at some time raises
+    :class:`~effham.errors.SeriesOverflowError`, which names the order, the
+    quantity and the first such time. The sweep
     is derived from them by homogeneity,
     ``Heff_n(lam H) = lam^n Heff_n(H)`` and ``U_k(lam H) = lam^k U_k(H)``:
     row ``lam`` holds, per order n, the largest Hermiticity defect of
@@ -497,23 +506,34 @@ def run_report(
     tmax = float(ts[-1])
 
     freq = frequency_report(H, tol_zero=tol_zero, gap_min=gap_min)
-    results = builder.heff_secular(H, orders, tol_zero=tol_zero, time_grid=ts)
+    results = builder.heff_secular(H, orders, tol_zero=tol_zero)
     dyson = results[orders[-1]].dyson_terms
-    dyson_grids = _unitarity_of_partial_sums([U.evaluate_grid(ts) for U in dyson], orders)
+    # an overflow shows as a defect or gap that is not finite, refused
+    # below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = {n: results[n].series.evaluate_grid(ts) for n in orders}
+        herm_grids = {n: hermiticity_defect(values[n]) for n in orders}
+        dyson_grids = _unitarity_of_partial_sums([U.evaluate_grid(ts) for U in dyson], orders)
+        eq6 = eq6_gap_grid(H, ts)
+        measured = [(n, "Hermiticity defect", herm_grids[n]) for n in orders]
+        measured += [(n, "Dyson unitarity defect", dyson_grids[n]) for n in orders]
+        for n, name, column in measured + [(3, "reordering-identity gap", eq6)]:
+            if not np.isfinite(column).all():
+                raise SeriesOverflowError(
+                    f"the order-{n} {name} on the time grid is not finite at "
+                    f"t = {float(ts[~np.isfinite(column)][0])!r}")
 
     records = tuple(
         OrderRecord(
             order=n,
             secular=result.secular,
             secular_growth_flag=result.secular_growth_flag,
-            hermiticity_defect_grid=result.hermiticity_defect_grid,
+            hermiticity_defect_grid=herm_grids[n],
             dyson_unitarity_grid=dyson_grids[n],
             secular_hermiticity_defect=hermiticity_defect(result.secular),
         )
         for n, result in results.items()
     )
-
-    eq6 = eq6_gap_grid(H, ts)
 
     residual_ts = np.linspace(tmax / 8.0, tmax, 8)
     refs = quad_oracle(H, orders, residual_ts, QUAD_TOL)
@@ -527,7 +547,7 @@ def run_report(
     sweep_block = None
     if lambdas:
         at_one = [U.evaluate(1.0) for U in dyson]
-        rows = [{"lambda": lam, "orders": _sweep_row(lam, results, at_one, orders)}
+        rows = [{"lambda": lam, "orders": _sweep_row(lam, values, at_one, orders)}
                 for lam in lambdas]
         sweep_block = {"lambdas": lambdas, "rows": rows}
 

@@ -63,8 +63,10 @@ class SweepOverflowError(NumericalGuardError):
 
 
 class SeriesOverflowError(NumericalGuardError):
-    """A series coefficient is not finite: the couplings are so large that
-    a product or sum of series leaves the range of a float."""
+    """A series coefficient, or a series value on the report's time grid,
+    is not finite: the couplings or the times are so large that a product
+    or sum of series, or a defect or gap measured on that grid, leaves the
+    range of a float."""
 
 
 class FrequencyConditionError(EffhamError):

@@ -11,8 +11,7 @@ import numpy as np
 
 
 def _fro(X: np.ndarray):
-    # Frobenius norm over the last two axes; a single matrix keeps numpy's
-    # flat 2-norm, so its value is the same as before stacks were accepted.
+    # Frobenius norm over the last two axes
     if X.ndim == 2:
         return float(np.linalg.norm(X))
     return np.linalg.norm(X, axis=(-2, -1))

@@ -93,8 +93,7 @@ of distinct times, not on its order or repeats, and is not bit-identical
 to that of a call at its time alone. The samples are smooth, so the error
 falls geometrically with the panel width: on the zoo models of dimension up
 to 8 at orders 2..6 and t = 0.5, 1, 2 and 5, the values agree with the
-closed forms to 3.8e-13 relative at tolerance 1e-9, where the composite
-Simpson refinement that this rule replaced stopped at 5.8e-11.
+closed forms to 3.8e-13 relative at tolerance 1e-9.
 
 A cumulative integral and a product with H keep the sectors of H's
 samples, so each level's samples go through the same sector stage as an

@@ -1,6 +1,7 @@
+import dataclasses
+import inspect
 import math
 import pathlib
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,9 +184,10 @@ def test_term_budget_guard_applies(monkeypatch):
 
 def test_secular_result_fields():
     res = heff_secular(NONCOMM, 3)
+    assert [f.name for f in dataclasses.fields(res)] == [
+        "order", "series", "secular", "secular_growth_flag", "dyson_terms"]
     assert res.order == 3
     assert res.secular.shape == (2, 2)
-    assert res.max_hermiticity_defect_on_grid > 1e-3
     assert hermiticity_defect(res.secular) < 1e-10
     assert not res.secular_growth_flag
 
@@ -425,7 +427,7 @@ def test_recursion_matches_nested_products(make):
                             _reference_nested_product(S, n).scale(_reference_inv_i_power(n - 1)))
         averaged = _reference_nested_product(S, n, indefinite=True)
         averaged = averaged.scale(_reference_inv_i_power(n - 1))
-        result = heff_secular(H, n, time_grid=np.linspace(0.0, 1.0, 3))
+        result = heff_secular(H, n)
         assert np.array_equal(result.secular, averaged.constant_part())
         assert result.secular_growth_flag == averaged.has_secular_growth()
 
@@ -441,9 +443,6 @@ def _assert_same_result(a, b):
     _assert_same_series(a.series, b.series)
     assert np.array_equal(a.secular, b.secular)
     assert a.secular_growth_flag == b.secular_growth_flag
-    assert a.max_hermiticity_defect_on_grid == b.max_hermiticity_defect_on_grid
-    assert np.array_equal(a.grid_values, b.grid_values)
-    assert np.array_equal(a.hermiticity_defect_grid, b.hermiticity_defect_grid)
     assert len(a.dyson_terms) == len(b.dyson_terms) == a.order
     for U, V in zip(a.dyson_terms, b.dyson_terms):
         _assert_same_series(U, V)
@@ -474,12 +473,28 @@ def test_secular_dyson_terms_equal_dyson_terms(make):
             _assert_same_series(U, V)
 
 
-def test_secular_tuple_form_passes_grid_and_tol_zero_to_every_order():
-    ts = np.linspace(0.0, 3.0, 5)
-    results = heff_secular(NONCOMM, (2, 4), tol_zero=1e-6, time_grid=ts)
+def test_secular_tuple_form_passes_tol_zero_to_every_order():
+    # 1 + 2 - (3 + 1e-8) is zero under tol_zero 1e-6 but not under the default
+    H = MultiToneHamiltonian([(0.2 * sigma_plus(), 1.0), (0.2 * sigma_z(), 2.0),
+                              (0.2 * sigma_plus(), 3.0 + 1e-8)])
+    results = heff_secular(H, (2, 3), tol_zero=1e-6)
     for n, result in results.items():
-        _assert_same_result(result, heff_secular(NONCOMM, n, tol_zero=1e-6, time_grid=ts))
-        assert result.grid_values.shape == (5, 2, 2)
+        _assert_same_result(result, heff_secular(H, n, tol_zero=1e-6))
+    assert not np.array_equal(results[3].secular, heff_secular(H, 3).secular)
+
+
+def test_heff_secular_measures_nothing(monkeypatch):
+    # the report measures each order on its time grid; the builder only builds
+    H = make_model("raman_lambda")
+    expected = heff_secular(H, (2, 3, 4))
+
+    def no_evaluation(self, *args, **kwargs):
+        raise AssertionError("a series was evaluated on a grid")
+
+    monkeypatch.setattr(OperatorSeries, "evaluate_grid", no_evaluation)
+    for n, result in heff_secular(H, (2, 3, 4)).items():
+        assert np.array_equal(result.secular, expected[n].secular)
+    assert "time_grid" not in inspect.signature(heff_secular).parameters
 
 
 @pytest.mark.parametrize("order", [2.7, 2.0, True, np.float64(3.0), "3", None])
@@ -503,22 +518,6 @@ def test_numpy_integer_orders_are_accepted():
 def test_secular_tuple_form_rejects_bad_order_lists(orders):
     with pytest.raises(OperatorValueError):
         heff_secular(SCALAR, orders)
-
-
-@pytest.mark.parametrize("grid", [
-    np.zeros((3, 2)), 0.5, [0.0, np.nan, 1.0], [0.0, np.inf], [[0.0, 1.0]],
-    [False, True], ["0.0", "0.5"], [0.5, True], [10**400], [Fraction(1, 2), True],
-])
-def test_secular_rejects_bad_time_grids(grid):
-    with pytest.raises(OperatorValueError):
-        heff_secular(SCALAR, 2, time_grid=grid)
-    with pytest.raises(OperatorValueError):
-        heff_secular(SCALAR, (2, 3), time_grid=grid)
-
-
-def test_secular_takes_a_time_grid_of_fractions_as_the_floats_they_equal():
-    _assert_same_result(heff_secular(NONCOMM, 2, time_grid=[Fraction(1, 2)]),
-                        heff_secular(NONCOMM, 2, time_grid=[0.5]))
 
 
 @pytest.mark.parametrize("tol_zero", [-1.0, float("nan"), float("inf"), True, "1e-9"])

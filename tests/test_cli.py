@@ -417,6 +417,15 @@ def test_sweep_factor_out_of_float_range_exits_3(factor, capsys):
     assert "at order 2" in line
 
 
+@pytest.mark.parametrize("tmax", ["1e100", "1e300"])
+def test_an_overflowing_report_grid_exits_3_with_one_line(tmax, capsys):
+    # numpy used to warn first, and under warnings-as-errors main raised
+    assert main(["report", "builtin:jc_detuned", "--tmax", tmax]) == 3
+    line = _one_line(capsys)
+    assert line.startswith("effham: numerical guard: ")
+    assert "on the time grid is not finite at t = " in line
+
+
 def test_coupling_whose_products_overflow_exits_3(tmp_path, capsys):
     # every order-2 product of a 1e200 coupling is infinite; such a series
     # was once dropped key by key into a zero report

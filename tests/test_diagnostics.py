@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import shutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -215,7 +216,10 @@ def test_eq6_gap_rejects_a_bad_time_before_any_build(t):
 
 
 @pytest.mark.parametrize("ts", [[0.1, math.nan], [math.inf], np.ones((2, 2)), [[0.1], [0.2]],
-                                [True, 0.5], "0.5", 0.5])
+                                [True, 0.5], "0.5", 0.5, np.zeros((3, 2)),
+                                [0.0, np.nan, 1.0], [0.0, np.inf], [[0.0, 1.0]],
+                                [False, True], ["0.0", "0.5"], [0.5, True], [10**400],
+                                [Fraction(1, 2), True]])
 def test_eq6_gap_grid_rejects_bad_times_before_any_build(ts):
     with pytest.raises(OperatorValueError, match="time grid must be a 1-D array"):
         eq6_gap_grid(_Unread(), ts)
@@ -427,7 +431,7 @@ def test_report_checks_every_order_against_the_quadrature(source):
 
 @pytest.mark.parametrize("source", REPORT_SOURCES, ids=_source_id)
 def test_report_defect_grids_equal_a_fresh_evaluation(source):
-    # the report takes the grid values heff_secular computed; evaluate again
+    # the report evaluates each order once on its grid; evaluate again
     if source.startswith("builtin:"):
         H = make_model(source[len("builtin:"):])
     else:
@@ -548,7 +552,7 @@ def test_eq6_gap_is_the_anti_hermitian_part_of_heff3(model):
     # Heff_3 is Hermitian
     H = model()
     ts = default_time_grid(H, 32)
-    V = heff_secular(H, 3, time_grid=ts).grid_values
+    V = heff_secular(H, 3).series.evaluate_grid(ts)
     expected = HBAR ** 2 * np.linalg.norm(V - V.conj().swapaxes(1, 2), axis=(1, 2))
     np.testing.assert_allclose(eq6_gap_grid(H, ts), expected, rtol=1e-15, atol=1e-300)
 

@@ -32,9 +32,7 @@ report's residual block:
   ``.ham`` files of ``demos/models``;
 * ``scan ...``: the rows of jc, ``jc_secular_o2``, the 5 zoo models' RK4
   and the zoo models' quadrature once more, each operand behind a grid
-  function that declares no ``support``, which the oracles run unsplit
-  (the label is kept from when such an operand was split by the pattern
-  of its samples).
+  function that declares no ``support``, which the oracles run unsplit.
 
 Report outputs: ``effham.cli.main`` runs ``effham report`` in-process on
 the 5 zoo models and the ``.ham`` files of ``demos/models``, each with the
