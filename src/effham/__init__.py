@@ -15,7 +15,6 @@ from types import ModuleType as _ModuleType
 from .builder import (
     EffectiveOrderResult,
     MAX_ORDER,
-    default_time_grid,
     dyson_term,
     dyson_terms,
     dyson_truncated,
@@ -28,6 +27,7 @@ from .builder import (
 from .diagnostics import (
     Report,
     ZOO_NAMES,
+    default_time_grid,
     eq6_gap,
     eq6_gap_grid,
     make_model,

@@ -187,13 +187,6 @@ class EffectiveOrderResult:
     dyson_terms: tuple[OperatorSeries, ...]
 
 
-def default_time_grid(H: MultiToneHamiltonian, points: int = 64) -> np.ndarray:
-    """Diagnostic grid covering [0, 10 / min carrier] with ``points``
-    samples, an integer >= 2 (:class:`OperatorValueError`)."""
-    points = check_integer("points", points, 2)
-    return np.linspace(0.0, 10.0 / H.min_omega, points)
-
-
 def heff_secular(H: MultiToneHamiltonian, n, tol_zero: float = TOL_ZERO
                  ) -> EffectiveOrderResult | dict[int, EffectiveOrderResult]:
     """Order-n series plus its secular (non-oscillating, non-growing) part.

@@ -12,11 +12,12 @@ file, is refused before anything is computed), 3 for numerical-guard
 failures: any ``errors.NumericalGuardError`` (such as a series product or
 integral, or a quadrature level, whose projected bytes pass
 ``errors.BYTE_BUDGET``, the power cap, the dimension cap, a
-quadrature whose nested chain overflows, a defect or gap on the report's
-time grid that is not finite, such as at a ``--tmax`` of 1e100 or 1e300,
-couplings so large that a series coefficient is not finite, such as a
-tone of norm ``1e200``, or a ``--sweep`` factor that scales an order out
-of the float range, such as ``1e200``) and an allocation that runs out
+quadrature whose nested chain overflows, such as at a ``--tmax`` of
+1e100, a defect or gap on the report's time grid that is not finite,
+such as at a ``--tmax`` of 1e300, couplings so large that a series
+coefficient is not finite, such as a tone of norm ``1e200``, or a
+``--sweep`` factor that scales an order out of the float range, such as
+``1e200``) and an allocation that runs out
 of memory, such as the time grid of a huge ``--grid``; each prints a
 one-line message. A usage error is
 an option that does not parse, or whose value the library refuses: each

@@ -25,6 +25,7 @@ import copy
 import functools
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -34,6 +35,7 @@ import numpy as np
 from . import builder
 from .dsl import load_model
 from .errors import (
+    OperatorValueError,
     SeriesOverflowError,
     SweepOverflowError,
     UnknownModelError,
@@ -41,6 +43,7 @@ from .errors import (
     check_orders,
     check_real,
     check_times,
+    elide,
 )
 from .metrics import hermiticity_defect, unitarity_defect
 from .model import (
@@ -62,14 +65,23 @@ SCHEMA_VERSION = 1
 #: Tolerance of the report's quadrature residuals (``options.quad_tol``).
 QUAD_TOL = 1e-9
 
+
+def _sequence(name: str, values):
+    """``values`` itself if it is a sequence or a numpy array: an option
+    that takes several values refuses a bare one."""
+    if isinstance(values, (Sequence, np.ndarray)):
+        return values
+    raise OperatorValueError(f"{name} must be a sequence, got {elide(values)}")
+
+
 #: The check of each :func:`run_report` option, by keyword: it returns the
 #: value or raises :class:`~effham.errors.OperatorValueError`. ``effham
 #: report`` applies the same checks to the values of its options.
 OPTION_CHECKS = {
-    "orders": lambda orders: check_orders(orders, MAX_ORDER),
+    "orders": lambda orders: check_orders(_sequence("orders", orders), MAX_ORDER),
     "tmax": lambda tmax: check_real("tmax", tmax, 0.0, strict=True),
     "grid": lambda grid: check_integer("grid", grid, 2),
-    "sweep": lambda sweep: tuple(check_real("sweep factor", x) for x in sweep),
+    "sweep": lambda sweep: tuple(check_real("sweep factor", x) for x in _sequence("sweep", sweep)),
     "tol_zero": lambda tol_zero: check_threshold("tol_zero", tol_zero),
     "gap_min": lambda gap_min: check_threshold("gap_min", gap_min),
 }
@@ -393,6 +405,13 @@ class Report:
                 fh.write("\r\n".join(lines) + "\r\n")
 
 
+def default_time_grid(H: MultiToneHamiltonian, points: int = 64) -> np.ndarray:
+    """Diagnostic grid covering [0, 10 / min carrier] with ``points``
+    samples, an integer >= 2 (:class:`OperatorValueError`)."""
+    points = check_integer("points", points, 2)
+    return np.linspace(0.0, 10.0 / H.min_omega, points)
+
+
 def _unitarity_of_partial_sums(terms, orders: tuple[int, ...]) -> dict[int, np.ndarray]:
     """Unitarity defect of ``I + terms[0] + ... + terms[N-1]`` for each N in orders.
 
@@ -493,7 +512,8 @@ def run_report(
     if tmax is not None:
         tmax = float(OPTION_CHECKS["tmax"](tmax))
     grid = OPTION_CHECKS["grid"](grid)
-    lambdas = [float(x) for x in OPTION_CHECKS["sweep"](sweep)] if sweep else []
+    sweep = OPTION_CHECKS["sweep"](sweep) if sweep is not None else ()
+    lambdas = [float(x) for x in sweep]
 
     source = model_path_or_name
     if source.startswith("builtin:"):
@@ -502,7 +522,7 @@ def run_report(
         H = load_model(source)
 
     # linspace ends on its stop exactly, so ts[-1] is the given tmax
-    ts = builder.default_time_grid(H, grid) if tmax is None else np.linspace(0.0, tmax, grid)
+    ts = default_time_grid(H, grid) if tmax is None else np.linspace(0.0, tmax, grid)
     tmax = float(ts[-1])
 
     freq = frequency_report(H, tol_zero=tol_zero, gap_min=gap_min)

@@ -42,11 +42,16 @@ grammar and the built-in function names are reserved.
 A tone's frequency must pass :func:`~effham.model.check_carrier`, the
 check :class:`~effham.model.MultiToneHamiltonian` makes, once an
 imaginary part below 1e-12 of the real part is dropped as rounding, and a
-param must be a finite real number. :func:`parse_model` refuses any
-other value at its declaration's line, and
-:func:`compile_model` runs the same validation first, so it builds no
-matrix for an AST that fails it. A diagnostic that quotes a long value
-cuts out its middle (:func:`~effham.errors.elide`).
+param must be a finite real number. These rules, the declared names and
+the grammar's nodes (a built-in called with its argument count, an
+operator of ``+ - *``) are checked once, when a :class:`ModelSpecAst`
+is made, whether :func:`parse_model` makes it, a caller builds it by hand
+or ``dataclasses.replace`` copies it: a value that breaks them is refused
+at its declaration's line and any other node at its own, so every AST
+that exists is valid, and neither :func:`compile_model` nor
+:func:`serialize_model` checks it again. A
+diagnostic that quotes a long value cuts out its middle
+(:func:`~effham.errors.elide`).
 
 Nesting is bounded, so that no walk of a parsed tree can exhaust the
 stack. The parser's own recursion is capped at 200 levels: a unary ``-``
@@ -233,10 +238,22 @@ class ToneDecl(_Located):
 
 @dataclass(frozen=True)
 class ModelSpecAst:
+    """A valid model. Making one, by the parser, by hand or by
+    ``dataclasses.replace``, checks its names, nodes, params and carriers
+    and raises a located :class:`ModelValidationError`, so no later stage
+    checks an AST again. ``carriers`` holds each tone's checked frequency;
+    it takes no part in equality, hashing or ``repr``."""
+
     spaces: tuple[SpaceDecl, ...]
     params: tuple[ParamDecl, ...]
     operator_defs: tuple[OpDecl, ...]
     tones: tuple[ToneDecl, ...]
+    carriers: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a hand-built literal may be a numpy number, whose overflow warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "carriers", _validate(self))
 
 
 # ----------------------------------------------------------------------
@@ -474,8 +491,10 @@ class _Parser:
 
 
 def _walk_names(expr, spaces: set[str], values: set[str]):
-    """Check that every name ``expr`` uses is declared: a param or earlier op
-    in ``values``, and a space as the first argument of a factor built-in."""
+    """Check that ``expr`` is made of the grammar's nodes only (a call of a
+    built-in with its argument count, a ``+ - *`` operator) and that every
+    name it uses is declared: a param or earlier op in ``values``, and a
+    space as the first argument of a factor built-in."""
     if isinstance(expr, NameRef):
         if expr.name not in values:
             raise ModelValidationError(
@@ -483,7 +502,7 @@ def _walk_names(expr, spaces: set[str], values: set[str]):
             )
         return
     children = ()
-    if isinstance(expr, Call):
+    if isinstance(expr, Call) and _ARITY.get(expr.func) == len(expr.args):
         children = expr.args
         if expr.func != "kron":
             space_arg, *children = expr.args
@@ -495,10 +514,13 @@ def _walk_names(expr, spaces: set[str], values: set[str]):
                 )
     elif isinstance(expr, MatLit):
         children = [el for row in expr.rows for el in row]
-    elif isinstance(expr, BinOp):
+    elif isinstance(expr, BinOp) and expr.op in _BINARY:
         children = (expr.left, expr.right)
     elif isinstance(expr, Neg):
         children = (expr.operand,)
+    elif not isinstance(expr, NumberLit):
+        raise ModelValidationError(f"{type(expr).__name__} node is not in the grammar",
+                                   getattr(expr, "line", None), getattr(expr, "col", None))
     for child in children:
         _walk_names(child, spaces, values)
 
@@ -517,7 +539,7 @@ def _eval_scalar(expr, params: dict[str, float]) -> complex:
         )
     if isinstance(expr, Neg):
         return -_eval_scalar(expr.operand, params)
-    if isinstance(expr, BinOp):
+    if isinstance(expr, BinOp) and expr.op in _BINARY:
         return _BINARY[expr.op][0](_eval_scalar(expr.left, params),
                                    _eval_scalar(expr.right, params))
     raise ModelValidationError(
@@ -536,7 +558,7 @@ def _check_at(line: int, check, *args):
         raise ModelValidationError(str(exc), line) from None
 
 
-def _validate(ast: ModelSpecAst) -> list[float]:
+def _validate(ast: ModelSpecAst) -> tuple[float, ...]:
     """Check every name and param value of ``ast`` and return the carrier
     of each tone, checked by :func:`~effham.model.check_carrier`."""
     spaces: set[str] = set()
@@ -565,14 +587,13 @@ def _validate(ast: ModelSpecAst) -> list[float]:
         # a negligible imaginary part is rounding; a complex value is refused
         freq = freq.real if abs(freq.imag) <= 1e-12 * max(1.0, abs(freq.real)) else freq
         carriers.append(_check_at(t.line, check_carrier, freq))
-    return carriers
+    return tuple(carriers)
 
 
 def parse_model(text: str) -> ModelSpecAst:
-    """Parse model text into an AST; every diagnostic carries line:col."""
-    ast = _Parser(_lex(text)).parse_file()
-    _validate(ast)
-    return ast
+    """Parse model text into an AST, which validates itself as it is made;
+    every diagnostic carries line:col."""
+    return _Parser(_lex(text)).parse_file()
 
 
 # ----------------------------------------------------------------------
@@ -619,8 +640,6 @@ def _expr_str(expr, required: int = _PREC_SUM) -> str:
         left = _expr_str(expr.left, prec)
         right = _expr_str(expr.right, prec + 1)
         text = f"{left} {expr.op} {right}"
-    else:
-        raise ModelValidationError(f"cannot serialize node {type(expr).__name__}")
     if prec < required:
         return f"({text})"
     return text
@@ -629,15 +648,15 @@ def _expr_str(expr, required: int = _PREC_SUM) -> str:
 def serialize_model(ast: ModelSpecAst) -> str:
     """Canonical text whose reparse is structurally identical to ``ast``.
 
-    A literal the parser cannot make (negative, complex, non-finite or
-    ``-0.0``) or a non-finite param value raises a located
-    :class:`ModelValidationError`, as no text reparses to it."""
+    Every param of an AST is finite, so each is written as it is. A literal
+    the parser cannot make (negative, complex, non-finite or ``-0.0``)
+    raises a located :class:`ModelValidationError`, as no text reparses to
+    it."""
     lines = []
     for s in ast.spaces:
         lines.append(f"space {s.name} {s.dim}")
     for p in ast.params:
-        value = _check_at(p.line, check_real, f"param {p.name}", p.value)
-        lines.append(f"param {p.name} = {_fmt_float(value)}")
+        lines.append(f"param {p.name} = {_fmt_float(p.value)}")
     for o in ast.operator_defs:
         lines.append(f"op {o.name} = {_expr_str(o.expr)}")
     for t in ast.tones:
@@ -666,7 +685,7 @@ class _Compiler:
             )
         self.env: dict[str, object] = {p.name: complex(p.value) for p in ast.params}
 
-    def run(self, carriers: list[float]) -> MultiToneHamiltonian:
+    def run(self) -> MultiToneHamiltonian:
         if not self.ast.spaces:
             raise ModelCompileError("a model needs at least one space declaration")
         if not self.ast.tones:
@@ -674,7 +693,7 @@ class _Compiler:
         for o in self.ast.operator_defs:
             self.env[o.name] = self.eval(o.expr)
         tones = []
-        for t, omega in zip(self.ast.tones, carriers):
+        for t, omega in zip(self.ast.tones, self.ast.carriers):
             value = self.eval(t.operator)
             if not isinstance(value, np.ndarray):
                 raise ModelCompileError(
@@ -705,10 +724,8 @@ class _Compiler:
             value = -self.eval(expr.operand)
         elif isinstance(expr, Call):
             value = self.eval_call(expr)
-        elif isinstance(expr, BinOp):
-            value = self.eval_binop(expr)
         else:
-            raise ModelCompileError(f"cannot evaluate node {type(expr).__name__}")
+            value = self.eval_binop(expr)
         if not np.isfinite(value).all():
             raise ModelCompileError("arithmetic overflows to a non-finite value",
                                     expr.line, expr.col)
@@ -753,11 +770,8 @@ class _Compiler:
             for c, el in enumerate(row):
                 value = self.eval(el)
                 if isinstance(value, np.ndarray):
-                    raise ModelCompileError(
-                        "matrix literal entries must be scalars",
-                        getattr(el, "line", None),
-                        getattr(el, "col", None),
-                    )
+                    raise ModelCompileError("matrix literal entries must be scalars",
+                                            el.line, el.col)
                 out[r, c] = value
         return out
 
@@ -788,15 +802,15 @@ class _Compiler:
 def compile_model(ast: ModelSpecAst) -> MultiToneHamiltonian:
     """Evaluate an AST to matrices over the full tensor-product space.
 
-    The AST is validated first, as :func:`parse_model` validates it, so one
-    built by hand raises the same located :class:`ModelValidationError`. A
+    The AST was validated when it was made, so compilation checks no name
+    or frequency again: each tone's matrix takes its carrier from
+    ``ast.carriers``. A
     value that overflows to a non-finite number raises
     :class:`ModelCompileError` at the node that computed it; numpy's
     overflow warnings are silenced meanwhile, as the error replaces them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        carriers = _validate(ast)
-        return _Compiler(ast).run(carriers)
+        return _Compiler(ast).run()
 
 
 def load_model(path: str) -> MultiToneHamiltonian:

@@ -11,10 +11,18 @@ import numpy as np
 
 
 def _fro(X: np.ndarray):
-    # Frobenius norm over the last two axes
-    if X.ndim == 2:
-        return float(np.linalg.norm(X))
-    return np.linalg.norm(X, axis=(-2, -1))
+    # Frobenius norm over the last two axes. numpy squares every entry, so a
+    # norm that fits a float reads inf once an entry passes about 1e154:
+    # there the norm of X over its largest real or imaginary part is scaled
+    # back, where every entry of the matrix is finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(X) if X.ndim == 2 else np.linalg.norm(X, axis=(-2, -1))
+        if not np.isfinite(norm).all():
+            redo = ~np.isfinite(norm) & np.isfinite(X).all(axis=(-2, -1))
+            norm, big = np.array(norm), X[redo]
+            part = np.maximum(abs(big.real), abs(big.imag)).max(axis=(-2, -1), keepdims=True)
+            norm[redo] = np.linalg.norm(big / part, axis=(-2, -1)) * part[:, 0, 0]
+    return float(norm) if X.ndim == 2 else norm
 
 
 def _dagger(A: np.ndarray) -> np.ndarray:

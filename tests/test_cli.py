@@ -406,24 +406,30 @@ def test_output_path_naming_the_model_file_exits_2(option, path, tmp_path, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["M.ham"]
 
 
-@pytest.mark.parametrize("factor", ["1e60", "1e200"])
-def test_sweep_factor_out_of_float_range_exits_3(factor, capsys):
+@pytest.mark.parametrize("factor, order", [("1e60", 3), ("1e200", 2)], ids=["1e60", "1e200"])
+def test_sweep_factor_out_of_float_range_exits_3(factor, order, capsys):
     # 1e60 used to end in json's "Out of range float values", 1e200 in an
-    # OverflowError at lam ** n
+    # OverflowError at lam ** n; 1e60's order-2 unitarity defect, about
+    # 2.5e239, fits a float, so order 3 is the first that overflows
     argv = ["report", "builtin:scalar_single_tone", "--grid", "4", "--sweep", f"0.2,{factor}"]
     assert main(argv) == 3
     line = _one_line(capsys)
     assert line.startswith(f"effham: numerical guard: sweep factor {float(factor)!r} ")
-    assert "at order 2" in line
+    assert f"at order {order}" in line
 
 
-@pytest.mark.parametrize("tmax", ["1e100", "1e300"])
-def test_an_overflowing_report_grid_exits_3_with_one_line(tmax, capsys):
+@pytest.mark.parametrize("tmax, refusal", [
+    # the order-2 unitarity defect, about 4.2e192, fits a float; the
+    # quadrature of order 3 does not
+    ("1e100", "quadrature of order 3 is not finite at 272 points (order 3: last change inf)"),
+    ("1e300", "on the time grid is not finite at t = "),
+], ids=["1e100", "1e300"])
+def test_an_overflowing_report_grid_exits_3_with_one_line(tmax, refusal, capsys):
     # numpy used to warn first, and under warnings-as-errors main raised
     assert main(["report", "builtin:jc_detuned", "--tmax", tmax]) == 3
     line = _one_line(capsys)
     assert line.startswith("effham: numerical guard: ")
-    assert "on the time grid is not finite at t = " in line
+    assert refusal in line
 
 
 def test_coupling_whose_products_overflow_exits_3(tmp_path, capsys):

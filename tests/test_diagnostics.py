@@ -76,6 +76,19 @@ def test_unitarity_defect_values():
     assert unitarity_defect(2 * np.eye(2)) == pytest.approx(3 * np.sqrt(2))
 
 
+def test_a_defect_whose_norm_fits_a_float_is_reported():
+    # numpy squares each entry, so these norms once read nan or inf
+    A = np.array([[1e200, 1e200], [0.0, 0.0]])
+    assert hermiticity_defect(A) == pytest.approx(1.0)
+    assert unitarity_defect(np.diag([1e100, 1.0])) == pytest.approx(1e200)
+    # in a stack only the matrices that overflow are rescaled; a non-finite
+    # entry still gives a non-finite defect
+    stack = np.array([A, 1j * sigma_x(), [[1e300j, 0.0], [1e300, 0.0]],
+                      [[np.nan, 0.0], [0.0, 0.0]]])
+    values = hermiticity_defect(stack)
+    assert values[:3] == pytest.approx([1.0, 2.0, np.sqrt(3)]) and np.isnan(values[3])
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 def test_defects_on_a_stack_match_per_matrix_values(rng, dim):
     stack = rng.normal(size=(2, 4, dim, dim)) + 1j * rng.normal(size=(2, 4, dim, dim))
@@ -454,6 +467,24 @@ def test_report_defect_grids_equal_a_fresh_evaluation(source):
 def test_report_rejects_bad_options_before_loading(options):
     with pytest.raises(OperatorValueError):
         run_report("no_such_file.ham", **options)
+
+
+@pytest.mark.parametrize("name, value", [("orders", 2), ("orders", {2, 3}), ("sweep", 0.5),
+                                         ("sweep", 0)])
+def test_report_refuses_a_bare_orders_or_sweep_value(name, value):
+    with pytest.raises(OperatorValueError) as err:
+        run_report("no_such_file.ham", **{name: value})
+    assert str(err.value) == f"{name} must be a sequence, got {value!r}"
+
+
+def test_report_takes_numpy_arrays_of_orders_and_sweep_factors():
+    def report(**options):
+        out = run_report("builtin:scalar_single_tone", grid=4, **options).as_dict()
+        del out["generated_at"]
+        return out
+
+    assert report(orders=np.array([3, 2]), sweep=np.array([0.2, 0.5])) == report(
+        orders=(2, 3), sweep=(0.2, 0.5))
 
 
 @pytest.mark.parametrize("orders, products", [((2, 3), 6), ((2, 3, 4), 8),

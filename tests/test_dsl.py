@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import random
@@ -24,8 +25,9 @@ from effham import (
     sigma_z,
     tensor_product,
 )
-from effham.dsl import (Call, MatLit, ModelSpecAst, NameRef, NumberLit, OpDecl, ParamDecl,
-                        SpaceDecl, ToneDecl)
+from effham import dsl
+from effham.dsl import (BinOp, Call, MatLit, ModelSpecAst, NameRef, NumberLit, OpDecl,
+                        ParamDecl, SpaceDecl, ToneDecl, _validate)
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = sorted(DATA.glob("*.ham"))
@@ -74,8 +76,8 @@ _ZERO = NumberLit(0j)
 
 
 # ASTs that parse_model cannot produce: an undeclared op and an infinite
-# param, which validation refuses, and a non-finite literal, which the
-# compiler checks where it stands
+# param, which the AST refuses as it is made, and a non-finite literal,
+# which the compiler checks where it stands
 @pytest.mark.parametrize("g, operator, cls, message", [
     (1.0, NameRef("x", line=2, col=6), ModelValidationError, "2:6: unknown identifier 'x'"),
     (math.inf, Call("proj", (NameRef("q"), NameRef("g"), _ZERO)), ModelValidationError,
@@ -84,12 +86,49 @@ _ZERO = NumberLit(0j)
      ModelCompileError, "2:11: arithmetic overflows to a non-finite value"),
 ], ids=["undeclared_op", "infinite_param", "infinite_literal"])
 def test_compile_gives_a_hand_built_ast_a_located_diagnostic(g, operator, cls, message):
-    ast = ModelSpecAst(spaces=(SpaceDecl("q", 2),), params=(ParamDecl("g", g, line=1),),
-                       operator_defs=(),
-                       tones=(ToneDecl(operator, NumberLit(1 + 0j), line=2),))
-    with pytest.raises(ModelError) as err:
-        compile_model(ast)
+    def build():
+        return ModelSpecAst(spaces=(SpaceDecl("q", 2),), params=(ParamDecl("g", g, line=1),),
+                            operator_defs=(),
+                            tones=(ToneDecl(operator, NumberLit(1 + 0j), line=2),))
+
+    # a validation error comes from making the AST, a compile error after it
+    with pytest.raises(cls) as err:
+        build() if cls is ModelValidationError else compile_model(build())
     assert type(err.value) is cls and str(err.value) == message
+
+
+DEMO_MODELS = sorted((pathlib.Path(__file__).parent.parent / "demos" / "models").glob("*.ham"))
+
+
+@pytest.mark.parametrize("path", DEMO_MODELS, ids=lambda p: p.stem)
+def test_load_model_validates_a_file_once(path, monkeypatch):
+    calls = []
+
+    def counted(ast):
+        calls.append(ast)
+        return _validate(ast)
+
+    monkeypatch.setattr(dsl, "_validate", counted)
+    H = load_model(str(path))
+    assert len(calls) == 1 and H.omegas == calls[0].carriers
+
+
+def test_a_numpy_frequency_that_overflows_is_refused_without_a_warning():
+    # numpy scalars warn on overflow, and the tests turn warnings into errors
+    freq = BinOp("*", NumberLit(np.float64(1e200)), NumberLit(np.float64(1e200)))
+    with pytest.raises(ModelValidationError, match="^2:0: tone frequency must be a finite"):
+        ModelSpecAst(spaces=(SpaceDecl("q", 2),), params=(), operator_defs=(),
+                     tones=(ToneDecl(Call("sx", (NameRef("q"),)), freq, line=2),))
+
+
+def test_replace_validates_the_new_ast():
+    ast = parse_model(MINIMAL)
+    bad_tone = dataclasses.replace(ast.tones[0], frequency=NumberLit(-1 + 0j))
+    with pytest.raises(ModelValidationError) as err:
+        dataclasses.replace(ast, tones=(bad_tone,))
+    assert str(err.value) == "4:0: tone frequency must be a finite real number > 0, got -1.0"
+    again = dataclasses.replace(ast, params=(ParamDecl("g", 0.2),))
+    assert again.carriers == ast.carriers == (10.0,) and again != ast
 
 
 def test_syntax_error_carries_location():
@@ -201,22 +240,41 @@ def test_serialize_writes_a_literal_the_parser_can_make(value):
 
 
 @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
-def test_serialize_refuses_a_non_finite_param(g):
+def test_an_ast_refuses_a_non_finite_param_as_it_is_made(g):
     with pytest.raises(ModelValidationError) as err:
-        serialize_model(_with_op(NameRef("g"), g))
+        _with_op(NameRef("g"), g)
     assert str(err.value) == f"2:0: param g must be a finite real number, got {g!r}"
 
 
 class _Foreign:
-    line = col = 0
+    line, col = 5, 7
 
 
-def test_a_foreign_node_is_neither_serialized_nor_evaluated():
-    ast = _with_op(_Foreign())
-    with pytest.raises(ModelValidationError, match="^cannot serialize node _Foreign$"):
-        serialize_model(ast)
-    with pytest.raises(ModelCompileError, match="^cannot evaluate node _Foreign$"):
-        compile_model(ast)
+def test_a_foreign_node_is_refused_as_the_ast_is_made():
+    for expr in (_Foreign(), BinOp("+", NumberLit(1 + 0j), _Foreign())):
+        with pytest.raises(ModelValidationError) as err:
+            _with_op(expr)
+        assert str(err.value) == "5:7: _Foreign node is not in the grammar"
+    # a node with no location is refused without one
+    with pytest.raises(ModelValidationError, match="^object node is not in the grammar$"):
+        _with_op(object())
+
+
+_SX = Call("sx", (NameRef("q"),))
+
+
+@pytest.mark.parametrize("expr", [
+    Call("foo", (NameRef("q"),), line=3, col=9), Call("sx", (), line=3, col=9),
+    Call("proj", (NameRef("q"),), line=3, col=9), BinOp("/", _SX, _SX, line=3, col=9),
+], ids=["unknown_function", "no_argument", "too_few_arguments", "unknown_operator"])
+def test_a_call_or_operator_outside_the_grammar_is_refused_as_the_ast_is_made(expr):
+    with pytest.raises(ModelValidationError) as err:
+        _with_op(expr)
+    assert str(err.value) == f"3:9: {type(expr).__name__} node is not in the grammar"
+    # in a frequency, as any node but a number, a param or their arithmetic
+    tone = ToneDecl(_SX, BinOp("/", NumberLit(1 + 0j), NumberLit(2 + 0j), line=4, col=3), line=4)
+    with pytest.raises(ModelValidationError, match="^4:3: expected a scalar expression"):
+        dataclasses.replace(_with_op(_SX), tones=(tone,))
 
 
 def test_crlf_ends_a_line(tmp_path):
