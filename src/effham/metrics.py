@@ -36,11 +36,23 @@ def hermiticity_defect(A: np.ndarray):
     near-zero operators.
     """
     A = np.asarray(A, dtype=complex)
-    out = _fro(A - _dagger(A)) / np.maximum(1.0, _fro(A))
+    # an infinite entry makes inf - inf, read as nan without a warning
+    with np.errstate(invalid="ignore"):
+        out = _fro(A - _dagger(A)) / np.maximum(1.0, _fro(A))
     return float(out) if A.ndim == 2 else out
 
 
 def unitarity_defect(U: np.ndarray):
-    """``||U^dag U - I||`` in Frobenius norm; zero iff U is an isometry."""
+    """``||U^dag U - I||`` in Frobenius norm; zero iff U is an isometry.
+
+    A finite U whose defect is past the float range reads ``inf``.
+    """
     U = np.asarray(U, dtype=complex)
-    return _fro(_dagger(U) @ U - np.eye(U.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = _dagger(U) @ U - np.eye(U.shape[-1])
+    # Of a finite U, an entry of the product that is not finite overflowed (a
+    # complex product of inf and 0 reads nan). Each term of an entry is at most
+    # the larger of two diagonal entries, which are sums of squares, so one of
+    # those is past the float range, and so is the defect.
+    finite = np.isfinite(U).all(axis=(-2, -1))[..., None, None]
+    return _fro(np.where(finite & ~np.isfinite(D), np.inf, D))

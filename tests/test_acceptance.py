@@ -321,3 +321,23 @@ def test_criterion_13_quadrature_reaches_the_closed_forms_to_1e_11():
         worst <= 1e-11,
         f"worst residual relative to max(1, ||closed||) {worst:.3e}, bound 1e-11",
     )
+
+
+def test_criterion_14_rk4_read_out_converges_at_order_5():
+    # criterion 9's first set-up, against a run at 51,200 coarse steps; the
+    # bound of 24 per halving (32 for an order-5 read-out) was fixed before
+    # the first run
+    H = make_model("jc_detuned", g=0.05)
+    t = 400.0
+    reference = propagate_exact(H, t, steps=51200).U
+    errors = [float(np.linalg.norm(propagate_exact(H, t, steps=steps).U - reference))
+              for steps in (3200, 6400, 12800)]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    _criterion(
+        14,
+        "the RK4 read-out's distance to a finer run falls >= 24x at each halving "
+        "of the step",
+        min(ratios) >= 24,
+        f"distances {', '.join(f'{e:.2e}' for e in errors)} at 3200, 6400, 12800 steps, "
+        f"ratios {', '.join(f'{r:.1f}' for r in ratios)}, bound 24",
+    )

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import shutil
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,15 @@ def test_a_defect_whose_norm_fits_a_float_is_reported():
                       [[np.nan, 0.0], [0.0, 0.0]]])
     values = hermiticity_defect(stack)
     assert values[:3] == pytest.approx([1.0, 2.0, np.sqrt(3)]) and np.isnan(values[3])
+
+
+def test_defects_past_the_float_range_read_nan_or_inf_without_a_warning():
+    # inf - inf in A - A^dag is nan; U^dag U of a finite U overflows, and a
+    # defect past the float range reads inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(hermiticity_defect(np.array([[np.inf, 0.0], [0.0, 0.0]])))
+        assert unitarity_defect(np.array([[1e200, 0.0], [0.0, 1.0]])) == math.inf
 
 
 @pytest.mark.parametrize("dim", [1, 3])
